@@ -149,23 +149,21 @@ def cmd_quality(args) -> int:
 
 
 def _infeasibility_note(sol) -> str:
-    built = sol.built
-    m = built.model
-    families: dict[str, int] = {}
-    for name in m.constraint_index:
-        families[name.split("[")[0]] = families.get(name.split("[")[0], 0) + 1
-    listing = ", ".join(f"{k}({v})" for k, v in sorted(families.items()))
+    m = sol.built.model
+    counts = {name: np.count_nonzero(fam.present)
+              for name, fam in sorted(m.families.items())}
+    listing = ", ".join(f"{k}({v})" for k, v in counts.items() if v)
     return (f"model is {sol.status}: {m.num_constraints} rows in families "
             f"{listing}; check line limits, generator capacity against "
             f"loads, and the support width")
 
 
-def cmd_solve(args) -> int:
+def _solve_instance(args):
+    """Load inputs and solve once; returns the instance or an exit code."""
     network, net_src = _load_net(args)
     xs, data_src = _resolve_samples(args, network)
     eps = _resolve_epsilons(args, len(network.resources))
     data = MultiDataset.from_matrix(xs, eps)
-
     sol = solve_msdro_opf(network, data, args.gamma)
     if sol.status == "infeasible":
         print(_infeasibility_note(sol), file=sys.stderr)
@@ -173,6 +171,14 @@ def cmd_solve(args) -> int:
     if not sol.optimal:
         print(f"solver failed: status {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
+    return network, net_src, xs, data_src, eps, data, sol
+
+
+def cmd_solve(args) -> int:
+    solved = _solve_instance(args)
+    if isinstance(solved, int):
+        return solved
+    network, net_src, xs, data_src, eps, data, sol = solved
 
     final = sol
     if not args.no_tighten:
@@ -199,9 +205,8 @@ def cmd_solve(args) -> int:
     with open(outdir / "duals.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["constraint", "dual"])
-        lp_sol = sol.lp_solution
-        for name in sol.built.model.constraint_index:
-            writer.writerow([name, _fmt(lp_sol.dual(name))])
+        writer.writerows(zip(sol.built.model.row_names(),
+                             map(_fmt, sol.lp_solution.duals.tolist())))
 
     write_data_value_csv(outdir / "valuation.csv", report)
     write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
@@ -273,21 +278,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oos(args) -> int:
-    network, net_src = _load_net(args)
-    xs, data_src = _resolve_samples(args, network)
-    eps = _resolve_epsilons(args, len(network.resources))
-    data = MultiDataset.from_matrix(xs, eps)
-
-    sol = solve_msdro_opf(network, data, args.gamma)
-    if sol.status == "infeasible":
-        print(_infeasibility_note(sol), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if not sol.optimal:
-        print(f"solver failed: status {sol.status}", file=sys.stderr)
-        return EXIT_SOLVER
-
+    solved = _solve_instance(args)
+    if isinstance(solved, int):
+        return solved
+    network, net_src, _, data_src, eps, _, sol = solved
     samples = oos_matrix(network, eps, args.oos_samples, args.seed)
-    rate = empirical_violation(sol.decision, samples, network)
+    rate = empirical_violation(sol.decision, samples, network,
+                               flow_maps=(sol.built.b_g, sol.built.b_w))
     print(f"objective: {_fmt(sol.objective)}")
     print(f"violation: {_fmt(rate)} over {args.oos_samples} samples "
           f"(gamma = {_fmt(args.gamma)})")

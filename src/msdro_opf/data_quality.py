@@ -93,17 +93,16 @@ def empirical_wasserstein_1d(a, b, p: int = 1) -> float:
     if n == m:
         return float(np.mean(np.abs(xa - xb) ** p))
     # Merge the quantile breakpoints i/n and i/m and integrate segmentwise.
+    # On the segment ending at q, F_a^{-1} is the first order statistic whose
+    # breakpoint is >= q; q is one of the exact breakpoints, so the search
+    # never rounds past it.
     qa = np.arange(1, n + 1) / n
     qb = np.arange(1, m + 1) / m
     q = np.union1d(qa, qb)
-    prev = 0.0
-    total = 0.0
-    for qt in q:
-        ia = min(int(np.ceil(qt * n)) - 1, n - 1)
-        ib = min(int(np.ceil(qt * m)) - 1, m - 1)
-        total += (qt - prev) * abs(xa[ia] - xb[ib]) ** p
-        prev = qt
-    return float(total)
+    ia = np.searchsorted(qa, q)
+    ib = np.searchsorted(qb, q)
+    width = np.diff(q, prepend=0.0)
+    return float(np.sum(width * np.abs(xa[ia] - xb[ib]) ** p))
 
 
 def additive_noise_bound(noise: NoiseModel, p: int = 1,
@@ -196,9 +195,12 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
             if len(row) != len(header):
                 raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise InputError(f"{path}:{lineno}: non-finite sample value")
+            rows.append(values)
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return header, np.asarray(rows, dtype=float).T
@@ -234,8 +236,9 @@ def read_quality_csv(path) -> dict[str, float]:
                 eps = float(row[1])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-            if eps < 0:
-                raise InputError(f"{path}:{lineno}: epsilon must be >= 0")
+            if not (math.isfinite(eps) and eps >= 0):
+                raise InputError(f"{path}:{lineno}: epsilon must be a finite "
+                                 "number >= 0")
             out[row[0].strip()] = eps
     if not out:
         raise InputError(f"{path}: no quality rows")

@@ -19,13 +19,13 @@ support corners or the sample itself, giving three epigraph cuts.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ModeError, SizeError
-from .lp import INFINITY, GE, Model
+from .lp import GE, INFINITY, Model, align_left, family
 
 #: Relative tolerance for objective-value equivalence between formulations.
 VALUE_RTOL = 1e-6
@@ -50,6 +50,8 @@ class BoxSupport:
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InputError("support bounds must be vectors of equal length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise InputError("support bounds must be finite")
         if np.any(lower > upper):
             raise InputError("support has lower > upper")
         if np.any(lower > 0) or np.any(upper < 0):
@@ -68,9 +70,6 @@ class BoxSupport:
             np.all(pts >= self.lower[:, None] - tol)
             and np.all(pts <= self.upper[:, None] + tol)
         )
-
-    def coordinate(self, j: int) -> "BoxSupport":
-        return BoxSupport([self.lower[j]], [self.upper[j]])
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,14 @@ class MultiDataset:
         self.samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
         if any(s.size == 0 for s in self.samples):
             raise InputError("every feature needs at least one sample")
+        bad = [j for j, s in enumerate(self.samples) if not np.all(np.isfinite(s))]
+        if bad:
+            raise InputError(f"features {bad} have non-finite samples")
         self.epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
         if len(self.epsilons) != len(self.samples):
             raise InputError("need one epsilon per feature")
+        if not np.all(np.isfinite(self.epsilons)):
+            raise InputError("epsilons must be finite")
         if np.any(self.epsilons < 0):
             raise InputError("epsilons must be >= 0")
 
@@ -166,9 +170,6 @@ class MultiDataset:
         if not self.is_standardized:
             raise ModeError("datasets have unequal lengths; no shared index")
         return np.vstack(self.samples)
-
-    def feature(self, j: int) -> "MultiDataset":
-        return MultiDataset([self.samples[j]], [self.epsilons[j]])
 
     def validate_within(self, support: BoxSupport) -> None:
         if support.dimension != self.dimension:
@@ -200,18 +201,74 @@ def sup_affine_minus_l1(a, lam, sample, support: BoxSupport) -> float:
     return float(np.sum(np.maximum(np.maximum(up, lo), av)))
 
 
-def _add_coordinate_cuts(model: Model, name: str, w_idx: int, lam_idx: int,
-                         a_kj: float, xi_hat: float, lo: float, up: float) -> None:
-    """Epigraph cuts w >= sup over [lo, up] of a_kj*xi - lam |xi - xi_hat|.
+def wasserstein_cuts(model: Model, name: str, w, lam, sample, lower, upper,
+                     const=None, cols=None, coefs=None, where=None) -> tuple:
+    """Epigraph cuts w >= sup over [lower, upper] of a*xi - lam |xi - sample|.
 
-    Three rows, one per candidate maximizer (upper corner, lower corner,
-    sample), with lam kept on the left-hand side as a variable.
+    One cut block per entry of the column array ``w``: the 1-D supremum is
+    attained at the upper corner, the lower corner or the sample, giving
+    the families ``{name}_up``, ``{name}_lo`` and ``{name}_av`` (all >=),
+    interleaved row by row. ``lam``, ``sample``, ``lower`` and ``upper``
+    broadcast against ``w`` with axes lined up from the left. The slope is
+    ``a = const + sum_t coefs[..., t] * x[cols[..., t]]``: ``const`` alone
+    for a fixed cost, ``cols``/``coefs`` (one trailing axis beyond ``w``)
+    when the slope is itself a decision; without ``const`` the rows have
+    rhs 0. ``where`` keeps the corner cuts only where true (the sample cut
+    always stays); dropping them is exact when lam is fixed to zero.
+    Returns the three families.
     """
-    model.add_constr(f"{name}_up", [(w_idx, 1.0), (lam_idx, up - xi_hat)],
-                     GE, a_kj * up)
-    model.add_constr(f"{name}_lo", [(w_idx, 1.0), (lam_idx, -(lo - xi_hat))],
-                     GE, a_kj * lo)
-    model.add_constr(f"{name}_av", [(w_idx, 1.0)], GE, a_kj * xi_hat)
+    w = np.asarray(w)
+    nd = w.ndim
+    up, lo, xs = (align_left(np.asarray(v, dtype=float), nd)
+                  for v in (upper, lower, sample))
+    lam = align_left(lam, nd)
+
+    def rows(suffix, point, lam_coef, keep):
+        terms = [(w, 1.0)]
+        if cols is not None:
+            terms.append((cols, -np.asarray(coefs) * point[..., None]))
+        if lam_coef is not None:
+            terms.append((lam, lam_coef))
+        rhs = 0.0 if const is None else align_left(const, nd) * point
+        return family(f"{name}_{suffix}", w.shape, terms, GE, rhs, keep)
+
+    return model.add(rows("up", up, up - xs, where),
+                     rows("lo", lo, -(lo - xs), where),
+                     rows("av", xs, None, None))
+
+
+def _add_sample_cuts(model: Model, w, lam, data: MultiDataset,
+                     support: BoxSupport, slope) -> None:
+    """Three cuts per sample of every feature (see ``wasserstein_cuts``).
+
+    ``w`` stacks the features' epigraph columns along its first axis, one
+    entry per sample in feature order; ``lam[j]`` is feature j's multiplier
+    column and ``slope[j]`` its cost coefficient, per affine piece along any
+    further axis of ``w``.
+    """
+    feature = np.repeat(np.arange(data.dimension), data.counts)
+    wasserstein_cuts(model, "cut", w, lam[feature],
+                     np.concatenate(data.samples), support.lower[feature],
+                     support.upper[feature], const=slope[feature])
+
+
+def _solve_shared_index(model: Model, lam, cost: PiecewiseMaxAffine,
+                        data: MultiDataset, support: BoxSupport, solver):
+    """Shared-index epigraph LP on top of the multiplier columns ``lam``.
+
+    One epigraph variable per (feature, sample, piece) with its cuts, and
+    one row per (shared sample, piece) adding them up. Returns the LP
+    solution and the shared-sample epigraph columns.
+    """
+    d, n, k_pieces = data.dimension, int(data.counts[0]), cost.num_pieces
+    w = model.add_vars("w", (d, n, k_pieces), lb=-INFINITY)
+    s = model.add_vars("s", n, lb=-INFINITY, obj=1.0 / n)
+    _add_sample_cuts(model, w.reshape(d * n, k_pieces), lam, data, support,
+                     cost.a.T)
+    model.add(family("idx", (n, k_pieces),
+                     [(s, 1.0), (w.transpose(1, 2, 0), -1.0)], GE,
+                     cost.b[None, :]))
+    return model.solve(solver), s
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
@@ -239,26 +296,15 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
     k_pieces = cost.num_pieces
 
     model = Model("wc-general")
-    lam = model.add_vars("lam", d)
-    for j in range(d):
-        model.obj[lam[j]] = float(data.epsilons[j])
+    lam = model.add_vars("lam", d, obj=data.epsilons)
     w = [model.add_vars(f"w{j}", (counts[j], k_pieces), lb=-INFINITY)
          for j in range(d)]
     s = model.add_vars("s", n_idx, lb=-INFINITY, obj=1.0 / n_idx)
-
-    for j in range(d):
-        for i in range(counts[j]):
-            for k in range(k_pieces):
-                _add_coordinate_cuts(
-                    model, f"cut[{j},{i},{k}]", int(w[j][i, k]), int(lam[j]),
-                    float(cost.a[k, j]), float(data.samples[j][i]),
-                    float(support.lower[j]), float(support.upper[j]),
-                )
-    for flat, multi in enumerate(np.ndindex(*counts)):
-        for k in range(k_pieces):
-            terms = [(int(s[flat]), 1.0)]
-            terms += [(int(w[j][multi[j], k]), -1.0) for j in range(d)]
-            model.add_constr(f"idx[{flat},{k}]", terms, GE, float(cost.b[k]))
+    _add_sample_cuts(model, np.concatenate(w), lam, data, support, cost.a.T)
+    multi = np.unravel_index(np.arange(n_idx), counts)
+    picked = np.stack([w[j][multi[j]] for j in range(d)], axis=-1)
+    model.add(family("idx", (n_idx, k_pieces), [(s, 1.0), (picked, -1.0)],
+                     GE, cost.b[None, :]))
 
     sol = model.solve(solver)
     if not sol.optimal:
@@ -295,11 +341,9 @@ def separable_thresholds(cost: SeparableAffineCost, data: MultiDataset,
     otherwise; the threshold is the mean absolute distance of the samples
     to that corner.
     """
-    thr = np.empty(data.dimension)
-    for j in range(data.dimension):
-        corner = support.lower[j] if cost.c[j] <= 0 else support.upper[j]
-        thr[j] = float(np.mean(np.abs(data.samples[j] - corner)))
-    return thr
+    corners = np.where(cost.c <= 0, support.lower, support.upper)
+    return np.array([np.mean(np.abs(s - corner))
+                     for s, corner in zip(data.samples, corners)])
 
 
 def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
@@ -313,18 +357,10 @@ def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
     counts = data.counts
 
     model = Model("wc-separable")
-    lam = model.add_vars("lam", d)
-    for j in range(d):
-        model.obj[lam[j]] = float(data.epsilons[j])
+    lam = model.add_vars("lam", d, obj=data.epsilons)
     s = [model.add_vars(f"s{j}", counts[j], lb=-INFINITY, obj=1.0 / counts[j])
          for j in range(d)]
-    for j in range(d):
-        for i in range(counts[j]):
-            _add_coordinate_cuts(
-                model, f"cut[{j},{i}]", int(s[j][i]), int(lam[j]),
-                float(cost.c[j]), float(data.samples[j][i]),
-                float(support.lower[j]), float(support.upper[j]),
-            )
+    _add_sample_cuts(model, np.concatenate(s), lam, data, support, cost.c)
     sol = model.solve(solver)
     if not sol.optimal:
         raise RuntimeError(f"separable worst-case LP ended {sol.status}")
@@ -358,32 +394,9 @@ def wc_expectation_standardized(cost: PiecewiseMaxAffine, data: MultiDataset,
     if not data.is_standardized:
         raise ModeError("standardized reformulation needs equal sample counts")
     data.validate_within(support)
-    d = data.dimension
-    n = int(data.counts[0])
-    k_pieces = cost.num_pieces
-
     model = Model("wc-standardized")
-    lam = model.add_vars("lam", d)
-    for j in range(d):
-        model.obj[lam[j]] = float(data.epsilons[j])
-    w = model.add_vars("w", (d, n, k_pieces), lb=-INFINITY)
-    s = model.add_vars("s", n, lb=-INFINITY, obj=1.0 / n)
-
-    for j in range(d):
-        for i in range(n):
-            for k in range(k_pieces):
-                _add_coordinate_cuts(
-                    model, f"cut[{j},{i},{k}]", int(w[j, i, k]), int(lam[j]),
-                    float(cost.a[k, j]), float(data.samples[j][i]),
-                    float(support.lower[j]), float(support.upper[j]),
-                )
-    for i in range(n):
-        for k in range(k_pieces):
-            terms = [(int(s[i]), 1.0)]
-            terms += [(int(w[j, i, k]), -1.0) for j in range(d)]
-            model.add_constr(f"idx[{i},{k}]", terms, GE, float(cost.b[k]))
-
-    sol = model.solve(solver)
+    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
+    sol, s = _solve_shared_index(model, lam, cost, data, support, solver)
     if not sol.optimal:
         raise RuntimeError(f"standardized worst-case LP ended {sol.status}")
     return StandardizedResult(
@@ -409,28 +422,10 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     data.validate_within(support)
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
-    d = data.dimension
-    n = int(data.counts[0])
-    k_pieces = cost.num_pieces
-
     model = Model("wc-single-budget")
     lam = model.add_var("lam", obj=float(epsilon))
-    w = model.add_vars("w", (d, n, k_pieces), lb=-INFINITY)
-    s = model.add_vars("s", n, lb=-INFINITY, obj=1.0 / n)
-    for j in range(d):
-        for i in range(n):
-            for k in range(k_pieces):
-                _add_coordinate_cuts(
-                    model, f"cut[{j},{i},{k}]", int(w[j, i, k]), lam,
-                    float(cost.a[k, j]), float(data.samples[j][i]),
-                    float(support.lower[j]), float(support.upper[j]),
-                )
-    for i in range(n):
-        for k in range(k_pieces):
-            terms = [(int(s[i]), 1.0)]
-            terms += [(int(w[j, i, k]), -1.0) for j in range(d)]
-            model.add_constr(f"idx[{i},{k}]", terms, GE, float(cost.b[k]))
-    sol = model.solve(solver)
+    sol, _ = _solve_shared_index(model, np.full(data.dimension, lam), cost,
+                                 data, support, solver)
     if not sol.optimal:
         raise RuntimeError(f"single-budget LP ended {sol.status}")
     return float(sol.objective)
@@ -441,22 +436,13 @@ def sample_average(cost, data: MultiDataset) -> float:
     if isinstance(cost, SeparableAffineCost):
         return float(sum(cost.c[j] * np.mean(data.samples[j])
                          for j in range(data.dimension)))
-    counts = data.counts
-    total = 0.0
-    for multi in np.ndindex(*counts):
-        point = np.array([data.samples[j][multi[j]]
-                          for j in range(data.dimension)])
-        total += float(cost.evaluate(point[:, None])[0])
-    return total / float(np.prod(counts))
+    grids = np.meshgrid(*data.samples, indexing="ij")
+    return float(np.mean(cost.evaluate(np.stack([g.ravel() for g in grids]))))
 
 
 def robust_value(cost, support: BoxSupport) -> float:
     """Max of the cost over the box, by corner enumeration."""
     if isinstance(cost, SeparableAffineCost):
         cost = cost.as_piecewise()
-    best = -math.inf
-    d = support.dimension
-    for corner_bits in np.ndindex(*([2] * d)):
-        point = np.where(np.array(corner_bits) == 0, support.lower, support.upper)
-        best = max(best, float(cost.evaluate(point[:, None])[0]))
-    return best
+    corners = np.array(list(itertools.product(*zip(support.lower, support.upper))))
+    return float(np.max(cost.evaluate(corners.T)))

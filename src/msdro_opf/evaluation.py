@@ -28,7 +28,8 @@ from scipy.stats import truncnorm
 from .dro_core import MultiDataset
 from .errors import InputError
 from .network import Network, build_support
-from .opf_model import (OpfDecision, cvar_tightening_rerun, solve_msdro_opf)
+from .opf_model import (OpfDecision, cvar_tightening_rerun,
+                        joint_constraint_rows, solve_msdro_opf)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport,
                         forecast_value_decomposition, marginal_data_value)
@@ -51,8 +52,11 @@ def s_pert(epsilon: float) -> float:
     return epsilon * math.sqrt(math.pi / 2.0)
 
 
-def _truncated_draw(lo: float, up: float, loc: float, scale: float,
-                    n: int, seed: int) -> np.ndarray:
+def _truncated_draw(resource, loc: float, scale: float, n: int,
+                    seed: int) -> np.ndarray:
+    """Normal draws around ``loc`` truncated to the resource's error support."""
+    sup = build_support(resource)
+    lo, up = float(sup.lower[0]), float(sup.upper[0])
     if up - lo <= 0:
         return np.zeros(n)
     if scale <= 0:
@@ -71,25 +75,20 @@ def generate_training_samples(resource, n: int, seed: int,
     around the forecast, then shifted back); ``forecast-shift`` keeps the
     raw injection magnitudes as errors, truncated to the same support.
     """
-    sup = build_support(resource)
-    lo, up = float(sup.lower[0]), float(sup.upper[0])
-    scale = S_FRACTION * resource.u
     if error_mean == "zero":
         loc = 0.0
     elif error_mean == "forecast-shift":
         loc = resource.u
     else:
         raise InputError(f"unknown error-mean mode {error_mean!r}")
-    return _truncated_draw(lo, up, loc, scale, n, seed)
+    return _truncated_draw(resource, loc, S_FRACTION * resource.u, n, seed)
 
 
 def generate_oos_samples(resource, epsilon: float, n: int,
                          seed: int) -> np.ndarray:
     """Zero-mean out-of-sample errors with spread widened by epsilon."""
-    sup = build_support(resource)
-    lo, up = float(sup.lower[0]), float(sup.upper[0])
     scale = S_FRACTION * resource.u + s_pert(epsilon)
-    return _truncated_draw(lo, up, 0.0, scale, n, seed)
+    return _truncated_draw(resource, 0.0, scale, n, seed)
 
 
 def training_matrix(network: Network, n: int, seed: int,
@@ -123,23 +122,18 @@ def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray,
     return float(np.mean(np.any(lhs > tol, axis=1)))
 
 
-def constraint_rows(network: Network, decision: OpfDecision,
-                    b_g: np.ndarray, b_w: np.ndarray):
-    """All joint-constraint rows (a_k, b_k) at a fixed decision."""
-    m = b_w - b_g @ decision.alpha
-    a = np.vstack([-decision.alpha, decision.alpha, m, -m])
-    b = np.concatenate([-decision.r_plus, -decision.r_minus,
-                        -decision.f_ram_plus, -decision.f_ram_minus])
-    return a, b
-
-
 def empirical_violation(decision: OpfDecision, samples: np.ndarray,
-                        network: Network,
-                        tol: float = VIOLATION_TOL) -> float:
-    """Empirical joint violation probability of a decision on samples."""
-    from .network import compute_flow_maps
-    b_g, b_w, _ = compute_flow_maps(network)
-    a, b = constraint_rows(network, decision, b_g, b_w)
+                        network: Network, tol: float = VIOLATION_TOL,
+                        flow_maps: tuple | None = None) -> float:
+    """Empirical joint violation probability of a decision on samples.
+
+    ``flow_maps`` is (B_G, B_W) of ``network``, such as the maps a built
+    model stores; they are computed from the network when omitted.
+    """
+    if flow_maps is None:
+        from .network import compute_flow_maps
+        flow_maps = compute_flow_maps(network)[:2]
+    a, b = joint_constraint_rows(decision, *flow_maps)
     return violation_rate(a, b, samples, tol)
 
 
@@ -214,34 +208,47 @@ class SweepResult:
 
 
 def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
-                solver: str | None) -> tuple:
-    """One grid cell: base solve, tighten, valuation, out-of-sample."""
+                solver: str | None, oos_only: bool = False) -> tuple:
+    """One cell: base solve, tighten, valuation, out-of-sample.
+
+    With ``oos_only`` (cells outside the main grid, zero budgets) only the
+    out-of-sample row is made and the cell result is None. Any failure is
+    recorded in the cell's rows, so one cell cannot stop the sweep.
+    """
     cell = tuple(float(e) for e in eps)
     try:
         data = MultiDataset.from_matrix(xs, list(cell))
         base = solve_msdro_opf(network, data, config.gamma, solver=solver)
+        if base.optimal:
+            samples = oos_matrix(network, cell, config.oos_samples, config.seed)
+            rate = empirical_violation(base.decision, samples, network,
+                                       flow_maps=(base.built.b_g, base.built.b_w))
+            oos = OosResult(cell, rate, config.oos_samples)
+            return (None if oos_only else
+                    _cell_result(network, cell, data, base, config, solver), oos)
+        result = CellResult(cell, base.status)
     except Exception as exc:  # recorded, sweep continues
-        return (CellResult(cell, "error", message=str(exc)),
-                OosResult(cell, math.nan, 0, "error"))
-    if not base.optimal:
-        return (CellResult(cell, base.status),
-                OosResult(cell, math.nan, 0, base.status))
+        result = CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
+    return (None if oos_only else result,
+            OosResult(cell, math.nan, 0, result.status))
 
+
+def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
+                 config: SweepConfig, solver: str | None) -> CellResult:
+    """Tightening re-run and valuation of an optimal base solve."""
     tightened = base
     if config.tighten:
         tightened = cvar_tightening_rerun(network, data, config.gamma, base,
                                           solver=solver)
-    report = marginal_data_value(base)
-    forecast = forecast_value_decomposition(base, network, data)
     c_act = np.array([g.c_A for g in network.generators])
-    result = CellResult(
+    return CellResult(
         cell, "optimal",
         objective=base.objective,
         objective_tightened=(tightened.objective if tightened.optimal
                              else base.objective),
         phi=base.duals.phi,
-        data_value=report,
-        forecast_value=forecast,
+        data_value=marginal_data_value(base),
+        forecast_value=forecast_value_decomposition(base, network, data),
         activation_price=c_act @ base.decision.alpha,
         forecast=network.forecast_vector(),
         p=base.decision.p.copy(),
@@ -249,25 +256,6 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
         r_minus=base.decision.r_minus.copy(),
         alpha=base.decision.alpha.copy(),
     )
-    samples = oos_matrix(network, cell, config.oos_samples, config.seed)
-    rate = empirical_violation(base.decision, samples, network)
-    return result, OosResult(cell, rate, config.oos_samples)
-
-
-def _solve_oos_only(network: Network, xs: np.ndarray, eps,
-                    config: SweepConfig, solver: str | None) -> OosResult:
-    """Out-of-sample row for a cell outside the main grid (zero budgets)."""
-    cell = tuple(float(e) for e in eps)
-    try:
-        data = MultiDataset.from_matrix(xs, list(cell))
-        sol = solve_msdro_opf(network, data, config.gamma, solver=solver)
-    except Exception:
-        return OosResult(cell, math.nan, 0, "error")
-    if not sol.optimal:
-        return OosResult(cell, math.nan, 0, sol.status)
-    samples = oos_matrix(network, cell, config.oos_samples, config.seed)
-    rate = empirical_violation(sol.decision, samples, network)
-    return OosResult(cell, rate, config.oos_samples)
 
 
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1,
@@ -278,24 +266,20 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1,
                          derive_seed(config.seed, "train"),
                          config.error_mean)
     main_cells = config.cells(dim)
-    extra = [c for c in config.oos_cells(dim) if c not in set(main_cells)]
+    tasks = [(c, False) for c in main_cells] + [
+        (c, True) for c in config.oos_cells(dim) if c not in set(main_cells)]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_cell, network, xs, c, config, solver)
-                       for c in main_cells]
-            extra_futures = [pool.submit(_solve_oos_only, network, xs, c,
-                                         config, solver) for c in extra]
-            pairs = [f.result() for f in futures]
-            extra_rows = [f.result() for f in extra_futures]
+            futures = [pool.submit(_solve_cell, network, xs, c, config, solver,
+                                   oos_only) for c, oos_only in tasks]
+            results = [f.result() for f in futures]
     else:
-        pairs = [_solve_cell(network, xs, c, config, solver)
-                 for c in main_cells]
-        extra_rows = [_solve_oos_only(network, xs, c, config, solver)
-                      for c in extra]
+        results = [_solve_cell(network, xs, c, config, solver, oos_only)
+                   for c, oos_only in tasks]
 
-    cells = [p[0] for p in pairs]
-    oos = [p[1] for p in pairs] + extra_rows
+    cells = [cell for cell, _ in results if cell is not None]
+    oos = [row for _, row in results]
     cells.sort(key=lambda c: c.epsilons)
     oos.sort(key=lambda r: r.epsilons)
     return SweepResult(config, cells, oos)
@@ -307,99 +291,58 @@ def _fmt(x) -> str:
     return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
-def _eps_header(dim: int) -> list:
-    return [f"eps{j + 1}" for j in range(dim)]
-
-
 def write_sweep_csvs(result: SweepResult, outdir) -> list:
     """Emit the five table analogues plus plot data; returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     dim = len(result.cells[0].epsilons) if result.cells else 0
-    key = _eps_header(dim)
+    solved = [c for c in result.cells if c.optimal]
     written = []
 
-    def emit(name: str, header: list, rows: list) -> None:
+    def emit(name: str, header: list, rows) -> None:
+        """One CSV: the cell's budgets, then the row's values."""
         path = outdir / name
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerow([f"eps{j + 1}" for j in range(dim)] + header)
+            writer.writerows([_fmt(v) for v in eps + tuple(values)]
+                             for eps, values in rows)
         written.append(path)
 
-    rows = [[_fmt(e) for e in c.epsilons]
-            + [_fmt(c.objective), _fmt(c.objective_tightened), _fmt(c.phi),
-               c.status]
-            for c in result.cells]
-    emit("objectives.csv", key + ["objective", "objective_tightened",
-                                  "phi", "status"], rows)
+    def per_feature(values) -> list:
+        return [(c.epsilons, [j] + values(c, j))
+                for c in solved for j in range(dim)]
 
-    rows = []
-    for c in result.cells:
-        if not c.optimal:
-            continue
-        for j in range(dim):
-            rows.append([_fmt(e) for e in c.epsilons]
-                        + [str(j), _fmt(c.data_value.lambda_co[j]),
-                           _fmt(c.data_value.lambda_cc[j])])
-    emit("lambdas.csv", key + ["feature", "lambda_co", "lambda_cc"], rows)
-
-    rows = []
-    for c in result.cells:
-        if not c.optimal:
-            continue
-        for g in range(len(c.p)):
-            rows.append([_fmt(e) for e in c.epsilons]
-                        + [str(g), _fmt(c.p[g]), _fmt(c.r_plus[g]),
-                           _fmt(c.r_minus[g])]
-                        + [_fmt(c.alpha[g, j]) for j in range(dim)])
-    emit("dispatch.csv", key + ["generator", "p", "r_plus", "r_minus"]
-         + [f"alpha_{j + 1}" for j in range(dim)], rows)
-
-    rows = []
-    for c in result.cells:
-        if not c.optimal:
-            continue
-        for j in range(dim):
-            dv, fv = c.data_value, c.forecast_value
-            rows.append([_fmt(e) for e in c.epsilons]
-                        + [str(j), _fmt(c.activation_price[j]),
-                           _fmt(c.forecast[j] * fv.balancing_term[j]),
-                           _fmt(c.epsilons[j] * dv.lambda_co[j]),
-                           _fmt(c.forecast[j] * fv.reserve_term[j]),
-                           _fmt(c.epsilons[j] * c.phi * dv.lambda_cc[j])])
+    emit("objectives.csv", ["objective", "objective_tightened", "phi", "status"],
+         [(c.epsilons, [c.objective, c.objective_tightened, c.phi, c.status])
+          for c in result.cells])
+    emit("lambdas.csv", ["feature", "lambda_co", "lambda_cc"],
+         per_feature(lambda c, j: [c.data_value.lambda_co[j],
+                                   c.data_value.lambda_cc[j]]))
+    emit("dispatch.csv", ["generator", "p", "r_plus", "r_minus"]
+         + [f"alpha_{j + 1}" for j in range(dim)],
+         [(c.epsilons, [g, c.p[g], c.r_plus[g], c.r_minus[g], *c.alpha[g]])
+          for c in solved for g in range(len(c.p))])
     emit("cost_components.csv",
-         key + ["feature", "activation_price", "u_balancing",
-                "eps_lambda_co", "u_reserve", "eps_phi_lambda_cc"], rows)
-
-    rows = [[_fmt(e) for e in r.epsilons]
-            + [_fmt(r.violation), str(r.n_samples), r.status]
-            for r in result.oos]
-    emit("oos.csv", key + ["violation_probability", "n_samples", "status"],
-         rows)
-
-    rows = []
-    for c in result.cells:
-        if not c.optimal:
-            continue
-        for j in range(dim):
-            dv = c.data_value
-            rows.append([_fmt(e) for e in c.epsilons]
-                        + [str(j), _fmt(dv.lambda_co[j]), _fmt(dv.lambda_cc[j]),
-                           _fmt(dv.phi), _fmt(dv.marginal_value[j]),
-                           _fmt(dv.threshold[j]), dv.regime[j]])
-    emit("plotdata_data_value.csv", key + DATA_VALUE_COLUMNS, rows)
-
-    rows = []
-    for c in result.cells:
-        if not c.optimal:
-            continue
-        fv = c.forecast_value
-        for j in range(dim):
-            rows.append([_fmt(e) for e in c.epsilons]
-                        + [str(j), _fmt(fv.lmp_term[j]),
-                           _fmt(fv.balancing_term[j]), _fmt(fv.reserve_term[j]),
-                           _fmt(fv.pi_f[j]), _fmt(fv.pi_d[j]),
-                           _fmt(fv.remuneration[j])])
-    emit("plotdata_forecast_value.csv", key + FORECAST_VALUE_COLUMNS, rows)
+         ["feature", "activation_price", "u_balancing", "eps_lambda_co",
+          "u_reserve", "eps_phi_lambda_cc"],
+         per_feature(lambda c, j: [
+             c.activation_price[j],
+             c.forecast[j] * c.forecast_value.balancing_term[j],
+             c.epsilons[j] * c.data_value.lambda_co[j],
+             c.forecast[j] * c.forecast_value.reserve_term[j],
+             c.epsilons[j] * c.phi * c.data_value.lambda_cc[j]]))
+    emit("oos.csv", ["violation_probability", "n_samples", "status"],
+         [(r.epsilons, [r.violation, r.n_samples, r.status])
+          for r in result.oos])
+    emit("plotdata_data_value.csv", DATA_VALUE_COLUMNS,
+         per_feature(lambda c, j: [
+             c.data_value.lambda_co[j], c.data_value.lambda_cc[j],
+             c.data_value.phi, c.data_value.marginal_value[j],
+             c.data_value.threshold[j], c.data_value.regime[j]]))
+    emit("plotdata_forecast_value.csv", FORECAST_VALUE_COLUMNS,
+         per_feature(lambda c, j: [
+             c.forecast_value.lmp_term[j], c.forecast_value.balancing_term[j],
+             c.forecast_value.reserve_term[j], c.forecast_value.pi_f[j],
+             c.forecast_value.pi_d[j], c.forecast_value.remuneration[j]]))
     return written

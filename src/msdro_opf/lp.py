@@ -1,8 +1,10 @@
-"""Solver-neutral linear program representation with named constraints and duals.
+"""Solver-neutral linear program built from constraint families.
 
-Models are built once (variables, named linear constraints, objective) and
-handed to a backend adapter for solving. Adapters must return primal values
-and one dual value per constraint. The backend is selected through the
+Variables are array blocks and constraints are *families* (named arrays
+of rows sharing one sense). The matrix is assembled once and handed to a
+backend adapter, which returns primal values and one dual per row; duals
+are read back per family, in the family's shape. Row names (``name[i,j]``)
+are made only when asked for. The backend is selected through the
 ``MSDRO_SOLVER`` environment variable (default ``highs``) or per call.
 
 Dual sign convention
@@ -22,7 +24,10 @@ The classical nonnegative KKT multiplier of an inequality is therefore
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import compress, product, repeat
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +54,91 @@ class UnknownSolverError(LpError):
     """Requested backend name is not registered."""
 
 
-@dataclass
-class _Constraint:
+def align_left(array, ndim: int) -> np.ndarray:
+    """Append unit axes so that ``array``'s axes line up from the left."""
+    array = np.asarray(array)
+    if array.ndim < ndim:
+        array = array.reshape(array.shape + (1,) * (ndim - array.ndim))
+    return array
+
+
+def _labels(name: str, shape) -> list:
+    """``name[i,j,...]`` for every position of ``shape``, in flat order."""
+    if not shape:
+        return [name]
+    axes = [list(map(str, range(n))) for n in shape]
+    return [f"{name}[{','.join(pos)}]" for pos in product(*axes)]
+
+
+@dataclass(eq=False)
+class Family:
+    """Rows sharing a name, a shape and a sense.
+
+    Row ``r`` (flat position in ``shape``) reads
+    ``sum(vals[rows == r] * x[cols[rows == r]]) sense rhs[r]`` and is named
+    ``name[i,j,...]``, or ``name`` for shape ``()``. Rows where ``present``
+    is false are not part of the model. ``index`` maps each flat position
+    to its row in the model (-1 when absent); ``Model.add`` sets it.
+    """
+
+    name: str
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    sense: str
+    rhs: np.ndarray
+    present: np.ndarray
+    index: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.present)
+
+
+def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
+    """A family of rows ``sum(terms) sense rhs`` over an array of positions.
+
+    Each term is a pair (columns, coefficients) of arrays broadcast against
+    each other. Their leading axes line up with ``shape`` from the left
+    (missing trailing axes broadcast), and any axes beyond ``shape`` list
+    further terms of the same row. ``rhs`` and the boolean ``where`` (rows
+    to keep) broadcast the same way. Exact zero coefficients are dropped;
+    repeated columns in a row are summed when the matrix is assembled.
+    """
+    if sense not in _SENSES:
+        raise ValueError(f"unknown sense {sense!r}")
+    shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    ndim = len(shape)
+    flat = np.arange(int(np.prod(shape, dtype=np.int64))).reshape(shape)
+    present = (np.ones(flat.size, dtype=bool) if where is None else
+               _filled(where, shape, bool))
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for c, v in terms:
+        c, v = np.asarray(c), np.asarray(v, dtype=float)
+        k = max(ndim, c.ndim, v.ndim)
+        c, v = align_left(c, k), align_left(v, k)
+        full = shape + tuple(a if b == 1 else b
+                             for a, b in zip(c.shape[ndim:], v.shape[ndim:]))
+        rows.append(_filled(flat, full, np.int64))
+        cols.append(_filled(c, full, np.int64))
+        vals.append(_filled(v, full, float))
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    keep = (vals != 0.0) & present[rows]
+    return Family(name, shape, rows[keep], cols[keep], vals[keep], sense,
+                  _filled(np.asarray(rhs, dtype=float), shape, float), present)
+
+
+def _filled(array, shape: tuple, dtype) -> np.ndarray:
+    """``array`` broadcast to ``shape`` (axes lined up from the left), flat."""
+    out = np.empty(shape, dtype=dtype)
+    out[...] = align_left(array, len(shape))
+    return out.ravel()
+
+
+class Row(NamedTuple):
+    """Read-only view of one constraint row."""
+
     name: str
     cols: np.ndarray
     vals: np.ndarray
@@ -58,9 +146,30 @@ class _Constraint:
     rhs: float
 
 
+class _Rows(Sequence):
+    """A model's rows as ``Row`` views over one row-sorted coefficient table."""
+
+    def __init__(self, names, cols, vals, spans, sense, rhs):
+        self._fields = (names, cols, vals, spans, sense, rhs)
+
+    def __len__(self) -> int:
+        return len(self._fields[0])
+
+    def __getitem__(self, i: int) -> Row:
+        names, cols, vals, spans, sense, rhs = self._fields
+        return Row(names[i], cols[spans[i]], vals[spans[i]], sense[i], rhs[i])
+
+    def __iter__(self):
+        names, cols, vals, spans, sense, rhs = self._fields
+        fields = zip(names, map(cols.__getitem__, spans),
+                     map(vals.__getitem__, spans), sense, rhs)
+        # tuple.__new__ fills each Row without a Python-level call per row.
+        return map(tuple.__new__, repeat(Row), fields)
+
+
 @dataclass
 class LpSolution:
-    """Primal and dual values of a solved model, accessed by name."""
+    """Primal values and one dual per row of a solved model."""
 
     status: str
     objective: float
@@ -76,6 +185,21 @@ class LpSolution:
         """Primal value(s) for a column index or an array of indices."""
         return self.x[index]
 
+    def family_duals(self, name: str) -> np.ndarray:
+        """Duals of a family in its shape (0 at absent rows)."""
+        fam = self.model.families[name]
+        out = np.zeros(fam.size)
+        out[fam.present] = self.duals[fam.index[fam.present]]
+        return out.reshape(fam.shape)
+
+    def family_multipliers(self, name: str) -> np.ndarray:
+        """Nonnegative KKT multipliers of an inequality family, in its shape."""
+        sense = self.model.families[name].sense
+        if sense == EQ:
+            raise ValueError(f"family {name!r} is an equality; use family_duals()")
+        duals = self.family_duals(name)
+        return -duals if sense == LE else duals
+
     def dual(self, name: str) -> float:
         """Dual of a named constraint, in the d(objective)/d(rhs) convention."""
         try:
@@ -86,7 +210,7 @@ class LpSolution:
     def multiplier(self, name: str) -> float:
         """Nonnegative KKT multiplier of a named inequality constraint."""
         row = self.model.constraint_index[name]
-        sense = self.model.constraints[row].sense
+        sense = self.model._assembled()[1][row]
         if sense == EQ:
             raise ValueError(f"constraint {name!r} is an equality; use dual()")
         d = float(self.duals[row])
@@ -99,126 +223,180 @@ class LpSolution:
         0 * inf is nan). Used for strong-duality checks.
         """
         m = self.model
-        total = sum(
-            float(self.duals[i]) * c.rhs for i, c in enumerate(m.constraints)
-        )
+        a, _, rhs = m._assembled()
+        total = float(self.duals @ rhs)
         # Bound contributions: reduced cost = obj coefficient minus dual row.
-        a_t = m._matrix().T.tocsr()
-        red = np.asarray(m.obj) - a_t @ self.duals
-        lb = np.asarray(m.lb)
-        ub = np.asarray(m.ub)
-        at_lb = np.isfinite(lb) & (red > 0)
-        at_ub = np.isfinite(ub) & (red < 0)
-        total += float(np.sum(red[at_lb] * lb[at_lb]))
-        total += float(np.sum(red[at_ub] * ub[at_ub]))
+        red = m.obj - a.T @ self.duals
+        at_lb = np.isfinite(m.lb) & (red > 0)
+        at_ub = np.isfinite(m.ub) & (red < 0)
+        total += float(np.sum(red[at_lb] * m.lb[at_lb]))
+        total += float(np.sum(red[at_ub] * m.ub[at_ub]))
         return total
 
 
 class Model:
-    """A linear program: min c'x s.t. named linear constraints and bounds."""
+    """A linear program: min c'x s.t. families of linear rows and bounds."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.var_names: list[str] = []
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.obj: list[float] = []
-        self.constraints: list[_Constraint] = []
-        self.constraint_index: dict[str, int] = {}
+        self.families: dict[str, Family] = {}
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
+        self.obj = np.zeros(0)
+        self._num_rows = 0
+        self._blocks: list = []  # (name, shape or None for a scalar)
+        self._cache: dict = {}
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.obj)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self._num_rows
+
+    def add_vars(self, name: str, shape, lb=0.0, ub=INFINITY,
+                 obj=0.0) -> np.ndarray:
+        """Add an array of variables named ``name[i,j,...]``; returns indices.
+
+        ``lb``, ``ub`` and ``obj`` are scalars or arrays broadcast to ``shape``.
+        """
+        shape = (shape,) if np.isscalar(shape) else tuple(shape)
+        return self._add_block(name, shape, lb, ub, obj)
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INFINITY,
                 obj: float = 0.0) -> int:
         """Add one variable and return its column index."""
-        self.var_names.append(name)
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.obj.append(obj)
-        return len(self.var_names) - 1
+        return int(self._add_block(name, None, lb, ub, obj))
 
-    def add_vars(self, name: str, shape, lb: float = 0.0, ub: float = INFINITY,
-                 obj: float = 0.0) -> np.ndarray:
-        """Add an array of variables named ``name[i,j,...]``; returns indices."""
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        idx = np.empty(shape, dtype=int)
-        for pos in np.ndindex(shape):
-            label = name + "[" + ",".join(str(p) for p in pos) + "]"
-            idx[pos] = self.add_var(label, lb=lb, ub=ub, obj=obj)
-        return idx
+    def _add_block(self, name, shape, lb, ub, obj):
+        start = self.num_vars
+        self._blocks.append((name, shape))
+        self.lb, self.ub, self.obj = (
+            np.concatenate([old, np.broadcast_to(np.asarray(new, dtype=float),
+                                                 shape or ()).ravel()])
+            for old, new in ((self.lb, lb), (self.ub, ub), (self.obj, obj)))
+        self._cache.clear()
+        idx = np.arange(start, self.num_vars)
+        return idx[0] if shape is None else idx.reshape(shape)
+
+    def fix_var(self, index, value: float) -> None:
+        """Pin one variable, or an array of them, to ``value``."""
+        self.lb[index] = value
+        self.ub[index] = value
+
+    def add(self, *families: Family):
+        """Append families; several families are interleaved row by row.
+
+        With more than one family (all of the same shape), the rows are
+        ordered by flat position and, within a position, by argument order:
+        ``a[0], b[0], a[1], b[1], ...``. Returns the family, or the tuple.
+        """
+        size = families[0].size
+        for fam in families:
+            if fam.name in self.families:
+                raise ValueError(f"duplicate constraint name {fam.name!r}")
+            if fam.size != size:
+                raise ValueError("interleaved families need equal shapes")
+        present = np.stack([fam.present for fam in families], axis=1)
+        pos = np.cumsum(present.ravel()).reshape(present.shape) - 1 + self._num_rows
+        for k, fam in enumerate(families):
+            fam.index = np.where(present[:, k], pos[:, k], -1)
+            self.families[fam.name] = fam
+        self._num_rows += int(np.count_nonzero(present))
+        self._cache.clear()
+        return families[0] if len(families) == 1 else families
 
     def add_constr(self, name: str, terms, sense: str, rhs: float) -> int:
-        """Add constraint ``sum(coef * var) sense rhs``.
+        """Add one row ``sum(coef * var) sense rhs`` and return its index.
 
         ``terms`` is an iterable of (column index, coefficient) pairs;
         repeated columns are accumulated.
         """
-        if sense not in _SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
-        if name in self.constraint_index:
-            raise ValueError(f"duplicate constraint name {name!r}")
-        cols = []
-        vals = []
-        for col, coef in terms:
-            if coef != 0.0:
-                cols.append(col)
-                vals.append(coef)
-        self.constraints.append(_Constraint(
-            name=name,
-            cols=np.asarray(cols, dtype=int),
-            vals=np.asarray(vals, dtype=float),
-            sense=sense,
-            rhs=float(rhs),
-        ))
-        row = len(self.constraints) - 1
-        self.constraint_index[name] = row
-        return row
+        terms = list(terms)
+        cols = np.array([int(c) for c, _ in terms], dtype=np.int64)
+        vals = np.array([float(v) for _, v in terms], dtype=float)
+        fam = self.add(family(name, (), [(cols, vals)], sense, rhs))
+        return int(fam.index[0])
 
-    def set_objective(self, terms) -> None:
-        """Replace objective coefficients with (column, coefficient) pairs."""
-        obj = [0.0] * self.num_vars
-        for col, coef in terms:
-            obj[col] += coef
-        self.obj = obj
-
-    def fix_var(self, index: int, value: float) -> None:
-        self.lb[index] = value
-        self.ub[index] = value
+    def _assembled(self):
+        """(CSR matrix, sense per row, rhs per row), built once per model."""
+        if "matrix" not in self._cache:
+            fams = list(self.families.values())
+            rows = np.concatenate([np.zeros(0, np.int64)]
+                                  + [f.index[f.rows] for f in fams])
+            cols = np.concatenate([np.zeros(0, np.int64)] + [f.cols for f in fams])
+            vals = np.concatenate([np.zeros(0)] + [f.vals for f in fams])
+            sense = np.empty(self._num_rows, dtype="<U2")
+            rhs = np.empty(self._num_rows)
+            for f in fams:
+                at = f.index[f.present]
+                sense[at] = f.sense
+                rhs[at] = f.rhs[f.present]
+            matrix = sp.csr_matrix((vals, (rows, cols)),
+                                   shape=(self._num_rows, self.num_vars))
+            self._cache["matrix"] = (matrix, sense, rhs)
+            self._cache["coo"] = (rows, cols, vals)
+        return self._cache["matrix"]
 
     def _matrix(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for i, c in enumerate(self.constraints):
-            rows.extend([i] * len(c.cols))
-            cols.extend(c.cols.tolist())
-            vals.extend(c.vals.tolist())
-        return sp.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(self.num_constraints, self.num_vars),
-        )
+        return self._assembled()[0]
+
+    def row_names(self) -> list:
+        """Every row's name, in row order."""
+        names = [None] * self._num_rows
+        for fam in self.families.values():
+            labels = compress(_labels(fam.name, fam.shape), fam.present)
+            for row, label in zip(fam.index[fam.present].tolist(), labels):
+                names[row] = label
+        return names
+
+    @property
+    def constraint_index(self) -> dict:
+        """Row number by row name, built on first use."""
+        if "index" not in self._cache:
+            index = {n: i for i, n in enumerate(self.row_names())}
+            if len(index) != self._num_rows:
+                raise ValueError("two rows share a name")
+            self._cache["index"] = index
+        return self._cache["index"]
+
+    @property
+    def constraints(self) -> "_Rows":
+        """Every row as a ``Row`` view (name, cols, vals, sense, rhs).
+
+        The table behind the views is built on first use; solving never
+        needs it, and each view is made only when it is read.
+        """
+        if "rows" not in self._cache:
+            _, sense, rhs = self._assembled()
+            rows, cols, vals = self._cache["coo"]
+            order = np.argsort(rows, kind="stable")
+            ends = np.searchsorted(rows[order], np.arange(self._num_rows + 1))
+            spans = list(map(slice, ends[:-1].tolist(), ends[1:].tolist()))
+            self._cache["rows"] = _Rows(self.row_names(), cols[order], vals[order],
+                                        spans, sense.tolist(), rhs.tolist())
+        return self._cache["rows"]
+
+    @property
+    def var_names(self) -> list:
+        return [label for name, shape in self._blocks
+                for label in _labels(name, shape)]
 
     def lp_text(self) -> str:
         """Plain-text listing of the model for debugging."""
+        vnames = self.var_names
         lines = [f"\\ model {self.name}", "minimize"]
-        obj_terms = [
-            f"{c:+g} {self.var_names[i]}"
-            for i, c in enumerate(self.obj) if c != 0.0
-        ]
+        obj_terms = [f"{c:+g} {vnames[i]}" for i, c in enumerate(self.obj)
+                     if c != 0.0]
         lines.append("  " + (" ".join(obj_terms) if obj_terms else "0"))
         lines.append("subject to")
         for c in self.constraints:
-            terms = " ".join(
-                f"{v:+g} {self.var_names[i]}" for i, v in zip(c.cols, c.vals)
-            )
+            terms = " ".join(f"{v:+g} {vnames[i]}" for i, v in zip(c.cols, c.vals))
             lines.append(f"  {c.name}: {terms or '0'} {c.sense} {c.rhs:g}")
         lines.append("bounds")
-        for i, vname in enumerate(self.var_names):
-            lines.append(f"  {self.lb[i]:g} <= {vname} <= {self.ub[i]:g}")
+        for lo, vname, hi in zip(self.lb, vnames, self.ub):
+            lines.append(f"  {lo:g} <= {vname} <= {hi:g}")
         return "\n".join(lines) + "\n"
 
     def solve(self, solver: str | None = None) -> LpSolution:
@@ -237,33 +415,21 @@ class Model:
 
 def _solve_scipy_highs(model: Model) -> LpSolution:
     """Adapter running a Model through scipy's HiGHS interface."""
-    a = model._matrix()
-    senses = np.array([c.sense for c in model.constraints])
-    rhs = np.array([c.rhs for c in model.constraints], dtype=float)
-
-    eq_mask = senses == EQ
-    le_mask = senses == LE
-    ge_mask = senses == GE
-
-    a_eq = a[eq_mask] if eq_mask.any() else None
-    b_eq = rhs[eq_mask] if eq_mask.any() else None
-    # >= rows are negated into <= form; their duals flip sign back below.
-    ub_parts = []
-    ub_rhs = []
-    if le_mask.any():
-        ub_parts.append(a[le_mask])
-        ub_rhs.append(rhs[le_mask])
-    if ge_mask.any():
-        ub_parts.append(-a[ge_mask])
-        ub_rhs.append(-rhs[ge_mask])
-    a_ub = sp.vstack(ub_parts) if ub_parts else None
-    b_ub = np.concatenate(ub_rhs) if ub_rhs else None
-
-    bounds = list(zip(model.lb, model.ub))
+    a, senses, rhs = model._assembled()
+    eq = np.flatnonzero(senses == EQ)
+    # <= rows first, then >= rows negated into <= form (their duals flip
+    # sign back below).
+    ub = np.concatenate([np.flatnonzero(senses == LE),
+                         np.flatnonzero(senses == GE)])
+    flip = np.where(senses[ub] == GE, -1.0, 1.0)
+    a_ub = a[ub] if len(ub) else None
+    if a_ub is not None:
+        a_ub.data *= np.repeat(flip, np.diff(a_ub.indptr))
     res = linprog(
-        c=np.asarray(model.obj, dtype=float),
-        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=bounds, method="highs",
+        c=model.obj,
+        A_ub=a_ub, b_ub=flip * rhs[ub] if len(ub) else None,
+        A_eq=a[eq] if len(eq) else None, b_eq=rhs[eq] if len(eq) else None,
+        bounds=np.column_stack([model.lb, model.ub]), method="highs",
     )
 
     if res.status == 2:
@@ -275,25 +441,14 @@ def _solve_scipy_highs(model: Model) -> LpSolution:
     else:
         raise SolverError(f"highs failed: {res.message}")
 
-    n_rows = model.num_constraints
-    duals = np.zeros(n_rows)
+    duals = np.zeros(model.num_constraints)
     x = np.zeros(model.num_vars)
     objective = float("nan")
     if status == "optimal":
         x = np.asarray(res.x, dtype=float)
         objective = float(res.fun)
-        if eq_mask.any():
-            duals[np.flatnonzero(eq_mask)] = res.eqlin.marginals
-        if a_ub is not None:
-            marg = np.asarray(res.ineqlin.marginals, dtype=float)
-            pos = 0
-            if le_mask.any():
-                k = int(le_mask.sum())
-                duals[np.flatnonzero(le_mask)] = marg[pos:pos + k]
-                pos += k
-            if ge_mask.any():
-                k = int(ge_mask.sum())
-                duals[np.flatnonzero(ge_mask)] = -marg[pos:pos + k]
+        duals[eq] = res.eqlin.marginals
+        duals[ub] = flip * np.asarray(res.ineqlin.marginals, dtype=float)
     return LpSolution(status=status, objective=objective, x=x, duals=duals,
                       model=model)
 

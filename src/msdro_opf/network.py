@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,7 @@ class Network:
     slack_bus: int | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
             raise InputError("duplicate bus ids")
@@ -124,6 +126,19 @@ class Network:
         return np.array([r.u for r in self.resources])
 
 
+def _require_finite(network: Network) -> None:
+    """Reject NaN or infinite numbers anywhere in the network data."""
+    numbers = [("base_mva", network.base_mva)]
+    numbers += [(f"load at bus {bus}", d) for bus, d in network.loads.items()]
+    for label, records in (("line", network.lines), ("generator", network.generators),
+                           ("resource", network.resources)):
+        numbers += [(f"{label} {k} {name}", value) for k, rec in enumerate(records)
+                    for name, value in vars(rec).items() if isinstance(value, float)]
+    for label, value in numbers:
+        if not math.isfinite(value):
+            raise InputError(f"{label} is not a finite number ({value})")
+
+
 def bundled_network(name: str = "case5") -> Network:
     """Load one of the network files shipped inside the package."""
     ref = importlib.resources.files("msdro_opf") / "data" / f"{name}.json"
@@ -176,11 +191,8 @@ def build_support(resource: Resource) -> BoxSupport:
 
 def build_joint_support(network: Network) -> BoxSupport:
     """Box support over all uncertain resources of the network."""
-    if not network.resources:
-        return BoxSupport(np.zeros(0), np.zeros(0))
-    lows = [build_support(r).lower[0] for r in network.resources]
-    ups = [build_support(r).upper[0] for r in network.resources]
-    return BoxSupport(lows, ups)
+    boxes = [build_support(r) for r in network.resources]
+    return BoxSupport([b.lower[0] for b in boxes], [b.upper[0] for b in boxes])
 
 
 def compute_flow_maps(network: Network,
@@ -202,18 +214,17 @@ def compute_flow_maps(network: Network,
     _check_connected(network, bus_pos)
 
     b_line = np.array([1.0 / ln.reactance for ln in network.lines])
+    f = np.array([bus_pos[ln.from_bus] for ln in network.lines], dtype=int)
+    t = np.array([bus_pos[ln.to_bus] for ln in network.lines], dtype=int)
     # Branch susceptance matrix (lines x buses) and bus susceptance matrix.
     bf = np.zeros((n_lines, v))
-    for idx, ln in enumerate(network.lines):
-        bf[idx, bus_pos[ln.from_bus]] = b_line[idx]
-        bf[idx, bus_pos[ln.to_bus]] = -b_line[idx]
+    bf[np.arange(n_lines), f] = b_line
+    bf[np.arange(n_lines), t] = -b_line
+    # Entries accumulate line by line, in the order a loop over lines would.
     bbus = np.zeros((v, v))
-    for idx, ln in enumerate(network.lines):
-        f, t = bus_pos[ln.from_bus], bus_pos[ln.to_bus]
-        bbus[f, f] += b_line[idx]
-        bbus[t, t] += b_line[idx]
-        bbus[f, t] -= b_line[idx]
-        bbus[t, f] -= b_line[idx]
+    np.add.at(bbus, (np.stack([f, t, f, t], axis=1).ravel(),
+                     np.stack([f, t, t, f], axis=1).ravel()),
+              np.stack([b_line, b_line, -b_line, -b_line], axis=1).ravel())
 
     keep = [i for i in range(v) if i != bus_pos[slack_bus]]
     ptdf = np.zeros((n_lines, v))

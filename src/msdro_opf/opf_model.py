@@ -9,8 +9,8 @@ replaced by its CVaR inner approximation at level gamma, whose worst-case
 expectation uses the standardized (shared sample index) reformulation with
 one augmented all-zero row capturing the positive part.
 
-Duals are extracted by constraint name. Sign convention: equality duals are
-shadow prices d(objective)/d(rhs) with constraints oriented exactly as
+Duals are read per constraint family, as arrays. Sign convention: equality
+duals are shadow prices d(objective)/d(rhs) with constraints oriented as
 documented on each row below; inequality duals are nonnegative KKT
 multipliers. This is the convention under which the forecast-value
 decomposition identities of the valuation module hold.
@@ -18,14 +18,13 @@ decomposition identities of the valuation module hold.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dro_core import BoxSupport, MultiDataset
+from .dro_core import BoxSupport, MultiDataset, wasserstein_cuts
 from .errors import ExtractionError, InputError, ModeError
-from .lp import EQ, GE, INFINITY, LE, LpSolution, Model
+from .lp import EQ, GE, INFINITY, LE, LpSolution, Model, family
 from .network import Network, build_joint_support, compute_flow_maps
 
 #: Participation below this is treated as zero when picking re-run candidates.
@@ -55,7 +54,7 @@ class OpfDecision:
 
 @dataclass
 class DualValues:
-    """Named duals of the complete model (see module docstring for signs)."""
+    """Duals of the complete model by family (see module docstring for signs)."""
 
     pi: float
     chi: np.ndarray
@@ -84,7 +83,7 @@ class OpfModel:
     b_g: np.ndarray
     b_w: np.ndarray
     b_b: np.ndarray
-    cc_rows: list
+    cc_rows: np.ndarray
     fixed_zero_participation: frozenset
     idx: dict
 
@@ -132,45 +131,41 @@ class SolutionWithDuals:
 
     def cc_a_matrix(self) -> np.ndarray:
         """Row vectors a'_k at the optimal decision, augmented row last."""
-        built = self.built
-        d = built.data.dimension
-        rows = np.zeros((len(built.cc_rows) + 1, d))
-        bw_minus_bga = built.b_w - built.b_g @ self.decision.alpha
-        for k, (kind, pos) in enumerate(built.cc_rows):
-            if kind == "r+":
-                rows[k] = -self.decision.alpha[pos]
-            elif kind == "r-":
-                rows[k] = self.decision.alpha[pos]
-            elif kind == "f+":
-                rows[k] = bw_minus_bga[pos]
-            else:
-                rows[k] = -bw_minus_bga[pos]
-        return rows
+        a, _ = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
+        return np.vstack([a[self.built.cc_rows], np.zeros((1, a.shape[1]))])
 
     def cc_b_vector(self) -> np.ndarray:
         """Intercepts b_k at the optimal decision, augmented row last (0)."""
-        built = self.built
-        out = np.zeros(len(built.cc_rows) + 1)
-        dec = self.decision
-        source = {"r+": dec.r_plus, "r-": dec.r_minus,
-                  "f+": dec.f_ram_plus, "f-": dec.f_ram_minus}
-        for k, (kind, pos) in enumerate(built.cc_rows):
-            out[k] = -source[kind][pos]
-        return out
+        _, b = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
+        return np.append(b[self.built.cc_rows], 0.0)
 
 
-def _cc_row_layout(network: Network, skip_gens: frozenset) -> list:
-    """Order of the joint-constraint rows: [-A; A; B_W - B_G A; -(...)].
+def joint_constraint_rows(decision: OpfDecision, b_g: np.ndarray,
+                          b_w: np.ndarray) -> tuple:
+    """Rows (a_k, b_k) of the joint constraint a_k . xi + b_k <= 0.
+
+    Every row at a fixed decision, in the order [-A; A; B_W - B_G A;
+    -(B_W - B_G A)] with intercepts [-r+; -r-; -f_RAM+; -f_RAM-].
+    ``OpfModel.cc_rows`` indexes into this order.
+    """
+    m = b_w - b_g @ decision.alpha
+    a = np.vstack([-decision.alpha, decision.alpha, m, -m])
+    b = np.concatenate([-decision.r_plus, -decision.r_minus,
+                        -decision.f_ram_plus, -decision.f_ram_minus])
+    return a, b
+
+
+def _cc_row_layout(network: Network, skip_gens: frozenset) -> np.ndarray:
+    """Joint-constraint rows inside the CVaR, as indices into the order of
+    ``joint_constraint_rows``.
 
     Generators with participation fixed to zero contribute no rows (their
     reserve constraints hold trivially and are left outside the CVaR).
     """
-    rows = []
-    rows += [("r+", g) for g in range(network.num_generators) if g not in skip_gens]
-    rows += [("r-", g) for g in range(network.num_generators) if g not in skip_gens]
-    rows += [("f+", l) for l in range(network.num_lines)]
-    rows += [("f-", l) for l in range(network.num_lines)]
-    return rows
+    n_g = network.num_generators
+    gens = [g for g in range(n_g) if g not in skip_gens]
+    lines = list(range(2 * n_g, 2 * n_g + 2 * network.num_lines))
+    return np.array(gens + [n_g + g for g in gens] + lines, dtype=int)
 
 
 def build_msdro_opf(network: Network, data: MultiDataset, gamma,
@@ -207,11 +202,8 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
     n = int(data.counts[0]) if d else 0
     eps = data.epsilons
     xi_hat = data.matrix() if d else np.zeros((0, 0))
-    xi_lo = support.lower
-    xi_up = support.upper
-    c_e = np.array([g.c_E for g in network.generators])
-    c_r = np.array([g.c_R for g in network.generators])
-    c_a = np.array([g.c_A for g in network.generators])
+    gens = network.generators
+    c_a = np.array([g.c_A for g in gens])
     d_vec = network.load_vector()
     u_vec = network.forecast_vector()
     f_max = np.array([ln.f_max for ln in network.lines])
@@ -220,20 +212,14 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
     k_aug = len(cc_rows)  # index of the augmented all-zero row
 
     m = Model("msdro-opf")
-    p = m.add_vars("p", n_g, obj=0.0)
-    for g in range(n_g):
-        m.obj[p[g]] = float(c_e[g])
+    p = m.add_vars("p", n_g, obj=np.array([g.c_E for g in gens]))
     alpha = m.add_vars("alpha", (n_g, d))
-    rp = m.add_vars("rp", n_g)
-    rm = m.add_vars("rm", n_g)
-    for g in range(n_g):
-        m.obj[rp[g]] = float(c_r[g])
-        m.obj[rm[g]] = float(c_r[g])
+    c_r = np.array([g.c_R for g in gens])
+    rp = m.add_vars("rp", n_g, obj=c_r)
+    rm = m.add_vars("rm", n_g, obj=c_r)
     framp = m.add_vars("framp", n_l)
     framm = m.add_vars("framm", n_l)
-    lam_co = m.add_vars("lam_co", d)
-    for j in range(d):
-        m.obj[lam_co[j]] = float(eps[j])
+    lam_co = m.add_vars("lam_co", d, obj=eps)
     s_co = m.add_vars("s_co", (d, n), lb=-INFINITY, obj=(1.0 / n if n else 0.0))
     has_cc = d > 0
     if has_cc:
@@ -246,118 +232,60 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
         tau = nu = None
         lam_cc = s_cc = s_aux = np.zeros((0,), dtype=int)
 
-    for g in skip:
-        for j in range(d):
-            m.fix_var(int(alpha[g, j]), 0.0)
-        m.fix_var(int(rp[g]), 0.0)
-        m.fix_var(int(rm[g]), 0.0)
-    for j in range(d):
-        if eps[j] == 0.0:
-            m.fix_var(int(lam_co[j]), 0.0)
-            if has_cc:
-                m.fix_var(int(lam_cc[j]), 0.0)
+    pinned = sorted(skip)
+    for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
+                 lam_cc[eps == 0.0] if has_cc else lam_cc):
+        m.fix_var(cols, 0.0)
 
     # (pi) energy balance: <1,p> = <1,d> - <1,u>
-    m.add_constr("bal", [(int(p[g]), 1.0) for g in range(n_g)], EQ,
-                 float(np.sum(d_vec) - np.sum(u_vec)))
+    m.add(family("bal", (), [(p, 1.0)], EQ, float(np.sum(d_vec) - np.sum(u_vec))))
     # (chi_j) participation balance: column sums of A are one
-    for j in range(d):
-        m.add_constr(f"chi[{j}]", [(int(alpha[g, j]), 1.0) for g in range(n_g)],
-                     EQ, 1.0)
-    # (sigma) generator limits
-    for g in range(n_g):
-        m.add_constr(f"gmax[{g}]", [(int(p[g]), 1.0), (int(rp[g]), 1.0)],
-                     LE, float(network.generators[g].p_max))
-        m.add_constr(f"gmin[{g}]", [(int(p[g]), 1.0), (int(rm[g]), -1.0)],
-                     GE, float(network.generators[g].p_min))
+    m.add(family("chi", d, [(alpha.T, 1.0)], EQ, 1.0))
+    # (sigma) generator limits, one gmax/gmin pair per generator
+    m.add(family("gmax", n_g, [(p, 1.0), (rp, 1.0)], LE,
+                 [g.p_max for g in gens]),
+          family("gmin", n_g, [(p, 1.0), (rm, -1.0)], GE,
+                 [g.p_min for g in gens]))
     # (beta) line margins: B_G p + f_RAM+ = f_max - B_W u + B_B d (and mirror)
     flow_const = b_w_map @ u_vec - b_b_map @ d_vec if d else -(b_b_map @ d_vec)
-    for l in range(n_l):
-        terms = [(int(p[g]), float(b_g_map[l, g])) for g in range(n_g)]
-        m.add_constr(f"lineup[{l}]", terms + [(int(framp[l]), 1.0)], EQ,
-                     float(f_max[l] - flow_const[l]))
-        terms = [(int(p[g]), -float(b_g_map[l, g])) for g in range(n_g)]
-        m.add_constr(f"linelo[{l}]", terms + [(int(framm[l]), 1.0)], EQ,
-                     float(f_max[l] + flow_const[l]))
+    m.add(family("lineup", n_l, [(p[None, :], b_g_map), (framp, 1.0)], EQ,
+                 f_max - flow_const),
+          family("linelo", n_l, [(p[None, :], -b_g_map), (framm, 1.0)], EQ,
+                 f_max + flow_const))
 
     # (mu) worst-case expected activation cost cuts, three per (j, i).
     # Cost coefficient of feature j is -sum_g c_A_g alpha_gj (a variable).
-    for j in range(d):
-        for i in range(n):
-            base = [(int(s_co[j, i]), 1.0)]
-            if eps[j] > 0.0:
-                # s >= -sum c_A alpha xi_up - lam (xi_up - xi_hat)
-                terms = base + [(int(alpha[g, j]), float(c_a[g] * xi_up[j]))
-                                for g in range(n_g)]
-                terms += [(int(lam_co[j]), float(xi_up[j] - xi_hat[j, i]))]
-                m.add_constr(f"co_up[{j},{i}]", terms, GE, 0.0)
-                # s >= -sum c_A alpha xi_lo + lam (xi_lo - xi_hat)
-                terms = base + [(int(alpha[g, j]), float(c_a[g] * xi_lo[j]))
-                                for g in range(n_g)]
-                terms += [(int(lam_co[j]), float(-(xi_lo[j] - xi_hat[j, i])))]
-                m.add_constr(f"co_lo[{j},{i}]", terms, GE, 0.0)
-            # s >= -sum c_A alpha xi_hat
-            terms = base + [(int(alpha[g, j]), float(c_a[g] * xi_hat[j, i]))
-                            for g in range(n_g)]
-            m.add_constr(f"co_av[{j},{i}]", terms, GE, 0.0)
+    wasserstein_cuts(m, "co", s_co, lam_co, xi_hat, support.lower,
+                     support.upper, cols=alpha.T[:, None, :],
+                     coefs=-c_a[None, None, :], where=eps > 0.0)
 
     if has_cc:
         # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi).
-        m.add_constr("cvar_pair", [(tau, 1.0), (nu, 1.0)], LE, 0.0)
-        budget = [(int(lam_cc[j]), float(eps[j])) for j in range(d)]
-        budget += [(int(s_cc[i]), 1.0 / n) for i in range(n)]
-        budget += [(nu, -gamma)]
-        m.add_constr("cvar_budget", budget, LE, 0.0)
+        m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
+        m.add(family("cvar_budget", (),
+                     [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
-        # Row k coefficient expressions a'_kj as (constant, [(var, coef)]).
-        def a_expr(kind: str, pos: int, j: int):
-            if kind == "r+":
-                return 0.0, [(int(alpha[pos, j]), -1.0)]
-            if kind == "r-":
-                return 0.0, [(int(alpha[pos, j]), 1.0)]
-            if kind == "f+":
-                return float(b_w_map[pos, j]), [
-                    (int(alpha[g, j]), -float(b_g_map[pos, g])) for g in range(n_g)]
-            return -float(b_w_map[pos, j]), [
-                (int(alpha[g, j]), float(b_g_map[pos, g])) for g in range(n_g)]
-
-        b_var = {"r+": rp, "r-": rm, "f+": framp, "f-": framm}
         # (eta) s_cc_i >= b'_k + sum_j s_aux_jik, with b'_k = b_k - tau for
-        # the physical rows and b'_{K+1} = 0 for the augmented row.
-        for i in range(n):
-            for k, (kind, pos) in enumerate(cc_rows):
-                terms = [(int(s_cc[i]), 1.0), (int(b_var[kind][pos]), 1.0),
-                         (tau, 1.0)]
-                terms += [(int(s_aux[j, i, k]), -1.0) for j in range(d)]
-                m.add_constr(f"cc_main[{i},{k}]", terms, GE, 0.0)
-            terms = [(int(s_cc[i]), 1.0)]
-            terms += [(int(s_aux[j, i, k_aug]), -1.0) for j in range(d)]
-            m.add_constr(f"cc_main[{i},{k_aug}]", terms, GE, 0.0)
+        # the physical rows and b'_{K+1} = 0 for the augmented row (whose
+        # b-column and tau coefficients are zero and so dropped).
+        physical = np.append(np.ones(k_aug), 0.0)
+        b_cols = np.append(np.concatenate([rp, rm, framp, framm])[cc_rows], 0)
+        m.add(family("cc_main", (n, k_aug + 1),
+                     [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
+                      (tau, physical[None, :]),
+                      (s_aux.transpose(1, 2, 0), -1.0)], GE, 0.0))
 
         # (rho) per-coordinate cuts on s_aux for every row including the
-        # augmented one (whose coefficients are all zero).
-        for j in range(d):
-            for i in range(n):
-                for k in range(k_aug + 1):
-                    if k < k_aug:
-                        const, expr = a_expr(*cc_rows[k], j)
-                    else:
-                        const, expr = 0.0, []
-                    base = [(int(s_aux[j, i, k]), 1.0)]
-                    if eps[j] > 0.0:
-                        terms = base + [(v, -c * xi_up[j]) for v, c in expr]
-                        terms += [(int(lam_cc[j]),
-                                   float(xi_up[j] - xi_hat[j, i]))]
-                        m.add_constr(f"cc_up[{j},{i},{k}]", terms, GE,
-                                     const * xi_up[j])
-                        terms = base + [(v, -c * xi_lo[j]) for v, c in expr]
-                        terms += [(int(lam_cc[j]),
-                                   float(-(xi_lo[j] - xi_hat[j, i])))]
-                        m.add_constr(f"cc_lo[{j},{i},{k}]", terms, GE,
-                                     const * xi_lo[j])
-                    terms = base + [(v, -c * xi_hat[j, i]) for v, c in expr]
-                    m.add_constr(f"cc_av[{j},{i},{k}]", terms, GE,
-                                 const * xi_hat[j, i])
+        # augmented one. Row k's coefficient of xi_j is
+        # a'_kj = const[k, j] + sum_g coef[k, g] alpha_gj.
+        coef = np.vstack([-np.eye(n_g), np.eye(n_g), -b_g_map, b_g_map,
+                          np.zeros((1, n_g))])[np.append(cc_rows, -1)]
+        const = np.vstack([np.zeros((2 * n_g, d)), b_w_map, -b_w_map,
+                           np.zeros((1, d))])[np.append(cc_rows, -1)]
+        wasserstein_cuts(m, "cc", s_aux, lam_cc, xi_hat, support.lower,
+                         support.upper, const=const.T[:, None, :],
+                         cols=alpha.T[:, None, None, :],
+                         coefs=coef[None, None, :, :], where=eps > 0.0)
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "s_co": s_co, "tau": tau,
@@ -368,7 +296,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
 
 
 def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
-    """Solve a built model and extract primal values and named duals."""
+    """Solve a built model and extract primal values and family duals."""
     sol = built.model.solve(solver)
     if not sol.optimal:
         return SolutionWithDuals(
@@ -378,67 +306,43 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
             lp_solution=sol,
         )
 
-    idx = built.idx
-    network = built.network
+    idx, x = built.idx, sol.x
     d = built.data.dimension
-    n = int(built.data.counts[0]) if d else 0
-    k_aug = len(built.cc_rows)
-    n_g = network.num_generators
-    n_l = network.num_lines
-
     decision = OpfDecision(
-        p=np.asarray(sol.value(idx["p"]), dtype=float),
-        alpha=np.asarray(sol.value(idx["alpha"]), dtype=float).reshape(n_g, d),
-        r_plus=np.asarray(sol.value(idx["rp"]), dtype=float),
-        r_minus=np.asarray(sol.value(idx["rm"]), dtype=float),
-        f_ram_plus=np.asarray(sol.value(idx["framp"]), dtype=float),
-        f_ram_minus=np.asarray(sol.value(idx["framm"]), dtype=float),
+        p=x[idx["p"]], alpha=x[idx["alpha"]], r_plus=x[idx["rp"]],
+        r_minus=x[idx["rm"]], f_ram_plus=x[idx["framp"]],
+        f_ram_minus=x[idx["framm"]],
     )
 
-    mu_up = np.zeros((d, n))
-    mu_lo = np.zeros((d, n))
-    rho_up = np.zeros((d, n, k_aug + 1))
-    rho_lo = np.zeros((d, n, k_aug + 1))
-    rho_av = np.zeros((d, n, k_aug + 1))
-    eta = np.zeros((n, k_aug + 1))
-    for j in range(d):
-        for i in range(n):
-            if built.data.epsilons[j] > 0.0:
-                mu_up[j, i] = sol.multiplier(f"co_up[{j},{i}]")
-                mu_lo[j, i] = sol.multiplier(f"co_lo[{j},{i}]")
-            for k in range(k_aug + 1):
-                if built.data.epsilons[j] > 0.0:
-                    rho_up[j, i, k] = sol.multiplier(f"cc_up[{j},{i},{k}]")
-                    rho_lo[j, i, k] = sol.multiplier(f"cc_lo[{j},{i},{k}]")
-                rho_av[j, i, k] = sol.multiplier(f"cc_av[{j},{i},{k}]")
-    for i in range(n):
-        for k in range(k_aug + 1):
-            eta[i, k] = sol.multiplier(f"cc_main[{i},{k}]")
-
+    mult = sol.family_multipliers
+    if d:
+        eta, rho = mult("cc_main"), [mult(f"cc_{c}") for c in ("up", "lo", "av")]
+    else:
+        eta = np.zeros((0, len(built.cc_rows) + 1))
+        rho = [np.zeros((0, 0, len(built.cc_rows) + 1))] * 3
     duals = DualValues(
-        pi=sol.dual("bal"),
-        chi=np.array([sol.dual(f"chi[{j}]") for j in range(d)]),
-        sigma_up=np.array([sol.multiplier(f"gmax[{g}]") for g in range(n_g)]),
-        sigma_lo=np.array([sol.multiplier(f"gmin[{g}]") for g in range(n_g)]),
-        beta_up=np.array([sol.dual(f"lineup[{l}]") for l in range(n_l)]),
-        beta_lo=np.array([sol.dual(f"linelo[{l}]") for l in range(n_l)]),
-        phi=sol.multiplier("cvar_budget") if d else 0.0,
-        eta=eta, mu_up=mu_up, mu_lo=mu_lo,
-        rho_up=rho_up, rho_lo=rho_lo, rho_av=rho_av,
+        pi=float(sol.family_duals("bal")),
+        chi=sol.family_duals("chi"),
+        sigma_up=mult("gmax"),
+        sigma_lo=mult("gmin"),
+        beta_up=sol.family_duals("lineup"),
+        beta_lo=sol.family_duals("linelo"),
+        phi=float(mult("cvar_budget")) if d else 0.0,
+        eta=eta, mu_up=mult("co_up"), mu_lo=mult("co_lo"),
+        rho_up=rho[0], rho_lo=rho[1], rho_av=rho[2],
     )
 
     return SolutionWithDuals(
         status="optimal",
         objective=float(sol.objective),
         decision=decision,
-        lambda_co=np.asarray(sol.value(idx["lam_co"]), dtype=float) if d else np.zeros(0),
-        lambda_cc=np.asarray(sol.value(idx["lam_cc"]), dtype=float) if d else np.zeros(0),
-        tau=float(sol.value(idx["tau"])) if d else 0.0,
-        nu=float(sol.value(idx["nu"])) if d else 0.0,
-        s_co=np.asarray(sol.value(idx["s_co"]), dtype=float).reshape(d, n),
-        s_cc=np.asarray(sol.value(idx["s_cc"]), dtype=float) if d else np.zeros(0),
-        s_aux=(np.asarray(sol.value(idx["s_aux"]), dtype=float)
-               .reshape(d, n, k_aug + 1) if d else np.zeros((0, 0, 0))),
+        lambda_co=x[idx["lam_co"]],
+        lambda_cc=x[idx["lam_cc"]],
+        tau=float(x[idx["tau"]]) if d else 0.0,
+        nu=float(x[idx["nu"]]) if d else 0.0,
+        s_co=x[idx["s_co"]],
+        s_cc=x[idx["s_cc"]],
+        s_aux=x[idx["s_aux"]] if d else np.zeros((0, 0, 0)),
         duals=duals,
         built=built,
         lp_solution=sol,
@@ -462,8 +366,7 @@ def idle_balancers(sol: SolutionWithDuals,
     alpha = sol.decision.alpha
     if alpha.size == 0:
         return frozenset()
-    return frozenset(int(g) for g in range(alpha.shape[0])
-                     if np.all(np.abs(alpha[g]) <= tol))
+    return frozenset(np.flatnonzero(np.all(np.abs(alpha) <= tol, axis=1)).tolist())
 
 
 def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro_core import BoxSupport, MultiDataset
+from .dro_core import DEGENERACY_BAND, BoxSupport, MultiDataset
 from .errors import ExtractionError, InputError
 from .network import Network
 from .opf_model import SolutionWithDuals, solve_msdro_opf
 
 REGIME_TOL = 1e-6
-DEGENERACY_BAND = 1e-9
 
 ROBUST_IGNORED = "robust-ignored"
 DATA_INFORMED = "data-informed"

@@ -160,6 +160,28 @@ def test_solve_infeasible_network_reports_diagnostics(tmp_path, capsys):
     assert "rows in families" in err
 
 
+def test_solve_rejects_non_finite_training_data(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    path.write_text("xi_1,xi_2\n0.01,0.02\nnan,0.01\n")
+    assert run("solve", "--data", path, "--eps", "0.1", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+    assert run("solve", "--eps", "nan", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+
+
+def test_solve_rejects_non_finite_network_numbers(tmp_path, capsys):
+    for section, key in (("lines", "reactance"), ("lines", "f_max"),
+                         ("generators", "c_E"), ("resources", "u_max")):
+        net = json.loads(json.dumps(UNDERSIZED_NET))
+        net[section][0][key] = float("nan")
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))  # writes the NaN literal
+        assert run("solve", "--network", net_path, "--eps", "0.1",
+                   "--out", tmp_path / "run") == EXIT_INPUT
+        assert "not a finite number" in capsys.readouterr().err
+
+
 def test_solve_unknown_backend(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MSDRO_SOLVER", "bogus")
     code = run("solve", "--eps", "0.1", "0.1", "--out", tmp_path / "run")
@@ -232,3 +254,29 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_solve_duals_csv_row_names_and_order(tmp_path):
+    """duals.csv lists every row once, in model order, named name[i,j,k]."""
+    out = tmp_path / "s"
+    assert run("solve", "--train", 3, "--eps", 0.1, 0.0, "--no-tighten",
+               "--out", out) == EXIT_OK
+    net = msdro_opf.bundled_network()
+    n_g, n_l, d, n = net.num_generators, net.num_lines, 2, 3
+    k = 2 * n_g + 2 * n_l + 1
+    corner = [True, False]  # eps_2 = 0 drops feature 2's corner cuts
+    expect = ["bal"] + [f"chi[{j}]" for j in range(d)]
+    expect += [f"{c}[{g}]" for g in range(n_g) for c in ("gmax", "gmin")]
+    expect += [f"{c}[{l}]" for l in range(n_l) for c in ("lineup", "linelo")]
+    expect += [f"co_{c}[{j},{i}]" for j in range(d) for i in range(n)
+               for c in ("up", "lo", "av") if c == "av" or corner[j]]
+    expect += ["cvar_pair", "cvar_budget"]
+    expect += [f"cc_main[{i},{kk}]" for i in range(n) for kk in range(k)]
+    expect += [f"cc_{c}[{j},{i},{kk}]" for j in range(d) for i in range(n)
+               for kk in range(k) for c in ("up", "lo", "av")
+               if c == "av" or corner[j]]
+    rows = read_rows(out / "duals.csv")
+    assert rows[0] == ["constraint", "dual"]
+    assert [r[0] for r in rows[1:]] == expect
+    assert "cc_up[0,1,4]" in expect
+    assert all(math.isfinite(float(r[1])) for r in rows[1:])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import wasserstein_distance
 
 from msdro_opf.data_quality import (NoiseModel, QualitySignal,
                                     additive_noise_bound,
@@ -60,6 +61,17 @@ def test_w1_unequal_length_matches_transport_lp():
         b = rng.normal(size=int(rng.integers(1, 8)))
         assert empirical_wasserstein_1d(a, b, 1) == pytest.approx(
             transport_wp(a, b, 1), abs=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(100, 30), (1000, 700), (1000, 999),
+                                 (20000, 15001)])
+def test_w1_unequal_counts_match_scipy(n, m):
+    """Merged breakpoints such as 7/100 must not read the next order statistic."""
+    rng = np.random.default_rng(n + m)
+    a = rng.normal(0.0, 1.0, size=n)
+    b = rng.normal(0.1, 1.2, size=m)
+    assert empirical_wasserstein_1d(a, b, 1) == pytest.approx(
+        wasserstein_distance(a, b), rel=1e-12)
 
 
 def test_wp_power_convention():
@@ -228,6 +240,19 @@ def test_samples_csv_rejects_ragged_rows(tmp_path):
     path.write_text("xi_1,xi_2\n1,2\n3\n")
     with pytest.raises(InputError):
         read_samples_csv(path)
+
+
+def test_csv_readers_reject_non_finite_values(tmp_path):
+    path = tmp_path / "samples.csv"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"xi_1,xi_2\n0.1,0.2\n0.3,{bad}\n")
+        with pytest.raises(InputError, match=":3: non-finite"):
+            read_samples_csv(path)
+    path = tmp_path / "quality.csv"
+    for bad in ("nan", "inf"):
+        path.write_text(f"feature,epsilon\nxi_1,{bad}\n")
+        with pytest.raises(InputError):
+            read_quality_csv(path)
 
 
 def test_quality_csv_roundtrip(tmp_path):

@@ -360,10 +360,19 @@ def test_box_support_validation():
         BoxSupport([-1.0], [-0.2])
     with pytest.raises(InputError):
         BoxSupport([1.0], [0.5])
+    for lower, upper in (([np.nan], [1.0]), ([-np.inf], [1.0]), ([-1.0], [np.inf])):
+        with pytest.raises(InputError):
+            BoxSupport(lower, upper)
 
 
 def test_dataset_validation():
     with pytest.raises(InputError):
         MultiDataset([np.array([0.0])], [-0.1])
+    for samples, eps in (([np.array([0.0, np.nan])], [0.1]),
+                         ([np.array([np.inf])], [0.1]),
+                         ([np.array([0.0])], [np.nan]),
+                         ([np.array([0.0])], [np.inf])):
+        with pytest.raises(InputError):
+            MultiDataset(samples, eps)
     with pytest.raises(InputError):
         MultiDataset([np.array([2.0])], [0.1]).validate_within(BOX11)

@@ -15,6 +15,7 @@ from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   generate_training_samples, oos_matrix,
                                   run_sweep, s_pert, training_matrix,
                                   violation_rate, write_sweep_csvs)
+from msdro_opf.lp import SolverError, _solve_scipy_highs, register_solver
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_support)
 
@@ -190,6 +191,29 @@ def test_run_sweep_records_per_cell_failures():
     oos_status = {o.epsilons: o.status for o in res.oos}
     assert oos_status[(1.0,)] == "infeasible"
     assert oos_status[(0.0,)] == "optimal"
+
+
+def test_run_sweep_failing_cell_fails_alone(case5):
+    """A solver error in one cell's re-run is recorded; the sweep goes on."""
+    calls = []
+
+    def flaky(model):
+        calls.append(model.num_constraints)
+        if len(calls) == 2:  # the first cell's tightening re-run
+            raise SolverError("highs failed: injected")
+        return _solve_scipy_highs(model)
+
+    register_solver("flaky-for-tests", flaky)
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=50)
+    res = run_sweep(case5, cfg, solver="flaky-for-tests")
+    assert calls[1] < calls[0]  # the re-run drops the idle balancers' rows
+    status = {c.epsilons: c.status for c in res.cells}
+    assert status.pop((1.0, 1.0)) == "error"
+    assert set(status.values()) == {"optimal"}
+    assert "SolverError" in res.cell((1.0, 1.0)).message
+    oos_status = {o.epsilons: o.status for o in res.oos}
+    assert oos_status.pop((1.0, 1.0)) == "error"
+    assert set(oos_status.values()) == {"optimal"}
 
 
 def test_training_matrix_shape_and_oos_orientation(case5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msdro_opf.lp import (EQ, GE, INFINITY, LE, Model, UnknownSolverError,
-                          available_solvers, register_solver)
+                          available_solvers, family, register_solver)
 
 
 def build_cover_model():
@@ -94,6 +94,11 @@ def test_duplicate_constraint_name_rejected():
     m.add_constr("c", [(x, 1.0)], GE, 0.0)
     with pytest.raises(ValueError):
         m.add_constr("c", [(x, 1.0)], LE, 1.0)
+    # A single row may also clash with a row of a family.
+    m.add(family("d", 1, [(x, 1.0)], GE, 0.0))
+    m.add_constr("d[0]", [(x, 1.0)], LE, 1.0)
+    with pytest.raises(ValueError):
+        m.constraint_index
 
 
 def test_unknown_solver_raises():
@@ -169,3 +174,71 @@ def test_value_accepts_index_arrays():
     m.add_constr("tot", [(int(i), 1.0) for i in v], GE, 3.0)
     sol = m.solve()
     np.testing.assert_allclose(sol.value(v).sum(), 3.0, atol=1e-9)
+
+
+def _toy_by_rows():
+    m = Model("toy")
+    x = m.add_vars("x", 3, obj=[1.0, 2.0, 3.0])
+    m.add_constr("bal", [(int(x[0]), 1.0), (int(x[1]), 1.0), (int(x[2]), 1.0)],
+                 EQ, 4.0)
+    for k in range(3):
+        m.add_constr(f"cap[{k}]", [(int(x[k]), 1.0)], LE, 2.0)
+        m.add_constr(f"floor[{k}]", [(int(x[k]), 1.0), (int(x[(k + 1) % 3]), 0.0)],
+                     GE, 0.5 * k)
+    m.add_constr("pair[0,1]", [(int(x[0]), 2.0), (int(x[1]), -1.0)], GE, -1.0)
+    return m
+
+
+def _toy_by_families():
+    m = Model("toy")
+    x = m.add_vars("x", 3, obj=[1.0, 2.0, 3.0])
+    m.add(family("bal", (), [(x, 1.0)], EQ, 4.0))
+    m.add(family("cap", 3, [(x, 1.0)], LE, 2.0),
+          family("floor", 3, [(x, 1.0), (np.roll(x, -1), 0.0)], GE,
+                 0.5 * np.arange(3)))
+    m.add(family("pair", (1, 2), [(x[0], 2.0), (x[1], -1.0)], GE, -1.0,
+                 where=np.array([[False, True]])))
+    return m
+
+
+def test_families_read_like_rows():
+    by_rows, by_fams = _toy_by_rows(), _toy_by_families()
+    a, b = by_rows._matrix(), by_fams._matrix()
+    assert (a != b).nnz == 0 and a.shape == b.shape
+    assert by_rows.lp_text() == by_fams.lp_text()
+    assert by_rows.num_constraints == by_fams.num_constraints == 8
+    assert by_rows.constraint_index == by_fams.constraint_index
+    for r, f in zip(by_rows.constraints, by_fams.constraints):
+        assert (r.name, r.sense, r.rhs) == (f.name, f.sense, f.rhs)
+        np.testing.assert_array_equal(r.cols, f.cols)
+        np.testing.assert_array_equal(r.vals, f.vals)
+    sr, sf = by_rows.solve(), by_fams.solve()
+    assert sr.objective == sf.objective
+    for name in by_rows.constraint_index:
+        assert sr.dual(name) == sf.dual(name)
+    np.testing.assert_array_equal(sf.family_duals("cap"),
+                                  [sr.dual(f"cap[{k}]") for k in range(3)])
+    np.testing.assert_array_equal(sf.family_multipliers("floor"),
+                                  [sr.multiplier(f"floor[{k}]") for k in range(3)])
+    # Absent rows read as zero; the family keeps its shape.
+    assert sf.family_multipliers("pair").tolist() == [[0.0, sr.multiplier("pair[0,1]")]]
+    with pytest.raises(ValueError):
+        sf.family_multipliers("bal")
+
+
+def test_row_views_and_names_stay_lazy():
+    m = _toy_by_families()
+    m.solve()
+    assert "rows" not in m._cache and "index" not in m._cache
+    assert m.constraints[-1].name == "pair[0,1]"
+    assert m.constraints[1].cols.tolist() == [0]
+
+
+def test_interleaved_families_need_equal_shapes():
+    m = Model()
+    x = m.add_vars("x", 2)
+    with pytest.raises(ValueError):
+        m.add(family("a", 2, [(x, 1.0)], LE, 1.0),
+              family("b", 1, [(x[0], 1.0)], LE, 1.0))
+    with pytest.raises(ValueError):
+        family("c", 2, [(x, 1.0)], "<", 1.0)

@@ -108,6 +108,22 @@ def test_network_validation_errors():
                 resources=[])
 
 
+def test_network_rejects_non_finite_numbers():
+    good = dict(buses=[1, 2], lines=[Line(1, 2, 0.1, 5.0)],
+                generators=[Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)],
+                loads={2: 3.0}, resources=[Resource(2, 0.5, 0.0, 1.0, 0.5)])
+    Network(**good)
+    nan, inf = float("nan"), float("inf")
+    for key, value in (("lines", [Line(1, 2, nan, 5.0)]),
+                       ("lines", [Line(1, 2, 0.1, inf)]),
+                       ("generators", [Generator(1, 0.0, inf, 10.0, 1.0, 20.0)]),
+                       ("generators", [Generator(1, 0.0, 4.0, 10.0, nan, 20.0)]),
+                       ("loads", {2: nan}),
+                       ("resources", [Resource(2, 0.5, 0.0, 1.0, nan)])):
+        with pytest.raises(InputError, match="not a finite number"):
+            Network(**dict(good, **{key: value}))
+
+
 def test_build_support_centred_forecast():
     box = build_support(Resource(1, 1.0, 0.0, 2.0, 0.6))
     assert box.lower[0] == pytest.approx(-0.6)
@@ -189,6 +205,33 @@ def test_flow_maps_slack_column_is_null(case5):
     _, _, b_b = compute_flow_maps(case5)
     slack_col = case5.buses.index(case5.slack_bus)
     np.testing.assert_allclose(b_b[:, slack_col], 0.0, atol=1e-12)
+
+
+def test_flow_maps_equal_line_by_line_assembly():
+    """Vectorised susceptance assembly keeps the loop's summation order."""
+    rng = np.random.default_rng(41)
+    buses = list(range(1, 8))
+    pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 1),
+             (1, 4), (1, 4), (2, 6), (1, 5), (3, 7)]
+    lines = [Line(f, t, float(rng.uniform(0.01, 0.3)), 5.0) for f, t in pairs]
+    net = Network(buses=buses, lines=lines,
+                  generators=[Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)],
+                  loads={3: 1.0}, resources=[], slack_bus=1)
+    pos = {b: i for i, b in enumerate(buses)}
+    b_line = [1.0 / ln.reactance for ln in lines]
+    bf = np.zeros((len(lines), len(buses)))
+    bbus = np.zeros((len(buses), len(buses)))
+    for k, ln in enumerate(lines):
+        f, t = pos[ln.from_bus], pos[ln.to_bus]
+        bf[k, f], bf[k, t] = b_line[k], -b_line[k]
+        bbus[f, f] += b_line[k]
+        bbus[t, t] += b_line[k]
+        bbus[f, t] -= b_line[k]
+        bbus[t, f] -= b_line[k]
+    keep = [i for i in range(len(buses)) if i != pos[1]]
+    ptdf = np.zeros_like(bf)
+    ptdf[:, keep] = bf[:, keep] @ np.linalg.inv(bbus[np.ix_(keep, keep)])
+    np.testing.assert_array_equal(compute_flow_maps(net)[2], ptdf)
 
 
 def test_disconnected_network_raises():

@@ -8,11 +8,11 @@ import pytest
 from msdro_opf import MultiDataset, bundled_network, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
 from msdro_opf.errors import ExtractionError, InputError, ModeError
-from msdro_opf.evaluation import constraint_rows, empirical_violation
+from msdro_opf.evaluation import empirical_violation
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
 from msdro_opf.opf_model import (RiskLevel, cvar_tightening_rerun,
-                                 idle_balancers)
+                                 idle_balancers, joint_constraint_rows)
 
 from oracles import robust_corner_objective, saa_cvar_objective
 
@@ -80,7 +80,7 @@ def test_gamma_zero_enforces_rows_over_support(case5, train20):
     data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
     sol = solve_msdro_opf(case5, data, 0.0)
     b_g, b_w, _ = compute_flow_maps(case5)
-    a, b = constraint_rows(case5, sol.decision, b_g, b_w)
+    a, b = joint_constraint_rows(sol.decision, b_g, b_w)
     worst = (a @ support_corners(case5).T + b[:, None]).max()
     assert worst <= 1e-7
     assert empirical_violation(sol.decision, support_corners(case5),
@@ -191,3 +191,45 @@ def test_risk_level_bounds():
         RiskLevel(-0.1)
     with pytest.raises(InputError):
         RiskLevel(1.0)
+
+
+def test_family_duals_match_named_lookups(case5):
+    """The array read-out equals the row-by-row multiplier() lookups."""
+    from msdro_opf.evaluation import training_matrix
+
+    eps = np.array([0.1, 0.0])  # eps_2 = 0 drops feature 2's corner cuts
+    data = MultiDataset.from_matrix(training_matrix(case5, 3, seed=5), eps)
+    sol = solve_msdro_opf(case5, data, 0.05)
+    lps, duals = sol.lp_solution, sol.duals
+    d, n, k = 2, 3, sol.built.num_cc_rows + 1
+    mu_up, mu_lo = np.zeros((d, n)), np.zeros((d, n))
+    rho = {c: np.zeros((d, n, k)) for c in ("up", "lo", "av")}
+    for j, i in itertools.product(range(d), range(n)):
+        if eps[j] > 0.0:
+            mu_up[j, i] = lps.multiplier(f"co_up[{j},{i}]")
+            mu_lo[j, i] = lps.multiplier(f"co_lo[{j},{i}]")
+        else:
+            assert f"co_up[{j},{i}]" not in sol.built.model.constraint_index
+        for kk in range(k):
+            for c in ("up", "lo", "av"):
+                if c == "av" or eps[j] > 0.0:
+                    rho[c][j, i, kk] = lps.multiplier(f"cc_{c}[{j},{i},{kk}]")
+    eta = np.array([[lps.multiplier(f"cc_main[{i},{kk}]") for kk in range(k)]
+                    for i in range(n)])
+    np.testing.assert_array_equal(duals.mu_up, mu_up)
+    np.testing.assert_array_equal(duals.mu_lo, mu_lo)
+    for c in ("up", "lo", "av"):
+        np.testing.assert_array_equal(getattr(duals, f"rho_{c}"), rho[c])
+    np.testing.assert_array_equal(duals.eta, eta)
+    assert duals.pi == lps.dual("bal")
+    assert duals.phi == lps.multiplier("cvar_budget")
+    np.testing.assert_array_equal(duals.chi, [lps.dual(f"chi[{j}]") for j in range(d)])
+    g_range, l_range = range(case5.num_generators), range(case5.num_lines)
+    np.testing.assert_array_equal(duals.sigma_up,
+                                  [lps.multiplier(f"gmax[{g}]") for g in g_range])
+    np.testing.assert_array_equal(duals.sigma_lo,
+                                  [lps.multiplier(f"gmin[{g}]") for g in g_range])
+    np.testing.assert_array_equal(duals.beta_up,
+                                  [lps.dual(f"lineup[{l}]") for l in l_range])
+    np.testing.assert_array_equal(duals.beta_lo,
+                                  [lps.dual(f"linelo[{l}]") for l in l_range])
