@@ -22,8 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data_quality import (NoiseModel, additive_noise_bound,
                            aggregation_protocol_bound, read_quality_csv,
@@ -38,8 +36,9 @@ from .evaluation import (DEFAULT_GRID, SweepConfig, derive_seed,
 from .lp import LpError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
-from .valuation import (forecast_value_decomposition, marginal_data_value,
-                        write_data_value_csv, write_forecast_value_csv)
+from .valuation import (fmt, forecast_value_decomposition,
+                        marginal_data_value, write_data_value_csv,
+                        write_forecast_value_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,10 +48,6 @@ EXIT_SOLVER = 4
 _INPUT_ERRORS = (InputError, SizeError, ModeError, TopologyError,
                  UnsupportedError, FileNotFoundError, IsADirectoryError,
                  json.JSONDecodeError)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 def _load_net(args):
@@ -133,7 +128,7 @@ def cmd_quality(args) -> int:
         raise InputError("need --noise KIND:PARAM or --original/--published")
 
     for name, eps in qualities.items():
-        print(f"{name}: epsilon = {_fmt(eps)} (p={args.p})")
+        print(f"{name}: epsilon = {fmt(eps)} (p={args.p})")
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -148,16 +143,6 @@ def cmd_quality(args) -> int:
     return EXIT_OK
 
 
-def _infeasibility_note(sol) -> str:
-    m = sol.built.model
-    counts = {name: np.count_nonzero(fam.present)
-              for name, fam in sorted(m.families.items())}
-    listing = ", ".join(f"{k}({v})" for k, v in counts.items() if v)
-    return (f"model is {sol.status}: {m.num_constraints} rows in families "
-            f"{listing}; check line limits, generator capacity against "
-            f"loads, and the support width")
-
-
 def _solve_instance(args):
     """Load inputs and solve once; returns the instance or an exit code."""
     network, net_src = _load_net(args)
@@ -166,7 +151,9 @@ def _solve_instance(args):
     data = MultiDataset.from_matrix(xs, eps)
     sol = solve_msdro_opf(network, data, args.gamma)
     if sol.status == "infeasible":
-        print(_infeasibility_note(sol), file=sys.stderr)
+        print(f"model is infeasible: {sol.built.model.summary()}; check line "
+              "limits, generator capacity against loads, and the support "
+              "width", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not sol.optimal:
         print(f"solver failed: status {sol.status}", file=sys.stderr)
@@ -198,15 +185,15 @@ def cmd_solve(args) -> int:
                         + [f"alpha_{j + 1}" for j in range(dim)])
         dec = final.decision
         for g, gen in enumerate(network.generators):
-            writer.writerow([str(g + 1), str(gen.bus), _fmt(dec.p[g]),
-                             _fmt(dec.r_plus[g]), _fmt(dec.r_minus[g])]
-                            + [_fmt(dec.alpha[g, j]) for j in range(dim)])
+            writer.writerow([str(g + 1), str(gen.bus), fmt(dec.p[g]),
+                             fmt(dec.r_plus[g]), fmt(dec.r_minus[g])]
+                            + [fmt(dec.alpha[g, j]) for j in range(dim)])
 
     with open(outdir / "duals.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["constraint", "dual"])
         writer.writerows(zip(sol.built.model.row_names(),
-                             map(_fmt, sol.lp_solution.duals.tolist())))
+                             map(fmt, sol.lp_solution.duals.tolist())))
 
     write_data_value_csv(outdir / "valuation.csv", report)
     write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
@@ -222,14 +209,14 @@ def cmd_solve(args) -> int:
     })
 
     print("status: optimal")
-    print(f"objective: {_fmt(sol.objective)}")
+    print(f"objective: {fmt(sol.objective)}")
     if not args.no_tighten and final is not sol:
-        print(f"objective after tightening re-run: {_fmt(final.objective)}")
+        print(f"objective after tightening re-run: {fmt(final.objective)}")
     for j in range(data.dimension):
-        print(f"feature {j}: eps={_fmt(eps[j])} "
-              f"lambda_co={_fmt(report.lambda_co[j])} "
-              f"lambda_cc={_fmt(report.lambda_cc[j])} "
-              f"marginal_value={_fmt(report.marginal_value[j])} "
+        print(f"feature {j}: eps={fmt(eps[j])} "
+              f"lambda_co={fmt(report.lambda_co[j])} "
+              f"lambda_cc={fmt(report.lambda_cc[j])} "
+              f"marginal_value={fmt(report.marginal_value[j])} "
               f"[{report.regime[j]}]")
     print(f"wrote {len(outputs)} files to {outdir}")
     return EXIT_OK
@@ -285,9 +272,9 @@ def cmd_oos(args) -> int:
     samples = oos_matrix(network, eps, args.oos_samples, args.seed)
     rate = empirical_violation(sol.decision, samples, network,
                                flow_maps=(sol.built.b_g, sol.built.b_w))
-    print(f"objective: {_fmt(sol.objective)}")
-    print(f"violation: {_fmt(rate)} over {args.oos_samples} samples "
-          f"(gamma = {_fmt(args.gamma)})")
+    print(f"objective: {fmt(sol.objective)}")
+    print(f"violation: {fmt(rate)} over {args.oos_samples} samples "
+          f"(gamma = {fmt(args.gamma)})")
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -296,8 +283,8 @@ def cmd_oos(args) -> int:
             dim = len(eps)
             writer.writerow([f"eps{j + 1}" for j in range(dim)]
                             + ["violation_probability", "n_samples", "status"])
-            writer.writerow([_fmt(e) for e in eps]
-                            + [_fmt(rate), str(args.oos_samples), "optimal"])
+            writer.writerow([fmt(e) for e in eps]
+                            + [fmt(rate), str(args.oos_samples), "optimal"])
         _write_manifest(outdir, {
             "command": "oos", "network": net_src, "data": data_src,
             "epsilons": eps, "gamma": args.gamma, "seed": args.seed,

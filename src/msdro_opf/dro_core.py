@@ -8,13 +8,15 @@ distribution of dataset j. Three formulations are implemented:
   (one epigraph variable per combination of sample indices). Exponential
   in the number of features; used as the oracle for the other two.
 * ``wc_expectation_separable``: for costs that split as sum_j c_j * xi_j,
-  one epigraph variable per (feature, sample). Linear size.
+  one pair of columns per feature, whatever the sample counts.
 * ``wc_expectation_standardized``: for datasets with a shared sample index
   (equal lengths), one epigraph variable per shared sample. Linear size.
 
 All three resolve the inner supremum over the box support in closed form
-for p = 1 with the 1-norm: per coordinate the maximizer is one of the two
-support corners or the sample itself, giving three epigraph cuts.
+for p = 1 with the 1-norm: per coordinate it is the sample term plus the
+distance to one support end times a positive part that depends on the
+slope and the multiplier only (``wasserstein_block``), so the LPs carry
+two columns and two rows per (feature, affine piece), not per sample.
 """
 
 from __future__ import annotations
@@ -179,12 +181,32 @@ class MultiDataset:
                 raise InputError(f"feature {j} has samples outside the support")
 
 
+def transport_room(sample, lower, upper) -> tuple:
+    """Distances (upper - sample, sample - lower) from samples to the ends.
+
+    Clipped at zero, so a sample inside the tolerance that
+    ``validate_within`` allows beyond an end counts as lying on it.
+    """
+    sample = np.asarray(sample, dtype=float)
+    return (np.maximum(np.asarray(upper, dtype=float) - sample, 0.0),
+            np.maximum(sample - np.asarray(lower, dtype=float), 0.0))
+
+
+def sample_worst_case(a, p, q, sample, lower, upper) -> np.ndarray:
+    """a xhat + (u - xhat) p + (xhat - l) q: with p = (a - lam)^+ and
+    q = (-a - lam)^+, the sup over [l, u] of a*xi - lam |xi - xhat|."""
+    up, lo = transport_room(sample, lower, upper)
+    return a * np.asarray(sample, dtype=float) + up * p + lo * q
+
+
 def sup_affine_minus_l1(a, lam, sample, support: BoxSupport) -> float:
     """Exact value of sup over the box of a.xi - sum_j lam_j |xi_j - sample_j|.
 
-    The objective separates per coordinate and each 1-D piece is concave
-    piecewise linear with breakpoint at the sample, so the maximizer is the
-    upper corner, the lower corner, or the sample itself.
+    The objective separates per coordinate. With lam_j >= 0 and the sample
+    in [l_j, u_j], each 1-D piece is concave with its breakpoint at the
+    sample and rises toward at most one end, so its supremum is the sample
+    term plus the distance to that end times the positive part of the slope
+    beyond the sample (``sample_worst_case``).
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -195,80 +217,78 @@ def sup_affine_minus_l1(a, lam, sample, support: BoxSupport) -> float:
         raise InputError("lambda must be >= 0")
     if not support.contains(sample[:, None]):
         raise InputError("sample lies outside the support")
-    up = a * support.upper - lam * (support.upper - sample)
-    lo = a * support.lower + lam * (support.lower - sample)
-    av = a * sample
-    return float(np.sum(np.maximum(np.maximum(up, lo), av)))
+    return float(np.sum(sample_worst_case(
+        a, np.maximum(a - lam, 0.0), np.maximum(-a - lam, 0.0), sample,
+        support.lower, support.upper)))
 
 
-def wasserstein_cuts(model: Model, name: str, w, lam, sample, lower, upper,
-                     const=None, cols=None, coefs=None, where=None) -> tuple:
-    """Epigraph cuts w >= sup over [lower, upper] of a*xi - lam |xi - sample|.
+def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
+                      cols=None, coefs=None, where=None,
+                      obj=(0.0, 0.0)) -> tuple:
+    """Columns p >= (a - lam)^+ and q >= (-a - lam)^+ for an array of slopes.
 
-    One cut block per entry of the column array ``w``: the 1-D supremum is
-    attained at the upper corner, the lower corner or the sample, giving
-    the families ``{name}_up``, ``{name}_lo`` and ``{name}_av`` (all >=),
-    interleaved row by row. ``lam``, ``sample``, ``lower`` and ``upper``
-    broadcast against ``w`` with axes lined up from the left. The slope is
-    ``a = const + sum_t coefs[..., t] * x[cols[..., t]]``: ``const`` alone
-    for a fixed cost, ``cols``/``coefs`` (one trailing axis beyond ``w``)
-    when the slope is itself a decision; without ``const`` the rows have
-    rhs 0. ``where`` keeps the corner cuts only where true (the sample cut
-    always stays); dropping them is exact when lam is fixed to zero.
-    Returns the three families.
+    Callers put ``sample_worst_case(a, p, q, xhat, l, u)`` into their rows
+    in place of the sup over [l, u] of a*xi - lam |xi - xhat|, for every
+    sample xhat. That is exact in rows bounding it from above, as lam >= 0
+    and both distances are nonnegative: p and q fall to the positive parts.
+
+    Adds columns ``p_{name}``, ``q_{name}`` (>= 0, objective ``obj``) and
+    the >= families ``{name}_up`` (p + lam - a) and ``{name}_lo``
+    (q + lam + a), interleaved, all of ``shape``; ``lam`` and ``where``
+    broadcast against it with axes lined up from the left. The slope is
+    ``a = const + sum_t coefs[..., t] * x[cols[..., t]]`` (``cols`` and
+    ``coefs`` with one trailing axis beyond ``shape``). Where ``where`` is
+    false the rows are left out and p = q = 0, leaving the sample term:
+    exact when lam is fixed to zero (the sample average). Returns (p, q).
     """
-    w = np.asarray(w)
-    nd = w.ndim
-    up, lo, xs = (align_left(np.asarray(v, dtype=float), nd)
-                  for v in (upper, lower, sample))
-    lam = align_left(lam, nd)
+    shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    ub = (INFINITY if where is None else
+          np.where(align_left(where, len(shape)), INFINITY, 0.0))
+    p = model.add_vars(f"p_{name}", shape, ub=ub, obj=obj[0])
+    q = model.add_vars(f"q_{name}", shape, ub=ub, obj=obj[1])
+    const = np.asarray(const, dtype=float)
 
-    def rows(suffix, point, lam_coef, keep):
-        terms = [(w, 1.0)]
+    def rows(suffix, col, sign):
+        terms = [(col, 1.0), (lam, 1.0)]
         if cols is not None:
-            terms.append((cols, -np.asarray(coefs) * point[..., None]))
-        if lam_coef is not None:
-            terms.append((lam, lam_coef))
-        rhs = 0.0 if const is None else align_left(const, nd) * point
-        return family(f"{name}_{suffix}", w.shape, terms, GE, rhs, keep)
+            terms.append((cols, -sign * np.asarray(coefs, dtype=float)))
+        return family(f"{name}_{suffix}", shape, terms, GE, sign * const, where)
 
-    return model.add(rows("up", up, up - xs, where),
-                     rows("lo", lo, -(lo - xs), where),
-                     rows("av", xs, None, None))
+    model.add(rows("up", p, 1.0), rows("lo", q, -1.0))
+    return p, q
 
 
-def _add_sample_cuts(model: Model, w, lam, data: MultiDataset,
-                     support: BoxSupport, slope) -> None:
-    """Three cuts per sample of every feature (see ``wasserstein_cuts``).
+def _checked_piecewise(cost, data: MultiDataset,
+                       support: BoxSupport) -> PiecewiseMaxAffine:
+    """The cost as affine pieces, once dimensions and samples are checked."""
+    if isinstance(cost, SeparableAffineCost):
+        cost = cost.as_piecewise()
+    if cost.dimension != support.dimension:
+        raise InputError("cost and support dimensions differ")
+    data.validate_within(support)
+    return cost
 
-    ``w`` stacks the features' epigraph columns along its first axis, one
-    entry per sample in feature order; ``lam[j]`` is feature j's multiplier
-    column and ``slope[j]`` its cost coefficient, per affine piece along any
-    further axis of ``w``.
+
+def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
+                    support: BoxSupport, solver):
+    """Epigraph LP over equally weighted anchor points (rows of ``points``)
+    on top of ``lam``: s_t >= b_k + sum_j of the worst case of
+    a_kj xi_j - lam_j |xi_j - x_tj| for every anchor t and piece k.
+    Returns the optimal LP solution and the s columns.
     """
-    feature = np.repeat(np.arange(data.dimension), data.counts)
-    wasserstein_cuts(model, "cut", w, lam[feature],
-                     np.concatenate(data.samples), support.lower[feature],
-                     support.upper[feature], const=slope[feature])
-
-
-def _solve_shared_index(model: Model, lam, cost: PiecewiseMaxAffine,
-                        data: MultiDataset, support: BoxSupport, solver):
-    """Shared-index epigraph LP on top of the multiplier columns ``lam``.
-
-    One epigraph variable per (feature, sample, piece) with its cuts, and
-    one row per (shared sample, piece) adding them up. Returns the LP
-    solution and the shared-sample epigraph columns.
-    """
-    d, n, k_pieces = data.dimension, int(data.counts[0]), cost.num_pieces
-    w = model.add_vars("w", (d, n, k_pieces), lb=-INFINITY)
-    s = model.add_vars("s", n, lb=-INFINITY, obj=1.0 / n)
-    _add_sample_cuts(model, w.reshape(d * n, k_pieces), lam, data, support,
-                     cost.a.T)
-    model.add(family("idx", (n, k_pieces),
-                     [(s, 1.0), (w.transpose(1, 2, 0), -1.0)], GE,
-                     cost.b[None, :]))
-    return model.solve(solver), s
+    n_t, k_pieces = len(points), cost.num_pieces
+    s = model.add_vars("s", n_t, lb=-INFINITY, obj=1.0 / n_t)
+    p, q = wasserstein_block(model, "cut", (len(lam), k_pieces), lam,
+                             const=cost.a.T)
+    up, lo = transport_room(points, support.lower, support.upper)
+    model.add(family("idx", (n_t, k_pieces),
+                     [(s, 1.0), (p.T[None], -up[:, None, :]),
+                      (q.T[None], -lo[:, None, :])],
+                     GE, cost.b[None, :] + points @ cost.a.T))
+    sol = model.solve(solver)
+    if not sol.optimal:
+        raise RuntimeError(f"{model.name} LP ended {sol.status}")
+    return sol, s
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
@@ -280,11 +300,7 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
     so the instance size is prod_j N_j. Guarded by ``cap``; larger problems
     should use the separable or standardized reformulation instead.
     """
-    if isinstance(cost, SeparableAffineCost):
-        cost = cost.as_piecewise()
-    if cost.dimension != support.dimension:
-        raise InputError("cost and support dimensions differ")
-    data.validate_within(support)
+    cost = _checked_piecewise(cost, data, support)
     counts = data.counts
     n_idx = int(np.prod(counts))
     if n_idx > cap:
@@ -292,23 +308,11 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
             f"index product {n_idx} exceeds cap {cap}; use the separable or "
             "standardized reformulation"
         )
-    d = data.dimension
-    k_pieces = cost.num_pieces
-
     model = Model("wc-general")
-    lam = model.add_vars("lam", d, obj=data.epsilons)
-    w = [model.add_vars(f"w{j}", (counts[j], k_pieces), lb=-INFINITY)
-         for j in range(d)]
-    s = model.add_vars("s", n_idx, lb=-INFINITY, obj=1.0 / n_idx)
-    _add_sample_cuts(model, np.concatenate(w), lam, data, support, cost.a.T)
+    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
     multi = np.unravel_index(np.arange(n_idx), counts)
-    picked = np.stack([w[j][multi[j]] for j in range(d)], axis=-1)
-    model.add(family("idx", (n_idx, k_pieces), [(s, 1.0), (picked, -1.0)],
-                     GE, cost.b[None, :]))
-
-    sol = model.solve(solver)
-    if not sol.optimal:
-        raise RuntimeError(f"general worst-case LP ended {sol.status}")
+    points = np.stack([s[m] for s, m in zip(data.samples, multi)], axis=-1)
+    sol, _ = _solve_anchored(model, lam, cost, points, support, solver)
     return float(sol.objective)
 
 
@@ -349,26 +353,28 @@ def separable_thresholds(cost: SeparableAffineCost, data: MultiDataset,
 def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
                              support: BoxSupport,
                              solver: str | None = None) -> SeparableResult:
-    """Worst-case expectation for a separable cost (three cuts per sample)."""
+    """Worst-case expectation for a separable cost (one block row pair per
+    feature; the per-sample epigraph values follow in closed form)."""
     if cost.dimension != support.dimension:
         raise InputError("cost and support dimensions differ")
     data.validate_within(support)
-    d = data.dimension
-    counts = data.counts
-
+    ends = list(zip(data.samples, support.lower, support.upper))
+    mean_room = np.array([[np.mean(r) for r in transport_room(*e)] for e in ends])
     model = Model("wc-separable")
-    lam = model.add_vars("lam", d, obj=data.epsilons)
-    s = [model.add_vars(f"s{j}", counts[j], lb=-INFINITY, obj=1.0 / counts[j])
-         for j in range(d)]
-    _add_sample_cuts(model, np.concatenate(s), lam, data, support, cost.c)
+    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
+    p, q = wasserstein_block(model, "cut", data.dimension, lam, const=cost.c,
+                             obj=tuple(mean_room.T))
     sol = model.solve(solver)
     if not sol.optimal:
         raise RuntimeError(f"separable worst-case LP ended {sol.status}")
+    s = [sample_worst_case(c, pj, qj, *e) for c, pj, qj, e
+         in zip(cost.c, sol.value(p), sol.value(q), ends)]
     thresholds = separable_thresholds(cost, data, support)
     return SeparableResult(
-        value=float(sol.objective),
+        value=float(sol.objective + sum(np.mean(c * xs) for c, xs
+                                        in zip(cost.c, data.samples))),
         lam=np.asarray(sol.value(lam), dtype=float),
-        s=[np.asarray(sol.value(sj), dtype=float) for sj in s],
+        s=s,
         thresholds=thresholds,
         degenerate=np.abs(data.epsilons - thresholds) < DEGENERACY_BAND,
     )
@@ -387,18 +393,12 @@ def wc_expectation_standardized(cost: PiecewiseMaxAffine, data: MultiDataset,
                                 support: BoxSupport,
                                 solver: str | None = None) -> StandardizedResult:
     """Worst-case expectation for standardized data (shared sample index)."""
-    if isinstance(cost, SeparableAffineCost):
-        cost = cost.as_piecewise()
-    if cost.dimension != support.dimension:
-        raise InputError("cost and support dimensions differ")
     if not data.is_standardized:
         raise ModeError("standardized reformulation needs equal sample counts")
-    data.validate_within(support)
+    cost = _checked_piecewise(cost, data, support)
     model = Model("wc-standardized")
     lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
-    sol, s = _solve_shared_index(model, lam, cost, data, support, solver)
-    if not sol.optimal:
-        raise RuntimeError(f"standardized worst-case LP ended {sol.status}")
+    sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support, solver)
     return StandardizedResult(
         value=float(sol.objective),
         lam=np.asarray(sol.value(lam), dtype=float),
@@ -415,19 +415,15 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     around the shared-index empirical distribution. With
     epsilon = sum_j epsilon_j this upper-bounds the multi-source value.
     """
-    if isinstance(cost, SeparableAffineCost):
-        cost = cost.as_piecewise()
     if not data.is_standardized:
         raise ModeError("single-budget comparator needs standardized data")
-    data.validate_within(support)
+    cost = _checked_piecewise(cost, data, support)
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
     model = Model("wc-single-budget")
     lam = model.add_var("lam", obj=float(epsilon))
-    sol, _ = _solve_shared_index(model, np.full(data.dimension, lam), cost,
-                                 data, support, solver)
-    if not sol.optimal:
-        raise RuntimeError(f"single-budget LP ended {sol.status}")
+    sol, _ = _solve_anchored(model, np.full(data.dimension, lam), cost,
+                             data.matrix().T, support, solver)
     return float(sol.objective)
 
 

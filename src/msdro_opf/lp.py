@@ -383,6 +383,14 @@ class Model:
         return [label for name, shape in self._blocks
                 for label in _labels(name, shape)]
 
+    def summary(self) -> str:
+        """Rows, columns and nonzeros, and the row count of every family."""
+        listing = ", ".join(f"{name}({k})" for name, fam in self.families.items()
+                            if (k := int(np.count_nonzero(fam.present))))
+        return (f"model {self.name!r}: {self._num_rows} rows, {self.num_vars} "
+                f"columns, {self._matrix().nnz} nonzeros; rows in families "
+                f"{listing}")
+
     def lp_text(self) -> str:
         """Plain-text listing of the model for debugging."""
         vnames = self.var_names
@@ -439,7 +447,8 @@ def _solve_scipy_highs(model: Model) -> LpSolution:
     elif res.status == 0:
         status = "optimal"
     else:
-        raise SolverError(f"highs failed: {res.message}")
+        raise SolverError(f"HiGHS status {res.status} ({res.message}) on "
+                          f"{model.summary()}")
 
     duals = np.zeros(model.num_constraints)
     x = np.zeros(model.num_vars)

@@ -3,11 +3,12 @@
 The model decides setpoints p, participation factors A (response to forecast
 errors is p(xi) = p - A xi), reserve capacities r+/r- and remaining line
 margins f_RAM+/f_RAM-. The objective carries the exact worst-case expected
-reserve activation cost (separable reformulation, three cuts per feature and
-sample). The joint chance constraint on reserves and line margins is
-replaced by its CVaR inner approximation at level gamma, whose worst-case
-expectation uses the standardized (shared sample index) reformulation with
-one augmented all-zero row capturing the positive part.
+reserve activation cost (separable reformulation). The joint chance
+constraint on reserves and line margins is replaced by its CVaR inner
+approximation at level gamma, whose worst-case expectation uses the
+standardized (shared sample index) reformulation with one augmented
+all-zero row capturing the positive part. Both blocks are
+``dro_core.wasserstein_block``s, one column pair per (feature, row).
 
 Duals are read per constraint family, as arrays. Sign convention: equality
 duals are shadow prices d(objective)/d(rhs) with constraints oriented as
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro_core import BoxSupport, MultiDataset, wasserstein_cuts
+from .dro_core import (BoxSupport, MultiDataset, sample_worst_case,
+                       transport_room, wasserstein_block)
 from .errors import ExtractionError, InputError, ModeError
 from .lp import EQ, GE, INFINITY, LE, LpSolution, Model, family
 from .network import Network, build_joint_support, compute_flow_maps
@@ -54,7 +56,9 @@ class OpfDecision:
 
 @dataclass
 class DualValues:
-    """Duals of the complete model by family (see module docstring for signs)."""
+    """Duals of the complete model by family (see module docstring for signs):
+    ``mu_*`` per feature, ``rho_*`` per (feature, CVaR row), ``eta`` per
+    (sample, CVaR row)."""
 
     pi: float
     chi: np.ndarray
@@ -68,7 +72,6 @@ class DualValues:
     mu_lo: np.ndarray
     rho_up: np.ndarray
     rho_lo: np.ndarray
-    rho_av: np.ndarray
 
 
 @dataclass
@@ -104,7 +107,6 @@ class SolutionWithDuals:
     nu: float
     s_co: np.ndarray | None
     s_cc: np.ndarray | None
-    s_aux: np.ndarray | None
     duals: DualValues | None
     built: OpfModel
     lp_solution: LpSolution | None = None
@@ -174,9 +176,15 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
 
     Requires standardized data (one sample column per shared index).
     Features with epsilon_j = 0 bypass their multiplier machinery: lambda_j
-    is fixed to zero and only the sample cuts remain, which recovers the
-    plain sample average for that feature.
+    and the positive parts are fixed to zero, which recovers the plain
+    sample average for that feature.
     """
+    return _build(network, data, gamma, fixed_zero_participation)
+
+
+def _build(network: Network, data: MultiDataset, gamma,
+           fixed_zero_participation, reuse: OpfModel | None = None) -> OpfModel:
+    """``build_msdro_opf``; the support and flow maps come from ``reuse``."""
     if isinstance(gamma, RiskLevel):
         gamma = gamma.gamma
     gamma = RiskLevel(float(gamma)).gamma
@@ -187,7 +195,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
         )
     if data.dimension and not data.is_standardized:
         raise ModeError("OPF model needs standardized data (equal sample counts)")
-    support = build_joint_support(network)
+    support = reuse.support if reuse else build_joint_support(network)
     if data.dimension:
         data.validate_within(support)
     skip = frozenset(fixed_zero_participation)
@@ -195,13 +203,17 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
     if bad:
         raise InputError(f"unknown generator indices {bad}")
 
-    b_g_map, b_w_map, b_b_map = compute_flow_maps(network)
+    b_g_map, b_w_map, b_b_map = ((reuse.b_g, reuse.b_w, reuse.b_b) if reuse
+                                 else compute_flow_maps(network))
     n_g = network.num_generators
     n_l = network.num_lines
     d = data.dimension
     n = int(data.counts[0]) if d else 0
     eps = data.epsilons
     xi_hat = data.matrix() if d else np.zeros((0, 0))
+    # Distances of every sample to its feature's upper and lower end, (d, n).
+    up_room, lo_room = transport_room(xi_hat, support.lower[:, None],
+                                      support.upper[:, None])
     gens = network.generators
     c_a = np.array([g.c_A for g in gens])
     d_vec = network.load_vector()
@@ -213,24 +225,24 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
 
     m = Model("msdro-opf")
     p = m.add_vars("p", n_g, obj=np.array([g.c_E for g in gens]))
-    alpha = m.add_vars("alpha", (n_g, d))
+    # The activation cost's sample term, -mean_i (c_A . alpha_j) xi_ji.
+    alpha = m.add_vars("alpha", (n_g, d),
+                       obj=-c_a[:, None] * xi_hat.mean(axis=1)[None, :] if n else 0.0)
     c_r = np.array([g.c_R for g in gens])
     rp = m.add_vars("rp", n_g, obj=c_r)
     rm = m.add_vars("rm", n_g, obj=c_r)
     framp = m.add_vars("framp", n_l)
     framm = m.add_vars("framm", n_l)
     lam_co = m.add_vars("lam_co", d, obj=eps)
-    s_co = m.add_vars("s_co", (d, n), lb=-INFINITY, obj=(1.0 / n if n else 0.0))
     has_cc = d > 0
     if has_cc:
         tau = m.add_var("tau", lb=-INFINITY, ub=0.0)
         nu = m.add_var("nu", lb=-INFINITY)
         lam_cc = m.add_vars("lam_cc", d)
         s_cc = m.add_vars("s_cc", n, lb=-INFINITY)
-        s_aux = m.add_vars("s_aux", (d, n, k_aug + 1), lb=-INFINITY)
     else:
         tau = nu = None
-        lam_cc = s_cc = s_aux = np.zeros((0,), dtype=int)
+        lam_cc = s_cc = np.zeros((0,), dtype=int)
 
     pinned = sorted(skip)
     for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
@@ -253,11 +265,14 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
           family("linelo", n_l, [(p[None, :], -b_g_map), (framm, 1.0)], EQ,
                  f_max + flow_const))
 
-    # (mu) worst-case expected activation cost cuts, three per (j, i).
-    # Cost coefficient of feature j is -sum_g c_A_g alpha_gj (a variable).
-    wasserstein_cuts(m, "co", s_co, lam_co, xi_hat, support.lower,
-                     support.upper, cols=alpha.T[:, None, :],
-                     coefs=-c_a[None, None, :], where=eps > 0.0)
+    # (mu) worst-case expected activation cost: feature j's slope is
+    # -sum_g c_A_g alpha_gj; its positive parts enter the objective with the
+    # mean distances to the support ends.
+    p_co, q_co = wasserstein_block(
+        m, "co", d, lam_co, cols=alpha.T, coefs=-c_a[None, :],
+        where=eps > 0.0, obj=(up_room.mean(axis=1) if n else 0.0,
+                              lo_room.mean(axis=1) if n else 0.0))
+    p_cc = q_cc = np.zeros((0, k_aug + 1), dtype=int)
 
     if has_cc:
         # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi).
@@ -265,31 +280,36 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
         m.add(family("cvar_budget", (),
                      [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
-        # (eta) s_cc_i >= b'_k + sum_j s_aux_jik, with b'_k = b_k - tau for
-        # the physical rows and b'_{K+1} = 0 for the augmented row (whose
-        # b-column and tau coefficients are zero and so dropped).
-        physical = np.append(np.ones(k_aug), 0.0)
-        b_cols = np.append(np.concatenate([rp, rm, framp, framm])[cc_rows], 0)
-        m.add(family("cc_main", (n, k_aug + 1),
-                     [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
-                      (tau, physical[None, :]),
-                      (s_aux.transpose(1, 2, 0), -1.0)], GE, 0.0))
-
-        # (rho) per-coordinate cuts on s_aux for every row including the
-        # augmented one. Row k's coefficient of xi_j is
+        # (rho) positive parts per (feature, row), the augmented one
+        # included. Row k's coefficient of xi_j is
         # a'_kj = const[k, j] + sum_g coef[k, g] alpha_gj.
         coef = np.vstack([-np.eye(n_g), np.eye(n_g), -b_g_map, b_g_map,
                           np.zeros((1, n_g))])[np.append(cc_rows, -1)]
         const = np.vstack([np.zeros((2 * n_g, d)), b_w_map, -b_w_map,
                            np.zeros((1, d))])[np.append(cc_rows, -1)]
-        wasserstein_cuts(m, "cc", s_aux, lam_cc, xi_hat, support.lower,
-                         support.upper, const=const.T[:, None, :],
-                         cols=alpha.T[:, None, None, :],
-                         coefs=coef[None, None, :, :], where=eps > 0.0)
+        p_cc, q_cc = wasserstein_block(
+            m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
+            cols=alpha.T[:, None, :], coefs=coef[None, :, :], where=eps > 0.0)
+
+        # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
+        # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for
+        # the augmented row (whose b-column and tau coefficients are zero
+        # and so dropped).
+        physical = np.append(np.ones(k_aug), 0.0)
+        b_cols = np.append(np.concatenate([rp, rm, framp, framm])[cc_rows], 0)
+        m.add(family("cc_main", (n, k_aug + 1),
+                     [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
+                      (tau, physical[None, :]),
+                      (p_cc.T[None], -up_room.T[:, None, :]),
+                      (q_cc.T[None], -lo_room.T[:, None, :]),
+                      (alpha[None, None], -coef[None, :, :, None]
+                       * xi_hat.T[:, None, None, :])],
+                     GE, xi_hat.T @ const.T))
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
-           "framm": framm, "lam_co": lam_co, "s_co": s_co, "tau": tau,
-           "nu": nu, "lam_cc": lam_cc, "s_cc": s_cc, "s_aux": s_aux}
+           "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
+           "tau": tau, "nu": nu, "lam_cc": lam_cc, "s_cc": s_cc,
+           "p_cc": p_cc, "q_cc": q_cc}
     return OpfModel(model=m, network=network, data=data, support=support,
                     gamma=gamma, b_g=b_g_map, b_w=b_w_map, b_b=b_b_map,
                     cc_rows=cc_rows, fixed_zero_participation=skip, idx=idx)
@@ -302,8 +322,7 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
         return SolutionWithDuals(
             status=sol.status, objective=float("nan"), decision=None,
             lambda_co=None, lambda_cc=None, tau=float("nan"), nu=float("nan"),
-            s_co=None, s_cc=None, s_aux=None, duals=None, built=built,
-            lp_solution=sol,
+            s_co=None, s_cc=None, duals=None, built=built, lp_solution=sol,
         )
 
     idx, x = built.idx, sol.x
@@ -315,11 +334,8 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
     )
 
     mult = sol.family_multipliers
-    if d:
-        eta, rho = mult("cc_main"), [mult(f"cc_{c}") for c in ("up", "lo", "av")]
-    else:
-        eta = np.zeros((0, len(built.cc_rows) + 1))
-        rho = [np.zeros((0, 0, len(built.cc_rows) + 1))] * 3
+    cc = ([mult(f"cc_{c}") for c in ("main", "up", "lo")] if d
+          else [np.zeros((0, len(built.cc_rows) + 1))] * 3)
     duals = DualValues(
         pi=float(sol.family_duals("bal")),
         chi=sol.family_duals("chi"),
@@ -328,9 +344,16 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
         beta_up=sol.family_duals("lineup"),
         beta_lo=sol.family_duals("linelo"),
         phi=float(mult("cvar_budget")) if d else 0.0,
-        eta=eta, mu_up=mult("co_up"), mu_lo=mult("co_lo"),
-        rho_up=rho[0], rho_lo=rho[1], rho_av=rho[2],
+        eta=cc[0], mu_up=mult("co_up"), mu_lo=mult("co_lo"),
+        rho_up=cc[1], rho_lo=cc[2],
     )
+
+    slope = -(np.array([g.c_A for g in built.network.generators])
+              @ decision.alpha)
+    s_co = sample_worst_case(
+        slope[:, None], x[idx["p_co"]][:, None], x[idx["q_co"]][:, None],
+        built.data.matrix() if d else np.zeros((0, 0)),
+        built.support.lower[:, None], built.support.upper[:, None])
 
     return SolutionWithDuals(
         status="optimal",
@@ -340,9 +363,8 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
         lambda_cc=x[idx["lam_cc"]],
         tau=float(x[idx["tau"]]) if d else 0.0,
         nu=float(x[idx["nu"]]) if d else 0.0,
-        s_co=x[idx["s_co"]],
+        s_co=s_co,
         s_cc=x[idx["s_cc"]],
-        s_aux=x[idx["s_aux"]] if d else np.zeros((0, 0, 0)),
         duals=duals,
         built=built,
         lp_solution=sol,
@@ -387,5 +409,6 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
     target = frozenset(idle | already)
     if not target or target == already:
         return first
-    return solve_msdro_opf(network, data, gamma, solver=solver,
-                           fixed_zero_participation=target)
+    # The network data of the first build (support, flow maps) carries over.
+    reuse = first.built if network is first.built.network else None
+    return solve(_build(network, data, gamma, target, reuse), solver=solver)

@@ -150,46 +150,28 @@ def forecast_value_decomposition(sol: SolutionWithDuals, network: Network,
 
     Term (a) is the LMP at the resource bus: the balance dual plus the
     congestion component through the flow sensitivities.  Terms (b) and
-    (c) collect the cut multipliers of the objective block and of the
-    chance-constraint block; both scale with kappa_j because the support
-    corners move with the forecast.  The reserve sum runs over the
-    physical rows only; the augmented zero row carries no a'_k.
+    (c) come from the support ends, which move by -kappa_j per unit of u_j:
+    the objective weighs the activation block's positive parts p, q by the
+    mean distances to the upper and lower end, and each CVaR row (i, k)
+    weighs those of the chance-constraint block by the same distances for
+    sample i, priced at eta_ik.  The reserve sum runs over the physical
+    rows only; the augmented zero row carries no a'_k.
     """
     _require_duals(sol)
     duals = sol.duals
     built = sol.built
-    dim = data.dimension
     kappa = np.array([r.kappa for r in network.resources])
     u = np.array([r.u for r in network.resources])
-    c_act = np.array([g.c_A for g in network.generators])
-    act_price = c_act @ sol.decision.alpha
 
+    x, idx = sol.lp_solution.x, built.idx
     lmp = duals.pi + built.b_w.T @ (duals.beta_up - duals.beta_lo)
-
-    lam_co = sol.lambda_co
-    balancing = kappa * (
-        np.sum(duals.mu_up, axis=1) * (act_price + lam_co)
-        + np.sum(duals.mu_lo, axis=1) * (act_price - lam_co)
-    )
-
+    balancing = kappa * (x[idx["q_co"]] - x[idx["p_co"]])
     k_phys = built.num_cc_rows
-    reserve = np.zeros(dim)
-    if k_phys and sol.s_aux is not None:
-        a_rows = sol.cc_a_matrix()[:k_phys]
-        lam_cc = sol.lambda_cc
-        for j in range(dim):
-            rho_up = duals.rho_up[j, :, :k_phys]
-            rho_lo = duals.rho_lo[j, :, :k_phys]
-            reserve[j] = kappa[j] * float(
-                np.sum(rho_up * (lam_cc[j] - a_rows[:, j]))
-                - np.sum(rho_lo * (lam_cc[j] + a_rows[:, j]))
-            )
-        lam_cc_vec = lam_cc
-    else:
-        lam_cc_vec = np.zeros(dim)
+    shift = x[idx["q_cc"]] - x[idx["p_cc"]]
+    reserve = kappa * (shift[:, :k_phys] @ duals.eta[:, :k_phys].sum(axis=0))
 
     pi_f = lmp - balancing - reserve
-    pi_d = lam_co + duals.phi * lam_cc_vec
+    pi_d = sol.lambda_co + duals.phi * sol.lambda_cc
     remuneration = u * pi_f - data.epsilons * pi_d
     return ForecastValueReport(
         lmp_term=lmp,
@@ -262,25 +244,26 @@ FORECAST_VALUE_COLUMNS = ["feature", "lmp_term", "balancing_term",
                           "reserve_term", "pi_F", "pi_D", "remuneration"]
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A number with ten significant digits, as the CSVs and the CLI print it."""
     return f"{x:.10g}"
 
 
 def data_value_rows(report: DataValueReport) -> list:
     rows = []
     for j in range(report.dimension):
-        rows.append([str(j), _fmt(report.lambda_co[j]), _fmt(report.lambda_cc[j]),
-                     _fmt(report.phi), _fmt(report.marginal_value[j]),
-                     _fmt(report.threshold[j]), report.regime[j]])
+        rows.append([str(j), fmt(report.lambda_co[j]), fmt(report.lambda_cc[j]),
+                     fmt(report.phi), fmt(report.marginal_value[j]),
+                     fmt(report.threshold[j]), report.regime[j]])
     return rows
 
 
 def forecast_value_rows(report: ForecastValueReport) -> list:
     rows = []
     for j in range(report.dimension):
-        rows.append([str(j), _fmt(report.lmp_term[j]), _fmt(report.balancing_term[j]),
-                     _fmt(report.reserve_term[j]), _fmt(report.pi_f[j]),
-                     _fmt(report.pi_d[j]), _fmt(report.remuneration[j])])
+        rows.append([str(j), fmt(report.lmp_term[j]), fmt(report.balancing_term[j]),
+                     fmt(report.reserve_term[j]), fmt(report.pi_f[j]),
+                     fmt(report.pi_d[j]), fmt(report.remuneration[j])])
     return rows
 
 

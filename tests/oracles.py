@@ -394,3 +394,138 @@ def robust_corner_objective(network):
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def _three_cuts(model, name, w, lam, sample, lower, upper, const=None,
+                cols=None, coefs=None, where=None):
+    """Epigraph cuts w >= sup over [lower, upper] of a*xi - lam |xi - sample|.
+
+    The maximizer is the upper corner, the lower corner or the sample, so
+    each entry of ``w`` gets three cuts (families ``{name}_up``, ``_lo``,
+    ``_av``). The slope is ``a = const + sum_t coefs[..., t] x[cols[..., t]]``;
+    ``where`` keeps the corner cuts only where true.
+    """
+    from msdro_opf.lp import GE, align_left, family
+
+    w = np.asarray(w)
+    nd = w.ndim
+    up, lo, xs = (align_left(np.asarray(v, dtype=float), nd)
+                  for v in (upper, lower, sample))
+    lam = align_left(lam, nd)
+
+    def rows(suffix, point, lam_coef, keep):
+        terms = [(w, 1.0)]
+        if cols is not None:
+            terms.append((cols, -np.asarray(coefs) * point[..., None]))
+        if lam_coef is not None:
+            terms.append((lam, lam_coef))
+        rhs = 0.0 if const is None else align_left(const, nd) * point
+        return family(f"{name}_{suffix}", w.shape, terms, GE, rhs, keep)
+
+    model.add(rows("up", up, up - xs, where), rows("lo", lo, -(lo - xs), where),
+              rows("av", xs, None, None))
+
+
+def three_cut_opf(network, data, gamma, fixed_zero_participation=()):
+    """The OPF LP with one epigraph column and three cuts per sample.
+
+    The formulation the package used before its compact Wasserstein block:
+    an epigraph column s_co[j, i] per (feature, sample) in the activation
+    block and s_aux[j, i, k] per (feature, sample, CVaR row), each with its
+    three transport cuts. Returns the objective, the decision, both
+    multiplier vectors, phi, and the forecast-value terms computed from
+    the per-sample cut multipliers. Test-only reference.
+    """
+    from types import SimpleNamespace
+
+    from msdro_opf.lp import EQ, GE, INFINITY, LE, Model, family
+    from msdro_opf.network import build_joint_support, compute_flow_maps
+
+    support = build_joint_support(network)
+    b_g, b_w, b_b = compute_flow_maps(network)
+    n_g, n_l, d = network.num_generators, network.num_lines, data.dimension
+    n = int(data.counts[0])
+    eps = data.epsilons
+    xi_hat = data.matrix()
+    gens = network.generators
+    c_a = np.array([g.c_A for g in gens])
+    skip = sorted(fixed_zero_participation)
+    keep = [g for g in range(n_g) if g not in skip]
+    cc_rows = np.array(keep + [n_g + g for g in keep]
+                       + list(range(2 * n_g, 2 * n_g + 2 * n_l)), dtype=int)
+    k_aug = len(cc_rows)
+
+    m = Model("three-cut-opf")
+    p = m.add_vars("p", n_g, obj=np.array([g.c_E for g in gens]))
+    alpha = m.add_vars("alpha", (n_g, d))
+    c_r = np.array([g.c_R for g in gens])
+    rp = m.add_vars("rp", n_g, obj=c_r)
+    rm = m.add_vars("rm", n_g, obj=c_r)
+    framp = m.add_vars("framp", n_l)
+    framm = m.add_vars("framm", n_l)
+    lam_co = m.add_vars("lam_co", d, obj=eps)
+    s_co = m.add_vars("s_co", (d, n), lb=-INFINITY, obj=1.0 / n)
+    tau = m.add_var("tau", lb=-INFINITY, ub=0.0)
+    nu = m.add_var("nu", lb=-INFINITY)
+    lam_cc = m.add_vars("lam_cc", d)
+    s_cc = m.add_vars("s_cc", n, lb=-INFINITY)
+    s_aux = m.add_vars("s_aux", (d, n, k_aug + 1), lb=-INFINITY)
+    for cols in (alpha[skip], rp[skip], rm[skip], lam_co[eps == 0.0],
+                 lam_cc[eps == 0.0]):
+        m.fix_var(cols, 0.0)
+
+    d_vec, u_vec = network.load_vector(), network.forecast_vector()
+    f_max = np.array([ln.f_max for ln in network.lines])
+    flow_const = b_w @ u_vec - b_b @ d_vec
+    m.add(family("bal", (), [(p, 1.0)], EQ, float(np.sum(d_vec) - np.sum(u_vec))))
+    m.add(family("chi", d, [(alpha.T, 1.0)], EQ, 1.0))
+    m.add(family("gmax", n_g, [(p, 1.0), (rp, 1.0)], LE, [g.p_max for g in gens]),
+          family("gmin", n_g, [(p, 1.0), (rm, -1.0)], GE, [g.p_min for g in gens]))
+    m.add(family("lineup", n_l, [(p[None, :], b_g), (framp, 1.0)], EQ,
+                 f_max - flow_const),
+          family("linelo", n_l, [(p[None, :], -b_g), (framm, 1.0)], EQ,
+                 f_max + flow_const))
+    _three_cuts(m, "co", s_co, lam_co, xi_hat, support.lower, support.upper,
+                cols=alpha.T[:, None, :], coefs=-c_a[None, None, :],
+                where=eps > 0.0)
+    m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
+    m.add(family("cvar_budget", (),
+                 [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
+    physical = np.append(np.ones(k_aug), 0.0)
+    b_cols = np.append(np.concatenate([rp, rm, framp, framm])[cc_rows], 0)
+    m.add(family("cc_main", (n, k_aug + 1),
+                 [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
+                  (tau, physical[None, :]), (s_aux.transpose(1, 2, 0), -1.0)],
+                 GE, 0.0))
+    coef = np.vstack([-np.eye(n_g), np.eye(n_g), -b_g, b_g,
+                      np.zeros((1, n_g))])[np.append(cc_rows, -1)]
+    const = np.vstack([np.zeros((2 * n_g, d)), b_w, -b_w,
+                       np.zeros((1, d))])[np.append(cc_rows, -1)]
+    _three_cuts(m, "cc", s_aux, lam_cc, xi_hat, support.lower, support.upper,
+                const=const.T[:, None, :], cols=alpha.T[:, None, None, :],
+                coefs=coef[None, None, :, :], where=eps > 0.0)
+
+    sol = m.solve()
+    assert sol.optimal, sol.status
+    x, mult = sol.x, sol.family_multipliers
+    alpha_v, lam_co_v, lam_cc_v = x[alpha], x[lam_co], x[lam_cc]
+    phi = float(mult("cvar_budget"))
+    kappa = np.array([r.kappa for r in network.resources])
+    act_price = c_a @ alpha_v
+    balancing = kappa * (mult("co_up").sum(axis=1) * (act_price + lam_co_v)
+                         + mult("co_lo").sum(axis=1) * (act_price - lam_co_v))
+    m_rows = b_w - b_g @ alpha_v
+    a_rows = np.vstack([-alpha_v, alpha_v, m_rows, -m_rows])[cc_rows]
+    rho_up = mult("cc_up")[:, :, :k_aug]
+    rho_lo = mult("cc_lo")[:, :, :k_aug]
+    reserve = kappa * np.array([
+        np.sum(rho_up[j] * (lam_cc_v[j] - a_rows[:, j]))
+        - np.sum(rho_lo[j] * (lam_cc_v[j] + a_rows[:, j])) for j in range(d)])
+    lmp = (sol.family_duals("bal")
+           + b_w.T @ (sol.family_duals("lineup") - sol.family_duals("linelo")))
+    return SimpleNamespace(
+        objective=float(sol.objective), p=x[p], alpha=alpha_v, r_plus=x[rp],
+        r_minus=x[rm], lambda_co=lam_co_v, lambda_cc=lam_cc_v, phi=phi,
+        marginal_value=lam_co_v + phi * lam_cc_v, balancing=balancing,
+        reserve=reserve, pi_f=lmp - balancing - reserve,
+        rows=m.num_constraints)

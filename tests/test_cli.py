@@ -189,6 +189,32 @@ def test_solve_unknown_backend(tmp_path, monkeypatch, capsys):
     assert "solver error:" in capsys.readouterr().err
 
 
+def test_solve_reports_solver_failure_with_model_context(tmp_path, monkeypatch,
+                                                        capsys):
+    """HiGHS status 4 ends in exit 4 with the model's sizes on stderr."""
+    from scipy.optimize import OptimizeResult
+
+    from msdro_opf import lp
+    from msdro_opf.evaluation import derive_seed, training_matrix
+    from msdro_opf.opf_model import build_msdro_opf
+
+    net = msdro_opf.bundled_network()
+    data = msdro_opf.MultiDataset.from_matrix(
+        training_matrix(net, 20, derive_seed(1, "train")), [0.1, 0.1])
+    summary = build_msdro_opf(net, data, 0.05).model.summary()
+    monkeypatch.setattr(lp, "linprog", lambda *a, **k: OptimizeResult(
+        status=4, message="Numerical difficulties encountered", x=None))
+    code = run("solve", "--eps", 0.1, 0.1, "--out", tmp_path / "run")
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: HiGHS status 4 (Numerical difficulties")
+    assert "Traceback" not in err
+    assert summary in err
+    for field in ("'msdro-opf'", " rows, ", " columns, ", " nonzeros; ",
+                  "cc_main(", "co_up(2)"):
+        assert field in summary
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_single_cell_grid(tmp_path, capsys):
@@ -257,26 +283,29 @@ def test_unknown_subcommand_exits_via_argparse():
 
 
 def test_solve_duals_csv_row_names_and_order(tmp_path):
-    """duals.csv lists every row once, in model order, named name[i,j,k]."""
+    """duals.csv lists every row once, in model order, named name[i,j,k].
+
+    The Wasserstein blocks have one co_up/co_lo pair per feature and one
+    cc_up/cc_lo pair per (feature, CVaR row), present only where eps > 0;
+    cc_main has one row per (sample, CVaR row), the augmented one included.
+    """
     out = tmp_path / "s"
     assert run("solve", "--train", 3, "--eps", 0.1, 0.0, "--no-tighten",
                "--out", out) == EXIT_OK
     net = msdro_opf.bundled_network()
     n_g, n_l, d, n = net.num_generators, net.num_lines, 2, 3
     k = 2 * n_g + 2 * n_l + 1
-    corner = [True, False]  # eps_2 = 0 drops feature 2's corner cuts
+    block = [0]  # eps_2 = 0 drops feature 2's block rows
     expect = ["bal"] + [f"chi[{j}]" for j in range(d)]
     expect += [f"{c}[{g}]" for g in range(n_g) for c in ("gmax", "gmin")]
     expect += [f"{c}[{l}]" for l in range(n_l) for c in ("lineup", "linelo")]
-    expect += [f"co_{c}[{j},{i}]" for j in range(d) for i in range(n)
-               for c in ("up", "lo", "av") if c == "av" or corner[j]]
+    expect += [f"co_{c}[{j}]" for j in block for c in ("up", "lo")]
     expect += ["cvar_pair", "cvar_budget"]
+    expect += [f"cc_{c}[{j},{kk}]" for j in block for kk in range(k)
+               for c in ("up", "lo")]
     expect += [f"cc_main[{i},{kk}]" for i in range(n) for kk in range(k)]
-    expect += [f"cc_{c}[{j},{i},{kk}]" for j in range(d) for i in range(n)
-               for kk in range(k) for c in ("up", "lo", "av")
-               if c == "av" or corner[j]]
     rows = read_rows(out / "duals.csv")
     assert rows[0] == ["constraint", "dual"]
     assert [r[0] for r in rows[1:]] == expect
-    assert "cc_up[0,1,4]" in expect
+    assert "cc_up[0,4]" in expect
     assert all(math.isfinite(float(r[1])) for r in rows[1:])

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 SeparableAffineCost, robust_value,
                                 sample_average, separable_thresholds,
-                                sup_affine_minus_l1, wc_expectation_general,
+                                sup_affine_minus_l1, transport_room,
+                                wasserstein_block, wc_expectation_general,
                                 wc_expectation_separable,
                                 wc_expectation_single_budget,
                                 wc_expectation_standardized)
 from msdro_opf.errors import InputError, ModeError, SizeError
+from msdro_opf.lp import Model
 
 from oracles import anchored_dual_value, grid_sup_affine, multi_marginal_value
 
@@ -60,17 +62,31 @@ def test_sup_partial_pull_toward_corner():
 
 
 def test_sup_matches_grid_search():
+    """Closed form and the LP block's optimum against a dense grid.
+
+    Some sample coordinates sit exactly on a support end, where one of the
+    two distances in the closed form is zero.
+    """
     rng = np.random.default_rng(43)
     for _ in range(25):
         d = int(rng.integers(1, 5))
         lo = -rng.uniform(0.1, 2.0, d)
         up = rng.uniform(0.1, 2.0, d)
         xhat = rng.uniform(lo, up)
+        at_end = rng.integers(0, 3, d)
+        xhat = np.where(at_end == 1, lo, np.where(at_end == 2, up, xhat))
         a = rng.normal(size=d)
         lam = rng.uniform(0.0, 2.0, d)
         box = BoxSupport(lo, up)
+        ref = grid_sup_affine(a, lam, xhat, lo, up)
         assert sup_affine_minus_l1(a, lam, xhat, box) == pytest.approx(
-            grid_sup_affine(a, lam, xhat, lo, up), abs=1e-12)
+            ref, abs=1e-12)
+        model = Model()
+        lam_cols = model.add_vars("lam", d, lb=lam, ub=lam)
+        wasserstein_block(model, "w", d, lam_cols, const=a,
+                          obj=transport_room(xhat, lo, up))
+        assert model.solve().objective + a @ xhat == pytest.approx(
+            ref, abs=1e-9)
 
 
 def test_sup_rejects_negative_lambda_and_outside_sample():

@@ -14,7 +14,11 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
 from msdro_opf.opf_model import (RiskLevel, cvar_tightening_rerun,
                                  idle_balancers, joint_constraint_rows)
 
-from oracles import robust_corner_objective, saa_cvar_objective
+from msdro_opf.valuation import (forecast_value_decomposition,
+                                 marginal_data_value)
+
+from oracles import (robust_corner_objective, saa_cvar_objective,
+                     three_cut_opf)
 
 DIAGONAL = [(0.001, 0.001), (0.005, 0.005), (0.01, 0.01), (0.1, 0.1),
             (1.0, 1.0)]
@@ -111,12 +115,25 @@ def test_activation_block_matches_separable_route(case5, train20, solve_cell):
             ref.value, rel=1e-6, abs=1e-6)
 
 
-def test_tightening_rerun_drops_idle_rows(case5, train20, solve_cell):
+def test_tightening_rerun_drops_idle_rows(case5, train20, solve_cell,
+                                         monkeypatch):
+    """The re-run pins the idle balancers and reuses the first build's
+    support and flow maps."""
+    from msdro_opf import opf_model
+
+    calls = []
+    monkeypatch.setattr(opf_model, "compute_flow_maps",
+                        lambda *a: calls.append(a) or compute_flow_maps(*a))
     for eps in ((1.0, 1.0), (0.1, 0.1)):
         sol = solve_cell(*eps)
         idle = idle_balancers(sol)
+        assert idle
         data = MultiDataset.from_matrix(train20, np.array(eps))
+        calls.clear()
         second = cvar_tightening_rerun(case5, data, 0.05, sol)
+        assert calls == []
+        assert second.built.b_g is sol.built.b_g
+        assert second.built.support is sol.built.support
         assert second.objective <= sol.objective + 1e-6
         assert second.built.num_cc_rows == sol.built.num_cc_rows - 2 * len(idle)
         for g in idle:
@@ -194,31 +211,33 @@ def test_risk_level_bounds():
 
 
 def test_family_duals_match_named_lookups(case5):
-    """The array read-out equals the row-by-row multiplier() lookups."""
+    """The array read-out equals the row-by-row multiplier() lookups.
+
+    The compact block has one co_up/co_lo row per feature and one
+    cc_up/cc_lo row per (feature, CVaR row); a feature with eps = 0 has
+    none of them and reads zero multipliers.
+    """
     from msdro_opf.evaluation import training_matrix
 
-    eps = np.array([0.1, 0.0])  # eps_2 = 0 drops feature 2's corner cuts
+    eps = np.array([0.1, 0.0])  # eps_2 = 0 drops feature 2's block rows
     data = MultiDataset.from_matrix(training_matrix(case5, 3, seed=5), eps)
     sol = solve_msdro_opf(case5, data, 0.05)
     lps, duals = sol.lp_solution, sol.duals
     d, n, k = 2, 3, sol.built.num_cc_rows + 1
-    mu_up, mu_lo = np.zeros((d, n)), np.zeros((d, n))
-    rho = {c: np.zeros((d, n, k)) for c in ("up", "lo", "av")}
-    for j, i in itertools.product(range(d), range(n)):
+    index = sol.built.model.constraint_index
+    mu = {c: np.zeros(d) for c in ("up", "lo")}
+    rho = {c: np.zeros((d, k)) for c in ("up", "lo")}
+    for c, j in itertools.product(("up", "lo"), range(d)):
         if eps[j] > 0.0:
-            mu_up[j, i] = lps.multiplier(f"co_up[{j},{i}]")
-            mu_lo[j, i] = lps.multiplier(f"co_lo[{j},{i}]")
+            mu[c][j] = lps.multiplier(f"co_{c}[{j}]")
+            rho[c][j] = [lps.multiplier(f"cc_{c}[{j},{kk}]") for kk in range(k)]
         else:
-            assert f"co_up[{j},{i}]" not in sol.built.model.constraint_index
-        for kk in range(k):
-            for c in ("up", "lo", "av"):
-                if c == "av" or eps[j] > 0.0:
-                    rho[c][j, i, kk] = lps.multiplier(f"cc_{c}[{j},{i},{kk}]")
+            assert f"co_{c}[{j}]" not in index
+            assert not any(f"cc_{c}[{j},{kk}]" in index for kk in range(k))
     eta = np.array([[lps.multiplier(f"cc_main[{i},{kk}]") for kk in range(k)]
                     for i in range(n)])
-    np.testing.assert_array_equal(duals.mu_up, mu_up)
-    np.testing.assert_array_equal(duals.mu_lo, mu_lo)
-    for c in ("up", "lo", "av"):
+    for c in ("up", "lo"):
+        np.testing.assert_array_equal(getattr(duals, f"mu_{c}"), mu[c])
         np.testing.assert_array_equal(getattr(duals, f"rho_{c}"), rho[c])
     np.testing.assert_array_equal(duals.eta, eta)
     assert duals.pi == lps.dual("bal")
@@ -233,3 +252,44 @@ def test_family_duals_match_named_lookups(case5):
                                   [lps.dual(f"lineup[{l}]") for l in l_range])
     np.testing.assert_array_equal(duals.beta_lo,
                                   [lps.dual(f"linelo[{l}]") for l in l_range])
+
+
+GRID5 = (1.0, 0.1, 0.005, 0.001, 0.0)
+
+
+def assert_matches_three_cut(sol, network, data, pinned=()):
+    """Objective to 1e-9 relative, decision, prices and terms to 1e-6."""
+    ref = three_cut_opf(network, data, 0.05, pinned)
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+    fv = forecast_value_decomposition(sol, network, data)
+    mv = marginal_data_value(sol).marginal_value
+    dec = sol.decision
+    for got, want in ((dec.alpha, ref.alpha), (dec.p, ref.p),
+                      (dec.r_plus, ref.r_plus), (dec.r_minus, ref.r_minus),
+                      (sol.lambda_co, ref.lambda_co),
+                      (sol.lambda_cc, ref.lambda_cc), (mv, ref.marginal_value),
+                      (fv.balancing_term, ref.balancing),
+                      (fv.reserve_term, ref.reserve), (fv.pi_f, ref.pi_f)):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+    assert sol.built.model.num_constraints < ref.rows
+
+
+def test_compact_block_matches_three_cut_lp_on_default_grid(case5, train20,
+                                                            solve_cell):
+    """Every default-grid cell with the 0.0 column, base and re-run."""
+    for eps in itertools.product(GRID5, repeat=2):
+        data = MultiDataset.from_matrix(train20, np.array(eps))
+        base = solve_cell(*eps)
+        assert_matches_three_cut(base, case5, data)
+        rerun = cvar_tightening_rerun(case5, data, 0.05, base)
+        if rerun is not base:
+            assert_matches_three_cut(rerun, case5, data,
+                                     rerun.built.fixed_zero_participation)
+
+
+def test_compact_block_matches_three_cut_lp_at_100_samples(case5):
+    from msdro_opf.evaluation import derive_seed, training_matrix
+
+    xs = training_matrix(case5, 100, derive_seed(1, "train"))
+    data = MultiDataset.from_matrix(xs, np.array([0.1, 0.005]))
+    assert_matches_three_cut(solve_msdro_opf(case5, data, 0.05), case5, data)
