@@ -17,7 +17,9 @@ the 1-norm; other (p, norm) combinations are supported here only.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,11 +173,23 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
                          confidence_note="empirical transport bound")
 
 
+#: Everything a file of plain decimal rows can hold: numbers (with
+#: exponents, nan and inf), commas, spaces, tabs and line ends.
+_PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
+
+
 def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a standardized sample file.
 
     Expected layout: header ``xi_1,...,xi_D``, one row per shared sample
-    index. Returns (feature names, D x N' array).
+    index. Returns (feature names, D x N' array). Rows that are blank or
+    hold only blank cells are skipped.
+
+    Plain decimal rows (and empty lines) are parsed by ``np.loadtxt``.
+    Anything else (quoted cells, other characters, blank cells, a ragged,
+    unparsable or non-finite row) goes through the ``csv`` reader row by
+    row, which accepts the same files and names the line of the first bad
+    row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -188,22 +202,48 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
             raise InputError(
                 f"{path}: expected header columns xi_1,...,xi_D, got {header}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise InputError(f"{path}:{lineno}: non-finite sample value")
-            rows.append(values)
+        body = fh.read()
+    values = _plain_rows(body, len(header))
+    if values is None:
+        values = _checked_rows(path, io.StringIO(body, newline=""), len(header))
+    return header, values.T
+
+
+def _plain_rows(body: str, width: int) -> np.ndarray | None:
+    """The rows of ``body`` as an n x width array, or None unless every
+    line is empty or holds ``width`` plain decimal numbers, all finite."""
+    # Over these characters splitlines() breaks lines where csv does.
+    rows = body.splitlines()
+    if not any(rows) or not _PLAIN_ROWS.fullmatch(body):
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.all(np.isfinite(values)):
+        return None
+    return values
+
+
+def _checked_rows(path, lines, width: int) -> np.ndarray:
+    """Parse sample rows one by one (line numbers from 2, after the header);
+    the first bad row raises ``InputError`` naming its line."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} columns")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise InputError(f"{path}:{lineno}: non-finite sample value")
+        rows.append(values)
     if not rows:
         raise InputError(f"{path}: no sample rows")
-    return header, np.asarray(rows, dtype=float).T
+    return np.asarray(rows, dtype=float)
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:

@@ -17,6 +17,15 @@ for p = 1 with the 1-norm: per coordinate it is the sample term plus the
 distance to one support end times a positive part that depends on the
 slope and the multiplier only (``wasserstein_block``), so the LPs carry
 two columns and two rows per (feature, affine piece), not per sample.
+
+The general, standardized and single-budget routes share one epigraph LP
+over equally weighted anchor points (``_solve_anchored``). Each epigraph
+s_t is written relative to the piece k0(t) that is largest at anchor t:
+s_t = row(t, k0) + sigma_t with sigma_t >= 0. That is exact, since
+s_t >= row(t, k0) is one of the epigraph's own rows, and it is invertible,
+so the LP has the same optimum; but sigma = 0 is already the sample
+average, so the solver starts next to the optimum instead of pivoting
+every free s_t into the basis.
 """
 
 from __future__ import annotations
@@ -258,37 +267,64 @@ def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
     return p, q
 
 
-def _checked_piecewise(cost, data: MultiDataset,
-                       support: BoxSupport) -> PiecewiseMaxAffine:
-    """The cost as affine pieces, once dimensions and samples are checked."""
-    if isinstance(cost, SeparableAffineCost):
-        cost = cost.as_piecewise()
+def _checked_inputs(cost, data: MultiDataset, support: BoxSupport) -> None:
+    """Dimensions agree and every sample lies in the support."""
+    if data.dimension == 0:
+        raise InputError("the dataset has no features")
     if cost.dimension != support.dimension:
         raise InputError("cost and support dimensions differ")
     data.validate_within(support)
+
+
+def _checked_piecewise(cost, data: MultiDataset,
+                       support: BoxSupport) -> PiecewiseMaxAffine:
+    """The cost as affine pieces, once dimensions and samples are checked."""
+    _checked_inputs(cost, data, support)
+    if isinstance(cost, SeparableAffineCost):
+        cost = cost.as_piecewise()
     return cost
 
 
 def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
-                    support: BoxSupport, solver):
+                    support: BoxSupport, solver) -> tuple:
     """Epigraph LP over equally weighted anchor points (rows of ``points``)
-    on top of ``lam``: s_t >= b_k + sum_j of the worst case of
-    a_kj xi_j - lam_j |xi_j - x_tj| for every anchor t and piece k.
-    Returns the optimal LP solution and the s columns.
+    on top of ``lam``: s_t >= row(t, k) = b_k + sum_j of the worst case of
+    a_kj xi_j - lam_j |xi_j - x_tj|, for every anchor t and piece k.
+
+    Each epigraph is anchored at the piece k0(t) that is largest at the
+    anchor itself: s_t = row(t, k0) + sigma_t with sigma_t >= 0, an exact,
+    invertible change of variables. Row k0 becomes the bound on sigma_t, the
+    other rows read sigma_t >= row(t, k) - row(t, k0) (family ``idx``, k0
+    entries absent), and mean_t row(t, k0) moves into the objective: mean
+    distances on p and q plus the constant mean_t max_k (a_k . x_t + b_k).
+    The solver's all-slack start, sigma = 0, is the sample average.
+    Returns (optimal value, LP solution, s values).
     """
     n_t, k_pieces = len(points), cost.num_pieces
-    s = model.add_vars("s", n_t, lb=-INFINITY, obj=1.0 / n_t)
-    p, q = wasserstein_block(model, "cut", (len(lam), k_pieces), lam,
-                             const=cost.a.T)
+    heights = cost.b[None, :] + points @ cost.a.T
+    k0 = np.argmax(heights, axis=1)
     up, lo = transport_room(points, support.lower, support.upper)
+    # Weight 1/n_t of each anchor on its own piece: up.T @ weight is, per
+    # (feature j, piece k), the distance to u_j summed over the anchors
+    # whose k0 is k, over n_t.
+    weight = np.eye(k_pieces)[k0] / n_t
+    sigma = model.add_vars("sigma", n_t, obj=1.0 / n_t)
+    p, q = wasserstein_block(model, "cut", (len(lam), k_pieces), lam,
+                             const=cost.a.T, obj=(up.T @ weight, lo.T @ weight))
+    base = heights[np.arange(n_t), k0]
     model.add(family("idx", (n_t, k_pieces),
-                     [(s, 1.0), (p.T[None], -up[:, None, :]),
-                      (q.T[None], -lo[:, None, :])],
-                     GE, cost.b[None, :] + points @ cost.a.T))
+                     [(sigma, 1.0),
+                      (p.T[None], -up[:, None, :]), (q.T[None], -lo[:, None, :]),
+                      (p.T[k0][:, None, :], up[:, None, :]),
+                      (q.T[k0][:, None, :], lo[:, None, :])],
+                     GE, heights - base[:, None],
+                     where=np.arange(k_pieces)[None, :] != k0[:, None]))
     sol = model.solve(solver)
     if not sol.optimal:
         raise RuntimeError(f"{model.name} LP ended {sol.status}")
-    return sol, s
+    s = (base + np.sum(up * sol.value(p.T[k0]) + lo * sol.value(q.T[k0]), axis=1)
+         + sol.value(sigma))
+    return float(sol.objective + np.mean(base)), sol, s
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
@@ -312,8 +348,7 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
     lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
     multi = np.unravel_index(np.arange(n_idx), counts)
     points = np.stack([s[m] for s, m in zip(data.samples, multi)], axis=-1)
-    sol, _ = _solve_anchored(model, lam, cost, points, support, solver)
-    return float(sol.objective)
+    return _solve_anchored(model, lam, cost, points, support, solver)[0]
 
 
 @dataclass
@@ -355,9 +390,7 @@ def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
                              solver: str | None = None) -> SeparableResult:
     """Worst-case expectation for a separable cost (one block row pair per
     feature; the per-sample epigraph values follow in closed form)."""
-    if cost.dimension != support.dimension:
-        raise InputError("cost and support dimensions differ")
-    data.validate_within(support)
+    _checked_inputs(cost, data, support)
     ends = list(zip(data.samples, support.lower, support.upper))
     mean_room = np.array([[np.mean(r) for r in transport_room(*e)] for e in ends])
     model = Model("wc-separable")
@@ -382,7 +415,13 @@ def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
 
 @dataclass
 class StandardizedResult:
-    """Optimum of the shared-index reformulation."""
+    """Optimum of the shared-index reformulation.
+
+    value : worst-case expectation, eps . lam + mean(s)
+    lam : optimal per-feature multipliers
+    s : per-sample epigraph values, max over pieces k of b_k plus the
+        worst case of a_k . xi - sum_j lam_j |xi_j - x_j| at the sample
+    """
 
     value: float
     lam: np.ndarray
@@ -393,16 +432,17 @@ def wc_expectation_standardized(cost: PiecewiseMaxAffine, data: MultiDataset,
                                 support: BoxSupport,
                                 solver: str | None = None) -> StandardizedResult:
     """Worst-case expectation for standardized data (shared sample index)."""
+    cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
         raise ModeError("standardized reformulation needs equal sample counts")
-    cost = _checked_piecewise(cost, data, support)
     model = Model("wc-standardized")
     lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
-    sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support, solver)
+    value, sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support,
+                                    solver)
     return StandardizedResult(
-        value=float(sol.objective),
+        value=value,
         lam=np.asarray(sol.value(lam), dtype=float),
-        s=np.asarray(sol.value(s), dtype=float),
+        s=s,
     )
 
 
@@ -415,16 +455,15 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     around the shared-index empirical distribution. With
     epsilon = sum_j epsilon_j this upper-bounds the multi-source value.
     """
+    cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
         raise ModeError("single-budget comparator needs standardized data")
-    cost = _checked_piecewise(cost, data, support)
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
     model = Model("wc-single-budget")
     lam = model.add_var("lam", obj=float(epsilon))
-    sol, _ = _solve_anchored(model, np.full(data.dimension, lam), cost,
-                             data.matrix().T, support, solver)
-    return float(sol.objective)
+    return _solve_anchored(model, np.full(data.dimension, lam), cost,
+                           data.matrix().T, support, solver)[0]
 
 
 def sample_average(cost, data: MultiDataset) -> float:

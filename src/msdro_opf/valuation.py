@@ -122,7 +122,13 @@ def prop3_offline_check(data: MultiDataset, support: BoxSupport,
 
 
 def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
-    """Read dL/deps_j = lambda_co_j + phi lambda_cc_j off the duals."""
+    """Read dL/deps_j = lambda_co_j + phi lambda_cc_j off the duals.
+
+    ``phi`` is the ``cvar_budget`` multiplier. Where ``lambda_cc`` is zero
+    on every feature it is a degenerate dual, not a price: the objective
+    does not depend on it, its value follows the LP's formulation and the
+    solver's path, and the marginal value is ``lambda_co`` alone.
+    """
     _require_duals(sol)
     built = sol.built
     phi = sol.duals.phi

@@ -529,3 +529,78 @@ def three_cut_opf(network, data, gamma, fixed_zero_participation=()):
         marginal_value=lam_co_v + phi * lam_cc_v, balancing=balancing,
         reserve=reserve, pi_f=lmp - balancing - reserve,
         rows=m.num_constraints)
+
+
+def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
+    """The anchored epigraph LP with one free s_t and one row per piece.
+
+    min eps . lam + mean_t s_t subject to s_t >= b_k + a_k . x_t +
+    sum_j (u_j - x_tj) p_jk + (x_tj - l_j) q_jk for every anchor t (rows
+    of ``points``) and piece k, with p, q the positive parts of
+    ``dro_core.wasserstein_block``. The formulation ``dro_core`` used before
+    it anchored each epigraph at its largest piece. With ``pooled`` set, one
+    multiplier with objective ``pooled`` serves every feature (the
+    single-budget comparator). Returns the value, lam and s. Test-only
+    reference.
+    """
+    from types import SimpleNamespace
+
+    from msdro_opf.dro_core import transport_room, wasserstein_block
+    from msdro_opf.lp import GE, INFINITY, Model, family
+
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n_t, d = points.shape
+    m = Model("per-piece-anchored")
+    if pooled is None:
+        lam = m.add_vars("lam", d, obj=np.asarray(epsilons, dtype=float))
+    else:
+        lam = np.full(d, m.add_var("lam", obj=float(pooled)))
+    s = m.add_vars("s", n_t, lb=-INFINITY, obj=1.0 / n_t)
+    p, q = wasserstein_block(m, "cut", (d, cost.num_pieces), lam,
+                             const=cost.a.T)
+    up, lo = transport_room(points, support.lower, support.upper)
+    m.add(family("idx", (n_t, cost.num_pieces),
+                 [(s, 1.0), (p.T[None], -up[:, None, :]),
+                  (q.T[None], -lo[:, None, :])],
+                 GE, cost.b[None, :] + points @ cost.a.T))
+    sol = m.solve()
+    assert sol.optimal, sol.status
+    return SimpleNamespace(value=float(sol.objective), lam=sol.x[lam],
+                           s=sol.x[s])
+
+
+def read_samples_by_row(path):
+    """A sample file read one ``csv`` row and one ``float`` per cell at a
+    time: the reader the package had before it parsed plain files with
+    numpy. Returns (header, D x N' array) or raises ``InputError``."""
+    import csv
+    import math
+
+    from msdro_opf.errors import InputError
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if not header or not all(h.startswith("xi_") for h in header):
+            raise InputError(
+                f"{path}: expected header columns xi_1,...,xi_D, got {header}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise InputError(f"{path}:{lineno}: non-finite sample value")
+            rows.append(values)
+    if not rows:
+        raise InputError(f"{path}: no sample rows")
+    return header, np.asarray(rows, dtype=float).T

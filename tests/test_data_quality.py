@@ -15,7 +15,7 @@ from msdro_opf.data_quality import (NoiseModel, QualitySignal,
                                     write_samples_csv)
 from msdro_opf.errors import InputError, UnsupportedError
 
-from oracles import transport_wp
+from oracles import read_samples_by_row, transport_wp
 
 samples_1d = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
@@ -239,6 +239,77 @@ def test_samples_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("xi_1,xi_2\n1,2\n3\n")
     with pytest.raises(InputError):
+        read_samples_csv(path)
+
+
+#: Sample files as text: plain, Windows and old Mac line ends, blank and
+#: comma-only rows, quoted cells, what ``float`` accepts beyond plain
+#: decimals, and every kind of bad row, some after a blank line.
+SAMPLE_FILES = [
+    "xi_1,xi_2\n0.1,-2\n3e-3,4E+2\n",
+    "xi_1,xi_2\r\n0.1,-2\r\n.5,5.\r\n",
+    "xi_1,xi_2\r0.1,-2\r.5,5.\r",
+    "xi_1\n1\n\n  \n\t\n2",
+    "xi_1,xi_2\n1,2\n,\n , \n\n3,4\n\n",
+    ' "xi_1" ,xi_2\n"1.5"," 2"\n',
+    'xi_1,xi_2\n"1\n",2\n3,4\n',
+    "xi_1,xi_2\n 1.5 ,\t+2\t\n",
+    "xi_1\n1_000\n",
+    "xi_1\n\u0661\n",
+    "xi_1\n\u20031\u2003\n",
+    "xi_1,xi_2\n1,2\n3\n",
+    "xi_1,xi_2\n1,2\n\n3,4,5\n",
+    "xi_1,xi_2\n1,2,\n",
+    "xi_1,xi_2\n1,2,3\n4,5,6\n",
+    "xi_1\n1e5e5\n",
+    "xi_1\n1,\n",
+    "xi_1,xi_2\n1,abc\n",
+    "xi_1,xi_2\n1,\n",
+    "xi_1\n0x10\n",
+    "xi_1\n1.5e\n",
+    "xi_1\n--1\n",
+    "xi_1\n1 2\n",
+    "xi_1,xi_2\n0.1,0.2\n\n0.3,nan\n",
+    "xi_1\nNaN\n",
+    "xi_1\n-inf\n",
+    "xi_1\n1e999\n",
+    "xi_1\n",
+    "xi_1\n\n\n",
+    "xi_1\r\n\r\n",
+    "xi_1\n\n , \n",
+    "",
+    "a,b\n1,2\n",
+    "xi_1,b\n1,2\n",
+]
+
+
+@pytest.mark.parametrize("text", SAMPLE_FILES)
+def test_samples_csv_matches_row_by_row_reader(tmp_path, text):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text.encode())
+    try:
+        expect = read_samples_by_row(path)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_samples_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    names, values = read_samples_csv(path)
+    assert names == expect[0]
+    assert values.shape == expect[1].shape
+    assert np.array_equal(values, expect[1])
+
+
+def test_samples_csv_matches_row_by_row_reader_on_a_large_file(tmp_path):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, rng.normal(size=(3, 2000)))
+    names, values = read_samples_csv(path)
+    expect = read_samples_by_row(path)
+    assert names == expect[0] and np.array_equal(values, expect[1])
+    text = path.read_text()
+    path.write_text(text + "1,2,abc\n")
+    with pytest.raises(InputError, match=r":2002: could not convert"):
         read_samples_csv(path)
 
 

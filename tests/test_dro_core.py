@@ -24,7 +24,8 @@ from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
 from msdro_opf.errors import InputError, ModeError, SizeError
 from msdro_opf.lp import Model
 
-from oracles import anchored_dual_value, grid_sup_affine, multi_marginal_value
+from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
+                     per_piece_anchored_lp)
 
 BOX11 = BoxSupport([-1.0], [1.0])
 
@@ -307,6 +308,72 @@ def test_standardized_never_exceeds_pooled_budget_comparator():
         assert std <= pooled + 1e-7 * (1 + abs(pooled))
 
 
+# --- anchored epigraph against the per-piece LP ------------------------------
+
+def oracle_instance(rng, equal_counts):
+    """d = 1-4 features, K = 1-4 pieces; some samples exactly on a support
+    end, some budgets zero, and some pieces tied at the first anchor (by
+    an intercept shift or a duplicated piece)."""
+    d, k = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    lo, up = -rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, d)
+    n_max = 4 if d <= 2 else 3 if d == 3 else 2
+    counts = (np.full(d, rng.integers(1, 6)) if equal_counts
+              else rng.integers(1, n_max + 1, d))
+    samples = []
+    for j, n in enumerate(counts):
+        xs = rng.uniform(lo[j], up[j], n)
+        end = rng.integers(0, 4, n)
+        samples.append(np.where(end == 1, lo[j], np.where(end == 2, up[j], xs)))
+    eps = np.where(rng.random(d) < 0.3, 0.0, rng.uniform(0.0, 0.5, d))
+    a, b = rng.normal(size=(k, d)), rng.normal(size=k)
+    if k > 1:
+        first = np.array([s[0] for s in samples])
+        tie = rng.integers(0, 3)
+        if tie == 1:
+            b[1] = b[0] + (a[0] - a[1]) @ first
+        elif tie == 2:
+            a[1], b[1] = a[0], b[0]
+    return PiecewiseMaxAffine(a, b), MultiDataset(samples, eps), BoxSupport(lo, up)
+
+
+def test_general_matches_per_piece_lp():
+    rng = np.random.default_rng(109)
+    for _ in range(40):
+        cost, data, box = oracle_instance(rng, equal_counts=False)
+        ref = per_piece_anchored_lp(cost, product_anchor(data)[0],
+                                    data.epsilons, box)
+        assert wc_expectation_general(cost, data, box) == pytest.approx(
+            ref.value, rel=1e-9, abs=1e-9)
+
+
+def test_standardized_matches_per_piece_lp_with_consistent_epigraph():
+    """Same value as the per-piece LP; eps . lam + mean(s) is the value and
+    each s_t is the largest piece's worst case at anchor t under lam."""
+    rng = np.random.default_rng(113)
+    for _ in range(40):
+        cost, data, box = oracle_instance(rng, equal_counts=True)
+        points = data.matrix().T
+        ref = per_piece_anchored_lp(cost, points, data.epsilons, box)
+        got = wc_expectation_standardized(cost, data, box)
+        assert got.value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+        assert data.epsilons @ got.lam + np.mean(got.s) == pytest.approx(
+            got.value, rel=1e-9, abs=1e-9)
+        tops = [max(b_k + sup_affine_minus_l1(a_k, got.lam, x_t, box)
+                    for a_k, b_k in zip(cost.a, cost.b)) for x_t in points]
+        np.testing.assert_allclose(got.s, tops, rtol=1e-9, atol=1e-9)
+
+
+def test_single_budget_matches_per_piece_lp():
+    rng = np.random.default_rng(127)
+    for _ in range(40):
+        cost, data, box = oracle_instance(rng, equal_counts=True)
+        pooled = float(np.sum(data.epsilons))
+        ref = per_piece_anchored_lp(cost, data.matrix().T, data.epsilons,
+                                    box, pooled=pooled)
+        got = wc_expectation_single_budget(cost, data, box, pooled)
+        assert got == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+
+
 # --- cross-route structure ---------------------------------------------------
 
 def test_routes_are_inner_bounds_of_joint_coupling_oracle():
@@ -368,6 +435,20 @@ def test_values_between_anchor_average_and_robust():
 
 
 # --- input validation --------------------------------------------------------
+
+def test_routes_reject_dataset_without_features():
+    empty, box = MultiDataset([], []), BoxSupport([], [])
+    flat = PiecewiseMaxAffine(np.zeros((1, 0)), [0.0])
+    routes = (
+        lambda: wc_expectation_separable(SeparableAffineCost([]), empty, box),
+        lambda: wc_expectation_general(flat, empty, box),
+        lambda: wc_expectation_standardized(flat, empty, box),
+        lambda: wc_expectation_single_budget(flat, empty, box, 0.1),
+    )
+    for route in routes:
+        with pytest.raises(InputError, match="no features"):
+            route()
+
 
 def test_box_support_validation():
     with pytest.raises(InputError):

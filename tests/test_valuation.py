@@ -45,6 +45,18 @@ def test_marginal_value_combines_both_blocks(solve_cell):
         assert np.min(rep.marginal_value) >= -1e-8
 
 
+def test_marginal_value_ignores_phi_where_lambda_cc_is_zero(solve_cell):
+    """Where lambda_cc is zero on every feature, phi is a degenerate dual
+    (its value depends on the LP's formulation and the solver's path) and
+    the marginal value of data is lambda_co alone."""
+    for eps in ((0.1, 0.1), (1.0, 0.1), (0.1, 1.0)):
+        sol = solve_cell(*eps)
+        rep = marginal_data_value(sol)
+        np.testing.assert_allclose(rep.lambda_cc, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rep.marginal_value, sol.lambda_co,
+                                   rtol=1e-12, atol=1e-9)
+
+
 def test_phi_matches_eta_row_sums(solve_cell):
     for eps in ((0.1, 0.1), (1.0, 0.001), (0.005, 0.005)):
         sol = solve_cell(*eps)
