@@ -10,8 +10,7 @@ oos       out-of-sample violation check for one budget vector
 
 Exit codes: 0 success, 2 input error, 3 infeasible model, 4 solver
 failure.  Every file-producing run writes a ``manifest.json`` echoing the
-resolved parameters and derived seeds next to its outputs.  The LP
-backend is chosen by the ``MSDRO_SOLVER`` environment variable.
+resolved parameters and derived seeds next to its outputs.
 """
 
 from __future__ import annotations

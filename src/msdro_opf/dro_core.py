@@ -8,15 +8,18 @@ distribution of dataset j. Three formulations are implemented:
   (one epigraph variable per combination of sample indices). Exponential
   in the number of features; used as the oracle for the other two.
 * ``wc_expectation_separable``: for costs that split as sum_j c_j * xi_j,
-  one pair of columns per feature, whatever the sample counts.
+  a closed form per feature, whatever the sample counts: moving mass
+  toward the worst support end gains |c_j| per unit of transport until the
+  budget or the mean distance to that end runs out.
 * ``wc_expectation_standardized``: for datasets with a shared sample index
   (equal lengths), one epigraph variable per shared sample. Linear size.
 
-All three resolve the inner supremum over the box support in closed form
-for p = 1 with the 1-norm: per coordinate it is the sample term plus the
-distance to one support end times a positive part that depends on the
-slope and the multiplier only (``wasserstein_block``), so the LPs carry
-two columns and two rows per (feature, affine piece), not per sample.
+Every route resolves the inner supremum over the box support in closed
+form for p = 1 with the 1-norm: per coordinate it is the sample term plus
+the distance to one support end times a positive part that depends on the
+slope and the multiplier only (``sample_worst_case``). So the LPs carry
+two columns and two rows per (feature, affine piece), not per sample
+(``wasserstein_block``).
 
 The general, standardized and single-budget routes share one epigraph LP
 over equally weighted anchor points (``_solve_anchored``). Each epigraph
@@ -201,6 +204,16 @@ def transport_room(sample, lower, upper) -> tuple:
             np.maximum(sample - np.asarray(lower, dtype=float), 0.0))
 
 
+def mean_transport_room(data: MultiDataset, support: BoxSupport) -> np.ndarray:
+    """Per feature, the mean distance of its samples to the upper and to the
+    lower support end (``transport_room``): shape (d, 2)."""
+    if support.dimension != data.dimension:
+        raise InputError("support and dataset dimensions differ")
+    return np.array([[np.mean(r) for r in transport_room(s, lo, up)]
+                     for s, lo, up in zip(data.samples, support.lower,
+                                          support.upper)])
+
+
 def sample_worst_case(a, p, q, sample, lower, upper) -> np.ndarray:
     """a xhat + (u - xhat) p + (xhat - l) q: with p = (a - lam)^+ and
     q = (-a - lam)^+, the sup over [l, u] of a*xi - lam |xi - xhat|."""
@@ -241,10 +254,10 @@ def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
     sample xhat. That is exact in rows bounding it from above, as lam >= 0
     and both distances are nonnegative: p and q fall to the positive parts.
 
-    Adds columns ``p_{name}``, ``q_{name}`` (>= 0, objective ``obj``) and
-    the >= families ``{name}_up`` (p + lam - a) and ``{name}_lo``
-    (q + lam + a), interleaved, all of ``shape``; ``lam`` and ``where``
-    broadcast against it with axes lined up from the left. The slope is
+    Adds columns p, q (>= 0, objective ``obj``) and the >= families
+    ``{name}_up`` (p + lam - a) and ``{name}_lo`` (q + lam + a),
+    interleaved, all of ``shape``; ``lam`` and ``where`` broadcast against
+    it with axes lined up from the left. The slope is
     ``a = const + sum_t coefs[..., t] * x[cols[..., t]]`` (``cols`` and
     ``coefs`` with one trailing axis beyond ``shape``). Where ``where`` is
     false the rows are left out and p = q = 0, leaving the sample term:
@@ -253,8 +266,8 @@ def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
     ub = (INFINITY if where is None else
           np.where(align_left(where, len(shape)), INFINITY, 0.0))
-    p = model.add_vars(f"p_{name}", shape, ub=ub, obj=obj[0])
-    q = model.add_vars(f"q_{name}", shape, ub=ub, obj=obj[1])
+    p = model.add_vars(shape, ub=ub, obj=obj[0])
+    q = model.add_vars(shape, ub=ub, obj=obj[1])
     const = np.asarray(const, dtype=float)
 
     def rows(suffix, col, sign):
@@ -286,7 +299,7 @@ def _checked_piecewise(cost, data: MultiDataset,
 
 
 def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
-                    support: BoxSupport, solver) -> tuple:
+                    support: BoxSupport) -> tuple:
     """Epigraph LP over equally weighted anchor points (rows of ``points``)
     on top of ``lam``: s_t >= row(t, k) = b_k + sum_j of the worst case of
     a_kj xi_j - lam_j |xi_j - x_tj|, for every anchor t and piece k.
@@ -308,7 +321,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     # (feature j, piece k), the distance to u_j summed over the anchors
     # whose k0 is k, over n_t.
     weight = np.eye(k_pieces)[k0] / n_t
-    sigma = model.add_vars("sigma", n_t, obj=1.0 / n_t)
+    sigma = model.add_vars(n_t, obj=1.0 / n_t)
     p, q = wasserstein_block(model, "cut", (len(lam), k_pieces), lam,
                              const=cost.a.T, obj=(up.T @ weight, lo.T @ weight))
     base = heights[np.arange(n_t), k0]
@@ -319,17 +332,16 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                       (q.T[k0][:, None, :], lo[:, None, :])],
                      GE, heights - base[:, None],
                      where=np.arange(k_pieces)[None, :] != k0[:, None]))
-    sol = model.solve(solver)
+    sol = model.solve()
     if not sol.optimal:
         raise RuntimeError(f"{model.name} LP ended {sol.status}")
-    s = (base + np.sum(up * sol.value(p.T[k0]) + lo * sol.value(q.T[k0]), axis=1)
-         + sol.value(sigma))
+    x = sol.x
+    s = base + np.sum(up * x[p.T[k0]] + lo * x[q.T[k0]], axis=1) + x[sigma]
     return float(sol.objective + np.mean(base)), sol, s
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
-                           support: BoxSupport, cap: int = 100_000,
-                           solver: str | None = None) -> float:
+                           support: BoxSupport, cap: int = 100_000) -> float:
     """Worst-case expectation via the exact multi-index linear program.
 
     One epigraph variable per element of the index product across datasets,
@@ -345,10 +357,10 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
             "standardized reformulation"
         )
     model = Model("wc-general")
-    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
+    lam = model.add_vars(data.dimension, obj=data.epsilons)
     multi = np.unravel_index(np.arange(n_idx), counts)
     points = np.stack([s[m] for s, m in zip(data.samples, multi)], axis=-1)
-    return _solve_anchored(model, lam, cost, points, support, solver)[0]
+    return _solve_anchored(model, lam, cost, points, support)[0]
 
 
 @dataclass
@@ -361,8 +373,8 @@ class SeparableResult:
     thresholds : per-feature data-usefulness thresholds (mean distance of
         the samples to the cost-maximizing corner)
     degenerate : True where epsilon sits within DEGENERACY_BAND of the
-        threshold; there the optimal lam is not unique and the reported
-        value is the solver's pick
+        threshold; there any lam_j in [0, |c_j|] is optimal and the value
+        does not depend on the pick
     """
 
     value: float
@@ -377,36 +389,33 @@ def separable_thresholds(cost: SeparableAffineCost, data: MultiDataset,
     """Per-feature budget above which the data is ignored (robust regime).
 
     The worst corner is the lower bound for c_j <= 0 and the upper bound
-    otherwise; the threshold is the mean absolute distance of the samples
-    to that corner.
+    otherwise; the threshold is the mean distance of the samples to that
+    corner.
     """
-    corners = np.where(cost.c <= 0, support.lower, support.upper)
-    return np.array([np.mean(np.abs(s - corner))
-                     for s, corner in zip(data.samples, corners)])
+    up, lo = mean_transport_room(data, support).T
+    return np.where(cost.c <= 0, lo, up)
 
 
 def wc_expectation_separable(cost: SeparableAffineCost, data: MultiDataset,
-                             support: BoxSupport,
-                             solver: str | None = None) -> SeparableResult:
-    """Worst-case expectation for a separable cost (one block row pair per
-    feature; the per-sample epigraph values follow in closed form)."""
+                             support: BoxSupport) -> SeparableResult:
+    """Worst-case expectation for a separable cost, in closed form.
+
+    Per feature, min over lam_j >= 0 of eps_j lam_j plus the mean of
+    ``sample_worst_case`` is piecewise linear in lam_j: below |c_j| it has
+    slope eps_j - t_j (t_j the threshold), above it slope eps_j. So
+    lam_j = |c_j| where eps_j < t_j and 0 otherwise, and the value is
+    c_j mean_j + |c_j| min(eps_j, t_j) summed over the features.
+    """
     _checked_inputs(cost, data, support)
-    ends = list(zip(data.samples, support.lower, support.upper))
-    mean_room = np.array([[np.mean(r) for r in transport_room(*e)] for e in ends])
-    model = Model("wc-separable")
-    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
-    p, q = wasserstein_block(model, "cut", data.dimension, lam, const=cost.c,
-                             obj=tuple(mean_room.T))
-    sol = model.solve(solver)
-    if not sol.optimal:
-        raise RuntimeError(f"separable worst-case LP ended {sol.status}")
-    s = [sample_worst_case(c, pj, qj, *e) for c, pj, qj, e
-         in zip(cost.c, sol.value(p), sol.value(q), ends)]
+    c = cost.c
     thresholds = separable_thresholds(cost, data, support)
+    lam = np.where(data.epsilons < thresholds, np.abs(c), 0.0)
+    s = [sample_worst_case(cj, max(cj - lj, 0.0), max(-cj - lj, 0.0), xs, lo, up)
+         for cj, lj, xs, lo, up in zip(c, lam, data.samples, support.lower,
+                                       support.upper)]
     return SeparableResult(
-        value=float(sol.objective + sum(np.mean(c * xs) for c, xs
-                                        in zip(cost.c, data.samples))),
-        lam=np.asarray(sol.value(lam), dtype=float),
+        value=float(data.epsilons @ lam + sum(np.mean(sj) for sj in s)),
+        lam=lam,
         s=s,
         thresholds=thresholds,
         degenerate=np.abs(data.epsilons - thresholds) < DEGENERACY_BAND,
@@ -429,26 +438,19 @@ class StandardizedResult:
 
 
 def wc_expectation_standardized(cost: PiecewiseMaxAffine, data: MultiDataset,
-                                support: BoxSupport,
-                                solver: str | None = None) -> StandardizedResult:
+                                support: BoxSupport) -> StandardizedResult:
     """Worst-case expectation for standardized data (shared sample index)."""
     cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
         raise ModeError("standardized reformulation needs equal sample counts")
     model = Model("wc-standardized")
-    lam = model.add_vars("lam", data.dimension, obj=data.epsilons)
-    value, sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support,
-                                    solver)
-    return StandardizedResult(
-        value=value,
-        lam=np.asarray(sol.value(lam), dtype=float),
-        s=s,
-    )
+    lam = model.add_vars(data.dimension, obj=data.epsilons)
+    value, sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support)
+    return StandardizedResult(value=value, lam=sol.x[lam], s=s)
 
 
 def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
-                                 support: BoxSupport, epsilon: float,
-                                 solver: str | None = None) -> float:
+                                 support: BoxSupport, epsilon: float) -> float:
     """Classical single-ball Wasserstein DRO comparator.
 
     One shared multiplier and one total budget over the joint 1-norm,
@@ -461,9 +463,9 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
     model = Model("wc-single-budget")
-    lam = model.add_var("lam", obj=float(epsilon))
+    lam = model.add_var(obj=float(epsilon))
     return _solve_anchored(model, np.full(data.dimension, lam), cost,
-                           data.matrix().T, support, solver)[0]
+                           data.matrix().T, support)[0]
 
 
 def sample_average(cost, data: MultiDataset) -> float:

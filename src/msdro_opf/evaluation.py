@@ -18,7 +18,7 @@ import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .network import Network, build_support
 from .opf_model import (OpfDecision, cvar_tightening_rerun,
                         joint_constraint_rows, solve_msdro_opf)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
-                        DataValueReport, ForecastValueReport,
+                        DataValueReport, ForecastValueReport, fmt,
                         forecast_value_decomposition, marginal_data_value)
 
 S_FRACTION = 0.15
@@ -208,7 +208,7 @@ class SweepResult:
 
 
 def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
-                solver: str | None, oos_only: bool = False) -> tuple:
+                oos_only: bool = False) -> tuple:
     """One cell: base solve, tighten, valuation, out-of-sample.
 
     With ``oos_only`` (cells outside the main grid, zero budgets) only the
@@ -218,14 +218,14 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
     cell = tuple(float(e) for e in eps)
     try:
         data = MultiDataset.from_matrix(xs, list(cell))
-        base = solve_msdro_opf(network, data, config.gamma, solver=solver)
+        base = solve_msdro_opf(network, data, config.gamma)
         if base.optimal:
             samples = oos_matrix(network, cell, config.oos_samples, config.seed)
             rate = empirical_violation(base.decision, samples, network,
                                        flow_maps=(base.built.b_g, base.built.b_w))
             oos = OosResult(cell, rate, config.oos_samples)
             return (None if oos_only else
-                    _cell_result(network, cell, data, base, config, solver), oos)
+                    _cell_result(network, cell, data, base, config), oos)
         result = CellResult(cell, base.status)
     except Exception as exc:  # recorded, sweep continues
         result = CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
@@ -234,12 +234,11 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
 
 
 def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
-                 config: SweepConfig, solver: str | None) -> CellResult:
+                 config: SweepConfig) -> CellResult:
     """Tightening re-run and valuation of an optimal base solve."""
     tightened = base
     if config.tighten:
-        tightened = cvar_tightening_rerun(network, data, config.gamma, base,
-                                          solver=solver)
+        tightened = cvar_tightening_rerun(network, data, config.gamma, base)
     c_act = np.array([g.c_A for g in network.generators])
     return CellResult(
         cell, "optimal",
@@ -258,8 +257,7 @@ def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
     )
 
 
-def run_sweep(network: Network, config: SweepConfig, jobs: int = 1,
-              solver: str | None = None) -> SweepResult:
+def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Solve every grid cell on one shared training dataset."""
     dim = len(network.resources)
     xs = training_matrix(network, config.n_samples,
@@ -271,11 +269,11 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1,
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_solve_cell, network, xs, c, config, solver,
-                                   oos_only) for c, oos_only in tasks]
+            futures = [pool.submit(_solve_cell, network, xs, c, config, oos_only)
+                       for c, oos_only in tasks]
             results = [f.result() for f in futures]
     else:
-        results = [_solve_cell(network, xs, c, config, solver, oos_only)
+        results = [_solve_cell(network, xs, c, config, oos_only)
                    for c, oos_only in tasks]
 
     cells = [cell for cell, _ in results if cell is not None]
@@ -283,12 +281,6 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1,
     cells.sort(key=lambda c: c.epsilons)
     oos.sort(key=lambda r: r.epsilons)
     return SweepResult(config, cells, oos)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 def write_sweep_csvs(result: SweepResult, outdir) -> list:
@@ -305,7 +297,7 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"eps{j + 1}" for j in range(dim)] + header)
-            writer.writerows([_fmt(v) for v in eps + tuple(values)]
+            writer.writerows([fmt(v, nan="") for v in eps + tuple(values)]
                              for eps, values in rows)
         written.append(path)
 

@@ -1,11 +1,10 @@
-"""Solver-neutral linear program built from constraint families.
+"""Linear program built from constraint families, solved by HiGHS.
 
 Variables are array blocks and constraints are *families* (named arrays
-of rows sharing one sense). The matrix is assembled once and handed to a
-backend adapter, which returns primal values and one dual per row; duals
-are read back per family, in the family's shape. Row names (``name[i,j]``)
-are made only when asked for. The backend is selected through the
-``MSDRO_SOLVER`` environment variable (default ``highs``) or per call.
+of rows sharing one sense). The matrix is assembled once and handed to
+scipy's HiGHS interface, which returns primal values and one dual per row;
+duals are read back per family, in the family's shape. Row names
+(``name[i,j]``) are made only when asked for.
 
 Dual sign convention
 --------------------
@@ -23,7 +22,6 @@ The classical nonnegative KKT multiplier of an inequality is therefore
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, product, repeat
@@ -47,11 +45,7 @@ class LpError(Exception):
 
 
 class SolverError(LpError):
-    """The backend failed to produce a usable answer."""
-
-
-class UnknownSolverError(LpError):
-    """Requested backend name is not registered."""
+    """HiGHS failed to produce a usable answer."""
 
 
 def align_left(array, ndim: int) -> np.ndarray:
@@ -181,10 +175,6 @@ class LpSolution:
     def optimal(self) -> bool:
         return self.status == "optimal"
 
-    def value(self, index):
-        """Primal value(s) for a column index or an array of indices."""
-        return self.x[index]
-
     def family_duals(self, name: str) -> np.ndarray:
         """Duals of a family in its shape (0 at absent rows)."""
         fam = self.model.families[name]
@@ -199,22 +189,6 @@ class LpSolution:
             raise ValueError(f"family {name!r} is an equality; use family_duals()")
         duals = self.family_duals(name)
         return -duals if sense == LE else duals
-
-    def dual(self, name: str) -> float:
-        """Dual of a named constraint, in the d(objective)/d(rhs) convention."""
-        try:
-            return float(self.duals[self.model.constraint_index[name]])
-        except KeyError:
-            raise KeyError(f"no constraint named {name!r}") from None
-
-    def multiplier(self, name: str) -> float:
-        """Nonnegative KKT multiplier of a named inequality constraint."""
-        row = self.model.constraint_index[name]
-        sense = self.model._assembled()[1][row]
-        if sense == EQ:
-            raise ValueError(f"constraint {name!r} is an equality; use dual()")
-        d = float(self.duals[row])
-        return -d if sense == LE else d
 
     def dual_objective(self) -> float:
         """Objective value recomputed from duals and reduced costs.
@@ -244,7 +218,6 @@ class Model:
         self.ub = np.zeros(0)
         self.obj = np.zeros(0)
         self._num_rows = 0
-        self._blocks: list = []  # (name, shape or None for a scalar)
         self._cache: dict = {}
 
     @property
@@ -255,30 +228,24 @@ class Model:
     def num_constraints(self) -> int:
         return self._num_rows
 
-    def add_vars(self, name: str, shape, lb=0.0, ub=INFINITY,
-                 obj=0.0) -> np.ndarray:
-        """Add an array of variables named ``name[i,j,...]``; returns indices.
+    def add_vars(self, shape, lb=0.0, ub=INFINITY, obj=0.0) -> np.ndarray:
+        """Add an array of variables; returns their column indices.
 
         ``lb``, ``ub`` and ``obj`` are scalars or arrays broadcast to ``shape``.
         """
         shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        return self._add_block(name, shape, lb, ub, obj)
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INFINITY,
-                obj: float = 0.0) -> int:
-        """Add one variable and return its column index."""
-        return int(self._add_block(name, None, lb, ub, obj))
-
-    def _add_block(self, name, shape, lb, ub, obj):
         start = self.num_vars
-        self._blocks.append((name, shape))
         self.lb, self.ub, self.obj = (
             np.concatenate([old, np.broadcast_to(np.asarray(new, dtype=float),
-                                                 shape or ()).ravel()])
+                                                 shape).ravel()])
             for old, new in ((self.lb, lb), (self.ub, ub), (self.obj, obj)))
         self._cache.clear()
-        idx = np.arange(start, self.num_vars)
-        return idx[0] if shape is None else idx.reshape(shape)
+        return np.arange(start, self.num_vars).reshape(shape)
+
+    def add_var(self, lb: float = 0.0, ub: float = INFINITY,
+                obj: float = 0.0) -> int:
+        """Add one variable and return its column index."""
+        return int(self.add_vars((), lb, ub, obj))
 
     def fix_var(self, index, value: float) -> None:
         """Pin one variable, or an array of them, to ``value``."""
@@ -306,18 +273,6 @@ class Model:
         self._num_rows += int(np.count_nonzero(present))
         self._cache.clear()
         return families[0] if len(families) == 1 else families
-
-    def add_constr(self, name: str, terms, sense: str, rhs: float) -> int:
-        """Add one row ``sum(coef * var) sense rhs`` and return its index.
-
-        ``terms`` is an iterable of (column index, coefficient) pairs;
-        repeated columns are accumulated.
-        """
-        terms = list(terms)
-        cols = np.array([int(c) for c, _ in terms], dtype=np.int64)
-        vals = np.array([float(v) for _, v in terms], dtype=float)
-        fam = self.add(family(name, (), [(cols, vals)], sense, rhs))
-        return int(fam.index[0])
 
     def _assembled(self):
         """(CSR matrix, sense per row, rhs per row), built once per model."""
@@ -352,16 +307,6 @@ class Model:
         return names
 
     @property
-    def constraint_index(self) -> dict:
-        """Row number by row name, built on first use."""
-        if "index" not in self._cache:
-            index = {n: i for i, n in enumerate(self.row_names())}
-            if len(index) != self._num_rows:
-                raise ValueError("two rows share a name")
-            self._cache["index"] = index
-        return self._cache["index"]
-
-    @property
     def constraints(self) -> "_Rows":
         """Every row as a ``Row`` view (name, cols, vals, sense, rhs).
 
@@ -378,11 +323,6 @@ class Model:
                                         spans, sense.tolist(), rhs.tolist())
         return self._cache["rows"]
 
-    @property
-    def var_names(self) -> list:
-        return [label for name, shape in self._blocks
-                for label in _labels(name, shape)]
-
     def summary(self) -> str:
         """Rows, columns and nonzeros, and the row count of every family."""
         listing = ", ".join(f"{name}({k})" for name, fam in self.families.items()
@@ -391,34 +331,9 @@ class Model:
                 f"columns, {self._matrix().nnz} nonzeros; rows in families "
                 f"{listing}")
 
-    def lp_text(self) -> str:
-        """Plain-text listing of the model for debugging."""
-        vnames = self.var_names
-        lines = [f"\\ model {self.name}", "minimize"]
-        obj_terms = [f"{c:+g} {vnames[i]}" for i, c in enumerate(self.obj)
-                     if c != 0.0]
-        lines.append("  " + (" ".join(obj_terms) if obj_terms else "0"))
-        lines.append("subject to")
-        for c in self.constraints:
-            terms = " ".join(f"{v:+g} {vnames[i]}" for i, v in zip(c.cols, c.vals))
-            lines.append(f"  {c.name}: {terms or '0'} {c.sense} {c.rhs:g}")
-        lines.append("bounds")
-        for lo, vname, hi in zip(self.lb, vnames, self.ub):
-            lines.append(f"  {lo:g} <= {vname} <= {hi:g}")
-        return "\n".join(lines) + "\n"
-
-    def solve(self, solver: str | None = None) -> LpSolution:
-        """Solve with the named backend (default from MSDRO_SOLVER or highs)."""
-        if solver is None:
-            solver = os.environ.get("MSDRO_SOLVER", "highs")
-        try:
-            backend = _SOLVERS[solver]
-        except KeyError:
-            known = ", ".join(sorted(_SOLVERS))
-            raise UnknownSolverError(
-                f"unknown LP backend {solver!r} (available: {known})"
-            ) from None
-        return backend(self)
+    def solve(self) -> LpSolution:
+        """Solve with HiGHS through scipy."""
+        return _solve_scipy_highs(self)
 
 
 def _solve_scipy_highs(model: Model) -> LpSolution:
@@ -461,14 +376,3 @@ def _solve_scipy_highs(model: Model) -> LpSolution:
     return LpSolution(status=status, objective=objective, x=x, duals=duals,
                       model=model)
 
-
-_SOLVERS = {"highs": _solve_scipy_highs}
-
-
-def register_solver(name: str, adapter) -> None:
-    """Register a backend adapter: a callable Model -> LpSolution."""
-    _SOLVERS[name] = adapter
-
-
-def available_solvers() -> list[str]:
-    return sorted(_SOLVERS)

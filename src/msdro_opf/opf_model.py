@@ -224,22 +224,22 @@ def _build(network: Network, data: MultiDataset, gamma,
     k_aug = len(cc_rows)  # index of the augmented all-zero row
 
     m = Model("msdro-opf")
-    p = m.add_vars("p", n_g, obj=np.array([g.c_E for g in gens]))
+    p = m.add_vars(n_g, obj=np.array([g.c_E for g in gens]))
     # The activation cost's sample term, -mean_i (c_A . alpha_j) xi_ji.
-    alpha = m.add_vars("alpha", (n_g, d),
-                       obj=-c_a[:, None] * xi_hat.mean(axis=1)[None, :] if n else 0.0)
+    alpha = m.add_vars((n_g, d), obj=(-c_a[:, None] * xi_hat.mean(axis=1)[None, :]
+                                      if n else 0.0))
     c_r = np.array([g.c_R for g in gens])
-    rp = m.add_vars("rp", n_g, obj=c_r)
-    rm = m.add_vars("rm", n_g, obj=c_r)
-    framp = m.add_vars("framp", n_l)
-    framm = m.add_vars("framm", n_l)
-    lam_co = m.add_vars("lam_co", d, obj=eps)
+    rp = m.add_vars(n_g, obj=c_r)
+    rm = m.add_vars(n_g, obj=c_r)
+    framp = m.add_vars(n_l)
+    framm = m.add_vars(n_l)
+    lam_co = m.add_vars(d, obj=eps)
     has_cc = d > 0
     if has_cc:
-        tau = m.add_var("tau", lb=-INFINITY, ub=0.0)
-        nu = m.add_var("nu", lb=-INFINITY)
-        lam_cc = m.add_vars("lam_cc", d)
-        s_cc = m.add_vars("s_cc", n, lb=-INFINITY)
+        tau = m.add_var(lb=-INFINITY, ub=0.0)
+        nu = m.add_var(lb=-INFINITY)
+        lam_cc = m.add_vars(d)
+        s_cc = m.add_vars(n, lb=-INFINITY)
     else:
         tau = nu = None
         lam_cc = s_cc = np.zeros((0,), dtype=int)
@@ -315,9 +315,9 @@ def _build(network: Network, data: MultiDataset, gamma,
                     cc_rows=cc_rows, fixed_zero_participation=skip, idx=idx)
 
 
-def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
+def solve(built: OpfModel) -> SolutionWithDuals:
     """Solve a built model and extract primal values and family duals."""
-    sol = built.model.solve(solver)
+    sol = built.model.solve()
     if not sol.optimal:
         return SolutionWithDuals(
             status=sol.status, objective=float("nan"), decision=None,
@@ -372,12 +372,10 @@ def solve(built: OpfModel, solver: str | None = None) -> SolutionWithDuals:
 
 
 def solve_msdro_opf(network: Network, data: MultiDataset, gamma,
-                    solver: str | None = None,
                     fixed_zero_participation=frozenset()) -> SolutionWithDuals:
     """Build and solve in one step."""
-    built = build_msdro_opf(network, data, gamma,
-                            fixed_zero_participation=fixed_zero_participation)
-    return solve(built, solver=solver)
+    return solve(build_msdro_opf(network, data, gamma,
+                                 fixed_zero_participation))
 
 
 def idle_balancers(sol: SolutionWithDuals,
@@ -392,8 +390,7 @@ def idle_balancers(sol: SolutionWithDuals,
 
 
 def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
-                          first: SolutionWithDuals,
-                          solver: str | None = None) -> SolutionWithDuals:
+                          first: SolutionWithDuals) -> SolutionWithDuals:
     """Re-solve with non-participating generators pinned out of the CVaR.
 
     Generators with an all-zero participation row never activate, so their
@@ -411,4 +408,4 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
         return first
     # The network data of the first build (support, flow maps) carries over.
     reuse = first.built if network is first.built.network else None
-    return solve(_build(network, data, gamma, target, reuse), solver=solver)
+    return solve(_build(network, data, gamma, target, reuse))

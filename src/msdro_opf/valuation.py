@@ -16,11 +16,13 @@ sensitivities), inequality duals as nonnegative multipliers.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dro_core import DEGENERACY_BAND, BoxSupport, MultiDataset
+from .dro_core import (DEGENERACY_BAND, BoxSupport, MultiDataset,
+                       mean_transport_room)
 from .errors import ExtractionError, InputError
 from .network import Network
 from .opf_model import SolutionWithDuals, solve_msdro_opf
@@ -97,11 +99,9 @@ def classify_regime(lambda_co: float, lambda_cc: float,
 
 
 def offline_thresholds(data: MultiDataset, support: BoxSupport) -> np.ndarray:
-    """Average distance of each feature's samples to its worst corner."""
-    if support.dimension != data.dimension:
-        raise InputError("support and dataset dimensions differ")
-    return np.array([float(np.mean(data.samples[j] - support.lower[j]))
-                     for j in range(data.dimension)])
+    """Average distance of each feature's samples to its worst corner, the
+    lower end (activation slopes -sum_g c_A_g alpha_gj are not positive)."""
+    return mean_transport_room(data, support)[:, 1]
 
 
 def prop3_offline_check(data: MultiDataset, support: BoxSupport,
@@ -198,8 +198,7 @@ def _active_set_signature(sol: SolutionWithDuals, tol: float = REGIME_TOL):
 
 
 def envelope_check(network: Network, data: MultiDataset, gamma: float,
-                   j: int, delta: float | None = None,
-                   solver: str | None = None) -> EnvelopeCheck:
+                   j: int, delta: float | None = None) -> EnvelopeCheck:
     """Compare the analytic sensitivity in eps_j against a finite difference.
 
     Central difference where eps_j - delta stays nonnegative, forward
@@ -215,7 +214,7 @@ def envelope_check(network: Network, data: MultiDataset, gamma: float,
     if delta <= 0:
         raise InputError("delta must be > 0")
 
-    base = solve_msdro_opf(network, data, gamma, solver=solver)
+    base = solve_msdro_opf(network, data, gamma)
     _require_duals(base)
     analytic = float(base.lambda_co[j]
                      + base.duals.phi * (base.lambda_cc[j]
@@ -227,7 +226,7 @@ def envelope_check(network: Network, data: MultiDataset, gamma: float,
         shifted = eps.copy()
         shifted[j] = value
         moved = MultiDataset(data.samples, shifted)
-        out = solve_msdro_opf(network, moved, gamma, solver=solver)
+        out = solve_msdro_opf(network, moved, gamma)
         _require_duals(out)
         return out
 
@@ -250,9 +249,12 @@ FORECAST_VALUE_COLUMNS = ["feature", "lmp_term", "balancing_term",
                           "reserve_term", "pi_F", "pi_D", "remuneration"]
 
 
-def fmt(x: float) -> str:
-    """A number with ten significant digits, as the CSVs and the CLI print it."""
-    return f"{x:.10g}"
+def fmt(x, nan: str = "nan") -> str:
+    """A float with ten significant digits (``nan`` for NaN), anything else
+    with ``str``: how the CSVs and the CLI print values."""
+    if not isinstance(x, float):
+        return str(x)
+    return nan if math.isnan(x) else f"{x:.10g}"
 
 
 def data_value_rows(report: DataValueReport) -> list:

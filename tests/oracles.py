@@ -13,6 +13,32 @@ import numpy as np
 from scipy.optimize import linprog
 
 
+def add_row(model, name, terms, sense, rhs):
+    """Add the single row ``sum(coef * x[col]) sense rhs`` named ``name``;
+    ``terms`` lists (column, coefficient) pairs. Returns its row number."""
+    from msdro_opf.lp import family
+
+    cols = np.array([int(c) for c, _ in terms], dtype=np.int64)
+    vals = np.array([float(v) for _, v in terms])
+    return int(model.add(family(name, (), [(cols, vals)], sense, rhs)).index[0])
+
+
+def row_dual(sol, name):
+    """Dual of the row named ``name`` (as ``duals.csv`` names it)."""
+    return float(sol.duals[sol.model.row_names().index(name)])
+
+
+def row_multiplier(sol, name):
+    """Nonnegative KKT multiplier of the inequality row named ``name``."""
+    from msdro_opf.lp import EQ, LE
+
+    row = sol.model.row_names().index(name)
+    sense = next(f.sense for f in sol.model.families.values() if row in f.index)
+    if sense == EQ:
+        raise ValueError(f"row {name!r} is an equality")
+    return -float(sol.duals[row]) if sense == LE else float(sol.duals[row])
+
+
 def transport_wp(a, b, p=1):
     """W_p^p between two equal-weight empirical samples, as a transport LP.
 
@@ -456,20 +482,20 @@ def three_cut_opf(network, data, gamma, fixed_zero_participation=()):
     k_aug = len(cc_rows)
 
     m = Model("three-cut-opf")
-    p = m.add_vars("p", n_g, obj=np.array([g.c_E for g in gens]))
-    alpha = m.add_vars("alpha", (n_g, d))
+    p = m.add_vars(n_g, obj=np.array([g.c_E for g in gens]))
+    alpha = m.add_vars((n_g, d))
     c_r = np.array([g.c_R for g in gens])
-    rp = m.add_vars("rp", n_g, obj=c_r)
-    rm = m.add_vars("rm", n_g, obj=c_r)
-    framp = m.add_vars("framp", n_l)
-    framm = m.add_vars("framm", n_l)
-    lam_co = m.add_vars("lam_co", d, obj=eps)
-    s_co = m.add_vars("s_co", (d, n), lb=-INFINITY, obj=1.0 / n)
-    tau = m.add_var("tau", lb=-INFINITY, ub=0.0)
-    nu = m.add_var("nu", lb=-INFINITY)
-    lam_cc = m.add_vars("lam_cc", d)
-    s_cc = m.add_vars("s_cc", n, lb=-INFINITY)
-    s_aux = m.add_vars("s_aux", (d, n, k_aug + 1), lb=-INFINITY)
+    rp = m.add_vars(n_g, obj=c_r)
+    rm = m.add_vars(n_g, obj=c_r)
+    framp = m.add_vars(n_l)
+    framm = m.add_vars(n_l)
+    lam_co = m.add_vars(d, obj=eps)
+    s_co = m.add_vars((d, n), lb=-INFINITY, obj=1.0 / n)
+    tau = m.add_var(lb=-INFINITY, ub=0.0)
+    nu = m.add_var(lb=-INFINITY)
+    lam_cc = m.add_vars(d)
+    s_cc = m.add_vars(n, lb=-INFINITY)
+    s_aux = m.add_vars((d, n, k_aug + 1), lb=-INFINITY)
     for cols in (alpha[skip], rp[skip], rm[skip], lam_co[eps == 0.0],
                  lam_cc[eps == 0.0]):
         m.fix_var(cols, 0.0)
@@ -552,10 +578,10 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
     n_t, d = points.shape
     m = Model("per-piece-anchored")
     if pooled is None:
-        lam = m.add_vars("lam", d, obj=np.asarray(epsilons, dtype=float))
+        lam = m.add_vars(d, obj=np.asarray(epsilons, dtype=float))
     else:
-        lam = np.full(d, m.add_var("lam", obj=float(pooled)))
-    s = m.add_vars("s", n_t, lb=-INFINITY, obj=1.0 / n_t)
+        lam = np.full(d, m.add_var(obj=float(pooled)))
+    s = m.add_vars(n_t, lb=-INFINITY, obj=1.0 / n_t)
     p, q = wasserstein_block(m, "cut", (d, cost.num_pieces), lam,
                              const=cost.a.T)
     up, lo = transport_room(points, support.lower, support.upper)
@@ -567,6 +593,94 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
     assert sol.optimal, sol.status
     return SimpleNamespace(value=float(sol.objective), lam=sol.x[lam],
                            s=sol.x[s])
+
+
+def separable_lp(cost, data, support):
+    """The separable route as the LP it once solved: lam_j with objective
+    eps_j and one ``wasserstein_block`` column pair per feature, weighted by
+    the mean distances to the support ends. Returns the value, lam and the
+    per-feature epigraph values s. Test-only reference."""
+    from types import SimpleNamespace
+
+    from msdro_opf.dro_core import (sample_worst_case, transport_room,
+                                    wasserstein_block)
+    from msdro_opf.lp import Model
+
+    ends = list(zip(data.samples, support.lower, support.upper))
+    mean_room = np.array([[np.mean(r) for r in transport_room(*e)] for e in ends])
+    m = Model("separable-lp")
+    lam = m.add_vars(data.dimension, obj=data.epsilons)
+    p, q = wasserstein_block(m, "cut", data.dimension, lam, const=cost.c,
+                             obj=tuple(mean_room.T))
+    sol = m.solve()
+    assert sol.optimal, sol.status
+    x = sol.x
+    s = [sample_worst_case(c, pj, qj, *e)
+         for c, pj, qj, e in zip(cost.c, x[p], x[q], ends)]
+    value = sol.objective + sum(np.mean(c * xs)
+                                for c, xs in zip(cost.c, data.samples))
+    return SimpleNamespace(value=float(value), lam=x[lam], s=s)
+
+
+def ring_network(seed, buses, chords, generators, resources, kappa=0.6):
+    """A seeded ring of ``buses`` plus up to ``chords`` random cross lines.
+
+    Modelled on the benchmark's synthetic ring: line limits come from a
+    reference point (half-capacity dispatch, participation proportional to
+    capacity, reserves for the whole support), so every instance is
+    feasible at every budget and risk level. The chords are drawn from the
+    free bus pairs, so there are at most buses*(buses-1)/2 - buses of them.
+    """
+    from msdro_opf.network import Generator, Line, Network, Resource
+
+    rng = np.random.default_rng([seed, 0x5EED])
+    ids = list(range(1, buses + 1))
+    pairs = [(i, i % buses + 1) for i in ids]
+    ring = set(map(frozenset, pairs))
+    free = [pr for pr in itertools.combinations(ids, 2)
+            if frozenset(pr) not in ring]
+    pick = rng.choice(len(free), size=min(chords, len(free)), replace=False)
+    pairs += [free[k] for k in pick]
+    reactance = rng.uniform(0.01, 0.04, len(pairs))
+
+    res_bus = rng.choice(ids, size=resources, replace=False).tolist()
+    u = rng.uniform(0.5, 1.5, resources)
+    load_bus = rng.choice(ids, size=max(1, buses // 2), replace=False).tolist()
+    load = rng.uniform(0.5, 2.0, len(load_bus))
+    load *= max(1.0, 2.5 * u.sum() / load.sum())
+    net_load = load.sum() - u.sum()
+    gen_bus = rng.choice(ids, size=generators).tolist()
+    share = rng.uniform(0.5, 1.5, generators)
+    p_max = 2.0 * net_load * share / share.sum()
+    c_r = rng.uniform(100.0, 800.0, generators)
+    c_e = rng.uniform(1000.0, 4000.0, generators)
+
+    def injection(at, amounts):
+        out = np.zeros(buses)
+        np.add.at(out, np.asarray(at) - 1, amounts)
+        return out
+
+    def network(f_max):
+        return Network(
+            buses=ids,
+            lines=[Line(f, t, float(x), float(fm))
+                   for (f, t), x, fm in zip(pairs, reactance, f_max)],
+            generators=[Generator(b, 0.0, float(p_max[g]), float(c_e[g]),
+                                  float(c_r[g]), float(10.0 * c_r[g]))
+                        for g, b in enumerate(gen_bus)],
+            loads={b: float(d) for b, d in zip(load_bus, load)},
+            resources=[Resource(b, float(u[j]), 0.0, float(2.0 * u[j]), kappa)
+                       for j, b in enumerate(res_bus)],
+            slack_bus=gen_bus[int(np.argmax(p_max))])
+
+    shape = network(np.ones(len(pairs)))
+    alpha0 = p_max / p_max.sum()
+    flow = dc_flows_by_angles(shape, injection(gen_bus, 0.5 * p_max)
+                              + injection(res_bus, u) - injection(load_bus, load))
+    balancing = injection(gen_bus, alpha0)
+    swing = sum(kappa * u[j] * np.abs(dc_flows_by_angles(
+        shape, injection([b], 1.0) - balancing)) for j, b in enumerate(res_bus))
+    return network(1.02 * (np.abs(flow) + swing) + 0.05)
 
 
 def read_samples_by_row(path):

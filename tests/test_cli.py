@@ -182,13 +182,6 @@ def test_solve_rejects_non_finite_network_numbers(tmp_path, capsys):
         assert "not a finite number" in capsys.readouterr().err
 
 
-def test_solve_unknown_backend(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MSDRO_SOLVER", "bogus")
-    code = run("solve", "--eps", "0.1", "0.1", "--out", tmp_path / "run")
-    assert code == EXIT_SOLVER
-    assert "solver error:" in capsys.readouterr().err
-
-
 def test_solve_reports_solver_failure_with_model_context(tmp_path, monkeypatch,
                                                         capsys):
     """HiGHS status 4 ends in exit 4 with the model's sizes on stderr."""

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
-                                SeparableAffineCost, robust_value,
-                                sample_average, separable_thresholds,
+                                SeparableAffineCost, mean_transport_room,
+                                robust_value, sample_average,
+                                separable_thresholds,
                                 sup_affine_minus_l1, transport_room,
                                 wasserstein_block, wc_expectation_general,
                                 wc_expectation_separable,
@@ -25,7 +26,7 @@ from msdro_opf.errors import InputError, ModeError, SizeError
 from msdro_opf.lp import Model
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
-                     per_piece_anchored_lp)
+                     per_piece_anchored_lp, separable_lp)
 
 BOX11 = BoxSupport([-1.0], [1.0])
 
@@ -83,7 +84,7 @@ def test_sup_matches_grid_search():
         assert sup_affine_minus_l1(a, lam, xhat, box) == pytest.approx(
             ref, abs=1e-12)
         model = Model()
-        lam_cols = model.add_vars("lam", d, lb=lam, ub=lam)
+        lam_cols = model.add_vars(d, lb=lam, ub=lam)
         wasserstein_block(model, "w", d, lam_cols, const=a,
                           obj=transport_room(xhat, lo, up))
         assert model.solve().objective + a @ xhat == pytest.approx(
@@ -147,6 +148,40 @@ def test_separable_flags_degenerate_budget():
     assert res.thresholds[0] == pytest.approx(1.0)
     assert res.degenerate[0]
     assert res.value == pytest.approx(1.0)
+
+
+def test_separable_closed_form_matches_lp():
+    """The closed form against the LP it replaced, on random instances with
+    zero slopes, zero budgets and samples on the support ends."""
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        d = int(rng.integers(1, 5))
+        lo = -rng.uniform(0.1, 2.0, d)
+        up = rng.uniform(0.1, 2.0, d)
+        xs = []
+        for j in range(d):
+            x = rng.uniform(lo[j], up[j], int(rng.integers(1, 8)))
+            end = rng.integers(0, 4, len(x))
+            xs.append(np.where(end == 1, lo[j], np.where(end == 2, up[j], x)))
+        cost = SeparableAffineCost(np.where(rng.random(d) < 0.2, 0.0,
+                                            rng.normal(size=d)))
+        eps = np.where(rng.random(d) < 0.25, 0.0, rng.uniform(0.0, 2.0, d))
+        data, box = MultiDataset(xs, eps), BoxSupport(lo, up)
+        got = wc_expectation_separable(cost, data, box)
+        ref = separable_lp(cost, data, box)
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+        off = ~got.degenerate
+        np.testing.assert_array_equal(got.lam[off], ref.lam[off])
+        for j in np.flatnonzero(off):
+            np.testing.assert_allclose(got.s[j], ref.s[j], rtol=1e-9, atol=1e-9)
+
+
+def test_mean_transport_room_checks_dimensions():
+    data = MultiDataset([np.array([-0.5, 0.5]), np.array([0.25])], [0.1, 0.1])
+    room = mean_transport_room(data, BoxSupport([-1.0, -1.0], [1.0, 2.0]))
+    np.testing.assert_allclose(room, [[1.0, 1.0], [1.75, 1.25]])
+    with pytest.raises(InputError):
+        mean_transport_room(data, BOX11)
 
 
 def test_separable_lambda_dichotomy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from msdro_opf import MultiDataset, bundled_network, solve_msdro_opf
+from msdro_opf import lp
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   derive_seed, empirical_violation,
@@ -15,7 +15,7 @@ from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   generate_training_samples, oos_matrix,
                                   run_sweep, s_pert, training_matrix,
                                   violation_rate, write_sweep_csvs)
-from msdro_opf.lp import SolverError, _solve_scipy_highs, register_solver
+from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_support)
 
@@ -193,19 +193,20 @@ def test_run_sweep_records_per_cell_failures():
     assert oos_status[(0.0,)] == "optimal"
 
 
-def test_run_sweep_failing_cell_fails_alone(case5):
+def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     """A solver error in one cell's re-run is recorded; the sweep goes on."""
     calls = []
+    highs = lp._solve_scipy_highs
 
     def flaky(model):
         calls.append(model.num_constraints)
         if len(calls) == 2:  # the first cell's tightening re-run
             raise SolverError("highs failed: injected")
-        return _solve_scipy_highs(model)
+        return highs(model)
 
-    register_solver("flaky-for-tests", flaky)
+    monkeypatch.setattr(lp, "_solve_scipy_highs", flaky)
     cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=50)
-    res = run_sweep(case5, cfg, solver="flaky-for-tests")
+    res = run_sweep(case5, cfg)
     assert calls[1] < calls[0]  # the re-run drops the idle balancers' rows
     status = {c.epsilons: c.status for c in res.cells}
     assert status.pop((1.0, 1.0)) == "error"

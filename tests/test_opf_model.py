@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from msdro_opf import MultiDataset, bundled_network, solve_msdro_opf
+from msdro_opf import MultiDataset, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
 from msdro_opf.errors import ExtractionError, InputError, ModeError
 from msdro_opf.evaluation import empirical_violation
@@ -17,8 +17,8 @@ from msdro_opf.opf_model import (RiskLevel, cvar_tightening_rerun,
 from msdro_opf.valuation import (forecast_value_decomposition,
                                  marginal_data_value)
 
-from oracles import (robust_corner_objective, saa_cvar_objective,
-                     three_cut_opf)
+from oracles import (ring_network, robust_corner_objective, row_dual,
+                     row_multiplier, saa_cvar_objective, three_cut_opf)
 
 DIAGONAL = [(0.001, 0.001), (0.005, 0.005), (0.01, 0.01), (0.1, 0.1),
             (1.0, 1.0)]
@@ -211,7 +211,7 @@ def test_risk_level_bounds():
 
 
 def test_family_duals_match_named_lookups(case5):
-    """The array read-out equals the row-by-row multiplier() lookups.
+    """The array read-out equals the row-by-row lookups by row name.
 
     The compact block has one co_up/co_lo row per feature and one
     cc_up/cc_lo row per (feature, CVaR row); a feature with eps = 0 has
@@ -224,34 +224,41 @@ def test_family_duals_match_named_lookups(case5):
     sol = solve_msdro_opf(case5, data, 0.05)
     lps, duals = sol.lp_solution, sol.duals
     d, n, k = 2, 3, sol.built.num_cc_rows + 1
-    index = sol.built.model.constraint_index
+    names = set(sol.built.model.row_names())
+
+    def dual(name):
+        return row_dual(lps, name)
+
+    def mult(name):
+        return row_multiplier(lps, name)
+
     mu = {c: np.zeros(d) for c in ("up", "lo")}
     rho = {c: np.zeros((d, k)) for c in ("up", "lo")}
     for c, j in itertools.product(("up", "lo"), range(d)):
         if eps[j] > 0.0:
-            mu[c][j] = lps.multiplier(f"co_{c}[{j}]")
-            rho[c][j] = [lps.multiplier(f"cc_{c}[{j},{kk}]") for kk in range(k)]
+            mu[c][j] = mult(f"co_{c}[{j}]")
+            rho[c][j] = [mult(f"cc_{c}[{j},{kk}]") for kk in range(k)]
         else:
-            assert f"co_{c}[{j}]" not in index
-            assert not any(f"cc_{c}[{j},{kk}]" in index for kk in range(k))
-    eta = np.array([[lps.multiplier(f"cc_main[{i},{kk}]") for kk in range(k)]
+            assert f"co_{c}[{j}]" not in names
+            assert not any(f"cc_{c}[{j},{kk}]" in names for kk in range(k))
+    eta = np.array([[mult(f"cc_main[{i},{kk}]") for kk in range(k)]
                     for i in range(n)])
     for c in ("up", "lo"):
         np.testing.assert_array_equal(getattr(duals, f"mu_{c}"), mu[c])
         np.testing.assert_array_equal(getattr(duals, f"rho_{c}"), rho[c])
     np.testing.assert_array_equal(duals.eta, eta)
-    assert duals.pi == lps.dual("bal")
-    assert duals.phi == lps.multiplier("cvar_budget")
-    np.testing.assert_array_equal(duals.chi, [lps.dual(f"chi[{j}]") for j in range(d)])
+    assert duals.pi == dual("bal")
+    assert duals.phi == mult("cvar_budget")
+    np.testing.assert_array_equal(duals.chi, [dual(f"chi[{j}]") for j in range(d)])
     g_range, l_range = range(case5.num_generators), range(case5.num_lines)
     np.testing.assert_array_equal(duals.sigma_up,
-                                  [lps.multiplier(f"gmax[{g}]") for g in g_range])
+                                  [mult(f"gmax[{g}]") for g in g_range])
     np.testing.assert_array_equal(duals.sigma_lo,
-                                  [lps.multiplier(f"gmin[{g}]") for g in g_range])
+                                  [mult(f"gmin[{g}]") for g in g_range])
     np.testing.assert_array_equal(duals.beta_up,
-                                  [lps.dual(f"lineup[{l}]") for l in l_range])
+                                  [dual(f"lineup[{l}]") for l in l_range])
     np.testing.assert_array_equal(duals.beta_lo,
-                                  [lps.dual(f"linelo[{l}]") for l in l_range])
+                                  [dual(f"linelo[{l}]") for l in l_range])
 
 
 GRID5 = (1.0, 0.1, 0.005, 0.001, 0.0)
@@ -293,3 +300,28 @@ def test_compact_block_matches_three_cut_lp_at_100_samples(case5):
     xs = training_matrix(case5, 100, derive_seed(1, "train"))
     data = MultiDataset.from_matrix(xs, np.array([0.1, 0.005]))
     assert_matches_three_cut(solve_msdro_opf(case5, data, 0.05), case5, data)
+
+
+def test_random_networks_match_three_cut_lp():
+    """Seeded ring-plus-chords networks beyond case5: 1-3 features, 2-4
+    generators, N' = 3-11, some zero budgets and three risk levels."""
+    assert ring_network(0, 4, 3, 2, 1).num_lines == 6  # chords capped at 2
+    rng = np.random.default_rng(71)
+    for k in range(30):
+        net = ring_network(k, int(rng.integers(4, 10)), int(rng.integers(0, 4)),
+                           int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        box = build_joint_support(net)
+        d, n = net.num_resources, int(rng.integers(3, 12))
+        xs = np.clip(rng.normal(0.0, 0.15 * net.forecast_vector()[:, None],
+                                (d, n)),
+                     box.lower[:, None], box.upper[:, None])
+        data = MultiDataset.from_matrix(
+            xs, rng.choice([0.0, 0.001, 0.01, 0.1, 1.0], size=d))
+        gamma = float(rng.choice([0.01, 0.05, 0.2]))
+        base = solve_msdro_opf(net, data, gamma)
+        assert base.optimal, base.status
+        ref = three_cut_opf(net, data, gamma)
+        assert base.objective == pytest.approx(ref.objective, rel=1e-9)
+        assert base.duality_gap() <= 1e-9
+        rerun = cvar_tightening_rerun(net, data, gamma, base)
+        assert rerun.objective <= base.objective + 1e-9 * abs(base.objective)

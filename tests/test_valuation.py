@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msdro_opf import MultiDataset, bundled_network, solve_msdro_opf
+from msdro_opf import MultiDataset, solve_msdro_opf
 from msdro_opf.errors import ExtractionError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
