@@ -16,7 +16,6 @@ resolved parameters and derived seeds next to its outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -29,14 +28,14 @@ from .data_quality import (NoiseModel, additive_noise_bound,
 from .dro_core import MultiDataset
 from .errors import (ExtractionError, InputError, ModeError, SizeError,
                      TopologyError, UnsupportedError)
-from .evaluation import (DEFAULT_GRID, SweepConfig, derive_seed,
+from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
                          empirical_violation, oos_matrix, run_sweep,
                          training_matrix, write_sweep_csvs)
 from .lp import LpError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
 from .valuation import (fmt, forecast_value_decomposition,
-                        marginal_data_value, write_data_value_csv,
+                        marginal_data_value, write_csv, write_data_value_csv,
                         write_forecast_value_csv)
 
 EXIT_OK = 0
@@ -177,22 +176,14 @@ def cmd_solve(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "solution.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = data.dimension
-        writer.writerow(["generator", "bus", "p", "r_plus", "r_minus"]
-                        + [f"alpha_{j + 1}" for j in range(dim)])
-        dec = final.decision
-        for g, gen in enumerate(network.generators):
-            writer.writerow([str(g + 1), str(gen.bus), fmt(dec.p[g]),
-                             fmt(dec.r_plus[g]), fmt(dec.r_minus[g])]
-                            + [fmt(dec.alpha[g, j]) for j in range(dim)])
-
-    with open(outdir / "duals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["constraint", "dual"])
-        writer.writerows(zip(sol.built.model.row_names(),
-                             map(fmt, sol.lp_solution.duals.tolist())))
+    dec = final.decision
+    write_csv(outdir / "solution.csv",
+              ["generator", "bus", "p", "r_plus", "r_minus"]
+              + [f"alpha_{j + 1}" for j in range(data.dimension)],
+              ([g + 1, gen.bus, dec.p[g], dec.r_plus[g], dec.r_minus[g],
+                *dec.alpha[g]] for g, gen in enumerate(network.generators)))
+    write_csv(outdir / "duals.csv", ["constraint", "dual"],
+              zip(sol.built.model.row_names(), sol.lp_solution.duals.tolist()))
 
     write_data_value_csv(outdir / "valuation.csv", report)
     write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
@@ -277,13 +268,9 @@ def cmd_oos(args) -> int:
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "oos.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = len(eps)
-            writer.writerow([f"eps{j + 1}" for j in range(dim)]
-                            + ["violation_probability", "n_samples", "status"])
-            writer.writerow([fmt(e) for e in eps]
-                            + [fmt(rate), str(args.oos_samples), "optimal"])
+        write_csv(outdir / "oos.csv",
+                  [f"eps{j + 1}" for j in range(len(eps))] + OOS_COLUMNS,
+                  [eps + [rate, args.oos_samples, "optimal"]])
         _write_manifest(outdir, {
             "command": "oos", "network": net_src, "data": data_src,
             "epsilons": eps, "gamma": args.gamma, "seed": args.seed,

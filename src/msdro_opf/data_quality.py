@@ -136,8 +136,7 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
         eps = d * per_coord
     elif noise.kind == "custom":
         z = np.atleast_2d(np.asarray(noise.samples, dtype=float))
-        eps = float(np.mean(np.sum(np.abs(z) ** p, axis=-1))) if p == 2 \
-            else float(np.mean(np.sum(np.abs(z), axis=-1)))
+        eps = float(np.mean(np.sum(np.abs(z) ** p, axis=-1)))
     else:
         raise UnsupportedError(f"unknown noise kind {noise.kind!r}")
     return QualitySignal(epsilon=float(eps), p=p,

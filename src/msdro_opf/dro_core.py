@@ -47,6 +47,9 @@ VALUE_RTOL = 1e-6
 #: Width of the band around the usefulness threshold flagged as degenerate.
 DEGENERACY_BAND = 1e-9
 
+#: How far a sample may lie outside its support box and still count as in it.
+SUPPORT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoxSupport:
@@ -77,12 +80,12 @@ class BoxSupport:
     def dimension(self) -> int:
         return len(self.lower)
 
-    def contains(self, points, tol: float = 1e-9) -> bool:
+    def contains(self, points) -> bool:
         """True when every column of ``points`` (D x n) lies in the box."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return bool(
-            np.all(pts >= self.lower[:, None] - tol)
-            and np.all(pts <= self.upper[:, None] + tol)
+            np.all(pts >= self.lower[:, None] - SUPPORT_TOL)
+            and np.all(pts <= self.upper[:, None] + SUPPORT_TOL)
         )
 
 
@@ -189,7 +192,8 @@ class MultiDataset:
         if support.dimension != self.dimension:
             raise InputError("support and dataset dimensions differ")
         for j, s in enumerate(self.samples):
-            if np.any(s < support.lower[j] - 1e-9) or np.any(s > support.upper[j] + 1e-9):
+            if (np.any(s < support.lower[j] - SUPPORT_TOL)
+                    or np.any(s > support.upper[j] + SUPPORT_TOL)):
                 raise InputError(f"feature {j} has samples outside the support")
 
 

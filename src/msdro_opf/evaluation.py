@@ -14,7 +14,6 @@ values are comparable across cells; out-of-sample draws are per cell.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -31,12 +30,15 @@ from .network import Network, build_support
 from .opf_model import (OpfDecision, cvar_tightening_rerun,
                         joint_constraint_rows, solve_msdro_opf)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
-                        DataValueReport, ForecastValueReport, fmt,
-                        forecast_value_decomposition, marginal_data_value)
+                        DataValueReport, ForecastValueReport, data_value_rows,
+                        forecast_value_decomposition, forecast_value_rows,
+                        marginal_data_value, write_csv)
 
 S_FRACTION = 0.15
 VIOLATION_TOL = 1e-9
 DEFAULT_GRID = (1.0, 0.1, 0.005, 0.001)
+#: Columns of ``oos.csv`` after the budgets, in ``msdro oos`` and the sweep.
+OOS_COLUMNS = ["violation_probability", "n_samples", "status"]
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -110,8 +112,7 @@ def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
     return np.column_stack(cols) if cols else np.zeros((n, 0))
 
 
-def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray,
-                   tol: float = VIOLATION_TOL) -> float:
+def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray) -> float:
     """Fraction of sample vectors violating any row a_k.xi + b_k <= 0."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -119,12 +120,11 @@ def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray,
     if samples.size == 0:
         return 0.0
     lhs = samples @ a.T + b
-    return float(np.mean(np.any(lhs > tol, axis=1)))
+    return float(np.mean(np.any(lhs > VIOLATION_TOL, axis=1)))
 
 
 def empirical_violation(decision: OpfDecision, samples: np.ndarray,
-                        network: Network, tol: float = VIOLATION_TOL,
-                        flow_maps: tuple | None = None) -> float:
+                        network: Network, flow_maps: tuple | None = None) -> float:
     """Empirical joint violation probability of a decision on samples.
 
     ``flow_maps`` is (B_G, B_W) of ``network``, such as the maps a built
@@ -134,7 +134,7 @@ def empirical_violation(decision: OpfDecision, samples: np.ndarray,
         from .network import compute_flow_maps
         flow_maps = compute_flow_maps(network)[:2]
     a, b = joint_constraint_rows(decision, *flow_maps)
-    return violation_rate(a, b, samples, tol)
+    return violation_rate(a, b, samples)
 
 
 @dataclass(frozen=True)
@@ -294,11 +294,8 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
     def emit(name: str, header: list, rows) -> None:
         """One CSV: the cell's budgets, then the row's values."""
         path = outdir / name
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"eps{j + 1}" for j in range(dim)] + header)
-            writer.writerows([fmt(v, nan="") for v in eps + tuple(values)]
-                             for eps, values in rows)
+        write_csv(path, [f"eps{j + 1}" for j in range(dim)] + header,
+                  (eps + tuple(values) for eps, values in rows), nan="")
         written.append(path)
 
     def per_feature(values) -> list:
@@ -324,17 +321,13 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
              c.epsilons[j] * c.data_value.lambda_co[j],
              c.forecast[j] * c.forecast_value.reserve_term[j],
              c.epsilons[j] * c.phi * c.data_value.lambda_cc[j]]))
-    emit("oos.csv", ["violation_probability", "n_samples", "status"],
+    emit("oos.csv", OOS_COLUMNS,
          [(r.epsilons, [r.violation, r.n_samples, r.status])
           for r in result.oos])
     emit("plotdata_data_value.csv", DATA_VALUE_COLUMNS,
-         per_feature(lambda c, j: [
-             c.data_value.lambda_co[j], c.data_value.lambda_cc[j],
-             c.data_value.phi, c.data_value.marginal_value[j],
-             c.data_value.threshold[j], c.data_value.regime[j]]))
+         [(c.epsilons, row) for c in solved
+          for row in data_value_rows(c.data_value)])
     emit("plotdata_forecast_value.csv", FORECAST_VALUE_COLUMNS,
-         per_feature(lambda c, j: [
-             c.forecast_value.lmp_term[j], c.forecast_value.balancing_term[j],
-             c.forecast_value.reserve_term[j], c.forecast_value.pi_f[j],
-             c.forecast_value.pi_d[j], c.forecast_value.remuneration[j]]))
+         [(c.epsilons, row) for c in solved
+          for row in forecast_value_rows(c.forecast_value)])
     return written

@@ -195,15 +195,13 @@ def build_joint_support(network: Network) -> BoxSupport:
     return BoxSupport([b.lower[0] for b in boxes], [b.upper[0] for b in boxes])
 
 
-def compute_flow_maps(network: Network,
-                      slack_bus: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Injection shift factor matrices (B_G, B_W, B_B) for the DC model.
 
     Line flow = B_G p + B_W u - B_B d for generator injections p, resource
     injections u and loads d. Raises TopologyError on a disconnected graph.
     """
-    if slack_bus is None:
-        slack_bus = network.slack_bus
+    slack_bus = network.slack_bus
     buses = network.buses
     v = network.num_buses
     n_lines = network.num_lines

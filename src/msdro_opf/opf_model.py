@@ -142,24 +142,28 @@ class SolutionWithDuals:
         return np.append(b[self.built.cc_rows], 0.0)
 
 
+def _joint_layout(b_g: np.ndarray, b_w: np.ndarray, margins) -> tuple:
+    """Joint-constraint rows [-A; A; B_W - B_G A; -(B_W - B_G A)], then the
+    CVaR's augmented zero row: a_k = const[k] + coef[k] @ A, b_k = -margin[k]
+    for ``margins`` (r+, r-, f_RAM+, f_RAM-), as values or LP columns."""
+    n_g, d = b_g.shape[1], b_w.shape[1]
+    coef = np.vstack([-np.eye(n_g), np.eye(n_g), -b_g, b_g, np.zeros((1, n_g))])
+    const = np.vstack([np.zeros((2 * n_g, d)), b_w, -b_w, np.zeros((1, d))])
+    return coef, const, np.append(np.concatenate(margins), 0)
+
+
 def joint_constraint_rows(decision: OpfDecision, b_g: np.ndarray,
                           b_w: np.ndarray) -> tuple:
-    """Rows (a_k, b_k) of the joint constraint a_k . xi + b_k <= 0.
-
-    Every row at a fixed decision, in the order [-A; A; B_W - B_G A;
-    -(B_W - B_G A)] with intercepts [-r+; -r-; -f_RAM+; -f_RAM-].
-    ``OpfModel.cc_rows`` indexes into this order.
-    """
-    m = b_w - b_g @ decision.alpha
-    a = np.vstack([-decision.alpha, decision.alpha, m, -m])
-    b = np.concatenate([-decision.r_plus, -decision.r_minus,
-                        -decision.f_ram_plus, -decision.f_ram_minus])
-    return a, b
+    """Rows (a_k, b_k) of a_k . xi + b_k <= 0 at a fixed decision, in the
+    order of ``_joint_layout`` without the augmented row."""
+    dec = decision
+    coef, const, margin = _joint_layout(
+        b_g, b_w, (dec.r_plus, dec.r_minus, dec.f_ram_plus, dec.f_ram_minus))
+    return (const + coef @ decision.alpha)[:-1], -margin[:-1]
 
 
 def _cc_row_layout(network: Network, skip_gens: frozenset) -> np.ndarray:
-    """Joint-constraint rows inside the CVaR, as indices into the order of
-    ``joint_constraint_rows``.
+    """Joint-constraint rows inside the CVaR, as indices into _joint_layout.
 
     Generators with participation fixed to zero contribute no rows (their
     reserve constraints hold trivially and are left outside the CVaR).
@@ -281,12 +285,9 @@ def _build(network: Network, data: MultiDataset, gamma,
                      [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
         # (rho) positive parts per (feature, row), the augmented one
-        # included. Row k's coefficient of xi_j is
-        # a'_kj = const[k, j] + sum_g coef[k, g] alpha_gj.
-        coef = np.vstack([-np.eye(n_g), np.eye(n_g), -b_g_map, b_g_map,
-                          np.zeros((1, n_g))])[np.append(cc_rows, -1)]
-        const = np.vstack([np.zeros((2 * n_g, d)), b_w_map, -b_w_map,
-                           np.zeros((1, d))])[np.append(cc_rows, -1)]
+        # included; row k's coefficients of xi are const[k] + coef[k] @ A.
+        coef, const, b_cols = (v[np.append(cc_rows, -1)] for v in _joint_layout(
+            b_g_map, b_w_map, (rp, rm, framp, framm)))
         p_cc, q_cc = wasserstein_block(
             m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
             cols=alpha.T[:, None, :], coefs=coef[None, :, :], where=eps > 0.0)
@@ -296,7 +297,6 @@ def _build(network: Network, data: MultiDataset, gamma,
         # the augmented row (whose b-column and tau coefficients are zero
         # and so dropped).
         physical = np.append(np.ones(k_aug), 0.0)
-        b_cols = np.append(np.concatenate([rp, rm, framp, framm])[cc_rows], 0)
         m.add(family("cc_main", (n, k_aug + 1),
                      [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
                       (tau, physical[None, :]),
@@ -378,15 +378,15 @@ def solve_msdro_opf(network: Network, data: MultiDataset, gamma,
                                  fixed_zero_participation))
 
 
-def idle_balancers(sol: SolutionWithDuals,
-                   tol: float = PARTICIPATION_TOL) -> frozenset:
+def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     """Generators whose participation row is numerically zero."""
     if not sol.optimal:
         raise ExtractionError(f"solution status is {sol.status}")
     alpha = sol.decision.alpha
     if alpha.size == 0:
         return frozenset()
-    return frozenset(np.flatnonzero(np.all(np.abs(alpha) <= tol, axis=1)).tolist())
+    idle = np.all(np.abs(alpha) <= PARTICIPATION_TOL, axis=1)
+    return frozenset(np.flatnonzero(idle).tolist())
 
 
 def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,

@@ -85,15 +85,12 @@ class EnvelopeCheck:
 def _require_duals(sol: SolutionWithDuals) -> None:
     if not sol.optimal:
         raise ExtractionError(f"solution status is {sol.status}")
-    if sol.duals is None or sol.lambda_co is None:
-        raise ExtractionError("solution carries no dual values")
 
 
-def classify_regime(lambda_co: float, lambda_cc: float,
-                    tol: float = REGIME_TOL) -> str:
-    if lambda_co <= tol and lambda_cc <= tol:
+def classify_regime(lambda_co: float, lambda_cc: float) -> str:
+    if lambda_co <= REGIME_TOL and lambda_cc <= REGIME_TOL:
         return ROBUST_IGNORED
-    if lambda_co > tol and lambda_cc > tol:
+    if lambda_co > REGIME_TOL and lambda_cc > REGIME_TOL:
         return DATA_INFORMED
     return MIXED
 
@@ -133,8 +130,7 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     built = sol.built
     phi = sol.duals.phi
     lam_co = sol.lambda_co.copy()
-    lam_cc = (sol.lambda_cc.copy() if sol.lambda_cc is not None
-              else np.zeros_like(lam_co))
+    lam_cc = sol.lambda_cc.copy()
     marginal = lam_co + phi * lam_cc
     thresholds = offline_thresholds(built.data, built.support)
     regimes = tuple(classify_regime(lam_co[j], lam_cc[j])
@@ -189,12 +185,10 @@ def forecast_value_decomposition(sol: SolutionWithDuals, network: Network,
     )
 
 
-def _active_set_signature(sol: SolutionWithDuals, tol: float = REGIME_TOL):
-    lam_co = sol.lambda_co > tol
-    lam_cc = (sol.lambda_cc > tol if sol.lambda_cc is not None
-              else np.zeros(0, dtype=bool))
-    alpha_rows = np.all(np.abs(sol.decision.alpha) <= tol, axis=1)
-    return (tuple(lam_co), tuple(lam_cc), tuple(alpha_rows))
+def _active_set_signature(sol: SolutionWithDuals):
+    alpha_rows = np.all(np.abs(sol.decision.alpha) <= REGIME_TOL, axis=1)
+    return (tuple(sol.lambda_co > REGIME_TOL),
+            tuple(sol.lambda_cc > REGIME_TOL), tuple(alpha_rows))
 
 
 def envelope_check(network: Network, data: MultiDataset, gamma: float,
@@ -216,9 +210,7 @@ def envelope_check(network: Network, data: MultiDataset, gamma: float,
 
     base = solve_msdro_opf(network, data, gamma)
     _require_duals(base)
-    analytic = float(base.lambda_co[j]
-                     + base.duals.phi * (base.lambda_cc[j]
-                                         if base.lambda_cc is not None else 0.0))
+    analytic = float(base.lambda_co[j] + base.duals.phi * base.lambda_cc[j])
     threshold = offline_thresholds(base.built.data, base.built.support)[j]
     degenerate = abs(eps[j] - threshold) < DEGENERACY_BAND
 
@@ -257,33 +249,34 @@ def fmt(x, nan: str = "nan") -> str:
     return nan if math.isnan(x) else f"{x:.10g}"
 
 
+def write_csv(path, header, rows, nan: str = "nan") -> None:
+    """Write one result table: the header, then every row's cells through
+    ``fmt``. The solve tables keep the default ``nan``; the sweep tables
+    pass ``nan=""`` so a failed cell's values are empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([fmt(v, nan) for v in row] for row in rows)
+
+
 def data_value_rows(report: DataValueReport) -> list:
-    rows = []
-    for j in range(report.dimension):
-        rows.append([str(j), fmt(report.lambda_co[j]), fmt(report.lambda_cc[j]),
-                     fmt(report.phi), fmt(report.marginal_value[j]),
-                     fmt(report.threshold[j]), report.regime[j]])
-    return rows
+    """One row per feature under ``DATA_VALUE_COLUMNS``, values unformatted."""
+    return [[str(j), report.lambda_co[j], report.lambda_cc[j], report.phi,
+             report.marginal_value[j], report.threshold[j], report.regime[j]]
+            for j in range(report.dimension)]
 
 
 def forecast_value_rows(report: ForecastValueReport) -> list:
-    rows = []
-    for j in range(report.dimension):
-        rows.append([str(j), fmt(report.lmp_term[j]), fmt(report.balancing_term[j]),
-                     fmt(report.reserve_term[j]), fmt(report.pi_f[j]),
-                     fmt(report.pi_d[j]), fmt(report.remuneration[j])])
-    return rows
+    """One row per feature under ``FORECAST_VALUE_COLUMNS``, unformatted."""
+    return [[str(j), report.lmp_term[j], report.balancing_term[j],
+             report.reserve_term[j], report.pi_f[j], report.pi_d[j],
+             report.remuneration[j]]
+            for j in range(report.dimension)]
 
 
 def write_data_value_csv(path, report: DataValueReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATA_VALUE_COLUMNS)
-        writer.writerows(data_value_rows(report))
+    write_csv(path, DATA_VALUE_COLUMNS, data_value_rows(report))
 
 
 def write_forecast_value_csv(path, report: ForecastValueReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_VALUE_COLUMNS)
-        writer.writerows(forecast_value_rows(report))
+    write_csv(path, FORECAST_VALUE_COLUMNS, forecast_value_rows(report))

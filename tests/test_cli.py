@@ -253,6 +253,15 @@ def test_oos_robust_budget_never_violates(tmp_path, capsys):
     assert manifest["oos_samples"] == 400
 
 
+def test_oos_writes_the_sweep_oos_row(tmp_path):
+    """``msdro oos`` at a grid cell writes the sweep's header and row."""
+    assert run("oos", "--eps", 0.1, 0.1, "--out", tmp_path / "o") == EXIT_OK
+    assert run("sweep", "--grid", 0.1, "--out", tmp_path / "s") == EXIT_OK
+    rows = read_rows(tmp_path / "o" / "oos.csv")
+    assert rows == read_rows(tmp_path / "s" / "oos.csv")
+    assert rows[1] == ["0.1", "0.1", "0", "1000", "optimal"]
+
+
 def test_oos_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("oos", "--eps", "1.0", "1.0", "--oos-samples", "50") == EXIT_OK

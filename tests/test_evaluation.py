@@ -193,6 +193,16 @@ def test_run_sweep_records_per_cell_failures():
     assert oos_status[(0.0,)] == "optimal"
 
 
+def test_sweep_tables_leave_failed_cell_values_empty(tmp_path):
+    """A failed cell's NaN values are empty cells in the sweep tables."""
+    cfg = SweepConfig(grid=(1.0, 0.005), oos_samples=50)
+    write_sweep_csvs(run_sweep(undersized_network(), cfg), tmp_path)
+    rows = (tmp_path / "objectives.csv").read_text().splitlines()
+    assert rows[0] == "eps1,objective,objective_tightened,phi,status"
+    assert rows[2:] == ["1,,,,infeasible"]
+    assert "1,,0,infeasible" in (tmp_path / "oos.csv").read_text().splitlines()
+
+
 def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     """A solver error in one cell's re-run is recorded; the sweep goes on."""
     calls = []

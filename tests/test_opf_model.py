@@ -14,7 +14,8 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
 from msdro_opf.opf_model import (RiskLevel, cvar_tightening_rerun,
                                  idle_balancers, joint_constraint_rows)
 
-from msdro_opf.valuation import (forecast_value_decomposition,
+from msdro_opf.valuation import (envelope_check,
+                                 forecast_value_decomposition,
                                  marginal_data_value)
 
 from oracles import (ring_network, robust_corner_objective, row_dual,
@@ -264,9 +265,9 @@ def test_family_duals_match_named_lookups(case5):
 GRID5 = (1.0, 0.1, 0.005, 0.001, 0.0)
 
 
-def assert_matches_three_cut(sol, network, data, pinned=()):
+def assert_matches_three_cut(sol, network, data, pinned=(), gamma=0.05):
     """Objective to 1e-9 relative, decision, prices and terms to 1e-6."""
-    ref = three_cut_opf(network, data, 0.05, pinned)
+    ref = three_cut_opf(network, data, gamma, pinned)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
     fv = forecast_value_decomposition(sol, network, data)
     mv = marginal_data_value(sol).marginal_value
@@ -304,7 +305,11 @@ def test_compact_block_matches_three_cut_lp_at_100_samples(case5):
 
 def test_random_networks_match_three_cut_lp():
     """Seeded ring-plus-chords networks beyond case5: 1-3 features, 2-4
-    generators, N' = 3-11, some zero budgets and three risk levels."""
+    generators, N' = 3-11, some zero budgets and three risk levels. The
+    decision, prices and forecast-value terms match the three-cut LP, and
+    the marginal value of every positive budget matches a finite difference
+    wherever the envelope check does not flag the cell degenerate."""
+    checked = 0
     assert ring_network(0, 4, 3, 2, 1).num_lines == 6  # chords capped at 2
     rng = np.random.default_rng(71)
     for k in range(30):
@@ -320,8 +325,14 @@ def test_random_networks_match_three_cut_lp():
         gamma = float(rng.choice([0.01, 0.05, 0.2]))
         base = solve_msdro_opf(net, data, gamma)
         assert base.optimal, base.status
-        ref = three_cut_opf(net, data, gamma)
-        assert base.objective == pytest.approx(ref.objective, rel=1e-9)
+        assert_matches_three_cut(base, net, data, gamma=gamma)
         assert base.duality_gap() <= 1e-9
         rerun = cvar_tightening_rerun(net, data, gamma, base)
         assert rerun.objective <= base.objective + 1e-9 * abs(base.objective)
+        for j in np.flatnonzero(data.epsilons > 0):
+            chk = envelope_check(net, data, gamma, int(j))
+            if not chk.degenerate:
+                checked += 1
+                assert abs(chk.finite_difference - chk.analytic) <= 1e-3 * max(
+                    1.0, abs(chk.analytic)), (k, j, chk)
+    assert checked >= 40  # of 48 positive budgets; none was degenerate
