@@ -1,123 +1,14 @@
-"""Multi-source Wasserstein DRO for chance-constrained DC-OPF."""
+"""Multi-source Wasserstein DRO for chance-constrained DC-OPF.
 
-from .data_quality import (
-    NoiseModel,
-    QualitySignal,
-    additive_noise_bound,
-    aggregation_protocol_bound,
-    empirical_wasserstein_1d,
-    laplace_mechanism,
-    read_quality_csv,
-    read_samples_csv,
-    write_quality_csv,
-    write_samples_csv,
-)
-from .dro_core import (
-    BoxSupport,
-    MultiDataset,
-    PiecewiseMaxAffine,
-    SeparableAffineCost,
-    robust_value,
-    sample_average,
-    wc_expectation_general,
-    wc_expectation_separable,
-    wc_expectation_single_budget,
-    wc_expectation_standardized,
-)
-from .evaluation import (
-    OosResult,
-    SweepConfig,
-    SweepResult,
-    derive_seed,
-    empirical_violation,
-    generate_oos_samples,
-    generate_training_samples,
-    run_sweep,
-    s_pert,
-    violation_rate,
-    write_sweep_csvs,
-)
-from .network import (
-    Network,
-    build_joint_support,
-    build_support,
-    bundled_network,
-    compute_flow_maps,
-    load_network,
-)
-from .opf_model import (
-    OpfDecision,
-    RiskLevel,
-    SolutionWithDuals,
-    build_msdro_opf,
-    cvar_tightening_rerun,
-    solve_msdro_opf,
-)
-from .valuation import (
-    DataValueReport,
-    EnvelopeCheck,
-    ForecastValueReport,
-    envelope_check,
-    forecast_value_decomposition,
-    marginal_data_value,
-    prop3_offline_check,
-    write_data_value_csv,
-    write_forecast_value_csv,
-)
+The package root exports the four names of the README's library tour;
+everything else is imported from its own module (``msdro_opf.evaluation``,
+``msdro_opf.valuation``, ...).
+"""
+
+from .dro_core import MultiDataset
+from .network import bundled_network
+from .opf_model import solve_msdro_opf
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxSupport",
-    "DataValueReport",
-    "EnvelopeCheck",
-    "ForecastValueReport",
-    "MultiDataset",
-    "Network",
-    "NoiseModel",
-    "OosResult",
-    "OpfDecision",
-    "PiecewiseMaxAffine",
-    "QualitySignal",
-    "RiskLevel",
-    "SeparableAffineCost",
-    "SolutionWithDuals",
-    "SweepConfig",
-    "SweepResult",
-    "additive_noise_bound",
-    "aggregation_protocol_bound",
-    "build_joint_support",
-    "build_msdro_opf",
-    "build_support",
-    "bundled_network",
-    "compute_flow_maps",
-    "cvar_tightening_rerun",
-    "derive_seed",
-    "empirical_violation",
-    "empirical_wasserstein_1d",
-    "envelope_check",
-    "forecast_value_decomposition",
-    "generate_oos_samples",
-    "generate_training_samples",
-    "laplace_mechanism",
-    "load_network",
-    "marginal_data_value",
-    "prop3_offline_check",
-    "read_quality_csv",
-    "read_samples_csv",
-    "robust_value",
-    "run_sweep",
-    "s_pert",
-    "sample_average",
-    "solve_msdro_opf",
-    "violation_rate",
-    "wc_expectation_general",
-    "wc_expectation_separable",
-    "wc_expectation_single_budget",
-    "wc_expectation_standardized",
-    "write_data_value_csv",
-    "write_forecast_value_csv",
-    "write_quality_csv",
-    "write_samples_csv",
-    "write_sweep_csvs",
-]
+__all__ = ["MultiDataset", "__version__", "bundled_network", "solve_msdro_opf"]

@@ -168,8 +168,6 @@ def cmd_solve(args) -> int:
     final = sol
     if not args.no_tighten:
         final = cvar_tightening_rerun(network, data, args.gamma, sol)
-        if not final.optimal:
-            final = sol
 
     report = marginal_data_value(sol)
     forecast = forecast_value_decomposition(sol, network, data)
@@ -282,6 +280,20 @@ def cmd_oos(args) -> int:
     return EXIT_OK
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _add_common_model_flags(sub) -> None:
     sub.add_argument("--network", type=Path, default=None,
                      help="network JSON file (default: bundled case5)")
@@ -296,7 +308,7 @@ def _add_common_model_flags(sub) -> None:
 def _add_data_flags(sub) -> None:
     sub.add_argument("--data", type=Path, default=None,
                      help="training sample CSV (xi_1,...,xi_D header)")
-    sub.add_argument("--train", type=int, default=20,
+    sub.add_argument("--train", type=_at_least(1), default=20,
                      help="generate this many training samples instead")
     sub.add_argument("--eps", type=float, nargs="+", default=None,
                      help="per-feature Wasserstein budgets")
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="published samples CSV for the empirical bound")
     q.add_argument("--p", type=int, choices=[1, 2], default=1,
                    help="Wasserstein order")
-    q.add_argument("--dimension", type=int, default=1,
+    q.add_argument("--dimension", type=_at_least(1), default=1,
                    help="feature dimension for analytic bounds")
     q.add_argument("--out", type=Path, default=None)
     q.set_defaults(func=cmd_quality)
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = subs.add_parser("oos", help="out-of-sample violation check")
     _add_common_model_flags(o)
     _add_data_flags(o)
-    o.add_argument("--oos-samples", type=int, default=1000)
+    o.add_argument("--oos-samples", type=_at_least(0), default=1000)
     o.add_argument("--out", type=Path, default=None)
     o.set_defaults(func=cmd_oos)
     return parser

@@ -33,7 +33,6 @@ class QualitySignal:
 
     epsilon: float
     p: int = 1
-    confidence_note: str = ""
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -139,8 +138,7 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
         eps = float(np.mean(np.sum(np.abs(z) ** p, axis=-1)))
     else:
         raise UnsupportedError(f"unknown noise kind {noise.kind!r}")
-    return QualitySignal(epsilon=float(eps), p=p,
-                         confidence_note=f"additive {noise.kind} noise bound")
+    return QualitySignal(epsilon=float(eps), p=p)
 
 
 def laplace_mechanism(data, sensitivity: float, theta: float,
@@ -157,7 +155,6 @@ def laplace_mechanism(data, sensitivity: float, theta: float,
     rng = np.random.default_rng(seed)
     noisy = values + rng.laplace(loc=0.0, scale=scale, size=values.shape)
     signal = additive_noise_bound(NoiseModel.laplace(scale), p=1, norm="l1")
-    signal.confidence_note = f"laplace mechanism, scale={scale:g}"
     return noisy, signal
 
 
@@ -168,8 +165,7 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
     and the analytic bound may not hold.
     """
     eps = empirical_wasserstein_1d(original, published, p=p)
-    return QualitySignal(epsilon=eps, p=p,
-                         confidence_note="empirical transport bound")
+    return QualitySignal(epsilon=eps, p=p)
 
 
 #: Everything a file of plain decimal rows can hold: numbers (with

@@ -41,9 +41,6 @@ import numpy as np
 from .errors import InputError, ModeError, SizeError
 from .lp import GE, INFINITY, Model, align_left, family
 
-#: Relative tolerance for objective-value equivalence between formulations.
-VALUE_RTOL = 1e-6
-
 #: Width of the band around the usefulness threshold flagged as degenerate.
 DEGENERACY_BAND = 1e-9
 

@@ -27,7 +27,7 @@ from scipy.stats import truncnorm
 from .dro_core import MultiDataset
 from .errors import InputError
 from .network import Network, build_support
-from .opf_model import (OpfDecision, cvar_tightening_rerun,
+from .opf_model import (OpfDecision, RiskLevel, cvar_tightening_rerun,
                         joint_constraint_rows, solve_msdro_opf)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport, data_value_rows,
@@ -149,10 +149,15 @@ class SweepConfig:
     oos_include_zero: bool = True
 
     def __post_init__(self):
-        if min(self.grid) < 0:
-            raise InputError("grid values must be >= 0")
+        RiskLevel(self.gamma)
+        if not all(0 <= v < math.inf for v in self.grid):
+            raise InputError("grid values must be finite and >= 0, got "
+                             f"{list(self.grid)}")
         if self.n_samples < 1:
             raise InputError("need at least one training sample")
+        if self.oos_samples < 0:
+            raise InputError("out-of-sample count must be >= 0, got "
+                             f"{self.oos_samples}")
 
     def cells(self, dimension: int) -> list:
         return [cell for cell in product(self.grid, repeat=dimension)]
@@ -183,10 +188,7 @@ class CellResult:
     forecast_value: ForecastValueReport | None = None
     activation_price: np.ndarray | None = None
     forecast: np.ndarray | None = None
-    p: np.ndarray | None = None
-    r_plus: np.ndarray | None = None
-    r_minus: np.ndarray | None = None
-    alpha: np.ndarray | None = None
+    decision: OpfDecision | None = None
 
     @property
     def optimal(self) -> bool:
@@ -243,17 +245,13 @@ def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
     return CellResult(
         cell, "optimal",
         objective=base.objective,
-        objective_tightened=(tightened.objective if tightened.optimal
-                             else base.objective),
+        objective_tightened=tightened.objective,
         phi=base.duals.phi,
         data_value=marginal_data_value(base),
         forecast_value=forecast_value_decomposition(base, network, data),
         activation_price=c_act @ base.decision.alpha,
         forecast=network.forecast_vector(),
-        p=base.decision.p.copy(),
-        r_plus=base.decision.r_plus.copy(),
-        r_minus=base.decision.r_minus.copy(),
-        alpha=base.decision.alpha.copy(),
+        decision=base.decision,
     )
 
 
@@ -310,8 +308,9 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
                                    c.data_value.lambda_cc[j]]))
     emit("dispatch.csv", ["generator", "p", "r_plus", "r_minus"]
          + [f"alpha_{j + 1}" for j in range(dim)],
-         [(c.epsilons, [g, c.p[g], c.r_plus[g], c.r_minus[g], *c.alpha[g]])
-          for c in solved for g in range(len(c.p))])
+         [(c.epsilons,
+           [g, dec.p[g], dec.r_plus[g], dec.r_minus[g], *dec.alpha[g]])
+          for c in solved for dec in [c.decision] for g in range(len(dec.p))])
     emit("cost_components.csv",
          ["feature", "activation_price", "u_balancing", "eps_lambda_co",
           "u_reserve", "eps_phi_lambda_cc"],

@@ -56,22 +56,15 @@ class OpfDecision:
 
 @dataclass
 class DualValues:
-    """Duals of the complete model by family (see module docstring for signs):
-    ``mu_*`` per feature, ``rho_*`` per (feature, CVaR row), ``eta`` per
-    (sample, CVaR row)."""
+    """The duals the valuation reads (see module docstring for signs):
+    ``beta_*`` per line, ``eta`` per (sample, CVaR row). Every other family
+    is read from ``lp_solution.family_duals`` / ``family_multipliers``."""
 
     pi: float
-    chi: np.ndarray
-    sigma_up: np.ndarray
-    sigma_lo: np.ndarray
     beta_up: np.ndarray
     beta_lo: np.ndarray
     phi: float
     eta: np.ndarray
-    mu_up: np.ndarray
-    mu_lo: np.ndarray
-    rho_up: np.ndarray
-    rho_lo: np.ndarray
 
 
 @dataclass
@@ -103,10 +96,7 @@ class SolutionWithDuals:
     decision: OpfDecision | None
     lambda_co: np.ndarray | None
     lambda_cc: np.ndarray | None
-    tau: float
-    nu: float
     s_co: np.ndarray | None
-    s_cc: np.ndarray | None
     duals: DualValues | None
     built: OpfModel
     lp_solution: LpSolution | None = None
@@ -245,12 +235,11 @@ def _build(network: Network, data: MultiDataset, gamma,
         lam_cc = m.add_vars(d)
         s_cc = m.add_vars(n, lb=-INFINITY)
     else:
-        tau = nu = None
-        lam_cc = s_cc = np.zeros((0,), dtype=int)
+        lam_cc = np.zeros((0,), dtype=int)
 
     pinned = sorted(skip)
     for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
-                 lam_cc[eps == 0.0] if has_cc else lam_cc):
+                 lam_cc[eps == 0.0]):
         m.fix_var(cols, 0.0)
 
     # (pi) energy balance: <1,p> = <1,d> - <1,u>
@@ -308,8 +297,7 @@ def _build(network: Network, data: MultiDataset, gamma,
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
-           "tau": tau, "nu": nu, "lam_cc": lam_cc, "s_cc": s_cc,
-           "p_cc": p_cc, "q_cc": q_cc}
+           "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
     return OpfModel(model=m, network=network, data=data, support=support,
                     gamma=gamma, b_g=b_g_map, b_w=b_w_map, b_b=b_b_map,
                     cc_rows=cc_rows, fixed_zero_participation=skip, idx=idx)
@@ -321,8 +309,8 @@ def solve(built: OpfModel) -> SolutionWithDuals:
     if not sol.optimal:
         return SolutionWithDuals(
             status=sol.status, objective=float("nan"), decision=None,
-            lambda_co=None, lambda_cc=None, tau=float("nan"), nu=float("nan"),
-            s_co=None, s_cc=None, duals=None, built=built, lp_solution=sol,
+            lambda_co=None, lambda_cc=None, s_co=None, duals=None,
+            built=built, lp_solution=sol,
         )
 
     idx, x = built.idx, sol.x
@@ -334,18 +322,13 @@ def solve(built: OpfModel) -> SolutionWithDuals:
     )
 
     mult = sol.family_multipliers
-    cc = ([mult(f"cc_{c}") for c in ("main", "up", "lo")] if d
-          else [np.zeros((0, len(built.cc_rows) + 1))] * 3)
     duals = DualValues(
         pi=float(sol.family_duals("bal")),
-        chi=sol.family_duals("chi"),
-        sigma_up=mult("gmax"),
-        sigma_lo=mult("gmin"),
         beta_up=sol.family_duals("lineup"),
         beta_lo=sol.family_duals("linelo"),
         phi=float(mult("cvar_budget")) if d else 0.0,
-        eta=cc[0], mu_up=mult("co_up"), mu_lo=mult("co_lo"),
-        rho_up=cc[1], rho_lo=cc[2],
+        eta=(mult("cc_main") if d
+             else np.zeros((0, len(built.cc_rows) + 1))),
     )
 
     slope = -(np.array([g.c_A for g in built.network.generators])
@@ -361,10 +344,7 @@ def solve(built: OpfModel) -> SolutionWithDuals:
         decision=decision,
         lambda_co=x[idx["lam_co"]],
         lambda_cc=x[idx["lam_cc"]],
-        tau=float(x[idx["tau"]]) if d else 0.0,
-        nu=float(x[idx["nu"]]) if d else 0.0,
         s_co=s_co,
-        s_cc=x[idx["s_cc"]],
         duals=duals,
         built=built,
         lp_solution=sol,
@@ -397,7 +377,8 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
     reserve rows inside the CVaR max only slacken the approximation. The
     re-run fixes r+ = r- = 0 for those generators and drops their two rows
     from the joint constraint. Returns the first solution unchanged when
-    there is nothing to pin.
+    there is nothing to pin or the re-run does not end optimal; solver
+    exceptions propagate.
     """
     if not first.optimal:
         raise ExtractionError(f"first solve ended {first.status}")
@@ -408,4 +389,5 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
         return first
     # The network data of the first build (support, flow maps) carries over.
     reuse = first.built if network is first.built.network else None
-    return solve(_build(network, data, gamma, target, reuse))
+    rerun = solve(_build(network, data, gamma, target, reuse))
+    return rerun if rerun.optimal else first

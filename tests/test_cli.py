@@ -284,6 +284,38 @@ def test_unknown_subcommand_exits_via_argparse():
     assert exc.value.code == 2
 
 
+BAD_INPUT = [
+    ["sweep", "--gamma", "1.5"],
+    ["sweep", "--grid", "nan"],
+    ["sweep", "--grid", "inf"],
+    ["sweep", "--oos-samples", "-5"],
+    ["solve", "--eps", "0.1", "0.1", "--train", "-3"],
+    ["oos", "--eps", "0.1", "0.1", "--oos-samples", "-5"],
+    ["quality", "--noise", "laplace:0.05", "--dimension", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
+                                            monkeypatch):
+    """Each value is checked where it enters, before any LP is solved."""
+    from msdro_opf import lp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "linprog", no_solve)
+    try:
+        code = run(*argv, "--out", tmp_path / "out")
+    except SystemExit as exc:  # argparse rejected a flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_duals_csv_row_names_and_order(tmp_path):
     """duals.csv lists every row once, in model order, named name[i,j,k].
 

@@ -245,16 +245,17 @@ def test_family_duals_match_named_lookups(case5):
     eta = np.array([[mult(f"cc_main[{i},{kk}]") for kk in range(k)]
                     for i in range(n)])
     for c in ("up", "lo"):
-        np.testing.assert_array_equal(getattr(duals, f"mu_{c}"), mu[c])
-        np.testing.assert_array_equal(getattr(duals, f"rho_{c}"), rho[c])
+        np.testing.assert_array_equal(lps.family_multipliers(f"co_{c}"), mu[c])
+        np.testing.assert_array_equal(lps.family_multipliers(f"cc_{c}"), rho[c])
     np.testing.assert_array_equal(duals.eta, eta)
     assert duals.pi == dual("bal")
     assert duals.phi == mult("cvar_budget")
-    np.testing.assert_array_equal(duals.chi, [dual(f"chi[{j}]") for j in range(d)])
+    np.testing.assert_array_equal(lps.family_duals("chi"),
+                                  [dual(f"chi[{j}]") for j in range(d)])
     g_range, l_range = range(case5.num_generators), range(case5.num_lines)
-    np.testing.assert_array_equal(duals.sigma_up,
+    np.testing.assert_array_equal(lps.family_multipliers("gmax"),
                                   [mult(f"gmax[{g}]") for g in g_range])
-    np.testing.assert_array_equal(duals.sigma_lo,
+    np.testing.assert_array_equal(lps.family_multipliers("gmin"),
                                   [mult(f"gmin[{g}]") for g in g_range])
     np.testing.assert_array_equal(duals.beta_up,
                                   [dual(f"lineup[{l}]") for l in l_range])
