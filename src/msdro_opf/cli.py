@@ -201,7 +201,7 @@ def cmd_solve(args) -> int:
     if not args.no_tighten and final is not sol:
         print(f"objective after tightening re-run: {fmt(final.objective)}")
     for j in range(data.dimension):
-        print(f"feature {j}: eps={fmt(eps[j])} "
+        print(f"feature {j + 1}: eps={fmt(eps[j])} "
               f"lambda_co={fmt(report.lambda_co[j])} "
               f"lambda_cc={fmt(report.lambda_cc[j])} "
               f"marginal_value={fmt(report.marginal_value[j])} "

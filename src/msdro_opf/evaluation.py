@@ -297,7 +297,7 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
         written.append(path)
 
     def per_feature(values) -> list:
-        return [(c.epsilons, [j] + values(c, j))
+        return [(c.epsilons, [j + 1] + values(c, j))
                 for c in solved for j in range(dim)]
 
     emit("objectives.csv", ["objective", "objective_tightened", "phi", "status"],
@@ -309,7 +309,7 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
     emit("dispatch.csv", ["generator", "p", "r_plus", "r_minus"]
          + [f"alpha_{j + 1}" for j in range(dim)],
          [(c.epsilons,
-           [g, dec.p[g], dec.r_plus[g], dec.r_minus[g], *dec.alpha[g]])
+           [g + 1, dec.p[g], dec.r_plus[g], dec.r_minus[g], *dec.alpha[g]])
           for c in solved for dec in [c.decision] for g in range(len(dec.p))])
     emit("cost_components.csv",
          ["feature", "activation_price", "u_balancing", "eps_lambda_co",

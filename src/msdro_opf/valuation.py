@@ -261,14 +261,14 @@ def write_csv(path, header, rows, nan: str = "nan") -> None:
 
 def data_value_rows(report: DataValueReport) -> list:
     """One row per feature under ``DATA_VALUE_COLUMNS``, values unformatted."""
-    return [[str(j), report.lambda_co[j], report.lambda_cc[j], report.phi,
+    return [[j + 1, report.lambda_co[j], report.lambda_cc[j], report.phi,
              report.marginal_value[j], report.threshold[j], report.regime[j]]
             for j in range(report.dimension)]
 
 
 def forecast_value_rows(report: ForecastValueReport) -> list:
     """One row per feature under ``FORECAST_VALUE_COLUMNS``, unformatted."""
-    return [[str(j), report.lmp_term[j], report.balancing_term[j],
+    return [[j + 1, report.lmp_term[j], report.balancing_term[j],
              report.reserve_term[j], report.pi_f[j], report.pi_d[j],
              report.remuneration[j]]
             for j in range(report.dimension)]

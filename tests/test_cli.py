@@ -111,7 +111,7 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: optimal" in out
     assert "objective:" in out
-    assert "feature 0:" in out and "feature 1:" in out
+    assert "feature 1:" in out and "feature 2:" in out
 
 
 def test_solve_accepts_quality_csv_budgets(tmp_path):
@@ -217,6 +217,12 @@ def test_sweep_single_cell_grid(tmp_path, capsys):
     # One budget value and two features: a single cell, no 0.0 augmentation.
     assert len(read_rows(outdir / "objectives.csv")) == 1 + 1
     assert len(read_rows(outdir / "oos.csv")) == 1 + 1
+    # Generators and features count from 1, like the eps1/alpha_1 headers.
+    assert [r[2] for r in read_rows(outdir / "dispatch.csv")[1:]] == \
+        ["1", "2", "3", "4", "5"]
+    for name in ("lambdas.csv", "cost_components.csv",
+                 "plotdata_data_value.csv", "plotdata_forecast_value.csv"):
+        assert [r[2] for r in read_rows(outdir / name)[1:]] == ["1", "2"]
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["grid"] == [1.0]
     assert "1/1 cells solved" in capsys.readouterr().out

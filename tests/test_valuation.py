@@ -225,6 +225,6 @@ def test_csv_outputs(tmp_path, case5, train20, solve_cell):
                                     "reserve_term", "pi_F", "pi_D",
                                     "remuneration"]
     rows = data_value_rows(marginal_data_value(sol))
-    assert [r[0] for r in rows] == ["0", "1"]
+    assert [r[0] for r in rows] == [1, 2]
     frows = forecast_value_rows(forecast_value_decomposition(sol, case5, data))
     assert len(frows) == case5.num_resources
