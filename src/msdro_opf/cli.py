@@ -165,9 +165,8 @@ def cmd_solve(args) -> int:
         return solved
     network, net_src, xs, data_src, eps, data, sol = solved
 
-    final = sol
-    if not args.no_tighten:
-        final = cvar_tightening_rerun(network, data, args.gamma, sol)
+    final = (sol if args.no_tighten
+             else cvar_tightening_rerun(network, data, args.gamma, sol))
 
     report = marginal_data_value(sol)
     forecast = forecast_value_decomposition(sol, network, data)

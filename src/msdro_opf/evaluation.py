@@ -149,7 +149,7 @@ class SweepConfig:
     oos_include_zero: bool = True
 
     def __post_init__(self):
-        RiskLevel(self.gamma)
+        RiskLevel(self.gamma)  # InputError unless 0 <= gamma < 1
         if not all(0 <= v < math.inf for v in self.grid):
             raise InputError("grid values must be finite and >= 0, got "
                              f"{list(self.grid)}")

@@ -150,6 +150,23 @@ def test_tightening_rerun_without_idle_balancers_is_identity(case5, train20,
     assert cvar_tightening_rerun(case5, data, 0.05, sol) is sol
 
 
+def test_tightening_rerun_keeps_first_solve_when_not_optimal(
+        case5, train20, solve_cell, monkeypatch):
+    """A re-run that ends infeasible falls back to the first solve."""
+    from msdro_opf import lp
+
+    def infeasible(model):
+        return lp.LpSolution("infeasible", float("nan"),
+                             np.zeros(model.num_vars),
+                             np.zeros(model.num_constraints), model)
+
+    sol = solve_cell(1.0, 1.0)
+    assert idle_balancers(sol)
+    data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
+    monkeypatch.setattr(lp, "_solve_scipy_highs", infeasible)
+    assert cvar_tightening_rerun(case5, data, 0.05, sol) is sol
+
+
 def test_cc_row_geometry(case5, solve_cell):
     sol = solve_cell(0.1, 0.1)
     k = 2 * case5.num_generators + 2 * case5.num_lines
