@@ -267,7 +267,7 @@ def cmd_oos(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         write_csv(outdir / "oos.csv",
                   [f"eps{j + 1}" for j in range(len(eps))] + OOS_COLUMNS,
-                  [eps + [rate, args.oos_samples, "optimal"]])
+                  [eps + [rate, args.oos_samples, "optimal"]], nan="")
         _write_manifest(outdir, {
             "command": "oos", "network": net_src, "data": data_src,
             "epsilons": eps, "gamma": args.gamma, "seed": args.seed,

@@ -35,8 +35,9 @@ class QualitySignal:
     p: int = 1
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise InputError(
+                f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass
@@ -51,14 +52,16 @@ class NoiseModel:
 
     @classmethod
     def laplace(cls, scale: float, dimension: int = 1) -> "NoiseModel":
-        if scale <= 0:
-            raise InputError("laplace scale must be > 0")
+        if not 0 < scale < math.inf:
+            raise InputError(
+                f"laplace scale must be finite and > 0, got {scale}")
         return cls(kind="laplace", scale=float(scale), dimension=dimension)
 
     @classmethod
     def gaussian(cls, stddev: float, dimension: int = 1) -> "NoiseModel":
-        if stddev <= 0:
-            raise InputError("gaussian stddev must be > 0")
+        if not 0 < stddev < math.inf:
+            raise InputError(
+                f"gaussian stddev must be finite and > 0, got {stddev}")
         return cls(kind="gaussian", stddev=float(stddev), dimension=dimension)
 
     @classmethod

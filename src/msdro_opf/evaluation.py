@@ -113,12 +113,13 @@ def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
 
 
 def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray) -> float:
-    """Fraction of sample vectors violating any row a_k.xi + b_k <= 0."""
+    """Fraction of sample vectors violating any row a_k.xi + b_k <= 0;
+    NaN when there are no sample vectors, as a rate of nothing is unknown."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        return 0.0
+    if len(samples) == 0:
+        return math.nan
     lhs = samples @ a.T + b
     return float(np.mean(np.any(lhs > VIOLATION_TOL, axis=1)))
 

@@ -1,10 +1,15 @@
 """Linear program built from constraint families, solved by HiGHS.
 
 Variables are array blocks and constraints are *families* (named arrays
-of rows sharing one sense). The matrix is assembled once and handed to
-scipy's HiGHS interface, which returns primal values and one dual per row;
-duals are read back per family, in the family's shape. Row names
-(``name[i,j]``) are made only when asked for.
+of rows sharing one sense). The matrix is assembled once, column-wise, and
+handed to the HiGHS object scipy bundles (``scipy.optimize._highspy``) with
+the settings of ``linprog(method="highs")``: presolve on, dual simplex, no
+output. HiGHS returns primal values and one dual per row; duals are read
+back per family, in the family's shape. Row names (``name[i,j]``) are made
+only when asked for. A solution keeps its HiGHS object until
+``LpSolution.resolve`` edits it into a smaller model and restarts from its
+final basis. Where scipy lacks the private bindings, ``linprog`` solves
+every model from scratch.
 
 Dual sign convention
 --------------------
@@ -23,13 +28,18 @@ The classical nonnegative KKT multiplier of an inequality is therefore
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product, repeat
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+
+try:
+    from scipy.optimize._highspy._core import HighsLp, MatrixFormat, _Highs
+except ImportError:  # a scipy build without its private HiGHS bindings
+    _Highs = None
 
 INFINITY = float("inf")
 
@@ -38,6 +48,17 @@ GE = ">="
 EQ = "=="
 
 _SENSES = (LE, GE, EQ)
+
+#: ``linprog(method="highs")``'s options; the rest are HiGHS's defaults.
+_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
+            ("output_flag", False), ("log_to_console", False))
+
+#: ``linprog``'s post-solve tolerance on bounds and rows, 10 * sqrt(1e-9).
+CHECK_TOL = 10 * np.sqrt(1e-9)
+
+#: The HiGHS model statuses a solve may end in, by enum name.
+_ENDS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
+         "kUnbounded": "unbounded"}
 
 
 class LpError(Exception):
@@ -170,6 +191,7 @@ class LpSolution:
     x: np.ndarray
     duals: np.ndarray
     model: "Model"
+    _highs: object = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
@@ -206,6 +228,48 @@ class LpSolution:
         total += float(np.sum(red[at_lb] * m.lb[at_lb]))
         total += float(np.sum(red[at_ub] * m.ub[at_ub]))
         return total
+
+    def resolve(self, model: "Model", drop_rows, drop_cols) -> "LpSolution":
+        """Solve ``model``: this solution's model without the rows
+        ``drop_rows`` and the columns ``drop_cols``, the rest kept in order,
+        where only column bounds may differ.
+
+        HiGHS deletes them from the LP it solved, changes the bounds and
+        restarts the dual simplex from its final basis. The HiGHS object
+        moves to the returned solution: a second call, or one on a solution
+        without it, solves ``model`` from scratch.
+        """
+        highs, self._highs = self._highs, None
+        if highs is None:
+            return model.solve()
+        old = self.model
+        rows = np.delete(np.arange(old.num_constraints), drop_rows)
+        cols = np.delete(np.arange(old.num_vars), drop_cols)
+        renumbered = np.full(old.num_constraints, -1)
+        renumbered[rows] = np.arange(len(rows))
+        order, _, lower, upper = old._highs_rows()
+        at = renumbered[order]  # each HiGHS row's row in ``model``, or -1
+        kept = at >= 0
+        new_order, _, new_lower, new_upper = model._highs_rows()
+        if not (len(rows) == model.num_constraints
+                and len(cols) == model.num_vars
+                and np.array_equal(at[kept], new_order)
+                and np.array_equal(lower[kept], new_lower)
+                and np.array_equal(upper[kept], new_upper)
+                and np.array_equal(old.obj[cols], model.obj)):
+            raise LpError(f"{model.summary()} is not the solved "
+                          f"{old.summary()} with rows and columns deleted")
+        gone_rows = np.flatnonzero(~kept).astype(np.int32)
+        gone_cols = np.setdiff1d(np.arange(old.num_vars), cols).astype(np.int32)
+        moved = np.flatnonzero((old.lb[cols] != model.lb)
+                               | (old.ub[cols] != model.ub)).astype(np.int32)
+        for status in (highs.deleteRows(len(gone_rows), gone_rows),
+                       highs.deleteCols(len(gone_cols), gone_cols),
+                       highs.changeColsBounds(len(moved), moved,
+                                              model.lb[moved], model.ub[moved])):
+            if status.name == "kError":
+                raise SolverError(f"HiGHS could not edit {old.summary()}")
+        return _run_highs(highs, model)
 
 
 class Model:
@@ -274,28 +338,80 @@ class Model:
         self._cache.clear()
         return families[0] if len(families) == 1 else families
 
-    def _assembled(self):
-        """(CSR matrix, sense per row, rhs per row), built once per model."""
-        if "matrix" not in self._cache:
+    def _coo(self):
+        """(row, column, value) of every coefficient, built once per model."""
+        if "coo" not in self._cache:
             fams = list(self.families.values())
-            rows = np.concatenate([np.zeros(0, np.int64)]
-                                  + [f.index[f.rows] for f in fams])
-            cols = np.concatenate([np.zeros(0, np.int64)] + [f.cols for f in fams])
-            vals = np.concatenate([np.zeros(0)] + [f.vals for f in fams])
+            self._cache["coo"] = (
+                np.concatenate([np.zeros(0, np.int64)]
+                               + [f.index[f.rows] for f in fams]),
+                np.concatenate([np.zeros(0, np.int64)] + [f.cols for f in fams]),
+                np.concatenate([np.zeros(0)] + [f.vals for f in fams]))
+        return self._cache["coo"]
+
+    def _senses(self):
+        """(sense per row, rhs per row), built once per model."""
+        if "senses" not in self._cache:
             sense = np.empty(self._num_rows, dtype="<U2")
             rhs = np.empty(self._num_rows)
-            for f in fams:
+            for f in self.families.values():
                 at = f.index[f.present]
                 sense[at] = f.sense
                 rhs[at] = f.rhs[f.present]
+            self._cache["senses"] = (sense, rhs)
+        return self._cache["senses"]
+
+    def _assembled(self):
+        """(CSR matrix, sense per row, rhs per row), built once per model."""
+        if "matrix" not in self._cache:
+            rows, cols, vals = self._coo()
             matrix = sp.csr_matrix((vals, (rows, cols)),
                                    shape=(self._num_rows, self.num_vars))
-            self._cache["matrix"] = (matrix, sense, rhs)
-            self._cache["coo"] = (rows, cols, vals)
+            self._cache["matrix"] = (matrix, *self._senses())
         return self._cache["matrix"]
 
     def _matrix(self) -> sp.csr_matrix:
         return self._assembled()[0]
+
+    def _highs_rows(self):
+        """The row layout ``linprog`` gives HiGHS: ``<=`` rows, then ``>=``
+        rows negated into ``<=`` form, then equalities, each in model order.
+
+        Returns (order, flip, lower, upper): the model row of each HiGHS
+        row, its sign (-1 where negated) and its bounds. Built once.
+        """
+        if "highs_rows" not in self._cache:
+            sense, rhs = self._senses()
+            order = np.concatenate([np.flatnonzero(sense == s) for s in _SENSES])
+            flip = np.where(sense[order] == GE, -1.0, 1.0)
+            upper = flip * rhs[order]
+            lower = np.where(sense[order] == EQ, upper, -INFINITY)
+            self._cache["highs_rows"] = (order, flip, lower, upper)
+        return self._cache["highs_rows"]
+
+    def _highs_lp(self) -> "HighsLp":
+        """The model as a HiGHS LP in the ``_highs_rows`` layout, its matrix
+        column-wise straight from the coefficient table."""
+        order, flip, lower, upper = self._highs_rows()
+        rows, cols, vals = self._coo()
+        at = np.empty(self._num_rows, np.int64)
+        at[order] = np.arange(self._num_rows)
+        rows = at[rows]
+        a = sp.csc_matrix((vals * flip[rows], (rows, cols)),
+                          shape=(self._num_rows, self.num_vars))
+        problem = HighsLp()
+        problem.num_col_ = problem.a_matrix_.num_col_ = self.num_vars
+        problem.num_row_ = problem.a_matrix_.num_row_ = self._num_rows
+        problem.a_matrix_.format_ = MatrixFormat.kColwise
+        problem.a_matrix_.start_ = a.indptr
+        problem.a_matrix_.index_ = a.indices
+        problem.a_matrix_.value_ = a.data
+        problem.col_cost_ = self.obj
+        problem.col_lower_ = self.lb
+        problem.col_upper_ = self.ub
+        problem.row_lower_ = lower
+        problem.row_upper_ = upper
+        return problem
 
     def row_names(self) -> list:
         """Every row's name, in row order."""
@@ -314,8 +430,8 @@ class Model:
         needs it, and each view is made only when it is read.
         """
         if "rows" not in self._cache:
-            _, sense, rhs = self._assembled()
-            rows, cols, vals = self._cache["coo"]
+            sense, rhs = self._senses()
+            rows, cols, vals = self._coo()
             order = np.argsort(rows, kind="stable")
             ends = np.searchsorted(rows[order], np.arange(self._num_rows + 1))
             spans = list(map(slice, ends[:-1].tolist(), ends[1:].tolist()))
@@ -332,12 +448,66 @@ class Model:
                 f"{listing}")
 
     def solve(self) -> LpSolution:
-        """Solve with HiGHS through scipy."""
-        return _solve_scipy_highs(self)
+        """Solve with HiGHS from scratch."""
+        if _Highs is None:
+            return _solve_scipy_highs(self)
+        highs = _Highs()
+        for option, value in _OPTIONS:
+            highs.setOptionValue(option, value)
+        if highs.passModel(self._highs_lp()).name == "kError":
+            raise SolverError(f"HiGHS rejected {self.summary()}")
+        return _run_highs(highs, self)
+
+
+def _run_highs(highs, model: Model) -> LpSolution:
+    """Run HiGHS on ``model``'s LP, loaded in ``highs`` in the
+    ``_highs_rows`` layout, and read the solution back in model order.
+
+    An optimal solution passes ``linprog``'s check (no NaN; bounds, ``<=``
+    slacks and equality residuals within ``CHECK_TOL``) and keeps
+    ``highs``. Any status but optimal, infeasible or unbounded, or a failed
+    check, raises ``SolverError`` with the status, its text and the model.
+    """
+    highs.run()
+    status = highs.getModelStatus()
+    end = _ENDS.get(status.name)
+    fault = highs.modelStatusToString(status)
+    if end == "optimal":
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        objective = float(highs.getInfo().objective_function_value)
+        order, flip, lower, upper = model._highs_rows()
+        fault = _check(model, x, objective, upper - np.array(solution.row_value),
+                       lower == upper)
+        if not fault:
+            duals = np.empty(model.num_constraints)
+            duals[order] = flip * np.array(solution.row_dual)
+            return LpSolution(end, objective, x, duals, model, highs)
+    elif end:
+        return LpSolution(end, float("nan"), np.zeros(model.num_vars),
+                          np.zeros(model.num_constraints), model)
+    raise SolverError(f"HiGHS status {int(status)} ({fault}) on "
+                      f"{model.summary()}")
+
+
+def _check(model: Model, x, objective: float, slack, eq) -> str:
+    """Why an optimal point fails ``linprog``'s check, or "" if it passes.
+
+    ``slack`` is each HiGHS row's upper bound minus its activity; ``eq``
+    marks the equality rows, whose slack is the residual.
+    """
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(slack).any():
+        return "the solution contains NaN"
+    if ((x < model.lb - CHECK_TOL) | (x > model.ub + CHECK_TOL)).any() or \
+            (slack < -CHECK_TOL).any() or (np.abs(slack[eq]) > CHECK_TOL).any():
+        return (f"the solution does not satisfy the constraints within "
+                f"{CHECK_TOL:.2E}")
+    return ""
 
 
 def _solve_scipy_highs(model: Model) -> LpSolution:
-    """Adapter running a Model through scipy's HiGHS interface."""
+    """Solve through scipy's ``linprog``: the fallback without the private
+    HiGHS bindings, and the tests' reference for ``Model.solve``."""
     a, senses, rhs = model._assembled()
     eq = np.flatnonzero(senses == EQ)
     # <= rows first, then >= rows negated into <= form (their duals flip

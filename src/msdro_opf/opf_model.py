@@ -305,7 +305,11 @@ def _build(network: Network, data: MultiDataset, gamma,
 
 def solve(built: OpfModel) -> SolutionWithDuals:
     """Solve a built model and extract primal values and family duals."""
-    sol = built.model.solve()
+    return _extract(built, built.model.solve())
+
+
+def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
+    """Primal values and family duals of ``built`` from its LP solution."""
     if not sol.optimal:
         return SolutionWithDuals(
             status=sol.status, objective=float("nan"), decision=None,
@@ -376,9 +380,12 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
     Generators with an all-zero participation row never activate, so their
     reserve rows inside the CVaR max only slacken the approximation. The
     re-run fixes r+ = r- = 0 for those generators and drops their two rows
-    from the joint constraint. Returns the first solution unchanged when
-    there is nothing to pin or the re-run does not end optimal; solver
-    exceptions propagate.
+    from the joint constraint. On the first solve's instance (the same
+    network, data and gamma) HiGHS edits the LP it solved into the pinned
+    one and restarts from its basis; otherwise the pinned model is solved
+    from scratch. Returns the first solution unchanged when there is
+    nothing to pin or the re-run does not end optimal; solver exceptions
+    propagate.
     """
     if not first.optimal:
         raise ExtractionError(f"first solve ended {first.status}")
@@ -389,5 +396,26 @@ def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
         return first
     # The network data of the first build (support, flow maps) carries over.
     reuse = first.built if network is first.built.network else None
-    rerun = solve(_build(network, data, gamma, target, reuse))
+    pinned = _build(network, data, gamma, target, reuse)
+    if (reuse is not None and data is reuse.data
+            and pinned.gamma == reuse.gamma):
+        rows, cols = _pinned_out(reuse, target - already)
+        rerun = _extract(pinned, first.lp_solution.resolve(pinned.model,
+                                                           rows, cols))
+    else:
+        rerun = solve(pinned)
     return rerun if rerun.optimal else first
+
+
+def _pinned_out(built: OpfModel, gens: frozenset) -> tuple:
+    """Rows and columns of ``built``'s LP that pinning ``gens`` removes:
+    the cc_up, cc_lo and cc_main rows and the p_cc, q_cc columns of their
+    reserve rows in the CVaR."""
+    n_g = built.network.num_generators
+    k = np.flatnonzero(np.isin(built.cc_rows, [g + s * n_g for g in gens
+                                               for s in (0, 1)]))
+    fams = built.model.families
+    rows = np.concatenate([fams[f].index.reshape(fams[f].shape)[..., k].ravel()
+                           for f in ("cc_up", "cc_lo", "cc_main")])
+    cols = np.concatenate([built.idx[c][:, k].ravel() for c in ("p_cc", "q_cc")])
+    return rows[rows >= 0], cols

@@ -23,6 +23,12 @@ def add_row(model, name, terms, sense, rhs):
     return int(model.add(family(name, (), [(cols, vals)], sense, rhs)).index[0])
 
 
+def bits(a) -> bytes:
+    """An array's bytes: equal only if every value is the same float, with
+    the same sign of zero (the CSVs print -0 and 0 apart)."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
 def row_dual(sol, name):
     """Dual of the row named ``name`` (as ``duals.csv`` names it)."""
     return float(sol.duals[sol.model.row_names().index(name)])
@@ -681,6 +687,28 @@ def ring_network(seed, buses, chords, generators, resources, kappa=0.6):
     swing = sum(kappa * u[j] * np.abs(dc_flows_by_angles(
         shape, injection([b], 1.0) - balancing)) for j, b in enumerate(res_bus))
     return network(1.02 * (np.abs(flow) + swing) + 0.05)
+
+
+def ring_instances(count=30):
+    """``count`` seeded OPF instances on ``ring_network``s: 4-9 buses, 0-3
+    chords, 2-4 generators, 1-3 features, N' = 3-11 clipped normal
+    samples, budgets drawn from {0, 0.001, 0.01, 0.1, 1} (so some are
+    zero) and gamma from {0.01, 0.05, 0.2}. Yields (network, data, gamma)."""
+    from msdro_opf.dro_core import MultiDataset
+    from msdro_opf.network import build_joint_support
+
+    rng = np.random.default_rng(71)
+    for k in range(count):
+        net = ring_network(k, int(rng.integers(4, 10)), int(rng.integers(0, 4)),
+                           int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        box = build_joint_support(net)
+        d, n = net.num_resources, int(rng.integers(3, 12))
+        xs = np.clip(rng.normal(0.0, 0.15 * net.forecast_vector()[:, None],
+                                (d, n)),
+                     box.lower[:, None], box.upper[:, None])
+        data = MultiDataset.from_matrix(
+            xs, rng.choice([0.0, 0.001, 0.01, 0.1, 1.0], size=d))
+        yield net, data, float(rng.choice([0.01, 0.05, 0.2]))
 
 
 def read_samples_by_row(path):

@@ -69,6 +69,15 @@ def test_quality_rejects_bad_noise_spec(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec", ["laplace:nan", "laplace:inf",
+                                  "gaussian:nan", "gaussian:inf"])
+def test_quality_rejects_non_finite_noise_parameter(spec, capsys):
+    assert run("quality", "--noise", spec) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_quality_rejects_conflicting_sources(tmp_path):
     write_samples_csv(tmp_path / "a.csv", np.array([[0.1, 0.2]]))
     assert run("quality", "--noise", "laplace:0.1",
@@ -185,18 +194,24 @@ def test_solve_rejects_non_finite_network_numbers(tmp_path, capsys):
 def test_solve_reports_solver_failure_with_model_context(tmp_path, monkeypatch,
                                                         capsys):
     """HiGHS status 4 ends in exit 4 with the model's sizes on stderr."""
-    from scipy.optimize import OptimizeResult
+    from scipy.optimize._highspy._core import HighsModelStatus
 
     from msdro_opf import lp
     from msdro_opf.evaluation import derive_seed, training_matrix
     from msdro_opf.opf_model import build_msdro_opf
 
+    class Failing(lp._Highs):
+        def getModelStatus(self):
+            return HighsModelStatus.kSolveError
+
+        def modelStatusToString(self, status):
+            return "Numerical difficulties encountered"
+
     net = msdro_opf.bundled_network()
     data = msdro_opf.MultiDataset.from_matrix(
         training_matrix(net, 20, derive_seed(1, "train")), [0.1, 0.1])
     summary = build_msdro_opf(net, data, 0.05).model.summary()
-    monkeypatch.setattr(lp, "linprog", lambda *a, **k: OptimizeResult(
-        status=4, message="Numerical difficulties encountered", x=None))
+    monkeypatch.setattr(lp, "_Highs", Failing)
     code = run("solve", "--eps", 0.1, 0.1, "--out", tmp_path / "run")
     assert code == EXIT_SOLVER
     err = capsys.readouterr().err
@@ -268,6 +283,19 @@ def test_oos_writes_the_sweep_oos_row(tmp_path):
     assert rows[1] == ["0.1", "0.1", "0", "1000", "optimal"]
 
 
+def test_oos_with_no_samples_reports_no_rate(tmp_path, capsys):
+    """A rate over zero samples is unknown: empty in ``oos.csv``, as the
+    sweep writes it, and ``nan`` on stdout."""
+    assert run("oos", "--eps", 0.1, 0.1, "--oos-samples", 0,
+               "--out", tmp_path / "o") == EXIT_OK
+    assert "violation: nan over 0 samples" in capsys.readouterr().out
+    assert run("sweep", "--grid", 0.1, "--oos-samples", 0,
+               "--out", tmp_path / "s") == EXIT_OK
+    rows = read_rows(tmp_path / "o" / "oos.csv")
+    assert rows == read_rows(tmp_path / "s" / "oos.csv")
+    assert rows[1] == ["0.1", "0.1", "", "0", "optimal"]
+
+
 def test_oos_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("oos", "--eps", "1.0", "1.0", "--oos-samples", "50") == EXIT_OK
@@ -310,7 +338,7 @@ def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
-    monkeypatch.setattr(lp, "linprog", no_solve)
+    monkeypatch.setattr(lp.Model, "solve", no_solve)
     try:
         code = run(*argv, "--out", tmp_path / "out")
     except SystemExit as exc:  # argparse rejected a flag

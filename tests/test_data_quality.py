@@ -164,6 +164,17 @@ def test_noise_model_requires_positive_scale():
         NoiseModel.gaussian(-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_noise_model_and_signal_reject_non_finite_values(value):
+    with pytest.raises(InputError):
+        NoiseModel.laplace(value)
+    with pytest.raises(InputError):
+        NoiseModel.gaussian(value)
+    with pytest.raises(InputError):
+        QualitySignal(value)
+
+
 def test_laplace_mechanism_scale_and_determinism():
     data = np.linspace(-0.5, 0.5, 20)
     noisy, signal = laplace_mechanism(data, sensitivity=1.0, theta=10.0, seed=5)

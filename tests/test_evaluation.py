@@ -123,6 +123,13 @@ def test_violation_rate_tolerance_ignores_roundoff():
     assert violation_rate(a, b, np.array([[1e-6]])) == 1.0
 
 
+def test_violation_rate_of_no_samples_is_nan():
+    a, b = np.array([[1.0]]), np.array([0.0])
+    assert math.isnan(violation_rate(a, b, np.zeros((0, 1))))
+    # No features but some samples: the rows are fixed numbers.
+    assert violation_rate(np.zeros((1, 0)), b + 1.0, np.zeros((3, 0))) == 1.0
+
+
 def test_robust_decision_never_violates(case5, robust_sol):
     xs = oos_matrix(case5, np.array([1.0, 1.0]), 2000, seed=23)
     assert empirical_violation(robust_sol.decision, xs, case5) == 0.0
@@ -206,15 +213,15 @@ def test_sweep_tables_leave_failed_cell_values_empty(tmp_path):
 def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     """A solver error in one cell's re-run is recorded; the sweep goes on."""
     calls = []
-    highs = lp._solve_scipy_highs
+    run_highs = lp._run_highs
 
-    def flaky(model):
+    def flaky(highs, model):
         calls.append(model.num_constraints)
         if len(calls) == 2:  # the first cell's tightening re-run
             raise SolverError("highs failed: injected")
-        return highs(model)
+        return run_highs(highs, model)
 
-    monkeypatch.setattr(lp, "_solve_scipy_highs", flaky)
+    monkeypatch.setattr(lp, "_run_highs", flaky)
     cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=50)
     res = run_sweep(case5, cfg)
     assert calls[1] < calls[0]  # the re-run drops the idle balancers' rows

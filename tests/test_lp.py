@@ -1,11 +1,17 @@
 """Thin LP layer: model assembly, solve statuses, dual sign conventions."""
 
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 
-from msdro_opf.lp import EQ, GE, INFINITY, LE, Model, family
+from msdro_opf import MultiDataset, lp
+from msdro_opf.lp import (EQ, GE, INFINITY, LE, LpError, Model, SolverError,
+                          family)
+from msdro_opf.opf_model import build_msdro_opf
 
-from oracles import add_row, row_dual, row_multiplier
+from oracles import add_row, bits, row_dual, row_multiplier
 
 
 def build_cover_model():
@@ -213,3 +219,106 @@ def test_interleaved_families_need_equal_shapes():
               family("b", 1, [(x[0], 1.0)], LE, 1.0))
     with pytest.raises(ValueError):
         family("c", 2, [(x, 1.0)], "<", 1.0)
+
+
+def test_fallback_without_private_bindings_gives_same_numbers(
+        monkeypatch, case5, train20):
+    """Where scipy has no ``_Highs``, ``linprog`` solves every model, to the
+    same bits as the direct backend."""
+    from scipy.optimize._highspy import _core
+
+    spec = importlib.util.spec_from_file_location("lp_fallback", lp.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "lp_fallback", fallback)
+    with monkeypatch.context() as patch:  # the import fails, linprog works
+        patch.delattr(_core, "_Highs")
+        spec.loader.exec_module(fallback)
+    assert fallback._Highs is None
+    models = [build_cover_model()[0]] + [
+        build_msdro_opf(case5, MultiDataset.from_matrix(train20, eps), 0.05).model
+        for eps in ([1.0, 1.0], [0.1, 0.005])]
+    for model in models:
+        direct, slow = model.solve(), fallback.Model.solve(model)
+        assert slow.optimal and slow._highs is None
+        assert slow.objective == direct.objective
+        assert bits(slow.x) == bits(direct.x)
+        assert bits(slow.duals) == bits(direct.duals)
+
+
+def doctored(change):
+    """A HiGHS object whose optimal solution is edited by ``change``."""
+    class Doctored(lp._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            change(solution)
+            return solution
+    return Doctored
+
+
+def shift(name, by):
+    def change(solution):
+        setattr(solution, name, [v + by for v in getattr(solution, name)])
+    return change
+
+
+@pytest.mark.parametrize("change, fault", [
+    (shift("col_value", -1.0), "does not satisfy the constraints"),
+    (shift("row_value", 1.0), "does not satisfy the constraints"),
+    (shift("col_value", float("nan")), "contains NaN"),
+], ids=["below bounds", "rows violated", "nan"])
+def test_post_solve_check_rejects_doctored_solution(monkeypatch, change, fault):
+    m = build_cover_model()[0]
+    monkeypatch.setattr(lp, "_Highs", doctored(change))
+    with pytest.raises(SolverError) as err:
+        m.solve()
+    assert str(err.value).startswith(f"HiGHS status 7 (the solution {fault}")
+    assert m.summary() in str(err.value)
+
+
+def test_post_solve_check_passes_within_tolerance(monkeypatch):
+    m, x, y = build_cover_model()
+    monkeypatch.setattr(lp, "_Highs", doctored(shift("col_value", 1e-5)))
+    assert m.solve().x[x] == pytest.approx(3.5 + 1e-5)
+
+
+def cover_with_extra():
+    """The cover LP plus a cheap capped column z in the cover row."""
+    m = Model("cover")
+    x = m.add_var(obj=2.0)
+    y = m.add_var(obj=3.0)
+    z = m.add_var(obj=1.0)
+    add_row(m, "cover", [(x, 1.0), (y, 1.0), (z, 1.0)], GE, 4.0)
+    add_row(m, "floor", [(y, 1.0)], GE, 0.5)
+    add_row(m, "zcap", [(z, 1.0)], LE, 1.0)
+    add_row(m, "cap", [(x, 1.0)], LE, 10.0)
+    return m
+
+
+def test_resolve_edits_the_solved_lp_and_hands_over_the_solver():
+    first = cover_with_extra().solve()
+    assert first.objective == pytest.approx(7.5)
+    smaller = Model("cover")
+    x = smaller.add_var(ub=3.0, obj=2.0)
+    y = smaller.add_var(obj=3.0)
+    add_row(smaller, "cover", [(x, 1.0), (y, 1.0)], GE, 4.0)
+    add_row(smaller, "cap", [(x, 1.0)], LE, 10.0)
+    warm = first.resolve(smaller, [1, 2], [2])
+    assert first._highs is None and warm._highs is not None
+    cold = smaller.solve()
+    assert warm.objective == pytest.approx(9.0)
+    assert bits(warm.x) == bits(cold.x) and bits(warm.duals) == bits(cold.duals)
+    again = first.resolve(smaller, [1, 2], [2])  # no solver left: from scratch
+    assert again.objective == warm.objective
+
+
+def test_resolve_rejects_a_model_that_is_not_the_edited_one():
+    first = cover_with_extra().solve()
+    other = Model("cover")
+    x = other.add_var(obj=2.0)
+    y = other.add_var(obj=3.0)
+    add_row(other, "cover", [(x, 1.0), (y, 1.0)], GE, 5.0)  # another rhs
+    add_row(other, "cap", [(x, 1.0)], LE, 10.0)
+    with pytest.raises(LpError):
+        first.resolve(other, [1, 2], [2])
+    with pytest.raises(LpError):
+        cover_with_extra().solve().resolve(other, [1], [2])  # a row too many

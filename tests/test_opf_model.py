@@ -5,21 +5,23 @@ import itertools
 import numpy as np
 import pytest
 
-from msdro_opf import MultiDataset, solve_msdro_opf
+from msdro_opf import MultiDataset, lp, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
 from msdro_opf.errors import ExtractionError, InputError, ModeError
-from msdro_opf.evaluation import empirical_violation
+from msdro_opf.evaluation import DEFAULT_GRID, empirical_violation
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
-from msdro_opf.opf_model import (RiskLevel, cvar_tightening_rerun,
-                                 idle_balancers, joint_constraint_rows)
+from msdro_opf.opf_model import (RiskLevel, build_msdro_opf,
+                                 cvar_tightening_rerun, idle_balancers,
+                                 joint_constraint_rows, solve)
 
 from msdro_opf.valuation import (envelope_check,
                                  forecast_value_decomposition,
                                  marginal_data_value)
 
-from oracles import (ring_network, robust_corner_objective, row_dual,
-                     row_multiplier, saa_cvar_objective, three_cut_opf)
+from oracles import (bits, ring_instances, ring_network,
+                     robust_corner_objective, row_dual, row_multiplier,
+                     saa_cvar_objective, three_cut_opf)
 
 DIAGONAL = [(0.001, 0.001), (0.005, 0.005), (0.01, 0.01), (0.1, 0.1),
             (1.0, 1.0)]
@@ -151,20 +153,19 @@ def test_tightening_rerun_without_idle_balancers_is_identity(case5, train20,
 
 
 def test_tightening_rerun_keeps_first_solve_when_not_optimal(
-        case5, train20, solve_cell, monkeypatch):
-    """A re-run that ends infeasible falls back to the first solve."""
-    from msdro_opf import lp
-
-    def infeasible(model):
+        case5, train20, monkeypatch):
+    """A warm re-run that ends infeasible falls back to the first solve."""
+    def infeasible(highs, model):
         return lp.LpSolution("infeasible", float("nan"),
                              np.zeros(model.num_vars),
                              np.zeros(model.num_constraints), model)
 
-    sol = solve_cell(1.0, 1.0)
-    assert idle_balancers(sol)
     data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
-    monkeypatch.setattr(lp, "_solve_scipy_highs", infeasible)
+    sol = solve_msdro_opf(case5, data, 0.05)
+    assert idle_balancers(sol)
+    monkeypatch.setattr(lp, "_run_highs", infeasible)
     assert cvar_tightening_rerun(case5, data, 0.05, sol) is sol
+    assert sol.lp_solution._highs is None  # the re-run took the warm path
 
 
 def test_cc_row_geometry(case5, solve_cell):
@@ -329,18 +330,7 @@ def test_random_networks_match_three_cut_lp():
     wherever the envelope check does not flag the cell degenerate."""
     checked = 0
     assert ring_network(0, 4, 3, 2, 1).num_lines == 6  # chords capped at 2
-    rng = np.random.default_rng(71)
-    for k in range(30):
-        net = ring_network(k, int(rng.integers(4, 10)), int(rng.integers(0, 4)),
-                           int(rng.integers(2, 5)), int(rng.integers(1, 4)))
-        box = build_joint_support(net)
-        d, n = net.num_resources, int(rng.integers(3, 12))
-        xs = np.clip(rng.normal(0.0, 0.15 * net.forecast_vector()[:, None],
-                                (d, n)),
-                     box.lower[:, None], box.upper[:, None])
-        data = MultiDataset.from_matrix(
-            xs, rng.choice([0.0, 0.001, 0.01, 0.1, 1.0], size=d))
-        gamma = float(rng.choice([0.01, 0.05, 0.2]))
+    for k, (net, data, gamma) in enumerate(ring_instances()):
         base = solve_msdro_opf(net, data, gamma)
         assert base.optimal, base.status
         assert_matches_three_cut(base, net, data, gamma=gamma)
@@ -354,3 +344,51 @@ def test_random_networks_match_three_cut_lp():
                 assert abs(chk.finite_difference - chk.analytic) <= 1e-3 * max(
                     1.0, abs(chk.analytic)), (k, j, chk)
     assert checked >= 40  # of 48 positive budgets; none was degenerate
+
+
+def parity_instances(case5, train20):
+    """The 16 default grid cells on case5 at N' = 20, then the 30 ring
+    instances; yields (network, data, gamma)."""
+    for cell in itertools.product(DEFAULT_GRID, repeat=2):
+        yield case5, MultiDataset.from_matrix(train20, list(cell)), 0.05
+    yield from ring_instances()
+
+
+def test_direct_highs_matches_linprog_bit_for_bit(case5, train20):
+    """``Model.solve`` hands HiGHS the LP and options ``linprog`` would: x,
+    duals and objective are the same floats as through ``linprog``."""
+    for net, data, gamma in parity_instances(case5, train20):
+        model = build_msdro_opf(net, data, gamma).model
+        direct, oracle = model.solve(), lp._solve_scipy_highs(model)
+        assert direct.optimal and oracle.optimal
+        assert direct.objective == oracle.objective
+        assert bits(direct.x) == bits(oracle.x)
+        assert bits(direct.duals) == bits(oracle.duals)
+
+
+def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
+    """The re-run edits the first solve's HiGHS LP into exactly the pinned
+    model's LP, and its optimum is a cold solve's, with a zero duality gap
+    on its own model."""
+    warm = 0
+    for net, data, gamma in parity_instances(case5, train20):
+        first = solve_msdro_opf(net, data, gamma)
+        rerun = cvar_tightening_rerun(net, data, gamma, first)
+        if rerun is first:
+            continue
+        warm += 1
+        assert first.lp_solution._highs is None
+        got = rerun.lp_solution._highs.getLp()
+        want = rerun.built.model._highs_lp()
+        for part in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                     "row_upper_"):
+            assert bits(getattr(got, part)) == bits(getattr(want, part)), part
+        for part in ("start_", "index_", "value_"):
+            assert np.array_equal(getattr(got.a_matrix_, part),
+                                  getattr(want.a_matrix_, part)), part
+        assert bits(got.a_matrix_.value_) == bits(want.a_matrix_.value_)
+        cold = solve(build_msdro_opf(net, data, gamma,
+                                     rerun.built.fixed_zero_participation))
+        assert rerun.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert rerun.duality_gap() <= 1e-9
+    assert warm >= 25  # 28 of the 46 instances pin some generator
