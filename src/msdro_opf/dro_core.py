@@ -311,7 +311,10 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     other rows read sigma_t >= row(t, k) - row(t, k0) (family ``idx``, k0
     entries absent), and mean_t row(t, k0) moves into the objective: mean
     distances on p and q plus the constant mean_t max_k (a_k . x_t + b_k).
-    The solver's all-slack start, sigma = 0, is the sample average.
+    The solver's all-slack start, sigma = 0, is the sample average, and it
+    is dual feasible: every column (lam, sigma, p, q) has lower bound 0
+    and a nonnegative cost. So HiGHS solves without presolve, whose cost
+    here exceeds the few dual simplex iterations from that start.
     Returns (optimal value, LP solution, s values).
     """
     n_t, k_pieces = len(points), cost.num_pieces
@@ -333,7 +336,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                       (q.T[k0][:, None, :], lo[:, None, :])],
                      GE, heights - base[:, None],
                      where=np.arange(k_pieces)[None, :] != k0[:, None]))
-    sol = model.solve()
+    sol = model.solve(_presolve=False)
     if not sol.optimal:
         raise RuntimeError(f"{model.name} LP ended {sol.status}")
     x = sol.x

@@ -2,11 +2,14 @@
 
 Variables are array blocks and constraints are *families* (named arrays
 of rows sharing one sense). The matrix is assembled once, column-wise, and
-handed to the HiGHS object scipy bundles (``scipy.optimize._highspy``) with
-the settings of ``linprog(method="highs")``: presolve on, dual simplex, no
-output. HiGHS returns primal values and one dual per row; duals are read
-back per family, in the family's shape. Row names (``name[i,j]``) are made
-only when asked for. A solution keeps its HiGHS object until
+handed as numpy arrays to the HiGHS object scipy bundles
+(``scipy.optimize._highspy``) with the settings of
+``linprog(method="highs")``: presolve on, dual simplex, no output. Only
+``dro_core``'s anchored epigraph LPs turn presolve off, because their
+all-slack start is dual feasible and already the sample average. HiGHS
+returns primal values and one dual per row; duals are read back per
+family, in the family's shape. Row names (``name[i,j]``) are made only
+when asked for. A solution keeps its HiGHS object until
 ``LpSolution.resolve`` edits it into a smaller model and restarts from its
 final basis. Where scipy lacks the private bindings, ``linprog`` solves
 every model from scratch.
@@ -37,7 +40,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 try:
-    from scipy.optimize._highspy._core import HighsLp, MatrixFormat, _Highs
+    from scipy.optimize._highspy._core import MatrixFormat, ObjSense, _Highs
 except ImportError:  # a scipy build without its private HiGHS bindings
     _Highs = None
 
@@ -49,8 +52,9 @@ EQ = "=="
 
 _SENSES = (LE, GE, EQ)
 
-#: ``linprog(method="highs")``'s options; the rest are HiGHS's defaults.
-_OPTIONS = (("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
+#: ``linprog(method="highs")``'s options but presolve, which ``Model.solve``
+#: sets; the rest are HiGHS's defaults.
+_OPTIONS = (("simplex_strategy", 1),  # 1: dual simplex
             ("output_flag", False), ("log_to_console", False))
 
 #: ``linprog``'s post-solve tolerance on bounds and rows, 10 * sqrt(1e-9).
@@ -389,9 +393,9 @@ class Model:
             self._cache["highs_rows"] = (order, flip, lower, upper)
         return self._cache["highs_rows"]
 
-    def _highs_lp(self) -> "HighsLp":
-        """The model as a HiGHS LP in the ``_highs_rows`` layout, its matrix
-        column-wise straight from the coefficient table."""
+    def _load(self, highs) -> None:
+        """Pass the model to ``highs`` as arrays, in the ``_highs_rows``
+        layout, its matrix column-wise straight from the coefficient table."""
         order, flip, lower, upper = self._highs_rows()
         rows, cols, vals = self._coo()
         at = np.empty(self._num_rows, np.int64)
@@ -399,19 +403,14 @@ class Model:
         rows = at[rows]
         a = sp.csc_matrix((vals * flip[rows], (rows, cols)),
                           shape=(self._num_rows, self.num_vars))
-        problem = HighsLp()
-        problem.num_col_ = problem.a_matrix_.num_col_ = self.num_vars
-        problem.num_row_ = problem.a_matrix_.num_row_ = self._num_rows
-        problem.a_matrix_.format_ = MatrixFormat.kColwise
-        problem.a_matrix_.start_ = a.indptr
-        problem.a_matrix_.index_ = a.indices
-        problem.a_matrix_.value_ = a.data
-        problem.col_cost_ = self.obj
-        problem.col_lower_ = self.lb
-        problem.col_upper_ = self.ub
-        problem.row_lower_ = lower
-        problem.row_upper_ = upper
-        return problem
+        # HiGHS refuses an empty integrality array; zeros mark continuous.
+        status = highs.passModel(
+            self.num_vars, self._num_rows, a.nnz, int(MatrixFormat.kColwise),
+            int(ObjSense.kMinimize), 0.0, self.obj, self.lb, self.ub, lower,
+            upper, a.indptr, a.indices, a.data,
+            np.zeros(self.num_vars, np.int32))
+        if status.name == "kError":
+            raise SolverError(f"HiGHS rejected {self.summary()}")
 
     def row_names(self) -> list:
         """Every row's name, in row order."""
@@ -447,15 +446,20 @@ class Model:
                 f"columns, {self._matrix().nnz} nonzeros; rows in families "
                 f"{listing}")
 
-    def solve(self) -> LpSolution:
-        """Solve with HiGHS from scratch."""
+    def solve(self, *, _presolve: bool = True) -> LpSolution:
+        """Solve with HiGHS from scratch.
+
+        ``_presolve=False`` starts the dual simplex at the all-slack basis
+        without presolving; only ``dro_core``'s anchored epigraph LPs ask
+        for it, since that basis is their sample average.
+        """
         if _Highs is None:
-            return _solve_scipy_highs(self)
+            return _solve_scipy_highs(self, _presolve)
         highs = _Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
-        if highs.passModel(self._highs_lp()).name == "kError":
-            raise SolverError(f"HiGHS rejected {self.summary()}")
+        highs.setOptionValue("presolve", "on" if _presolve else "off")
+        self._load(highs)
         return _run_highs(highs, self)
 
 
@@ -505,7 +509,7 @@ def _check(model: Model, x, objective: float, slack, eq) -> str:
     return ""
 
 
-def _solve_scipy_highs(model: Model) -> LpSolution:
+def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
     """Solve through scipy's ``linprog``: the fallback without the private
     HiGHS bindings, and the tests' reference for ``Model.solve``."""
     a, senses, rhs = model._assembled()
@@ -523,6 +527,7 @@ def _solve_scipy_highs(model: Model) -> LpSolution:
         A_ub=a_ub, b_ub=flip * rhs[ub] if len(ub) else None,
         A_eq=a[eq] if len(eq) else None, b_eq=rhs[eq] if len(eq) else None,
         bounds=np.column_stack([model.lb, model.ub]), method="highs",
+        options={"presolve": presolve},
     )
 
     if res.status == 2:

@@ -23,6 +23,7 @@ from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 wc_expectation_single_budget,
                                 wc_expectation_standardized)
 from msdro_opf.errors import InputError, ModeError, SizeError
+from msdro_opf import lp
 from msdro_opf.lp import Model
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
@@ -407,6 +408,106 @@ def test_single_budget_matches_per_piece_lp():
                                     box, pooled=pooled)
         got = wc_expectation_single_budget(cost, data, box, pooled)
         assert got == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+
+
+#: Budget scales from nearly the sample average to saturated budgets.
+BUDGET_SCALES = (0.01, 0.1, 1.0, 3.0, 10.0, 30.0)
+
+
+def anchored_routes(rng):
+    """The three anchored routes on clipped normal samples in [-1, 1]:
+    (name, call, oracle) with ``call(scale)`` the route's value and
+    ``oracle(scale)`` the per-piece LP's, budgets scaled by ``scale``."""
+    box = BoxSupport(-np.ones(3), np.ones(3))
+
+    def samples(*counts):
+        return [np.clip(rng.normal(0.0, 0.35, n), -1.0, 1.0) for n in counts]
+
+    def cost(d, k):
+        return PiecewiseMaxAffine(rng.normal(size=(k, d)),
+                                  0.1 * rng.normal(size=k))
+
+    prod_cost, prod_xs, prod_eps = cost(3, 3), samples(6, 5, 4), [0.05, 0.02, 0.1]
+    std_cost, std_xs, std_eps = cost(3, 4), samples(30, 30, 30), [0.05, 0.02, 0.1]
+
+    def data(xs, eps, scale):
+        return MultiDataset(xs, scale * np.asarray(eps))
+
+    def general(scale):
+        return wc_expectation_general(prod_cost, data(prod_xs, prod_eps, scale),
+                                      box)
+
+    def general_ref(scale):
+        atoms = product_anchor(data(prod_xs, prod_eps, scale))[0]
+        return per_piece_anchored_lp(prod_cost, atoms,
+                                     scale * np.asarray(prod_eps), box).value
+
+    def standardized(scale):
+        return wc_expectation_standardized(
+            std_cost, data(std_xs, std_eps, scale), box).value
+
+    def standardized_ref(scale):
+        return per_piece_anchored_lp(std_cost, np.column_stack(std_xs),
+                                     scale * np.asarray(std_eps), box).value
+
+    def single_budget(scale):
+        return wc_expectation_single_budget(
+            std_cost, data(std_xs, std_eps, scale), box, scale * sum(std_eps))
+
+    def single_budget_ref(scale):
+        return per_piece_anchored_lp(std_cost, np.column_stack(std_xs),
+                                     scale * np.asarray(std_eps), box,
+                                     pooled=scale * sum(std_eps)).value
+
+    return [("general", general, general_ref),
+            ("standardized", standardized, standardized_ref),
+            ("single_budget", single_budget, single_budget_ref)]
+
+
+@pytest.fixture
+def anchored_solves(monkeypatch):
+    """Every ``Model.solve`` call's LP solution, in call order."""
+    seen = []
+    solve = Model.solve
+
+    def spy(self, **options):
+        sol = solve(self, **options)
+        seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(Model, "solve", spy)
+    return seen
+
+
+def test_anchored_routes_without_presolve_match_presolved_and_per_piece_lp(
+        anchored_solves):
+    """Solving the anchored LPs from their slack basis without presolve
+    changes no value, from near-zero to saturated budgets: each LP's
+    optimum equals the same LP presolved, and each route's value the
+    per-piece LP's."""
+    for name, route, oracle in anchored_routes(np.random.default_rng(23)):
+        for scale in BUDGET_SCALES:
+            anchored_solves.clear()
+            value = route(scale)
+            (sol,) = anchored_solves
+            presolved = sol.model.solve()
+            assert presolved.objective == pytest.approx(
+                sol.objective, rel=1e-9, abs=1e-9), (name, scale)
+            assert value == pytest.approx(oracle(scale), rel=1e-9,
+                                          abs=1e-9), (name, scale)
+
+
+@pytest.mark.skipif(lp._Highs is None, reason="scipy lacks its HiGHS bindings")
+def test_anchored_routes_solve_without_presolve(anchored_solves):
+    """The anchored LPs' HiGHS objects have presolve off; a plain
+    ``Model.solve`` keeps ``linprog``'s presolve."""
+    for name, route, _ in anchored_routes(np.random.default_rng(29)):
+        anchored_solves.clear()
+        route(1.0)
+        (sol,) = anchored_solves
+        assert sol._highs.getOptionValue("presolve")[1] == "off", name
+        plain = sol.model.solve()
+        assert plain._highs.getOptionValue("presolve")[1] == "on", name
 
 
 # --- cross-route structure ---------------------------------------------------

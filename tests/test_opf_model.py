@@ -367,9 +367,10 @@ def test_direct_highs_matches_linprog_bit_for_bit(case5, train20):
 
 
 def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
-    """The re-run edits the first solve's HiGHS LP into exactly the pinned
-    model's LP, and its optimum is a cold solve's, with a zero duality gap
-    on its own model."""
+    """The re-run edits the first solve's HiGHS LP into exactly the LP a
+    fresh HiGHS object holds once the pinned model is loaded into it, and
+    its optimum is a cold solve's, with a zero duality gap on its own
+    model."""
     warm = 0
     for net, data, gamma in parity_instances(case5, train20):
         first = solve_msdro_opf(net, data, gamma)
@@ -379,7 +380,9 @@ def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
         warm += 1
         assert first.lp_solution._highs is None
         got = rerun.lp_solution._highs.getLp()
-        want = rerun.built.model._highs_lp()
+        fresh = lp._Highs()
+        rerun.built.model._load(fresh)
+        want = fresh.getLp()
         for part in ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
                      "row_upper_"):
             assert bits(getattr(got, part)) == bits(getattr(want, part)), part
