@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 1.0 0.1 0.005 0.001)")
     w.add_argument("--n-samples", type=int, default=20)
     w.add_argument("--oos-samples", type=int, default=1000)
-    w.add_argument("--jobs", type=int, default=1,
+    w.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel worker processes for sweep cells")
     w.add_argument("--no-tighten", action="store_true")
     w.add_argument("--out", type=Path, default=Path("msdro_out"))

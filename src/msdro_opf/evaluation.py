@@ -22,7 +22,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .dro_core import MultiDataset
 from .errors import InputError
@@ -64,6 +63,8 @@ def _truncated_draw(resource, loc: float, scale: float, n: int,
     if scale <= 0:
         point = min(max(loc, lo), up)
         return np.full(n, point)
+    from scipy.stats import truncnorm  # imported here: it is slow to load
+
     rng = np.random.default_rng(seed)
     a, b = (lo - loc) / scale, (up - loc) / scale
     return truncnorm.rvs(a, b, loc=loc, scale=scale, size=n, random_state=rng)
@@ -257,7 +258,8 @@ def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
 
 
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Solve every grid cell on one shared training dataset."""
+    """Solve every grid cell on one shared training dataset, in up to
+    ``jobs`` worker processes (one per cell at most)."""
     dim = len(network.resources)
     xs = training_matrix(network, config.n_samples,
                          derive_seed(config.seed, "train"),
@@ -267,7 +269,8 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
         (c, True) for c in config.oos_cells(dim) if c not in set(main_cells)]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # No more workers than cells: the pool may start all of them at once.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_solve_cell, network, xs, c, config, oos_only)
                        for c, oos_only in tasks]
             results = [f.result() for f in futures]

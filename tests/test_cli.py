@@ -323,6 +323,8 @@ BAD_INPUT = [
     ["sweep", "--grid", "nan"],
     ["sweep", "--grid", "inf"],
     ["sweep", "--oos-samples", "-5"],
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--jobs", "-1"],
     ["solve", "--eps", "0.1", "0.1", "--train", "-3"],
     ["oos", "--eps", "0.1", "0.1", "--oos-samples", "-5"],
     ["quality", "--noise", "laplace:0.05", "--dimension", "0"],

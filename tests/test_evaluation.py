@@ -2,12 +2,13 @@
 
 import filecmp
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from msdro_opf import lp
+from msdro_opf import evaluation, lp
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   derive_seed, empirical_violation,
@@ -185,6 +186,35 @@ def test_run_sweep_jobs_parity(tmp_path, case5):
     parallel = write_sweep_csvs(run_sweep(case5, cfg, jobs=2), tmp_path / "p")
     for fa, fb in zip(sorted(serial), sorted(parallel)):
         assert filecmp.cmp(fa, fb, shallow=False)
+
+
+def test_run_sweep_starts_no_more_workers_than_cells(case5, monkeypatch):
+    """``jobs`` above the cell count asks the pool for one worker per cell.
+    The pool is replaced by one that runs each cell in this process and
+    records its size, so no worker process is started."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=20)
+    cells = len(cfg.oos_cells(2))  # the grid's 4 cells and the zero cells
+    for jobs, want in ((2, 2), (cells, cells), (10**6, cells)):
+        run_sweep(case5, cfg, jobs=jobs)
+        assert sizes.pop() == want, jobs
 
 
 def test_run_sweep_records_per_cell_failures():

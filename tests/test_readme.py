@@ -3,7 +3,8 @@
 Every fenced ``python`` block of ``README.md`` runs as written, so the
 library tour and the ``lp`` example cannot drift from the package. The
 package root exports only the tour's names, and importing it loads
-neither ``scipy.stats`` nor the sweep harness.
+neither ``scipy.stats`` nor the sweep harness; importing the CLI does
+not load ``scipy.stats`` either.
 """
 
 import json
@@ -44,9 +45,21 @@ def test_readme_python_block_runs(block):
     assert namespace["sol"].optimal  # both blocks end with a solve
 
 
+def run_fresh(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter on this checkout's package; it
+    prints one JSON object, returned here."""
+    src = str(Path(msdro_opf.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def test_package_root_is_lean():
     """A fresh ``import msdro_opf`` resolves its exports and nothing more."""
-    code = textwrap.dedent("""
+    result = run_fresh("""
         import json, sys
         import msdro_opf
         print(json.dumps({
@@ -57,13 +70,17 @@ def test_package_root_is_lean():
                        if m in sys.modules],
         }))
     """)
-    src = str(Path(msdro_opf.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    result = json.loads(out.stdout)
     assert result["all"] == ROOT_NAMES
     assert result["missing"] == []
     assert result["loaded"] == []
+
+
+def test_cli_does_not_load_scipy_stats():
+    """Every ``msdro`` command imports the CLI; ``scipy.stats`` is loaded
+    only when the sweep or ``oos`` draws truncated normal samples."""
+    result = run_fresh("""
+        import json, sys
+        import msdro_opf.cli
+        print(json.dumps({"stats": "scipy.stats" in sys.modules}))
+    """)
+    assert result == {"stats": False}
