@@ -242,11 +242,12 @@ FORECAST_VALUE_COLUMNS = ["feature", "lmp_term", "balancing_term",
 
 
 def fmt(x, nan: str = "nan") -> str:
-    """A float with ten significant digits (``nan`` for NaN), anything else
-    with ``str``: how the CSVs and the CLI print values."""
+    """A float with ten significant digits (``nan`` for NaN, ``0`` for
+    -0.0), anything else with ``str``: how the CSVs and the CLI print
+    values."""
     if not isinstance(x, float):
         return str(x)
-    return nan if math.isnan(x) else f"{x:.10g}"
+    return nan if math.isnan(x) else f"{x + 0.0:.10g}"  # -0.0 + 0.0 is 0.0
 
 
 def write_csv(path, header, rows, nan: str = "nan") -> None:

@@ -9,7 +9,8 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
 from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                                  classify_regime, data_value_rows,
-                                 envelope_check, forecast_value_decomposition,
+                                 envelope_check, fmt,
+                                 forecast_value_decomposition,
                                  forecast_value_rows, marginal_data_value,
                                  offline_thresholds, prop3_offline_check,
                                  write_data_value_csv,
@@ -19,6 +20,16 @@ from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
 def activation_cost_sums(case5, sol):
     c_a = np.array([g.c_A for g in case5.generators])
     return c_a @ sol.decision.alpha
+
+
+def test_fmt_prints_signed_zero_as_zero():
+    """A multiplier or flow of -0.0 prints as 0, like +0.0; every other
+    value keeps its sign and ten significant digits."""
+    assert fmt(-0.0) == fmt(0.0) == fmt(np.float64(-0.0)) == "0"
+    assert fmt(-1e-300) == "-1e-300"
+    assert fmt(-2721.4710654321) == "-2721.471065"
+    assert fmt(float("nan")) == "nan" and fmt(float("nan"), nan="") == ""
+    assert fmt(3) == "3" and fmt("optimal") == "optimal"
 
 
 def test_classify_regime_labels():
