@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msdro_opf import lp
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 SeparableAffineCost, mean_transport_room,
                                 robust_value, sample_average,
@@ -23,7 +24,6 @@ from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 wc_expectation_single_budget,
                                 wc_expectation_standardized)
 from msdro_opf.errors import InputError, ModeError, SizeError
-from msdro_opf import lp
 from msdro_opf.lp import Model
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
@@ -419,45 +419,43 @@ def anchored_routes(rng):
     (name, call, oracle) with ``call(scale)`` the route's value and
     ``oracle(scale)`` the per-piece LP's, budgets scaled by ``scale``."""
     box = BoxSupport(-np.ones(3), np.ones(3))
+    eps = np.array([0.05, 0.02, 0.1])
 
     def samples(*counts):
         return [np.clip(rng.normal(0.0, 0.35, n), -1.0, 1.0) for n in counts]
 
-    def cost(d, k):
-        return PiecewiseMaxAffine(rng.normal(size=(k, d)),
+    def cost(k):
+        return PiecewiseMaxAffine(rng.normal(size=(k, 3)),
                                   0.1 * rng.normal(size=k))
 
-    prod_cost, prod_xs, prod_eps = cost(3, 3), samples(6, 5, 4), [0.05, 0.02, 0.1]
-    std_cost, std_xs, std_eps = cost(3, 4), samples(30, 30, 30), [0.05, 0.02, 0.1]
-
-    def data(xs, eps, scale):
-        return MultiDataset(xs, scale * np.asarray(eps))
+    prod_cost, prod_xs = cost(3), samples(6, 5, 4)
+    std_cost, std_xs = cost(4), samples(30, 30, 30)
+    std_points = np.column_stack(std_xs)
 
     def general(scale):
-        return wc_expectation_general(prod_cost, data(prod_xs, prod_eps, scale),
-                                      box)
+        return wc_expectation_general(
+            prod_cost, MultiDataset(prod_xs, scale * eps), box)
 
     def general_ref(scale):
-        atoms = product_anchor(data(prod_xs, prod_eps, scale))[0]
-        return per_piece_anchored_lp(prod_cost, atoms,
-                                     scale * np.asarray(prod_eps), box).value
+        atoms = product_anchor(MultiDataset(prod_xs, scale * eps))[0]
+        return per_piece_anchored_lp(prod_cost, atoms, scale * eps, box).value
 
     def standardized(scale):
         return wc_expectation_standardized(
-            std_cost, data(std_xs, std_eps, scale), box).value
+            std_cost, MultiDataset(std_xs, scale * eps), box).value
 
     def standardized_ref(scale):
-        return per_piece_anchored_lp(std_cost, np.column_stack(std_xs),
-                                     scale * np.asarray(std_eps), box).value
+        return per_piece_anchored_lp(std_cost, std_points, scale * eps,
+                                     box).value
 
     def single_budget(scale):
         return wc_expectation_single_budget(
-            std_cost, data(std_xs, std_eps, scale), box, scale * sum(std_eps))
+            std_cost, MultiDataset(std_xs, scale * eps), box,
+            scale * eps.sum())
 
     def single_budget_ref(scale):
-        return per_piece_anchored_lp(std_cost, np.column_stack(std_xs),
-                                     scale * np.asarray(std_eps), box,
-                                     pooled=scale * sum(std_eps)).value
+        return per_piece_anchored_lp(std_cost, std_points, scale * eps, box,
+                                     pooled=scale * eps.sum()).value
 
     return [("general", general, general_ref),
             ("standardized", standardized, standardized_ref),
