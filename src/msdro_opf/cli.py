@@ -142,12 +142,13 @@ def cmd_quality(args) -> int:
 
 
 def _solve_instance(args):
-    """Load inputs and solve once; returns the instance or an exit code."""
+    """Load inputs and solve once; returns the solution with the network's
+    and the data's source labels, or an exit code."""
     network, net_src = _load_net(args)
     xs, data_src = _resolve_samples(args, network)
     eps = _resolve_epsilons(args, len(network.resources))
-    data = MultiDataset.from_matrix(xs, eps)
-    sol = solve_msdro_opf(network, data, args.gamma)
+    sol = solve_msdro_opf(network, MultiDataset.from_matrix(xs, eps),
+                          args.gamma)
     if sol.status == "infeasible":
         print(f"model is infeasible: {sol.built.model.summary()}; check line "
               "limits, generator capacity against loads, and the support "
@@ -156,20 +157,21 @@ def _solve_instance(args):
     if not sol.optimal:
         print(f"solver failed: status {sol.status}", file=sys.stderr)
         return EXIT_SOLVER
-    return network, net_src, xs, data_src, eps, data, sol
+    return sol, net_src, data_src
 
 
 def cmd_solve(args) -> int:
     solved = _solve_instance(args)
     if isinstance(solved, int):
         return solved
-    network, net_src, xs, data_src, eps, data, sol = solved
+    sol, net_src, data_src = solved
+    network, data = sol.built.network, sol.built.data
+    eps = data.epsilons.tolist()
 
-    final = (sol if args.no_tighten
-             else cvar_tightening_rerun(network, data, args.gamma, sol))
+    final = sol if args.no_tighten else cvar_tightening_rerun(first=sol)
 
     report = marginal_data_value(sol)
-    forecast = forecast_value_decomposition(sol, network, data)
+    forecast = forecast_value_decomposition(sol)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -186,7 +188,7 @@ def cmd_solve(args) -> int:
     write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
     outputs = ["solution.csv", "duals.csv", "valuation.csv",
                "forecast_value.csv", "samples.csv"]
-    write_samples_csv(outdir / "samples.csv", xs)
+    write_samples_csv(outdir / "samples.csv", data.matrix())
     _write_manifest(outdir, {
         "command": "solve", "network": net_src, "data": data_src,
         "epsilons": eps, "gamma": args.gamma, "seed": args.seed,
@@ -255,7 +257,8 @@ def cmd_oos(args) -> int:
     solved = _solve_instance(args)
     if isinstance(solved, int):
         return solved
-    network, net_src, _, data_src, eps, _, sol = solved
+    sol, net_src, data_src = solved
+    network, eps = sol.built.network, sol.built.data.epsilons.tolist()
     samples = oos_matrix(network, eps, args.oos_samples, args.seed)
     rate = empirical_violation(sol.decision, samples, network,
                                flow_maps=(sol.built.b_g, sol.built.b_w))

@@ -228,8 +228,7 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
             rate = empirical_violation(base.decision, samples, network,
                                        flow_maps=(base.built.b_g, base.built.b_w))
             oos = OosResult(cell, rate, config.oos_samples)
-            return (None if oos_only else
-                    _cell_result(network, cell, data, base, config), oos)
+            return None if oos_only else _cell_result(base, config), oos
         result = CellResult(cell, base.status)
     except Exception as exc:  # recorded, sweep continues
         result = CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
@@ -237,20 +236,18 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
             OosResult(cell, math.nan, 0, result.status))
 
 
-def _cell_result(network: Network, cell: tuple, data: MultiDataset, base,
-                 config: SweepConfig) -> CellResult:
+def _cell_result(base, config: SweepConfig) -> CellResult:
     """Tightening re-run and valuation of an optimal base solve."""
-    tightened = base
-    if config.tighten:
-        tightened = cvar_tightening_rerun(network, data, config.gamma, base)
+    tightened = cvar_tightening_rerun(first=base) if config.tighten else base
+    network = base.built.network
     c_act = np.array([g.c_A for g in network.generators])
     return CellResult(
-        cell, "optimal",
+        tuple(base.built.data.epsilons.tolist()), "optimal",
         objective=base.objective,
         objective_tightened=tightened.objective,
         phi=base.duals.phi,
         data_value=marginal_data_value(base),
-        forecast_value=forecast_value_decomposition(base, network, data),
+        forecast_value=forecast_value_decomposition(base),
         activation_price=c_act @ base.decision.alpha,
         forecast=network.forecast_vector(),
         decision=base.decision,

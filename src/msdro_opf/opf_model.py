@@ -373,37 +373,31 @@ def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     return frozenset(np.flatnonzero(idle).tolist())
 
 
-def cvar_tightening_rerun(network: Network, data: MultiDataset, gamma,
-                          first: SolutionWithDuals) -> SolutionWithDuals:
-    """Re-solve with non-participating generators pinned out of the CVaR.
+def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
+    """Re-solve ``first``'s instance with non-participating generators
+    pinned out of the CVaR.
 
     Generators with an all-zero participation row never activate, so their
     reserve rows inside the CVaR max only slacken the approximation. The
     re-run fixes r+ = r- = 0 for those generators and drops their two rows
-    from the joint constraint. On the first solve's instance (the same
-    network, data and gamma) HiGHS edits the LP it solved into the pinned
-    one and restarts from its basis; otherwise the pinned model is solved
-    from scratch. Returns the first solution unchanged when there is
-    nothing to pin or the re-run does not end optimal; solver exceptions
-    propagate.
+    from the joint constraint. The pinned model is built on the first
+    build's network, data, gamma, support and flow maps, and HiGHS edits
+    the LP it solved into it and restarts from its basis
+    (``LpSolution.resolve``). Returns the first solution unchanged when
+    there is nothing to pin or the re-run does not end optimal; solver
+    exceptions propagate.
     """
     if not first.optimal:
         raise ExtractionError(f"first solve ended {first.status}")
-    idle = idle_balancers(first)
-    already = first.built.fixed_zero_participation
-    target = frozenset(idle | already)
+    built = first.built
+    already = built.fixed_zero_participation
+    target = frozenset(idle_balancers(first) | already)
     if not target or target == already:
         return first
-    # The network data of the first build (support, flow maps) carries over.
-    reuse = first.built if network is first.built.network else None
-    pinned = _build(network, data, gamma, target, reuse)
-    if (reuse is not None and data is reuse.data
-            and pinned.gamma == reuse.gamma):
-        rows, cols = _pinned_out(reuse, target - already)
-        rerun = _extract(pinned, first.lp_solution.resolve(pinned.model,
-                                                           rows, cols))
-    else:
-        rerun = solve(pinned)
+    pinned = _build(built.network, built.data, built.gamma, target, built)
+    rows, cols = _pinned_out(built, target - already)
+    rerun = _extract(pinned, first.lp_solution.resolve(pinned.model,
+                                                       rows, cols))
     return rerun if rerun.optimal else first
 
 

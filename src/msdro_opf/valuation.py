@@ -146,9 +146,9 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     )
 
 
-def forecast_value_decomposition(sol: SolutionWithDuals, network: Network,
-                                 data: MultiDataset) -> ForecastValueReport:
-    """Split dL/du_j into price, balancing, and reserve contributions.
+def forecast_value_decomposition(sol: SolutionWithDuals) -> ForecastValueReport:
+    """Split dL/du_j into price, balancing, and reserve contributions, on
+    the instance ``sol`` was solved for.
 
     Term (a) is the LMP at the resource bus: the balance dual plus the
     congestion component through the flow sensitivities.  Terms (b) and
@@ -162,8 +162,9 @@ def forecast_value_decomposition(sol: SolutionWithDuals, network: Network,
     _require_duals(sol)
     duals = sol.duals
     built = sol.built
-    kappa = np.array([r.kappa for r in network.resources])
-    u = np.array([r.u for r in network.resources])
+    resources = built.network.resources
+    kappa = np.array([r.kappa for r in resources])
+    u = np.array([r.u for r in resources])
 
     x, idx = sol.lp_solution.x, built.idx
     lmp = duals.pi + built.b_w.T @ (duals.beta_up - duals.beta_lo)
@@ -174,7 +175,7 @@ def forecast_value_decomposition(sol: SolutionWithDuals, network: Network,
 
     pi_f = lmp - balancing - reserve
     pi_d = sol.lambda_co + duals.phi * sol.lambda_cc
-    remuneration = u * pi_f - data.epsilons * pi_d
+    remuneration = u * pi_f - built.data.epsilons * pi_d
     return ForecastValueReport(
         lmp_term=lmp,
         balancing_term=balancing,

@@ -118,8 +118,7 @@ def test_activation_block_matches_separable_route(case5, train20, solve_cell):
             ref.value, rel=1e-6, abs=1e-6)
 
 
-def test_tightening_rerun_drops_idle_rows(case5, train20, solve_cell,
-                                         monkeypatch):
+def test_tightening_rerun_drops_idle_rows(solve_cell, monkeypatch):
     """The re-run pins the idle balancers and reuses the first build's
     support and flow maps."""
     from msdro_opf import opf_model
@@ -131,9 +130,8 @@ def test_tightening_rerun_drops_idle_rows(case5, train20, solve_cell,
         sol = solve_cell(*eps)
         idle = idle_balancers(sol)
         assert idle
-        data = MultiDataset.from_matrix(train20, np.array(eps))
         calls.clear()
-        second = cvar_tightening_rerun(case5, data, 0.05, sol)
+        second = cvar_tightening_rerun(sol)
         assert calls == []
         assert second.built.b_g is sol.built.b_g
         assert second.built.support is sol.built.support
@@ -144,12 +142,10 @@ def test_tightening_rerun_drops_idle_rows(case5, train20, solve_cell,
             assert second.decision.r_minus[g] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_tightening_rerun_without_idle_balancers_is_identity(case5, train20,
-                                                             solve_cell):
+def test_tightening_rerun_without_idle_balancers_is_identity(solve_cell):
     sol = solve_cell(0.005, 0.005)
     assert idle_balancers(sol) == frozenset()
-    data = MultiDataset.from_matrix(train20, np.array([0.005, 0.005]))
-    assert cvar_tightening_rerun(case5, data, 0.05, sol) is sol
+    assert cvar_tightening_rerun(sol) is sol
 
 
 def test_tightening_rerun_keeps_first_solve_when_not_optimal(
@@ -164,8 +160,24 @@ def test_tightening_rerun_keeps_first_solve_when_not_optimal(
     sol = solve_msdro_opf(case5, data, 0.05)
     assert idle_balancers(sol)
     monkeypatch.setattr(lp, "_run_highs", infeasible)
-    assert cvar_tightening_rerun(case5, data, 0.05, sol) is sol
+    assert cvar_tightening_rerun(sol) is sol
     assert sol.lp_solution._highs is None  # the re-run took the warm path
+
+
+def test_second_tightening_rerun_solves_from_scratch(case5, train20):
+    """The first re-run takes the first solve's HiGHS object; a second one
+    on the same solution builds the same pinned model and solves it cold,
+    to the same optimum."""
+    data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
+    first = solve_msdro_opf(case5, data, 0.05)
+    warm = cvar_tightening_rerun(first)
+    assert warm is not first and first.lp_solution._highs is None
+    cold = cvar_tightening_rerun(first)
+    assert cold.built.fixed_zero_participation == \
+        warm.built.fixed_zero_participation
+    assert cold.objective == pytest.approx(warm.objective, rel=1e-9)
+    assert cold.built.network is first.built.network
+    assert cold.built.data is first.built.data
 
 
 def test_cc_row_geometry(case5, solve_cell):
@@ -288,7 +300,7 @@ def assert_matches_three_cut(sol, network, data, pinned=(), gamma=0.05):
     """Objective to 1e-9 relative, decision, prices and terms to 1e-6."""
     ref = three_cut_opf(network, data, gamma, pinned)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
-    fv = forecast_value_decomposition(sol, network, data)
+    fv = forecast_value_decomposition(sol)
     mv = marginal_data_value(sol).marginal_value
     dec = sol.decision
     for got, want in ((dec.alpha, ref.alpha), (dec.p, ref.p),
@@ -308,7 +320,7 @@ def test_compact_block_matches_three_cut_lp_on_default_grid(case5, train20,
         data = MultiDataset.from_matrix(train20, np.array(eps))
         base = solve_cell(*eps)
         assert_matches_three_cut(base, case5, data)
-        rerun = cvar_tightening_rerun(case5, data, 0.05, base)
+        rerun = cvar_tightening_rerun(base)
         if rerun is not base:
             assert_matches_three_cut(rerun, case5, data,
                                      rerun.built.fixed_zero_participation)
@@ -335,7 +347,7 @@ def test_random_networks_match_three_cut_lp():
         assert base.optimal, base.status
         assert_matches_three_cut(base, net, data, gamma=gamma)
         assert base.duality_gap() <= 1e-9
-        rerun = cvar_tightening_rerun(net, data, gamma, base)
+        rerun = cvar_tightening_rerun(base)
         assert rerun.objective <= base.objective + 1e-9 * abs(base.objective)
         for j in np.flatnonzero(data.epsilons > 0):
             chk = envelope_check(net, data, gamma, int(j))
@@ -374,7 +386,7 @@ def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
     warm = 0
     for net, data, gamma in parity_instances(case5, train20):
         first = solve_msdro_opf(net, data, gamma)
-        rerun = cvar_tightening_rerun(net, data, gamma, first)
+        rerun = cvar_tightening_rerun(first)
         if rerun is first:
             continue
         warm += 1

@@ -159,7 +159,7 @@ def test_pi_f_is_forecast_shadow_price(case5, train20, solve_cell):
     eps = (0.1, 0.1)
     sol = solve_cell(*eps)
     data = MultiDataset.from_matrix(train20, np.array(eps))
-    fv = forecast_value_decomposition(sol, case5, data)
+    fv = forecast_value_decomposition(sol)
     delta = 1e-5
     for j in range(case5.num_resources):
         objs = []
@@ -176,9 +176,8 @@ def test_pi_f_is_forecast_shadow_price(case5, train20, solve_cell):
         assert fv.pi_f[j] == pytest.approx(fd, rel=1e-5, abs=1e-3)
 
 
-def test_decomposition_terms_at_saturated_budgets(case5, train20, robust_sol):
-    data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
-    fv = forecast_value_decomposition(robust_sol, case5, data)
+def test_decomposition_terms_at_saturated_budgets(case5, robust_sol):
+    fv = forecast_value_decomposition(robust_sol)
     u = case5.forecast_vector()
     np.testing.assert_allclose(fv.pi_f,
                                fv.lmp_term - fv.balancing_term
@@ -196,7 +195,7 @@ def test_zero_kappa_collapses_to_lmp(case5):
                   resources=pinned, slack_bus=case5.slack_bus)
     data = MultiDataset(np.zeros((2, 20)), np.zeros(2))
     sol = solve_msdro_opf(net, data, 0.05)
-    fv = forecast_value_decomposition(sol, net, data)
+    fv = forecast_value_decomposition(sol)
     np.testing.assert_allclose(fv.balancing_term, 0.0, atol=1e-9)
     np.testing.assert_allclose(fv.reserve_term, 0.0, atol=1e-9)
     np.testing.assert_allclose(fv.pi_f, fv.lmp_term, atol=1e-9)
@@ -215,12 +214,11 @@ def test_reports_require_optimal_solution():
     with pytest.raises(ExtractionError):
         marginal_data_value(sol)
     with pytest.raises(ExtractionError):
-        forecast_value_decomposition(sol, bad, data)
+        forecast_value_decomposition(sol)
 
 
-def test_csv_outputs(tmp_path, case5, train20, solve_cell):
+def test_csv_outputs(tmp_path, case5, solve_cell):
     sol = solve_cell(0.1, 0.1)
-    data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
     dv_path = tmp_path / "data_value.csv"
     write_data_value_csv(dv_path, marginal_data_value(sol))
     lines = dv_path.read_text().splitlines()
@@ -229,7 +227,7 @@ def test_csv_outputs(tmp_path, case5, train20, solve_cell):
 
     fv_path = tmp_path / "forecast_value.csv"
     write_forecast_value_csv(fv_path,
-                             forecast_value_decomposition(sol, case5, data))
+                             forecast_value_decomposition(sol))
     flines = fv_path.read_text().splitlines()
     assert flines[0] == ",".join(FORECAST_VALUE_COLUMNS)
     assert flines[0].split(",") == ["feature", "lmp_term", "balancing_term",
@@ -237,5 +235,5 @@ def test_csv_outputs(tmp_path, case5, train20, solve_cell):
                                     "remuneration"]
     rows = data_value_rows(marginal_data_value(sol))
     assert [r[0] for r in rows] == [1, 2]
-    frows = forecast_value_rows(forecast_value_decomposition(sol, case5, data))
+    frows = forecast_value_rows(forecast_value_decomposition(sol))
     assert len(frows) == case5.num_resources
