@@ -91,8 +91,8 @@ def _write_manifest(outdir: Path, payload: dict) -> Path:
 
 
 def cmd_quality(args) -> int:
-    if args.noise is not None and args.original is not None:
-        raise InputError("--noise and --original are mutually exclusive")
+    if args.noise is not None and (args.original or args.published):
+        raise InputError("--noise excludes --original and --published")
     qualities: dict[str, float] = {}
     if args.noise is not None:
         kind, sep, value = args.noise.partition(":")

@@ -255,7 +255,8 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
 
 
 def read_quality_csv(path) -> dict[str, float]:
-    """Read a ``feature,epsilon`` file into an ordered mapping."""
+    """Read a ``feature,epsilon`` file into a mapping in file order; a
+    feature named twice is an ``InputError``."""
     out: dict[str, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -277,7 +278,11 @@ def read_quality_csv(path) -> dict[str, float]:
             if not (math.isfinite(eps) and eps >= 0):
                 raise InputError(f"{path}:{lineno}: epsilon must be a finite "
                                  "number >= 0")
-            out[row[0].strip()] = eps
+            feature = row[0].strip()
+            if feature in out:
+                raise InputError(f"{path}:{lineno}: feature {feature!r} "
+                                 "repeated")
+            out[feature] = eps
     if not out:
         raise InputError(f"{path}: no quality rows")
     return out

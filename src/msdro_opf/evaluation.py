@@ -26,8 +26,8 @@ import numpy as np
 from .dro_core import MultiDataset
 from .errors import InputError
 from .network import Network, build_support
-from .opf_model import (OpfDecision, RiskLevel, cvar_tightening_rerun,
-                        joint_constraint_rows, solve_msdro_opf)
+from .opf_model import (OpfDecision, cvar_tightening_rerun,
+                        joint_constraint_rows, risk_level, solve_msdro_opf)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport, data_value_rows,
                         forecast_value_decomposition, forecast_value_rows,
@@ -151,9 +151,12 @@ class SweepConfig:
     oos_include_zero: bool = True
 
     def __post_init__(self):
-        RiskLevel(self.gamma)  # InputError unless 0 <= gamma < 1
+        risk_level(self.gamma)  # InputError unless 0 <= gamma < 1
         if not all(0 <= v < math.inf for v in self.grid):
             raise InputError("grid values must be finite and >= 0, got "
+                             f"{list(self.grid)}")
+        if len(set(self.grid)) != len(self.grid):
+            raise InputError("grid values must be distinct, got "
                              f"{list(self.grid)}")
         if self.n_samples < 1:
             raise InputError("need at least one training sample")

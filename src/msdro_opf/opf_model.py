@@ -33,15 +33,13 @@ from .network import Network, build_joint_support, compute_flow_maps
 PARTICIPATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RiskLevel:
-    """Joint chance constraint violation budget, 0 <= gamma < 1."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.gamma < 1.0):
-            raise InputError(f"gamma must lie in [0, 1), got {self.gamma}")
+def risk_level(gamma) -> float:
+    """The joint chance constraint's violation budget as a float;
+    ``InputError`` unless 0 <= gamma < 1."""
+    gamma = float(gamma)
+    if not 0.0 <= gamma < 1.0:
+        raise InputError(f"gamma must lie in [0, 1), got {gamma}")
+    return gamma
 
 
 @dataclass
@@ -179,9 +177,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
 def _build(network: Network, data: MultiDataset, gamma,
            fixed_zero_participation, reuse: OpfModel | None = None) -> OpfModel:
     """``build_msdro_opf``; the support and flow maps come from ``reuse``."""
-    if isinstance(gamma, RiskLevel):
-        gamma = gamma.gamma
-    gamma = RiskLevel(float(gamma)).gamma
+    gamma = risk_level(gamma)
     if data.dimension != network.num_resources:
         raise InputError(
             f"dataset has {data.dimension} features, network has "

@@ -82,6 +82,8 @@ def test_quality_rejects_conflicting_sources(tmp_path):
     write_samples_csv(tmp_path / "a.csv", np.array([[0.1, 0.2]]))
     assert run("quality", "--noise", "laplace:0.1",
                "--original", tmp_path / "a.csv") == EXIT_INPUT
+    assert run("quality", "--noise", "laplace:0.1",
+               "--published", tmp_path / "a.csv") == EXIT_INPUT
     # --original without --published is also incomplete.
     assert run("quality", "--original", tmp_path / "a.csv") == EXIT_INPUT
 
@@ -130,6 +132,14 @@ def test_solve_accepts_quality_csv_budgets(tmp_path):
                "--out", outdir) == EXIT_OK
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["epsilons"] == [0.1, 0.05]
+
+
+def test_solve_rejects_repeated_quality_feature(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text("feature,epsilon\nxi_1,0.1\nxi_1,0.2\nxi_2,0.3\n")
+    assert run("solve", "--quality", path,
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert f"{path}:3: feature 'xi_1' repeated" in capsys.readouterr().err
 
 
 def test_solve_accepts_training_data_csv(tmp_path):
@@ -322,6 +332,7 @@ BAD_INPUT = [
     ["sweep", "--gamma", "1.5"],
     ["sweep", "--grid", "nan"],
     ["sweep", "--grid", "inf"],
+    ["sweep", "--grid", "0.1", "0.1"],
     ["sweep", "--oos-samples", "-5"],
     ["sweep", "--jobs", "0"],
     ["sweep", "--jobs", "-1"],

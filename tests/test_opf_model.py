@@ -11,9 +11,9 @@ from msdro_opf.errors import ExtractionError, InputError, ModeError
 from msdro_opf.evaluation import DEFAULT_GRID, empirical_violation
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
-from msdro_opf.opf_model import (RiskLevel, build_msdro_opf,
-                                 cvar_tightening_rerun, idle_balancers,
-                                 joint_constraint_rows, solve)
+from msdro_opf.opf_model import (build_msdro_opf, cvar_tightening_rerun,
+                                 idle_balancers, joint_constraint_rows,
+                                 risk_level, solve)
 
 from msdro_opf.valuation import (envelope_check,
                                  forecast_value_decomposition,
@@ -234,11 +234,11 @@ def test_input_validation(case5):
 
 
 def test_risk_level_bounds():
-    assert RiskLevel(0.0).gamma == 0.0
+    assert risk_level(0.0) == 0.0
     with pytest.raises(InputError):
-        RiskLevel(-0.1)
+        risk_level(-0.1)
     with pytest.raises(InputError):
-        RiskLevel(1.0)
+        risk_level(1.0)
 
 
 def test_family_duals_match_named_lookups(case5):
