@@ -231,7 +231,7 @@ def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
             rate = empirical_violation(base.decision, samples, network,
                                        flow_maps=(base.built.b_g, base.built.b_w))
             oos = OosResult(cell, rate, config.oos_samples)
-            return None if oos_only else _cell_result(base, config), oos
+            return (None if oos_only else _cell_result(base, config)), oos
         result = CellResult(cell, base.status)
     except Exception as exc:  # recorded, sweep continues
         result = CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")

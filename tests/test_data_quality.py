@@ -343,13 +343,6 @@ def test_quality_csv_roundtrip(tmp_path):
     assert read_quality_csv(path) == {"xi_1": 0.1, "xi_2": 0.005}
 
 
-def test_quality_csv_rejects_repeated_feature(tmp_path):
-    path = tmp_path / "quality.csv"
-    path.write_text("feature,epsilon\nxi_1,0.1\nxi_2,0.3\nxi_1,0.2\n")
-    with pytest.raises(InputError, match=r":4: feature 'xi_1' repeated"):
-        read_quality_csv(path)
-
-
 def test_quality_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "quality.csv"
     path.write_text("name,eps\nxi_1,0.1\n")
