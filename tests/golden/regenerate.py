@@ -24,6 +24,8 @@ RUNS = {
                                    "--error-mean", "forecast-shift"],
     "solve_train100": ["solve", "--eps", "1", "0.1", "--train", "100"],
     "solve_train1": ["solve", "--eps", "0.1", "0.1", "--train", "1"],
+    "oos_eps0005": ["oos", "--eps", "0.005", "0.005"],
+    "quality_laplace": ["quality", "--noise", "laplace:0.05"],
 }
 
 

@@ -1,4 +1,4 @@
-"""Golden outputs: four ``msdro`` runs reproduce ``tests/golden/`` byte for byte.
+"""Golden outputs: six ``msdro`` runs reproduce ``tests/golden/`` byte for byte.
 
 The runs and their argv live in ``tests/golden/regenerate.py``, which
 rewrites the files for a change that is meant to alter them. A mismatch
