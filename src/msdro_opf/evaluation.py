@@ -152,6 +152,8 @@ class SweepConfig:
 
     def __post_init__(self):
         risk_level(self.gamma)  # InputError unless 0 <= gamma < 1
+        if not self.grid:
+            raise InputError("grid needs at least one value")
         if not all(0 <= v < math.inf for v in self.grid):
             raise InputError("grid values must be finite and >= 0, got "
                              f"{list(self.grid)}")
@@ -260,7 +262,9 @@ def _cell_result(base, config: SweepConfig) -> CellResult:
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Solve every grid cell on one shared training dataset, in up to
     ``jobs`` worker processes (one per cell at most)."""
-    dim = len(network.resources)
+    dim = network.num_resources
+    if dim == 0:
+        raise InputError("sweep needs at least one uncertain resource")
     xs = training_matrix(network, config.n_samples,
                          derive_seed(config.seed, "train"),
                          config.error_mean)
@@ -289,7 +293,7 @@ def write_sweep_csvs(result: SweepResult, outdir) -> list:
     """Emit the five table analogues plus plot data; returns the paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim = len(result.cells[0].epsilons) if result.cells else 0
+    dim = len(result.cells[0].epsilons)
     solved = [c for c in result.cells if c.optimal]
     written = []
 

@@ -228,10 +228,8 @@ def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndar
     ptdf = np.zeros((n_lines, v))
     ptdf[:, keep] = bf[:, keep] @ np.linalg.inv(bbus[np.ix_(keep, keep)])
 
-    b_g = ptdf[:, [bus_pos[g.bus] for g in network.generators]] \
-        if network.generators else np.zeros((n_lines, 0))
-    b_w = ptdf[:, [bus_pos[r.bus] for r in network.resources]] \
-        if network.resources else np.zeros((n_lines, 0))
+    b_g = ptdf[:, [bus_pos[g.bus] for g in network.generators]]
+    b_w = ptdf[:, [bus_pos[r.bus] for r in network.resources]]
     return b_g, b_w, ptdf
 
 

@@ -113,11 +113,8 @@ class SolutionWithDuals:
     def activation_cost_block(self) -> float:
         """Worst-case expected activation cost term of the objective."""
         eps = self.built.data.epsilons
-        n = self.s_co.shape[1] if self.s_co.size else 0
-        value = float(eps @ self.lambda_co)
-        if n:
-            value += float(np.sum(self.s_co) / n)
-        return value
+        return (float(eps @ self.lambda_co)
+                + float(np.sum(self.s_co) / self.s_co.shape[1]))
 
     def cc_a_matrix(self) -> np.ndarray:
         """Row vectors a'_k at the optimal decision, augmented row last."""
@@ -166,7 +163,8 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
                     fixed_zero_participation=frozenset()) -> OpfModel:
     """Assemble the complete LP for one data-quality vector.
 
-    Requires standardized data (one sample column per shared index).
+    Requires at least one uncertain resource and standardized data (one
+    sample column per shared index).
     Features with epsilon_j = 0 bypass their multiplier machinery: lambda_j
     and the positive parts are fixed to zero, which recovers the plain
     sample average for that feature.
@@ -183,11 +181,12 @@ def _build(network: Network, data: MultiDataset, gamma,
             f"dataset has {data.dimension} features, network has "
             f"{network.num_resources} uncertain resources"
         )
-    if data.dimension and not data.is_standardized:
+    if data.dimension == 0:
+        raise InputError("OPF model needs at least one uncertain resource")
+    if not data.is_standardized:
         raise ModeError("OPF model needs standardized data (equal sample counts)")
     support = reuse.support if reuse else build_joint_support(network)
-    if data.dimension:
-        data.validate_within(support)
+    data.validate_within(support)
     skip = frozenset(fixed_zero_participation)
     bad = [g for g in skip if not (0 <= g < network.num_generators)]
     if bad:
@@ -198,9 +197,9 @@ def _build(network: Network, data: MultiDataset, gamma,
     n_g = network.num_generators
     n_l = network.num_lines
     d = data.dimension
-    n = int(data.counts[0]) if d else 0
+    n = int(data.counts[0])
     eps = data.epsilons
-    xi_hat = data.matrix() if d else np.zeros((0, 0))
+    xi_hat = data.matrix()
     # Distances of every sample to its feature's upper and lower end, (d, n).
     up_room, lo_room = transport_room(xi_hat, support.lower[:, None],
                                       support.upper[:, None])
@@ -216,22 +215,17 @@ def _build(network: Network, data: MultiDataset, gamma,
     m = Model("msdro-opf")
     p = m.add_vars(n_g, obj=np.array([g.c_E for g in gens]))
     # The activation cost's sample term, -mean_i (c_A . alpha_j) xi_ji.
-    alpha = m.add_vars((n_g, d), obj=(-c_a[:, None] * xi_hat.mean(axis=1)[None, :]
-                                      if n else 0.0))
+    alpha = m.add_vars((n_g, d), obj=-c_a[:, None] * xi_hat.mean(axis=1)[None, :])
     c_r = np.array([g.c_R for g in gens])
     rp = m.add_vars(n_g, obj=c_r)
     rm = m.add_vars(n_g, obj=c_r)
     framp = m.add_vars(n_l)
     framm = m.add_vars(n_l)
     lam_co = m.add_vars(d, obj=eps)
-    has_cc = d > 0
-    if has_cc:
-        tau = m.add_var(lb=-INFINITY, ub=0.0)
-        nu = m.add_var(lb=-INFINITY)
-        lam_cc = m.add_vars(d)
-        s_cc = m.add_vars(n, lb=-INFINITY)
-    else:
-        lam_cc = np.zeros((0,), dtype=int)
+    tau = m.add_var(lb=-INFINITY, ub=0.0)
+    nu = m.add_var(lb=-INFINITY)
+    lam_cc = m.add_vars(d)
+    s_cc = m.add_vars(n, lb=-INFINITY)
 
     pinned = sorted(skip)
     for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
@@ -248,7 +242,7 @@ def _build(network: Network, data: MultiDataset, gamma,
           family("gmin", n_g, [(p, 1.0), (rm, -1.0)], GE,
                  [g.p_min for g in gens]))
     # (beta) line margins: B_G p + f_RAM+ = f_max - B_W u + B_B d (and mirror)
-    flow_const = b_w_map @ u_vec - b_b_map @ d_vec if d else -(b_b_map @ d_vec)
+    flow_const = b_w_map @ u_vec - b_b_map @ d_vec
     m.add(family("lineup", n_l, [(p[None, :], b_g_map), (framp, 1.0)], EQ,
                  f_max - flow_const),
           family("linelo", n_l, [(p[None, :], -b_g_map), (framm, 1.0)], EQ,
@@ -259,37 +253,34 @@ def _build(network: Network, data: MultiDataset, gamma,
     # mean distances to the support ends.
     p_co, q_co = wasserstein_block(
         m, "co", d, lam_co, cols=alpha.T, coefs=-c_a[None, :],
-        where=eps > 0.0, obj=(up_room.mean(axis=1) if n else 0.0,
-                              lo_room.mean(axis=1) if n else 0.0))
-    p_cc = q_cc = np.zeros((0, k_aug + 1), dtype=int)
+        where=eps > 0.0, obj=(up_room.mean(axis=1), lo_room.mean(axis=1)))
 
-    if has_cc:
-        # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi).
-        m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
-        m.add(family("cvar_budget", (),
-                     [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
+    # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi).
+    m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
+    m.add(family("cvar_budget", (),
+                 [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
-        # (rho) positive parts per (feature, row), the augmented one
-        # included; row k's coefficients of xi are const[k] + coef[k] @ A.
-        coef, const, b_cols = (v[np.append(cc_rows, -1)] for v in _joint_layout(
-            b_g_map, b_w_map, (rp, rm, framp, framm)))
-        p_cc, q_cc = wasserstein_block(
-            m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
-            cols=alpha.T[:, None, :], coefs=coef[None, :, :], where=eps > 0.0)
+    # (rho) positive parts per (feature, row), the augmented one included;
+    # row k's coefficients of xi are const[k] + coef[k] @ A.
+    coef, const, b_cols = (v[np.append(cc_rows, -1)] for v in _joint_layout(
+        b_g_map, b_w_map, (rp, rm, framp, framm)))
+    p_cc, q_cc = wasserstein_block(
+        m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
+        cols=alpha.T[:, None, :], coefs=coef[None, :, :], where=eps > 0.0)
 
-        # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
-        # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for
-        # the augmented row (whose b-column and tau coefficients are zero
-        # and so dropped).
-        physical = np.append(np.ones(k_aug), 0.0)
-        m.add(family("cc_main", (n, k_aug + 1),
-                     [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
-                      (tau, physical[None, :]),
-                      (p_cc.T[None], -up_room.T[:, None, :]),
-                      (q_cc.T[None], -lo_room.T[:, None, :]),
-                      (alpha[None, None], -coef[None, :, :, None]
-                       * xi_hat.T[:, None, None, :])],
-                     GE, xi_hat.T @ const.T))
+    # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
+    # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for the
+    # augmented row (whose b-column and tau coefficients are zero and so
+    # dropped).
+    physical = np.append(np.ones(k_aug), 0.0)
+    m.add(family("cc_main", (n, k_aug + 1),
+                 [(s_cc, 1.0), (b_cols[None, :], physical[None, :]),
+                  (tau, physical[None, :]),
+                  (p_cc.T[None], -up_room.T[:, None, :]),
+                  (q_cc.T[None], -lo_room.T[:, None, :]),
+                  (alpha[None, None], -coef[None, :, :, None]
+                   * xi_hat.T[:, None, None, :])],
+                 GE, xi_hat.T @ const.T))
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
@@ -314,7 +305,6 @@ def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
         )
 
     idx, x = built.idx, sol.x
-    d = built.data.dimension
     decision = OpfDecision(
         p=x[idx["p"]], alpha=x[idx["alpha"]], r_plus=x[idx["rp"]],
         r_minus=x[idx["rm"]], f_ram_plus=x[idx["framp"]],
@@ -326,16 +316,15 @@ def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
         pi=float(sol.family_duals("bal")),
         beta_up=sol.family_duals("lineup"),
         beta_lo=sol.family_duals("linelo"),
-        phi=float(mult("cvar_budget")) if d else 0.0,
-        eta=(mult("cc_main") if d
-             else np.zeros((0, len(built.cc_rows) + 1))),
+        phi=float(mult("cvar_budget")),
+        eta=mult("cc_main"),
     )
 
     slope = -(np.array([g.c_A for g in built.network.generators])
               @ decision.alpha)
     s_co = sample_worst_case(
         slope[:, None], x[idx["p_co"]][:, None], x[idx["q_co"]][:, None],
-        built.data.matrix() if d else np.zeros((0, 0)),
+        built.data.matrix(),
         built.support.lower[:, None], built.support.upper[:, None])
 
     return SolutionWithDuals(
@@ -362,10 +351,7 @@ def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     """Generators whose participation row is numerically zero."""
     if not sol.optimal:
         raise ExtractionError(f"solution status is {sol.status}")
-    alpha = sol.decision.alpha
-    if alpha.size == 0:
-        return frozenset()
-    idle = np.all(np.abs(alpha) <= PARTICIPATION_TOL, axis=1)
+    idle = np.all(np.abs(sol.decision.alpha) <= PARTICIPATION_TOL, axis=1)
     return frozenset(np.flatnonzero(idle).tolist())
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import msdro_opf
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
+
+CASE5 = Path(msdro_opf.__file__).parent / "data" / "case5.json"
 
 SOLVE_FILES = ["solution.csv", "duals.csv", "valuation.csv",
                "forecast_value.csv", "samples.csv", "manifest.json"]
@@ -265,6 +268,18 @@ def test_sweep_default_grid(tmp_path, capsys):
 
 
 DEFAULT_GRID_VALUES = [1.0, 0.1, 0.005, 0.001]
+
+
+def test_sweep_without_uncertain_resources_exits_2(tmp_path, capsys):
+    """A network with no uncertain resources has no budgets to sweep."""
+    net = json.loads(CASE5.read_text())
+    net["resources"] = []
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net))
+    assert run("sweep", "--network", net_path,
+               "--out", tmp_path / "out") == EXIT_INPUT
+    assert "at least one uncertain resource" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------------- oos

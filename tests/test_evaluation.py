@@ -152,6 +152,8 @@ def test_sweep_config_validation():
         SweepConfig(n_samples=0)
     with pytest.raises(InputError, match="distinct"):
         SweepConfig(grid=(0.1, 0.1))
+    with pytest.raises(InputError, match="at least one value"):
+        SweepConfig(grid=())
 
 
 def test_oos_cells_include_zero_only_when_asked():

@@ -195,19 +195,15 @@ def test_cc_row_geometry(case5, solve_cell):
     np.testing.assert_allclose(b[0], -dec.r_plus[0], atol=1e-12)
 
 
-def test_no_uncertain_resources_reduces_to_deterministic(case5):
+def test_no_uncertain_resources_is_an_input_error(case5):
+    """The model prices data from at least one dataset; an empty one is
+    rejected before the standardized-data check could misname it."""
     bare = Network(buses=case5.buses, lines=case5.lines,
                    generators=case5.generators, loads=case5.loads,
                    resources=[], slack_bus=case5.slack_bus)
     data = MultiDataset(np.zeros((0, 5)), np.zeros(0))
-    sol = solve_msdro_opf(bare, data, 0.05)
-    assert sol.optimal
-    assert sol.decision.alpha.shape == (case5.num_generators, 0)
-    np.testing.assert_allclose(sol.decision.r_plus, 0.0, atol=1e-9)
-    np.testing.assert_allclose(sol.decision.r_minus, 0.0, atol=1e-9)
-    c_e = np.array([g.c_E for g in case5.generators])
-    assert sol.objective == pytest.approx(float(c_e @ sol.decision.p))
-    assert sol.decision.p.sum() == pytest.approx(sum(case5.loads.values()))
+    with pytest.raises(InputError, match="at least one uncertain resource"):
+        solve_msdro_opf(bare, data, 0.05)
 
 
 def test_undersized_network_reports_infeasible():
