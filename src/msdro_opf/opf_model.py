@@ -374,22 +374,20 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
     built = first.built
     already = built.fixed_zero_participation
     target = frozenset(idle_balancers(first) | already)
-    if not target or target == already:
+    if target == already:
         return first
     pinned = _build(built.network, built.data, built.gamma, target, built)
-    rows, cols = _pinned_out(built, target - already)
+    rows, cols = _pinned_out(built, pinned)
     rerun = _extract(pinned, first.lp_solution.resolve(pinned.model,
                                                        rows, cols))
     return rerun if rerun.optimal else first
 
 
-def _pinned_out(built: OpfModel, gens: frozenset) -> tuple:
-    """Rows and columns of ``built``'s LP that pinning ``gens`` removes:
-    the cc_up, cc_lo and cc_main rows and the p_cc, q_cc columns of their
-    reserve rows in the CVaR."""
-    n_g = built.network.num_generators
-    k = np.flatnonzero(np.isin(built.cc_rows, [g + s * n_g for g in gens
-                                               for s in (0, 1)]))
+def _pinned_out(built: OpfModel, pinned: OpfModel) -> tuple:
+    """Rows and columns of ``built``'s LP that ``pinned`` leaves out: the
+    cc_up, cc_lo and cc_main rows and the p_cc, q_cc columns of the CVaR
+    rows ``pinned`` drops."""
+    k = np.flatnonzero(~np.isin(built.cc_rows, pinned.cc_rows))
     fams = built.model.families
     rows = np.concatenate([fams[f].index.reshape(fams[f].shape)[..., k].ravel()
                            for f in ("cc_up", "cc_lo", "cc_main")])
