@@ -179,9 +179,9 @@ _PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
 def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a standardized sample file.
 
-    Expected layout: header ``xi_1,...,xi_D``, one row per shared sample
-    index. Returns (feature names, D x N' array). Rows that are blank or
-    hold only blank cells are skipped.
+    Expected layout: header ``xi_1,...,xi_D`` with no name repeated, one
+    row per shared sample index. Returns (feature names, D x N' array).
+    Rows that are blank or hold only blank cells are skipped.
 
     Plain decimal rows (and empty lines) are parsed by ``np.loadtxt``.
     Anything else (quoted cells, other characters, blank cells, a ragged,
@@ -200,6 +200,9 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
             raise InputError(
                 f"{path}: expected header columns xi_1,...,xi_D, got {header}"
             )
+        repeated = [h for j, h in enumerate(header) if h in header[:j]]
+        if repeated:
+            raise InputError(f"{path}:1: column {repeated[0]!r} repeated")
         body = fh.read()
     values = _plain_rows(body, len(header))
     if values is None:

@@ -151,7 +151,8 @@ class MultiDataset:
         self.samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
         if any(s.size == 0 for s in self.samples):
             raise InputError("every feature needs at least one sample")
-        bad = [j for j, s in enumerate(self.samples) if not np.all(np.isfinite(s))]
+        bad = [j for j, s in enumerate(self.samples, start=1)
+               if not np.all(np.isfinite(s))]
         if bad:
             raise InputError(f"features {bad} have non-finite samples")
         self.epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
@@ -191,7 +192,8 @@ class MultiDataset:
         for j, s in enumerate(self.samples):
             if (np.any(s < support.lower[j] - SUPPORT_TOL)
                     or np.any(s > support.upper[j] + SUPPORT_TOL)):
-                raise InputError(f"feature {j} has samples outside the support")
+                raise InputError(
+                    f"feature {j + 1} has samples outside the support")
 
 
 def transport_room(sample, lower, upper) -> tuple:

@@ -97,6 +97,17 @@ def test_quality_rejects_malformed_samples_csv(tmp_path):
     assert run("quality", "--original", bad, "--published", bad) == EXIT_INPUT
 
 
+def test_quality_rejects_repeated_sample_header(tmp_path, capsys):
+    """Two columns named xi_1 would share one budget; the file is refused."""
+    original, published = tmp_path / "a.csv", tmp_path / "b.csv"
+    original.write_text("xi_1,xi_1\n0.1,0.2\n0.3,0.4\n")
+    published.write_text("xi_1,xi_1\n0.1,0.3\n0.2,0.4\n")
+    assert run("quality", "--original", original, "--published", published,
+               "--out", tmp_path / "q") == EXIT_INPUT
+    assert f"{original}:1: column 'xi_1' repeated" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
+
+
 # ------------------------------------------------------------------ solve
 
 def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
@@ -190,6 +201,16 @@ def test_solve_rejects_non_finite_training_data(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
     assert run("solve", "--eps", "nan", "0.1",
                "--out", tmp_path / "run") == EXIT_INPUT
+
+
+def test_solve_names_features_from_1(tmp_path, capsys):
+    """Feature 1 is the first sample column, as in the xi_1 header."""
+    path = tmp_path / "train.csv"
+    path.write_text("xi_1,xi_2\n5.0,0.0\n0.0,0.0\n")
+    assert run("solve", "--data", path, "--eps", "0.1", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert ("error: feature 1 has samples outside the support"
+            in capsys.readouterr().err)
 
 
 def test_solve_rejects_non_finite_network_numbers(tmp_path, capsys):

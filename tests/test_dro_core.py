@@ -607,3 +607,6 @@ def test_dataset_validation():
             MultiDataset(samples, eps)
     with pytest.raises(InputError):
         MultiDataset([np.array([2.0])], [0.1]).validate_within(BOX11)
+    # Features count from 1 in messages, as everywhere else.
+    with pytest.raises(InputError, match=r"features \[2\] have non-finite"):
+        MultiDataset([np.zeros(2), np.array([0.0, np.nan])], [0.1, 0.1])
