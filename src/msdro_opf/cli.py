@@ -26,8 +26,7 @@ from .data_quality import (NoiseModel, additive_noise_bound,
                            read_samples_csv, write_quality_csv,
                            write_samples_csv)
 from .dro_core import MultiDataset
-from .errors import (ExtractionError, InputError, ModeError, SizeError,
-                     TopologyError, UnsupportedError)
+from .errors import ExtractionError, InputError
 from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
                          empirical_violation, oos_matrix, run_sweep,
                          training_matrix, write_sweep_csvs)
@@ -43,9 +42,7 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 
-_INPUT_ERRORS = (InputError, SizeError, ModeError, TopologyError,
-                 UnsupportedError, FileNotFoundError, IsADirectoryError,
-                 json.JSONDecodeError)
+_INPUT_ERRORS = (InputError, FileNotFoundError, IsADirectoryError)
 
 
 def _load_net(args):

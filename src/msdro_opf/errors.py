@@ -2,22 +2,23 @@
 
 
 class InputError(ValueError):
-    """Invalid or inconsistent user-supplied data."""
+    """Invalid or inconsistent user-supplied data; the CLI exits 2 on it
+    and on every subclass below."""
 
 
-class UnsupportedError(ValueError):
+class UnsupportedError(InputError):
     """A parameter combination with no implemented formula."""
 
 
-class SizeError(ValueError):
+class SizeError(InputError):
     """A problem instance exceeds a configured size cap."""
 
 
-class ModeError(ValueError):
+class ModeError(InputError):
     """An operation was called on data in the wrong mode (e.g. ragged lengths)."""
 
 
-class TopologyError(ValueError):
+class TopologyError(InputError):
     """The network graph does not admit the requested computation."""
 
 

@@ -223,10 +223,9 @@ class LpSolution:
         0 * inf is nan). Used for strong-duality checks.
         """
         m = self.model
-        a, _, rhs = m._assembled()
-        total = float(self.duals @ rhs)
+        total = float(self.duals @ m._senses()[1])
         # Bound contributions: reduced cost = obj coefficient minus dual row.
-        red = m.obj - a.T @ self.duals
+        red = m.obj - m._matrix().T @ self.duals
         at_lb = np.isfinite(m.lb) & (red > 0)
         at_ub = np.isfinite(m.ub) & (red < 0)
         total += float(np.sum(red[at_lb] * m.lb[at_lb]))
@@ -365,17 +364,13 @@ class Model:
             self._cache["senses"] = (sense, rhs)
         return self._cache["senses"]
 
-    def _assembled(self):
-        """(CSR matrix, sense per row, rhs per row), built once per model."""
+    def _matrix(self) -> sp.csr_matrix:
+        """The constraint matrix in CSR form, built once per model."""
         if "matrix" not in self._cache:
             rows, cols, vals = self._coo()
-            matrix = sp.csr_matrix((vals, (rows, cols)),
-                                   shape=(self._num_rows, self.num_vars))
-            self._cache["matrix"] = (matrix, *self._senses())
+            self._cache["matrix"] = sp.csr_matrix(
+                (vals, (rows, cols)), shape=(self._num_rows, self.num_vars))
         return self._cache["matrix"]
-
-    def _matrix(self) -> sp.csr_matrix:
-        return self._assembled()[0]
 
     def _highs_rows(self):
         """The row layout ``linprog`` gives HiGHS: ``<=`` rows, then ``>=``
@@ -510,22 +505,15 @@ def _check(model: Model, x, objective: float, slack, eq) -> str:
 
 
 def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
-    """Solve through scipy's ``linprog``: the fallback without the private
-    HiGHS bindings, and the tests' reference for ``Model.solve``."""
-    a, senses, rhs = model._assembled()
-    eq = np.flatnonzero(senses == EQ)
-    # <= rows first, then >= rows negated into <= form (their duals flip
-    # sign back below).
-    ub = np.concatenate([np.flatnonzero(senses == LE),
-                         np.flatnonzero(senses == GE)])
-    flip = np.where(senses[ub] == GE, -1.0, 1.0)
-    a_ub = a[ub] if len(ub) else None
-    if a_ub is not None:
-        a_ub.data *= np.repeat(flip, np.diff(a_ub.indptr))
+    """Solve through scipy's ``linprog``, in the ``_highs_rows`` layout: the
+    fallback without the private HiGHS bindings, and the tests' reference
+    for ``Model.solve``."""
+    order, flip, lower, upper = model._highs_rows()
+    a = model._matrix()[order]
+    a.data *= np.repeat(flip, np.diff(a.indptr))
+    eq = lower == upper
     res = linprog(
-        c=model.obj,
-        A_ub=a_ub, b_ub=flip * rhs[ub] if len(ub) else None,
-        A_eq=a[eq] if len(eq) else None, b_eq=rhs[eq] if len(eq) else None,
+        c=model.obj, A_ub=a[~eq], b_ub=upper[~eq], A_eq=a[eq], b_eq=upper[eq],
         bounds=np.column_stack([model.lb, model.ub]), method="highs",
         options={"presolve": presolve},
     )
@@ -546,8 +534,7 @@ def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
     if status == "optimal":
         x = np.asarray(res.x, dtype=float)
         objective = float(res.fun)
-        duals[eq] = res.eqlin.marginals
-        duals[ub] = flip * np.asarray(res.ineqlin.marginals, dtype=float)
+        duals[order] = flip * np.concatenate([res.ineqlin.marginals,
+                                              res.eqlin.marginals])
     return LpSolution(status=status, objective=objective, x=x, duals=duals,
                       model=model)
-

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import msdro_opf
+from msdro_opf import errors
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
@@ -397,6 +398,14 @@ def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
     assert "error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_error_but_extraction_is_an_input_error():
+    """``main`` exits 2 on ``InputError``, so on each of these too."""
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)}
+    assert {c for c in classes if not issubclass(c, errors.InputError)} \
+        == {errors.ExtractionError}
 
 
 def test_solve_duals_csv_row_names_and_order(tmp_path):

@@ -243,6 +243,28 @@ def test_fallback_without_private_bindings_gives_same_numbers(
         assert slow.objective == direct.objective
         assert bits(slow.x) == bits(direct.x)
         assert bits(slow.duals) == bits(direct.duals)
+    for end, model in (("infeasible", _infeasible_toy()),
+                       ("unbounded", _unbounded_toy())):
+        for sol in (model.solve(), fallback.Model.solve(model)):
+            assert sol.status == end
+            assert not sol.x.any() and np.isnan(sol.objective)
+
+
+def _infeasible_toy() -> Model:
+    """``x0 + x1 >= 3`` and ``x0 + x1 <= 1``."""
+    m = Model("infeasible")
+    x = m.add_vars(2)
+    m.add(family("lo", (), [(x, 1.0)], GE, 3.0))
+    m.add(family("hi", (), [(x, 1.0)], LE, 1.0))
+    return m
+
+
+def _unbounded_toy() -> Model:
+    """Free ``x`` with cost ``(1, 0)`` and ``x0 + x1 <= 1``."""
+    m = Model("unbounded")
+    x = m.add_vars(2, lb=-INFINITY, obj=[1.0, 0.0])
+    m.add(family("hi", (), [(x, 1.0)], LE, 1.0))
+    return m
 
 
 def doctored(change):
