@@ -55,7 +55,9 @@ def _resolve_epsilons(args, dim: int) -> list:
     if getattr(args, "eps", None) is not None:
         eps = [float(v) for v in args.eps]
     elif getattr(args, "quality", None) is not None:
-        eps = list(read_quality_csv(args.quality).values())
+        names = [f"xi_{j + 1}" for j in range(dim)]
+        budgets = read_quality_csv(args.quality, names)
+        eps = [budgets[name] for name in names if name in budgets]
     else:
         raise InputError("need --eps values or a --quality file")
     if len(eps) != dim:
@@ -113,11 +115,12 @@ def cmd_quality(args) -> int:
             raise InputError("--original requires --published")
         names_a, xa = read_samples_csv(args.original)
         names_b, xb = read_samples_csv(args.published)
-        if len(names_a) != len(names_b):
-            raise InputError("original and published files have different "
-                             "feature counts")
-        for j, name in enumerate(names_a):
-            signal = aggregation_protocol_bound(xa[j], xb[j], p=args.p)
+        if set(names_a) != set(names_b):
+            raise InputError(f"{args.original} has columns {names_a} but "
+                             f"{args.published} has {names_b}")
+        for name, original in zip(names_a, xa):
+            signal = aggregation_protocol_bound(
+                original, xb[names_b.index(name)], p=args.p)
             qualities[name] = signal.epsilon
     else:
         raise InputError("need --noise KIND:PARAM or --original/--published")
@@ -293,6 +296,17 @@ def _at_least(minimum: int):
     return parse
 
 
+def _out_dir(text: str) -> Path:
+    """argparse type: an output directory, refused where a file stands at
+    it or at an ancestor. The directory is made only when outputs are
+    written, so a run that fails leaves none behind."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} is not a directory")
+    return path
+
+
 def _add_common_model_flags(sub) -> None:
     sub.add_argument("--network", type=Path, default=None,
                      help="network JSON file (default: bundled case5)")
@@ -336,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Wasserstein order")
     q.add_argument("--dimension", type=_at_least(1), default=1,
                    help="feature dimension for analytic bounds")
-    q.add_argument("--out", type=Path, default=None)
+    q.add_argument("--out", type=_out_dir, default=None)
     q.set_defaults(func=cmd_quality)
 
     s = subs.add_parser("solve", help="solve one instance")
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(s)
     s.add_argument("--no-tighten", action="store_true",
                    help="skip the re-run with idle balancers pinned")
-    s.add_argument("--out", type=Path, default=Path("msdro_out"))
+    s.add_argument("--out", type=_out_dir, default="msdro_out")
     s.set_defaults(func=cmd_solve)
 
     w = subs.add_parser("sweep", help="grid sweep over budgets")
@@ -357,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel worker processes for sweep cells")
     w.add_argument("--no-tighten", action="store_true")
-    w.add_argument("--out", type=Path, default=Path("msdro_out"))
+    w.add_argument("--out", type=_out_dir, default="msdro_out")
     w.set_defaults(func=cmd_sweep)
 
     o = subs.add_parser("oos", help="out-of-sample violation check")
     _add_common_model_flags(o)
     _add_data_flags(o)
     o.add_argument("--oos-samples", type=_at_least(0), default=1000)
-    o.add_argument("--out", type=Path, default=None)
+    o.add_argument("--out", type=_out_dir, default=None)
     o.set_defaults(func=cmd_oos)
     return parser
 

@@ -176,6 +176,16 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
 _PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
 
 
+def _utf8_text(path) -> io.StringIO:
+    """A file's text, line ends as written, for the ``csv`` reader; a file
+    that is not UTF-8 is an ``InputError`` naming it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return io.StringIO(fh.read(), newline="")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a standardized sample file.
 
@@ -189,7 +199,7 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     row, which accepts the same files and names the line of the first bad
     row.
     """
-    with open(path, newline="") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -257,11 +267,12 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
             writer.writerow([f"{samples[j, i]:.17g}" for j in range(samples.shape[0])])
 
 
-def read_quality_csv(path) -> dict[str, float]:
-    """Read a ``feature,epsilon`` file into a mapping in file order; a
-    feature named twice is an ``InputError``."""
+def read_quality_csv(path, features=None) -> dict[str, float]:
+    """Read a ``feature,epsilon`` file into a mapping in file order. A
+    feature named twice, or one outside ``features`` when given, is an
+    ``InputError`` naming its line."""
     out: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -285,6 +296,9 @@ def read_quality_csv(path) -> dict[str, float]:
             if feature in out:
                 raise InputError(f"{path}:{lineno}: feature {feature!r} "
                                  "repeated")
+            if features is not None and feature not in features:
+                raise InputError(f"{path}:{lineno}: feature {feature!r} is "
+                                 f"not one of {', '.join(features)}")
             out[feature] = eps
     if not out:
         raise InputError(f"{path}: no quality rows")

@@ -150,10 +150,10 @@ def bundled_network(name: str = "case5") -> Network:
 
 def load_network(path) -> Network:
     """Read a network JSON file into a Network."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
     try:
         lines = [Line(int(e["from"]), int(e["to"]), float(e["reactance"]),

@@ -65,6 +65,27 @@ def test_quality_identical_files_give_zero(tmp_path, capsys):
     assert manifest["outputs"] == ["quality.csv"]
 
 
+def test_quality_pairs_columns_by_name(tmp_path, capsys):
+    """The same data under swapped headers is the same data: budget 0."""
+    original, published = tmp_path / "a.csv", tmp_path / "b.csv"
+    original.write_text("xi_1,xi_2\n0.1,5.0\n0.3,6.0\n0.2,7.5\n")
+    published.write_text("xi_2,xi_1\n5.0,0.1\n6.0,0.3\n7.5,0.2\n")
+    assert run("quality", "--original", original,
+               "--published", published) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "xi_1: epsilon = 0 (p=1)" in out
+    assert "xi_2: epsilon = 0 (p=1)" in out
+
+
+def test_quality_rejects_different_column_names(tmp_path, capsys):
+    original, published = tmp_path / "a.csv", tmp_path / "b.csv"
+    original.write_text("xi_1,xi_2\n0.1,0.2\n")
+    published.write_text("xi_1,xi_3\n0.1,0.2\n")
+    assert run("quality", "--original", original,
+               "--published", published) == EXIT_INPUT
+    assert "['xi_1', 'xi_3']" in capsys.readouterr().err
+
+
 def test_quality_rejects_bad_noise_spec(capsys):
     assert run("quality", "--noise", "cauchy:0.1") == EXIT_INPUT
     assert run("quality", "--noise", "laplace") == EXIT_INPUT
@@ -157,6 +178,26 @@ def test_solve_rejects_repeated_quality_feature(tmp_path, capsys):
     assert f"{path}:3: feature 'xi_1' repeated" in capsys.readouterr().err
 
 
+def test_solve_gives_quality_budgets_by_name(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text("feature,epsilon\nxi_2,0.3\nxi_1,0.1\n")
+    by_name, by_eps = tmp_path / "q_run", tmp_path / "eps_run"
+    assert run("solve", "--quality", path, "--out", by_name) == EXIT_OK
+    assert run("solve", "--eps", "0.1", "0.3", "--out", by_eps) == EXIT_OK
+    for name in SOLVE_FILES:
+        assert (by_name / name).read_bytes() == (by_eps / name).read_bytes()
+
+
+def test_solve_rejects_unknown_quality_feature(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text("feature,epsilon\nwind,0.1\nsolar,0.2\n")
+    assert run("solve", "--quality", path,
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert (f"{path}:2: feature 'wind' is not one of xi_1, xi_2"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_accepts_training_data_csv(tmp_path):
     rng = np.random.default_rng(3)
     xs = rng.uniform(-0.1, 0.1, size=(2, 12))
@@ -170,6 +211,16 @@ def test_solve_accepts_training_data_csv(tmp_path):
     echoed = read_rows(outdir / "samples.csv")
     assert echoed[0] == ["xi_1", "xi_2"]
     assert len(echoed) == 1 + 12
+
+
+def test_solve_rejects_training_data_of_other_width(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    write_samples_csv(path, np.zeros((3, 4)))
+    assert run("solve", "--data", path, "--eps", "0.1", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert (f"{path}: 3 feature columns for 2 resources"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_rejects_wrong_budget_count(tmp_path, capsys):
@@ -292,6 +343,22 @@ def test_sweep_default_grid(tmp_path, capsys):
 DEFAULT_GRID_VALUES = [1.0, 0.1, 0.005, 0.001]
 
 
+def test_sweep_where_every_cell_fails_exits_4(tmp_path, capsys):
+    """Ten times case5's loads exceed every generator's capacity: each cell
+    is reported infeasible and nothing is written."""
+    net = json.loads(CASE5.read_text())
+    for load in net["loads"]:
+        load["d"] *= 10
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net))
+    assert run("sweep", "--network", net_path, "--grid", "1.0", "0.1",
+               "--oos-samples", "10", "--out", tmp_path / "out") == EXIT_SOLVER
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if ": infeasible" in line]) == 4
+    assert err[-1] == "every sweep cell failed"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_without_uncertain_resources_exits_2(tmp_path, capsys):
     """A network with no uncertain resources has no budgets to sweep."""
     net = json.loads(CASE5.read_text())
@@ -398,6 +465,46 @@ def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
     assert "error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--network", "BIN", "--eps", "0.1", "0.1"],
+    ["solve", "--data", "BIN", "--eps", "0.1", "0.1"],
+    ["solve", "--quality", "BIN"],
+    ["quality", "--original", "BIN", "--published", "BIN"],
+], ids=["network", "data", "quality", "samples"])
+def test_non_utf8_file_exits_2_naming_it(argv, tmp_path, capsys):
+    path = tmp_path / "bin.dat"
+    path.write_bytes(b"\xff\xfe")
+    argv = [path if arg == "BIN" else arg for arg in argv]
+    assert run(*argv, "--out", tmp_path / "out") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--eps", "0.1", "0.1", "--out", "FILE"],
+    ["oos", "--eps", "0.1", "0.1", "--out", "FILE"],
+    ["sweep", "--grid", "1.0", "--out", "FILE/x"],
+    ["quality", "--noise", "laplace:0.1", "--out", "FILE"],
+], ids=" ".join)
+def test_out_naming_a_file_exits_2_before_any_solve(argv, tmp_path, capsys,
+                                                    monkeypatch):
+    from msdro_opf import lp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp.Model, "solve", no_solve)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        run(*(arg.replace("FILE", str(afile)) for arg in argv))
+    assert exc.value.code == EXIT_INPUT
+    assert f"{afile} is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
 
 
 def test_every_error_but_extraction_is_an_input_error():

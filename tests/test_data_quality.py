@@ -343,6 +343,22 @@ def test_quality_csv_roundtrip(tmp_path):
     assert read_quality_csv(path) == {"xi_1": 0.1, "xi_2": 0.005}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", ": empty file"),
+    ("feature,epsilon\nxi_1,0.1,0.2\n", ":2: expected 2 columns"),
+    ("feature,epsilon\n\nxi_1,wide\n", ":3: could not convert"),
+    ("feature,epsilon\n\n , \n", ": no quality rows"),
+    ("feature,epsilon\nxi_1,0.1\nxi_3,0.2\n",
+     ":3: feature 'xi_3' is not one of xi_1, xi_2"),
+])
+def test_quality_csv_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "quality.csv"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        read_quality_csv(path, ["xi_1", "xi_2"])
+    assert str(exc.value).startswith(f"{path}{message}")
+
+
 def test_quality_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "quality.csv"
     path.write_text("name,eps\nxi_1,0.1\n")
