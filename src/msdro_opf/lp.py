@@ -518,13 +518,8 @@ def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
         options={"presolve": presolve},
     )
 
-    if res.status == 2:
-        status = "infeasible"
-    elif res.status == 3:
-        status = "unbounded"
-    elif res.status == 0:
-        status = "optimal"
-    else:
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
         raise SolverError(f"HiGHS status {res.status} ({res.message}) on "
                           f"{model.summary()}")
 
