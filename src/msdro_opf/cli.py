@@ -115,12 +115,11 @@ def cmd_quality(args) -> int:
             raise InputError("--original requires --published")
         names_a, xa = read_samples_csv(args.original)
         names_b, xb = read_samples_csv(args.published)
-        if set(names_a) != set(names_b):
+        if names_a != names_b:
             raise InputError(f"{args.original} has columns {names_a} but "
                              f"{args.published} has {names_b}")
-        for name, original in zip(names_a, xa):
-            signal = aggregation_protocol_bound(
-                original, xb[names_b.index(name)], p=args.p)
+        for name, original, published in zip(names_a, xa, xb):
+            signal = aggregation_protocol_bound(original, published, p=args.p)
             qualities[name] = signal.epsilon
     else:
         raise InputError("need --noise KIND:PARAM or --original/--published")

@@ -189,9 +189,10 @@ def _utf8_text(path) -> io.StringIO:
 def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     """Read a standardized sample file.
 
-    Expected layout: header ``xi_1,...,xi_D`` with no name repeated, one
-    row per shared sample index. Returns (feature names, D x N' array).
-    Rows that are blank or hold only blank cells are skipped.
+    Expected layout: a header naming ``xi_1``...``xi_D`` once each, in any
+    order, and one row per shared sample index. Returns the names and the
+    D x N' array, both in ``xi_1``...``xi_D`` order. Rows that are blank or
+    hold only blank cells are skipped.
 
     Plain decimal rows (and empty lines) are parsed by ``np.loadtxt``.
     Anything else (quoted cells, other characters, blank cells, a ragged,
@@ -213,11 +214,15 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
         repeated = [h for j, h in enumerate(header) if h in header[:j]]
         if repeated:
             raise InputError(f"{path}:1: column {repeated[0]!r} repeated")
+        names = [f"xi_{j + 1}" for j in range(len(header))]
+        if set(header) != set(names):
+            raise InputError(f"{path}:1: expected header columns xi_1,...,"
+                             f"{names[-1]} in any order, got {header}")
         body = fh.read()
     values = _plain_rows(body, len(header))
     if values is None:
         values = _checked_rows(path, io.StringIO(body, newline=""), len(header))
-    return header, values.T
+    return names, values[:, [header.index(name) for name in names]].T
 
 
 def _plain_rows(body: str, width: int) -> np.ndarray | None:

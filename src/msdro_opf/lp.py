@@ -30,7 +30,6 @@ The classical nonnegative KKT multiplier of an inequality is therefore
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, product, repeat
 from typing import NamedTuple
@@ -163,27 +162,6 @@ class Row(NamedTuple):
     vals: np.ndarray
     sense: str
     rhs: float
-
-
-class _Rows(Sequence):
-    """A model's rows as ``Row`` views over one row-sorted coefficient table."""
-
-    def __init__(self, names, cols, vals, spans, sense, rhs):
-        self._fields = (names, cols, vals, spans, sense, rhs)
-
-    def __len__(self) -> int:
-        return len(self._fields[0])
-
-    def __getitem__(self, i: int) -> Row:
-        names, cols, vals, spans, sense, rhs = self._fields
-        return Row(names[i], cols[spans[i]], vals[spans[i]], sense[i], rhs[i])
-
-    def __iter__(self):
-        names, cols, vals, spans, sense, rhs = self._fields
-        fields = zip(names, map(cols.__getitem__, spans),
-                     map(vals.__getitem__, spans), sense, rhs)
-        # tuple.__new__ fills each Row without a Python-level call per row.
-        return map(tuple.__new__, repeat(Row), fields)
 
 
 @dataclass
@@ -417,20 +395,17 @@ class Model:
         return names
 
     @property
-    def constraints(self) -> "_Rows":
-        """Every row as a ``Row`` view (name, cols, vals, sense, rhs).
-
-        The table behind the views is built on first use; solving never
-        needs it, and each view is made only when it is read.
-        """
+    def constraints(self) -> list:
+        """Every row as a ``Row`` (name, cols, vals, sense, rhs), columns in
+        ascending order, read off the CSR matrix on first use; solving
+        never needs them."""
         if "rows" not in self._cache:
-            sense, rhs = self._senses()
-            rows, cols, vals = self._coo()
-            order = np.argsort(rows, kind="stable")
-            ends = np.searchsorted(rows[order], np.arange(self._num_rows + 1))
-            spans = list(map(slice, ends[:-1].tolist(), ends[1:].tolist()))
-            self._cache["rows"] = _Rows(self.row_names(), cols[order], vals[order],
-                                        spans, sense.tolist(), rhs.tolist())
+            a, (sense, rhs) = self._matrix(), self._senses()
+            spans = list(map(slice, a.indptr[:-1].tolist(), a.indptr[1:].tolist()))
+            fields = zip(self.row_names(), map(a.indices.__getitem__, spans),
+                         map(a.data.__getitem__, spans), sense.tolist(), rhs.tolist())
+            # tuple.__new__ fills each Row without a Python-level call per row.
+            self._cache["rows"] = list(map(tuple.__new__, repeat(Row), fields))
         return self._cache["rows"]
 
     def summary(self) -> str:
@@ -475,18 +450,31 @@ def _run_highs(highs, model: Model) -> LpSolution:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         objective = float(highs.getInfo().objective_function_value)
-        order, flip, lower, upper = model._highs_rows()
+        _, _, lower, upper = model._highs_rows()
         fault = _check(model, x, objective, upper - np.array(solution.row_value),
                        lower == upper)
         if not fault:
-            duals = np.empty(model.num_constraints)
-            duals[order] = flip * np.array(solution.row_dual)
-            return LpSolution(end, objective, x, duals, model, highs)
+            return _solution(model, end, x, objective,
+                             np.array(solution.row_dual), highs)
     elif end:
-        return LpSolution(end, float("nan"), np.zeros(model.num_vars),
-                          np.zeros(model.num_constraints), model)
+        return _solution(model, end)
     raise SolverError(f"HiGHS status {int(status)} ({fault}) on "
                       f"{model.summary()}")
+
+
+def _solution(model: Model, end: str, x=None, objective=None, row_duals=None,
+              highs=None) -> LpSolution:
+    """HiGHS's answer in the ``_highs_rows`` layout as an ``LpSolution`` in
+    model order, the duals mapped back through ``order`` and ``flip``; zeros
+    and a NaN objective for an LP that ends infeasible or unbounded."""
+    if end != "optimal":
+        return LpSolution(end, float("nan"), np.zeros(model.num_vars),
+                          np.zeros(model.num_constraints), model)
+    order, flip, _, _ = model._highs_rows()
+    duals = np.empty(model.num_constraints)
+    duals[order] = flip * np.asarray(row_duals)
+    return LpSolution(end, float(objective), np.asarray(x, dtype=float), duals,
+                      model, highs)
 
 
 def _check(model: Model, x, objective: float, slack, eq) -> str:
@@ -517,19 +505,11 @@ def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
         bounds=np.column_stack([model.lb, model.ub]), method="highs",
         options={"presolve": presolve},
     )
-
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
     if status is None:
         raise SolverError(f"HiGHS status {res.status} ({res.message}) on "
                           f"{model.summary()}")
-
-    duals = np.zeros(model.num_constraints)
-    x = np.zeros(model.num_vars)
-    objective = float("nan")
-    if status == "optimal":
-        x = np.asarray(res.x, dtype=float)
-        objective = float(res.fun)
-        duals[order] = flip * np.concatenate([res.ineqlin.marginals,
-                                              res.eqlin.marginals])
-    return LpSolution(status=status, objective=objective, x=x, duals=duals,
-                      model=model)
+    if status != "optimal":
+        return _solution(model, status)
+    return _solution(model, status, res.x, res.fun,
+                     np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))

@@ -68,6 +68,8 @@ class Network:
 
     def __post_init__(self):
         _require_finite(self)
+        if not self.buses:
+            raise TopologyError("network has no buses")
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
             raise InputError("duplicate bus ids")
@@ -234,8 +236,6 @@ def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _check_connected(network: Network, bus_pos: dict) -> None:
-    if network.num_buses == 0:
-        raise TopologyError("network has no buses")
     adjacency: dict[int, set[int]] = {i: set() for i in range(network.num_buses)}
     for ln in network.lines:
         f, t = bus_pos[ln.from_bus], bus_pos[ln.to_bus]

@@ -124,7 +124,9 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     ``phi`` is the ``cvar_budget`` multiplier. Where ``lambda_cc`` is zero
     on every feature it is a degenerate dual, not a price: the objective
     does not depend on it, its value follows the LP's formulation and the
-    solver's path, and the marginal value is ``lambda_co`` alone.
+    solver's path, and the marginal value is ``lambda_co`` alone. A
+    feature with ``eps_j == 0`` is ``mixed/degenerate``: the zero budget
+    fixes its multipliers at 0, so they do not price the budget there.
     """
     _require_duals(sol)
     built = sol.built
@@ -133,10 +135,12 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     lam_cc = sol.lambda_cc.copy()
     marginal = lam_co + phi * lam_cc
     thresholds = offline_thresholds(built.data, built.support)
-    regimes = tuple(classify_regime(lam_co[j], lam_cc[j])
+    eps = built.data.epsilons.copy()
+    regimes = tuple(MIXED if eps[j] == 0 else
+                    classify_regime(lam_co[j], lam_cc[j])
                     for j in range(len(lam_co)))
     return DataValueReport(
-        epsilons=built.data.epsilons.copy(),
+        epsilons=eps,
         lambda_co=lam_co,
         lambda_cc=lam_cc,
         phi=phi,

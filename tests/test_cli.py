@@ -13,6 +13,7 @@ from msdro_opf import errors
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
+from msdro_opf.evaluation import derive_seed, training_matrix
 
 CASE5 = Path(msdro_opf.__file__).parent / "data" / "case5.json"
 
@@ -213,6 +214,36 @@ def test_solve_accepts_training_data_csv(tmp_path):
     assert len(echoed) == 1 + 12
 
 
+def test_solve_matches_training_data_columns_by_name(tmp_path, capsys):
+    """The same samples under swapped headers solve the same LP."""
+    xs = training_matrix(msdro_opf.bundled_network(), 20,
+                         derive_seed(1, "train"))
+    in_order, swapped = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_samples_csv(in_order, xs)
+    write_samples_csv(swapped, xs[::-1])
+    swapped.write_text(swapped.read_text().replace("xi_1,xi_2", "xi_2,xi_1", 1))
+    objectives = []
+    for path in (in_order, swapped):
+        assert run("solve", "--data", path, "--eps", "0.1", "0.3", "--no-tighten",
+                   "--out", tmp_path / path.stem) == EXIT_OK
+        objectives.append(capsys.readouterr().out.splitlines()[1])
+    assert objectives[0].startswith("objective: ")
+    assert objectives[0] == objectives[1]
+    assert (read_rows(tmp_path / "a" / "samples.csv")
+            == read_rows(tmp_path / "b" / "samples.csv"))
+
+
+def test_solve_rejects_training_data_with_other_names(tmp_path, capsys):
+    path = tmp_path / "train.csv"
+    path.write_text("xi_a,xi_b\n0.01,0.02\n")
+    assert run("solve", "--data", path, "--eps", "0.1", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert (f"{path}:1: expected header columns xi_1,...,xi_2 in any order, "
+            "got ['xi_a', 'xi_b']") in err
+    assert "Traceback" not in err
+
+
 def test_solve_rejects_training_data_of_other_width(tmp_path, capsys):
     path = tmp_path / "train.csv"
     write_samples_csv(path, np.zeros((3, 4)))
@@ -236,13 +267,27 @@ def test_solve_requires_some_budget_source(tmp_path):
 def test_solve_infeasible_network_reports_diagnostics(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     net_path.write_text(json.dumps(UNDERSIZED_NET))
-    code = run("solve", "--network", net_path, "--eps", "1.0",
-               "--out", tmp_path / "run")
-    assert code == EXIT_INFEASIBLE
+    for command in ("solve", "oos"):
+        code = run(command, "--network", net_path, "--eps", "1.0",
+                   "--out", tmp_path / command)
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "infeasible" in err
+        # The note names constraint families so the user can find the
+        # binding set.
+        assert "rows in families" in err
+        assert not (tmp_path / command).exists()
+
+
+def test_solve_rejects_network_without_buses(tmp_path, capsys):
+    net_path = tmp_path / "empty.json"
+    net_path.write_text(json.dumps({"buses": [], "lines": [], "generators": [],
+                                    "loads": [], "resources": []}))
+    assert run("solve", "--network", net_path, "--eps", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "infeasible" in err
-    # The note names constraint families so the user can find the binding set.
-    assert "rows in families" in err
+    assert "error: network has no buses" in err
+    assert "Traceback" not in err
 
 
 def test_solve_rejects_non_finite_training_data(tmp_path, capsys):
@@ -309,6 +354,24 @@ def test_solve_reports_solver_failure_with_model_context(tmp_path, monkeypatch,
         assert field in summary
 
 
+def test_solve_reports_unbounded_lp_as_solver_failure(tmp_path, monkeypatch,
+                                                      capsys):
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    from msdro_opf import lp
+
+    class Unbounded(lp._Highs):
+        def getModelStatus(self):
+            return HighsModelStatus.kUnbounded
+
+    monkeypatch.setattr(lp, "_Highs", Unbounded)
+    assert run("solve", "--eps", 0.1, 0.1,
+               "--out", tmp_path / "run") == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "solver failed: status unbounded\n"
+    assert not (tmp_path / "run").exists()
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_single_cell_grid(tmp_path, capsys):
@@ -357,6 +420,36 @@ def test_sweep_where_every_cell_fails_exits_4(tmp_path, capsys):
     assert len([line for line in err if ": infeasible" in line]) == 4
     assert err[-1] == "every sweep cell failed"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("resource", [{"kappa": 0.0},
+                                      {"u": 0.0, "u_min": 0.0}])
+def test_sweep_draws_a_constant_for_a_pinned_resource(tmp_path, monkeypatch,
+                                                       capsys, resource):
+    """A support of zero width (kappa = 0) or a zero training spread
+    (u = u_min = 0) draws the same value for every sample."""
+    from msdro_opf import evaluation
+
+    net = json.loads(CASE5.read_text())
+    net["resources"][0].update(resource)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net))
+    draws, draw = [], evaluation._truncated_draw
+
+    def recorded(res, *args):
+        draws.append((res.bus, draw(res, *args)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(evaluation, "_truncated_draw", recorded)
+    assert run("sweep", "--network", net_path, "--grid", 0.1, 0.001,
+               "--oos-samples", 50, "--out", tmp_path / "out") == EXIT_OK
+    assert "4/4 cells solved" in capsys.readouterr().out
+    pinned = net["resources"][0]["bus"]
+    training = [d for bus, d in draws if bus == pinned and len(d) == 20]
+    assert len(training) == 1 and np.ptp(training[0]) == 0.0
+    if resource.get("kappa") == 0.0:
+        assert all(np.ptp(d) == 0.0 for bus, d in draws if bus == pinned)
+    assert all(np.ptp(d) > 0 for bus, d in draws if bus != pinned)
 
 
 def test_sweep_without_uncertain_resources_exits_2(tmp_path, capsys):

@@ -324,6 +324,20 @@ def test_samples_csv_matches_row_by_row_reader_on_a_large_file(tmp_path):
         read_samples_csv(path)
 
 
+def test_samples_csv_matches_columns_by_name(tmp_path):
+    path = tmp_path / "samples.csv"
+    for text in ("xi_2,xi_1\n1,2\n3,4\n", '"xi_2",xi_1\n"1",2\n3,4\n'):
+        path.write_text(text)
+        names, values = read_samples_csv(path)
+        assert names == ["xi_1", "xi_2"]
+        assert values.tolist() == [[2.0, 4.0], [1.0, 3.0]]
+    path.write_text("xi_1,xi_3\n1,2\n")
+    with pytest.raises(InputError) as got:
+        read_samples_csv(path)
+    assert str(got.value) == (f"{path}:1: expected header columns "
+                              "xi_1,...,xi_2 in any order, got ['xi_1', 'xi_3']")
+
+
 def test_csv_readers_reject_non_finite_values(tmp_path):
     path = tmp_path / "samples.csv"
     for bad in ("nan", "inf", "-inf"):

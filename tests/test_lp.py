@@ -211,6 +211,21 @@ def test_row_views_and_names_stay_lazy():
     assert m.constraints[1].cols.tolist() == [0]
 
 
+def test_row_views_read_the_csr_matrix():
+    """A row lists its columns in ascending order, repeats summed, as the
+    CSR matrix holds them."""
+    m = Model()
+    x = m.add_vars(3)
+    m.add(family("mix", 2, [(x[[2, 1]], 1.0), (x[[0, 1]], [2.0, 3.0])], LE, 1.0))
+    rows = m.constraints
+    assert isinstance(rows, list) and rows is m.constraints
+    assert [(r.name, r.sense, r.rhs) for r in rows] == [("mix[0]", LE, 1.0),
+                                                        ("mix[1]", LE, 1.0)]
+    assert [r.cols.tolist() for r in rows] == [[0, 2], [1]]
+    assert [r.vals.tolist() for r in rows] == [[2.0, 1.0], [4.0]]
+    assert sum(len(r.cols) for r in rows) == m._matrix().nnz == 3
+
+
 def test_interleaved_families_need_equal_shapes():
     m = Model()
     x = m.add_vars(2)

@@ -96,6 +96,8 @@ def test_load_network_rejects_missing_key(tmp_path):
 
 
 def test_network_validation_errors():
+    with pytest.raises(TopologyError, match="network has no buses"):
+        Network(buses=[], lines=[], generators=[], loads={}, resources=[])
     with pytest.raises(InputError):
         Network(buses=[1, 1], lines=[], generators=[], loads={}, resources=[])
     with pytest.raises(InputError):

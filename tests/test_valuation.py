@@ -8,7 +8,7 @@ from msdro_opf.errors import ExtractionError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
 from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
-                                 classify_regime, data_value_rows,
+                                 MIXED, classify_regime, data_value_rows,
                                  envelope_check, fmt,
                                  forecast_value_decomposition,
                                  forecast_value_rows, marginal_data_value,
@@ -152,6 +152,19 @@ def test_envelope_flags_threshold_kink(case5, train20):
     kinked = MultiDataset.from_matrix(train20, np.array([float(thr[0]), 0.1]))
     chk = envelope_check(case5, kinked, 0.05, 0)
     assert chk.degenerate
+
+
+def test_zero_budget_feature_is_degenerate(case5, train20, solve_cell):
+    """At eps_1 = 0 feature 1's multipliers are fixed at 0: they do not
+    price the budget, which the forward difference shows."""
+    report = marginal_data_value(solve_cell(0.0, 0.1))
+    assert report.regime[0] == MIXED
+    assert report.marginal_value[0] == 0.0
+    data = MultiDataset.from_matrix(train20, np.array([0.0, 0.1]))
+    chk = envelope_check(case5, data, 0.05, 0)
+    assert chk.degenerate
+    assert chk.analytic == 0.0
+    assert chk.finite_difference > 1e3
 
 
 def test_pi_f_is_forecast_shadow_price(case5, train20, solve_cell):
