@@ -10,9 +10,9 @@ all-slack start is dual feasible and already the sample average. HiGHS
 returns primal values and one dual per row; duals are read back per
 family, in the family's shape. Row names (``name[i,j]``) are made only
 when asked for. A solution keeps its HiGHS object until
-``LpSolution.resolve`` edits it into a smaller model and restarts from its
-final basis. Where scipy lacks the private bindings, ``linprog`` solves
-every model from scratch.
+``LpSolution.resolve`` deletes rows and changes column bounds in it and
+restarts from its final basis. Where scipy lacks the private bindings,
+``linprog`` solves every model from scratch.
 
 Dual sign convention
 --------------------
@@ -210,42 +210,24 @@ class LpSolution:
         total += float(np.sum(red[at_ub] * m.ub[at_ub]))
         return total
 
-    def resolve(self, model: "Model", drop_rows, drop_cols) -> "LpSolution":
-        """Solve ``model``: this solution's model without the rows
-        ``drop_rows`` and the columns ``drop_cols``, the rest kept in order,
-        where only column bounds may differ.
+    def resolve(self, model: "Model") -> "LpSolution":
+        """Solve ``model``: this solution's model with rows deleted and
+        column bounds changed (``_kept_rows`` says what must match).
 
-        HiGHS deletes them from the LP it solved, changes the bounds and
-        restarts the dual simplex from its final basis. The HiGHS object
-        moves to the returned solution: a second call, or one on a solution
-        without it, solves ``model`` from scratch.
+        HiGHS deletes those rows from the LP it solved, changes the bounds
+        and restarts the dual simplex from its final basis. The HiGHS
+        object moves to the returned solution: a second call, or one on a
+        solution without it, solves ``model`` from scratch.
         """
         highs, self._highs = self._highs, None
         if highs is None:
             return model.solve()
         old = self.model
-        rows = np.delete(np.arange(old.num_constraints), drop_rows)
-        cols = np.delete(np.arange(old.num_vars), drop_cols)
-        renumbered = np.full(old.num_constraints, -1)
-        renumbered[rows] = np.arange(len(rows))
-        order, _, lower, upper = old._highs_rows()
-        at = renumbered[order]  # each HiGHS row's row in ``model``, or -1
-        kept = at >= 0
-        new_order, _, new_lower, new_upper = model._highs_rows()
-        if not (len(rows) == model.num_constraints
-                and len(cols) == model.num_vars
-                and np.array_equal(at[kept], new_order)
-                and np.array_equal(lower[kept], new_lower)
-                and np.array_equal(upper[kept], new_upper)
-                and np.array_equal(old.obj[cols], model.obj)):
-            raise LpError(f"{model.summary()} is not the solved "
-                          f"{old.summary()} with rows and columns deleted")
-        gone_rows = np.flatnonzero(~kept).astype(np.int32)
-        gone_cols = np.setdiff1d(np.arange(old.num_vars), cols).astype(np.int32)
-        moved = np.flatnonzero((old.lb[cols] != model.lb)
-                               | (old.ub[cols] != model.ub)).astype(np.int32)
-        for status in (highs.deleteRows(len(gone_rows), gone_rows),
-                       highs.deleteCols(len(gone_cols), gone_cols),
+        order = old._highs_rows()[0]
+        gone = np.flatnonzero(_kept_rows(old, model)[order] < 0).astype(np.int32)
+        moved = np.flatnonzero((old.lb != model.lb)
+                               | (old.ub != model.ub)).astype(np.int32)
+        for status in (highs.deleteRows(len(gone), gone),
                        highs.changeColsBounds(len(moved), moved,
                                               model.lb[moved], model.ub[moved])):
             if status.name == "kError":
@@ -431,6 +413,37 @@ class Model:
         highs.setOptionValue("presolve", "on" if _presolve else "off")
         self._load(highs)
         return _run_highs(highs, self)
+
+
+def _kept_rows(old: Model, new: Model) -> np.ndarray:
+    """Each row of ``old`` at its row in ``new``, -1 where ``new`` leaves it
+    out. ``LpError`` unless ``new`` has ``old``'s columns, costs and
+    families (``_kept_family``), in order, and numbers the rows it keeps in
+    ``old``'s order."""
+    at = np.full(old.num_constraints, -1)
+    if (new.num_vars == old.num_vars and np.array_equal(new.obj, old.obj)
+            and list(new.families) == list(old.families)
+            and all(_kept_family(old.families[name], fam)
+                    for name, fam in new.families.items())):
+        for name, fam in new.families.items():
+            at[old.families[name].index[fam.present]] = fam.index[fam.present]
+        if np.array_equal(at[at >= 0], np.arange(new.num_constraints)):
+            return at
+    raise LpError(f"{new.summary()} is not the solved {old.summary()} "
+                  f"with rows deleted and column bounds changed")
+
+
+def _kept_family(was: Family, fam: Family) -> bool:
+    """Whether ``fam`` is ``was`` with rows left out: the same shape and
+    sense, and at ``fam``'s rows the same right-hand sides and entries
+    (``was``'s entries there, in order)."""
+    if (fam.shape != was.shape or fam.sense != was.sense
+            or np.any(fam.present & ~was.present)):
+        return False
+    keep = fam.present[was.rows]
+    return (np.array_equal(fam.rhs[fam.present], was.rhs[fam.present])
+            and all(np.array_equal(a[keep], b) for a, b in (
+                (was.rows, fam.rows), (was.cols, fam.cols), (was.vals, fam.vals))))
 
 
 def _run_highs(highs, model: Model) -> LpSolution:

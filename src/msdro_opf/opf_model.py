@@ -20,6 +20,7 @@ decomposition identities of the valuation module hold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -67,7 +68,8 @@ class DualValues:
 
 @dataclass
 class OpfModel:
-    """A built (not yet solved) instance plus the index bookkeeping."""
+    """A built (not yet solved) instance plus the index bookkeeping;
+    ``cc_mask`` marks the ``_joint_layout`` rows inside the CVaR max."""
 
     model: Model
     network: Network
@@ -77,14 +79,19 @@ class OpfModel:
     b_g: np.ndarray
     b_w: np.ndarray
     b_b: np.ndarray
-    cc_rows: np.ndarray
-    fixed_zero_participation: frozenset
+    cc_mask: np.ndarray
     idx: dict
+
+    @property
+    def fixed_zero_participation(self) -> frozenset:
+        """The generators pinned out of the CVaR."""
+        n_g = self.network.num_generators
+        return frozenset(np.flatnonzero(~self.cc_mask[:n_g]).tolist())
 
     @property
     def num_cc_rows(self) -> int:
         """Rows inside the CVaR max, excluding the augmented zero row."""
-        return len(self.cc_rows)
+        return int(np.count_nonzero(self.cc_mask[:-1]))
 
 
 @dataclass
@@ -119,12 +126,12 @@ class SolutionWithDuals:
     def cc_a_matrix(self) -> np.ndarray:
         """Row vectors a'_k at the optimal decision, augmented row last."""
         a, _ = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
-        return np.vstack([a[self.built.cc_rows], np.zeros((1, a.shape[1]))])
+        return np.vstack([a, np.zeros((1, a.shape[1]))])
 
     def cc_b_vector(self) -> np.ndarray:
         """Intercepts b_k at the optimal decision, augmented row last (0)."""
         _, b = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
-        return np.append(b[self.built.cc_rows], 0.0)
+        return np.append(b, 0.0)
 
 
 def _joint_layout(b_g: np.ndarray, b_w: np.ndarray, margins) -> tuple:
@@ -147,18 +154,6 @@ def joint_constraint_rows(decision: OpfDecision, b_g: np.ndarray,
     return (const + coef @ decision.alpha)[:-1], -margin[:-1]
 
 
-def _cc_row_layout(network: Network, skip_gens: frozenset) -> np.ndarray:
-    """Joint-constraint rows inside the CVaR, as indices into _joint_layout.
-
-    Generators with participation fixed to zero contribute no rows (their
-    reserve constraints hold trivially and are left outside the CVaR).
-    """
-    n_g = network.num_generators
-    gens = [g for g in range(n_g) if g not in skip_gens]
-    lines = list(range(2 * n_g, 2 * n_g + 2 * network.num_lines))
-    return np.array(gens + [n_g + g for g in gens] + lines, dtype=int)
-
-
 def build_msdro_opf(network: Network, data: MultiDataset, gamma,
                     fixed_zero_participation=frozenset()) -> OpfModel:
     """Assemble the complete LP for one data-quality vector.
@@ -167,7 +162,9 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma,
     sample column per shared index).
     Features with epsilon_j = 0 bypass their multiplier machinery: lambda_j
     and the positive parts are fixed to zero, which recovers the plain
-    sample average for that feature.
+    sample average for that feature. Generators in
+    ``fixed_zero_participation`` get alpha = r+ = r- = 0 and their two
+    reserve rows leave the CVaR the same way; the columns stay.
     """
     return _build(network, data, gamma, fixed_zero_participation)
 
@@ -187,14 +184,16 @@ def _build(network: Network, data: MultiDataset, gamma,
         raise ModeError("OPF model needs standardized data (equal sample counts)")
     support = reuse.support if reuse else build_joint_support(network)
     data.validate_within(support)
-    skip = frozenset(fixed_zero_participation)
-    bad = [g for g in skip if not (0 <= g < network.num_generators)]
+    n_g = network.num_generators
+    bad = [g for g in fixed_zero_participation
+           if not (isinstance(g, Integral) and 0 <= g < n_g)]
     if bad:
-        raise InputError(f"unknown generator indices {bad}")
+        raise InputError("unknown generator indices "
+                         + ", ".join(sorted(map(repr, bad))))
+    pinned = sorted({int(g) for g in fixed_zero_participation})
 
     b_g_map, b_w_map, b_b_map = ((reuse.b_g, reuse.b_w, reuse.b_b) if reuse
                                  else compute_flow_maps(network))
-    n_g = network.num_generators
     n_l = network.num_lines
     d = data.dimension
     n = int(data.counts[0])
@@ -209,8 +208,9 @@ def _build(network: Network, data: MultiDataset, gamma,
     u_vec = network.forecast_vector()
     f_max = np.array([ln.f_max for ln in network.lines])
 
-    cc_rows = _cc_row_layout(network, skip)
-    k_aug = len(cc_rows)  # index of the augmented all-zero row
+    k_aug = 2 * n_g + 2 * n_l  # index of the augmented all-zero row
+    cc_mask = np.ones(k_aug + 1, dtype=bool)
+    cc_mask[pinned + [n_g + g for g in pinned]] = False
 
     m = Model("msdro-opf")
     p = m.add_vars(n_g, obj=np.array([g.c_E for g in gens]))
@@ -227,7 +227,6 @@ def _build(network: Network, data: MultiDataset, gamma,
     lam_cc = m.add_vars(d)
     s_cc = m.add_vars(n, lb=-INFINITY)
 
-    pinned = sorted(skip)
     for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
                  lam_cc[eps == 0.0]):
         m.fix_var(cols, 0.0)
@@ -262,11 +261,11 @@ def _build(network: Network, data: MultiDataset, gamma,
 
     # (rho) positive parts per (feature, row), the augmented one included;
     # row k's coefficients of xi are const[k] + coef[k] @ A.
-    coef, const, b_cols = (v[np.append(cc_rows, -1)] for v in _joint_layout(
-        b_g_map, b_w_map, (rp, rm, framp, framm)))
+    coef, const, b_cols = _joint_layout(b_g_map, b_w_map, (rp, rm, framp, framm))
     p_cc, q_cc = wasserstein_block(
         m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
-        cols=alpha.T[:, None, :], coefs=coef[None, :, :], where=eps > 0.0)
+        cols=alpha.T[:, None, :], coefs=coef[None, :, :],
+        where=(eps > 0.0)[:, None] & cc_mask)
 
     # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
     # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for the
@@ -280,14 +279,14 @@ def _build(network: Network, data: MultiDataset, gamma,
                   (q_cc.T[None], -lo_room.T[:, None, :]),
                   (alpha[None, None], -coef[None, :, :, None]
                    * xi_hat.T[:, None, None, :])],
-                 GE, xi_hat.T @ const.T))
+                 GE, xi_hat.T @ const.T, where=cc_mask[None, :]))
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
            "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
     return OpfModel(model=m, network=network, data=data, support=support,
                     gamma=gamma, b_g=b_g_map, b_w=b_w_map, b_b=b_b_map,
-                    cc_rows=cc_rows, fixed_zero_participation=skip, idx=idx)
+                    cc_mask=cc_mask, idx=idx)
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:
@@ -361,13 +360,12 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
 
     Generators with an all-zero participation row never activate, so their
     reserve rows inside the CVaR max only slacken the approximation. The
-    re-run fixes r+ = r- = 0 for those generators and drops their two rows
-    from the joint constraint. The pinned model is built on the first
-    build's network, data, gamma, support and flow maps, and HiGHS edits
-    the LP it solved into it and restarts from its basis
-    (``LpSolution.resolve``). Returns the first solution unchanged when
-    there is nothing to pin or the re-run does not end optimal; solver
-    exceptions propagate.
+    re-run fixes r+ = r- = 0 for those generators and leaves their two rows
+    out of the CVaR. The pinned model is built on the first build's
+    network, data, gamma, support and flow maps, and HiGHS edits the LP it
+    solved into it and restarts from its basis (``LpSolution.resolve``).
+    Returns the first solution unchanged when there is nothing to pin or
+    the re-run does not end optimal; solver exceptions propagate.
     """
     if not first.optimal:
         raise ExtractionError(f"first solve ended {first.status}")
@@ -377,19 +375,5 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
     if target == already:
         return first
     pinned = _build(built.network, built.data, built.gamma, target, built)
-    rows, cols = _pinned_out(built, pinned)
-    rerun = _extract(pinned, first.lp_solution.resolve(pinned.model,
-                                                       rows, cols))
+    rerun = _extract(pinned, first.lp_solution.resolve(pinned.model))
     return rerun if rerun.optimal else first
-
-
-def _pinned_out(built: OpfModel, pinned: OpfModel) -> tuple:
-    """Rows and columns of ``built``'s LP that ``pinned`` leaves out: the
-    cc_up, cc_lo and cc_main rows and the p_cc, q_cc columns of the CVaR
-    rows ``pinned`` drops."""
-    k = np.flatnonzero(~np.isin(built.cc_rows, pinned.cc_rows))
-    fams = built.model.families
-    rows = np.concatenate([fams[f].index.reshape(fams[f].shape)[..., k].ravel()
-                           for f in ("cc_up", "cc_lo", "cc_main")])
-    cols = np.concatenate([built.idx[c][:, k].ravel() for c in ("p_cc", "q_cc")])
-    return rows[rows >= 0], cols

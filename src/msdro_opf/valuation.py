@@ -161,7 +161,8 @@ def forecast_value_decomposition(sol: SolutionWithDuals) -> ForecastValueReport:
     mean distances to the upper and lower end, and each CVaR row (i, k)
     weighs those of the chance-constraint block by the same distances for
     sample i, priced at eta_ik.  The reserve sum runs over the physical
-    rows only; the augmented zero row carries no a'_k.
+    rows only; the augmented zero row carries no a'_k, and a pinned
+    generator's rows read zero.
     """
     _require_duals(sol)
     duals = sol.duals
@@ -173,9 +174,8 @@ def forecast_value_decomposition(sol: SolutionWithDuals) -> ForecastValueReport:
     x, idx = sol.lp_solution.x, built.idx
     lmp = duals.pi + built.b_w.T @ (duals.beta_up - duals.beta_lo)
     balancing = kappa * (x[idx["q_co"]] - x[idx["p_co"]])
-    k_phys = built.num_cc_rows
     shift = x[idx["q_cc"]] - x[idx["p_cc"]]
-    reserve = kappa * (shift[:, :k_phys] @ duals.eta[:, :k_phys].sum(axis=0))
+    reserve = kappa * (shift[:, :-1] @ duals.eta[:, :-1].sum(axis=0))
 
     pi_f = lmp - balancing - reserve
     pi_d = sol.lambda_co + duals.phi * sol.lambda_cc

@@ -1,6 +1,7 @@
 """Full dispatch LP: feasibility blocks, objective blocks, duals, reruns."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -220,13 +221,59 @@ def test_undersized_network_reports_infeasible():
         sol.duality_gap()
 
 
-def test_input_validation(case5):
+def test_input_validation(case5, train20):
     with pytest.raises(InputError):
         solve_msdro_opf(case5, MultiDataset(np.zeros((3, 4)),
                                             np.array([0.1] * 3)), 0.05)
     with pytest.raises(ModeError):
         solve_msdro_opf(case5, MultiDataset([np.zeros(3), np.zeros(2)],
                                             np.array([0.1, 0.1])), 0.05)
+    data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
+    for bad in (1.5, "1", -1, case5.num_generators, None):
+        with pytest.raises(InputError, match=re.escape(
+                f"unknown generator indices {bad!r}")):
+            build_msdro_opf(case5, data, 0.05, {0, bad})
+    assert build_msdro_opf(case5, data, 0.05, {np.int64(1), 1}) \
+        .fixed_zero_participation == {1}
+
+
+def test_pinned_build_is_the_first_with_rows_deleted(case5, train20):
+    """Pinning generator g leaves out its two reserve rows of the joint
+    layout, in cc_up, cc_lo and cc_main, and fixes its p_cc/q_cc columns
+    (and alpha, r+, r-) to zero; families, shapes and columns stay, and the
+    row names are the first build's without the deleted ones, in order, so
+    cc_main[i,k] names the same joint row in both LPs."""
+    data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
+    g, n_g, n = 1, case5.num_generators, 20
+    full = build_msdro_opf(case5, data, 0.05)
+    pinned = build_msdro_opf(case5, data, 0.05, {g})
+    assert pinned.fixed_zero_participation == {g}
+    assert pinned.num_cc_rows == full.num_cc_rows - 2
+    fams = full.model.families
+    assert list(pinned.model.families) == list(fams)
+    for name, fam in pinned.model.families.items():
+        assert fam.shape == fams[name].shape
+    assert full.idx.keys() == pinned.idx.keys()
+    for name, cols in full.idx.items():
+        np.testing.assert_array_equal(pinned.idx[name], cols)
+    np.testing.assert_array_equal(pinned.model.obj, full.model.obj)
+
+    gone = [g, n_g + g]
+    idx = pinned.idx
+    fixed = np.concatenate([idx["p_cc"][:, gone].ravel(),
+                            idx["q_cc"][:, gone].ravel(),
+                            idx["alpha"][g], [idx["rp"][g], idx["rm"][g]]])
+    moved = np.flatnonzero((pinned.model.lb != full.model.lb)
+                           | (pinned.model.ub != full.model.ub))
+    np.testing.assert_array_equal(moved, np.sort(fixed))
+    assert np.all(pinned.model.ub[fixed] == 0.0)
+
+    deleted = {f"cc_{c}[{j},{k}]" for c in ("up", "lo") for j in range(2)
+               for k in gone} | {f"cc_main[{i},{k}]" for i in range(n)
+                                 for k in gone}
+    names = full.model.row_names()
+    assert deleted <= set(names)
+    assert pinned.model.row_names() == [r for r in names if r not in deleted]
 
 
 def test_risk_level_bounds():
