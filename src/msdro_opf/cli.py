@@ -52,9 +52,9 @@ def _load_net(args):
 
 
 def _resolve_epsilons(args, dim: int) -> list:
-    if getattr(args, "eps", None) is not None:
+    if args.eps is not None:
         eps = [float(v) for v in args.eps]
-    elif getattr(args, "quality", None) is not None:
+    elif args.quality is not None:
         names = [f"xi_{j + 1}" for j in range(dim)]
         budgets = read_quality_csv(args.quality, names)
         eps = [budgets[name] for name in names if name in budgets]
@@ -68,13 +68,13 @@ def _resolve_epsilons(args, dim: int) -> list:
 
 def _resolve_samples(args, network) -> tuple:
     """Training data: from a CSV or generated; returns (matrix, source)."""
-    if getattr(args, "data", None) is not None:
+    if args.data is not None:
         names, xs = read_samples_csv(args.data)
         if xs.shape[0] != len(network.resources):
             raise InputError(f"{args.data}: {xs.shape[0]} feature columns "
                              f"for {len(network.resources)} resources")
         return xs, str(args.data)
-    n = args.train
+    n = 20 if args.train is None else args.train
     seed = derive_seed(args.seed, "train")
     xs = training_matrix(network, n, seed, args.error_mean)
     return xs, f"generated:n={n},seed={seed}"
@@ -101,12 +101,7 @@ def cmd_quality(args) -> int:
             param = float(value)
         except ValueError:
             raise InputError(f"--noise parameter {value!r} is not a number")
-        if kind == "laplace":
-            model = NoiseModel.laplace(param, dimension=args.dimension)
-        elif kind == "gaussian":
-            model = NoiseModel.gaussian(param, dimension=args.dimension)
-        else:
-            raise InputError(f"unknown noise kind {kind!r}")
+        model = NoiseModel(kind, param, args.dimension)
         norm = "l1" if args.p == 1 else "l2"
         signal = additive_noise_bound(model, p=args.p, norm=norm)
         qualities["xi_1"] = signal.epsilon
@@ -318,14 +313,19 @@ def _add_common_model_flags(sub) -> None:
 
 
 def _add_data_flags(sub) -> None:
-    sub.add_argument("--data", type=Path, default=None,
-                     help="training sample CSV (xi_1,...,xi_D header)")
-    sub.add_argument("--train", type=_at_least(1), default=20,
-                     help="generate this many training samples instead")
-    sub.add_argument("--eps", type=float, nargs="+", default=None,
-                     help="per-feature Wasserstein budgets")
-    sub.add_argument("--quality", type=Path, default=None,
-                     help="feature,epsilon CSV instead of --eps")
+    # argparse rejects a second data or budget source (exit 2) before any
+    # file is read. A value equal to the default would not count: hence None.
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--data", type=Path, default=None,
+                        help="training sample CSV (xi_1,...,xi_D header)")
+    source.add_argument("--train", type=_at_least(1), default=None,
+                        help="generate this many training samples instead "
+                             "(default 20)")
+    budgets = sub.add_mutually_exclusive_group()
+    budgets.add_argument("--eps", type=float, nargs="+", default=None,
+                         help="per-feature Wasserstein budgets")
+    budgets.add_argument("--quality", type=Path, default=None,
+                         help="feature,epsilon CSV instead of --eps")
 
 
 def build_parser() -> argparse.ArgumentParser:

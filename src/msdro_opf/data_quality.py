@@ -40,36 +40,33 @@ class QualitySignal:
                 f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
-@dataclass
+#: Name of each noise kind's parameter, for messages.
+_NOISE_PARAM = {"laplace": "scale", "gaussian": "stddev"}
+
+
+@dataclass(frozen=True)
 class NoiseModel:
-    """Additive noise description: laplace(scale), gaussian(stddev) or custom samples."""
+    """Additive iid noise: a kind (laplace or gaussian) and its one
+    parameter, the laplace scale or the gaussian stddev."""
 
     kind: str
-    scale: float = 0.0
-    stddev: float = 0.0
-    samples: np.ndarray | None = None
+    param: float
     dimension: int = 1
+
+    def __post_init__(self):
+        if self.kind not in _NOISE_PARAM:
+            raise InputError(f"unknown noise kind {self.kind!r}")
+        if not 0 < self.param < math.inf:
+            raise InputError(f"{self.kind} {_NOISE_PARAM[self.kind]} must be "
+                             f"finite and > 0, got {self.param}")
 
     @classmethod
     def laplace(cls, scale: float, dimension: int = 1) -> "NoiseModel":
-        if not 0 < scale < math.inf:
-            raise InputError(
-                f"laplace scale must be finite and > 0, got {scale}")
-        return cls(kind="laplace", scale=float(scale), dimension=dimension)
+        return cls("laplace", float(scale), dimension)
 
     @classmethod
     def gaussian(cls, stddev: float, dimension: int = 1) -> "NoiseModel":
-        if not 0 < stddev < math.inf:
-            raise InputError(
-                f"gaussian stddev must be finite and > 0, got {stddev}")
-        return cls(kind="gaussian", stddev=float(stddev), dimension=dimension)
-
-    @classmethod
-    def custom(cls, samples, dimension: int = 1) -> "NoiseModel":
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0:
-            raise InputError("custom noise needs at least one sample")
-        return cls(kind="custom", samples=arr, dimension=dimension)
+        return cls("gaussian", float(stddev), dimension)
 
 
 def _as_samples(values, label: str) -> np.ndarray:
@@ -109,38 +106,24 @@ def empirical_wasserstein_1d(a, b, p: int = 1) -> float:
     return float(np.sum(width * np.abs(xa[ia] - xb[ib]) ** p))
 
 
+#: E|z|^p of one noise coordinate, by (kind, p), from its parameter.
+_NOISE_MOMENT = {
+    ("laplace", 1): lambda scale: scale,
+    ("laplace", 2): lambda scale: 2.0 * scale ** 2,
+    ("gaussian", 1): lambda stddev: stddev * math.sqrt(2.0 / math.pi),
+    ("gaussian", 2): lambda stddev: stddev ** 2,
+}
+
+
 def additive_noise_bound(noise: NoiseModel, p: int = 1,
                          norm: str = "l1") -> QualitySignal:
-    """Upper bound E||Z||^p on W_p^p induced by additive noise Z.
-
-    Supported analytic cases (iid coordinates):
-
-    ==========  =====  ====================================
-    kind        p/norm  per-coordinate value
-    ==========  =====  ====================================
-    laplace     1/l1   scale
-    laplace     2/l2   2 * scale**2
-    gaussian    1/l1   stddev * sqrt(2/pi)
-    gaussian    2/l2   stddev**2
-    ==========  =====  ====================================
-
-    Custom noise uses the sample mean of ||z||^p.
-    """
+    """Upper bound E||Z||^p on W_p^p induced by additive noise Z with iid
+    coordinates, for p=1 with the 1-norm or p=2 with the 2-norm: the
+    dimension times E|z|^p of one coordinate, which is the laplace scale or
+    stddev*sqrt(2/pi) for p=1, and 2*scale**2 or stddev**2 for p=2."""
     if (p, norm) not in ((1, "l1"), (2, "l2")):
         raise UnsupportedError(f"no bound implemented for p={p}, norm={norm!r}")
-    d = noise.dimension
-    if noise.kind == "laplace":
-        per_coord = noise.scale if p == 1 else 2.0 * noise.scale ** 2
-        eps = d * per_coord
-    elif noise.kind == "gaussian":
-        per_coord = noise.stddev * math.sqrt(2.0 / math.pi) if p == 1 \
-            else noise.stddev ** 2
-        eps = d * per_coord
-    elif noise.kind == "custom":
-        z = np.atleast_2d(np.asarray(noise.samples, dtype=float))
-        eps = float(np.mean(np.sum(np.abs(z) ** p, axis=-1)))
-    else:
-        raise UnsupportedError(f"unknown noise kind {noise.kind!r}")
+    eps = noise.dimension * _NOISE_MOMENT[noise.kind, p](noise.param)
     return QualitySignal(epsilon=float(eps), p=p)
 
 
@@ -177,9 +160,10 @@ _PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
 
 
 def _utf8_text(path) -> io.StringIO:
-    """A file's text, line ends as written, for the ``csv`` reader; a file
-    that is not UTF-8 is an ``InputError`` naming it."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A file's text, line ends as written, for the ``csv`` reader, without
+    a leading byte order mark; a file that is not UTF-8 is an ``InputError``
+    naming it."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return io.StringIO(fh.read(), newline="")
         except UnicodeDecodeError as exc:

@@ -176,15 +176,9 @@ class SweepConfig:
 
 
 @dataclass
-class OosResult:
-    epsilons: tuple
-    violation: float
-    n_samples: int
-    status: str = "optimal"
-
-
-@dataclass
 class CellResult:
+    """One swept cell: its solve, valuation and out-of-sample row."""
+
     epsilons: tuple
     status: str
     message: str = ""
@@ -196,6 +190,8 @@ class CellResult:
     activation_price: np.ndarray | None = None
     forecast: np.ndarray | None = None
     decision: OpfDecision | None = None
+    violation: float = math.nan
+    n_samples: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -204,6 +200,9 @@ class CellResult:
 
 @dataclass
 class SweepResult:
+    """Every swept cell in ``oos``, sorted by budgets; ``cells`` holds the
+    same records for the cells on the grid."""
+
     config: SweepConfig
     cells: list
     oos: list
@@ -217,28 +216,28 @@ class SweepResult:
 
 
 def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
-                oos_only: bool = False) -> tuple:
+                oos_only: bool = False) -> CellResult:
     """One cell: base solve, tighten, valuation, out-of-sample.
 
-    With ``oos_only`` (cells outside the main grid, zero budgets) only the
-    out-of-sample row is made and the cell result is None. Any failure is
-    recorded in the cell's rows, so one cell cannot stop the sweep.
+    With ``oos_only`` (cells outside the main grid, zero budgets) the
+    re-run and the valuation are skipped. Any failure is recorded in the
+    cell's status, so one cell cannot stop the sweep.
     """
     cell = tuple(float(e) for e in eps)
     try:
         data = MultiDataset.from_matrix(xs, list(cell))
         base = solve_msdro_opf(network, data, config.gamma)
-        if base.optimal:
-            samples = oos_matrix(network, cell, config.oos_samples, config.seed)
-            rate = empirical_violation(base.decision, samples, network,
-                                       flow_maps=(base.built.b_g, base.built.b_w))
-            oos = OosResult(cell, rate, config.oos_samples)
-            return (None if oos_only else _cell_result(base, config)), oos
-        result = CellResult(cell, base.status)
+        if not base.optimal:
+            return CellResult(cell, base.status)
+        samples = oos_matrix(network, cell, config.oos_samples, config.seed)
+        rate = empirical_violation(base.decision, samples, network,
+                                   flow_maps=(base.built.b_g, base.built.b_w))
+        result = (CellResult(cell, "optimal") if oos_only
+                  else _cell_result(base, config))
+        result.violation, result.n_samples = rate, config.oos_samples
+        return result
     except Exception as exc:  # recorded, sweep continues
-        result = CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
-    return (None if oos_only else result,
-            OosResult(cell, math.nan, 0, result.status))
+        return CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
 
 
 def _cell_result(base, config: SweepConfig) -> CellResult:
@@ -269,8 +268,9 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
                          derive_seed(config.seed, "train"),
                          config.error_mean)
     main_cells = config.cells(dim)
+    on_grid = set(main_cells)
     tasks = [(c, False) for c in main_cells] + [
-        (c, True) for c in config.oos_cells(dim) if c not in set(main_cells)]
+        (c, True) for c in config.oos_cells(dim) if c not in on_grid]
 
     if jobs > 1:
         # No more workers than cells: the pool may start all of them at once.
@@ -282,11 +282,9 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
         results = [_solve_cell(network, xs, c, config, oos_only)
                    for c, oos_only in tasks]
 
-    cells = [cell for cell, _ in results if cell is not None]
-    oos = [row for _, row in results]
-    cells.sort(key=lambda c: c.epsilons)
-    oos.sort(key=lambda r: r.epsilons)
-    return SweepResult(config, cells, oos)
+    results.sort(key=lambda c: c.epsilons)
+    return SweepResult(config, [c for c in results if c.epsilons in on_grid],
+                       results)
 
 
 def write_sweep_csvs(result: SweepResult, outdir) -> list:

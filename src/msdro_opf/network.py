@@ -151,8 +151,9 @@ def bundled_network(name: str = "case5") -> Network:
 
 
 def load_network(path) -> Network:
-    """Read a network JSON file into a Network."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a network JSON file, which may start with a byte order mark,
+    into a Network."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

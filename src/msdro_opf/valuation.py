@@ -38,7 +38,6 @@ MIXED = "mixed/degenerate"
 class DataValueReport:
     """Per-feature marginal value of data quality at an optimum."""
 
-    epsilons: np.ndarray
     lambda_co: np.ndarray
     lambda_cc: np.ndarray
     phi: float
@@ -135,12 +134,11 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     lam_cc = sol.lambda_cc.copy()
     marginal = lam_co + phi * lam_cc
     thresholds = offline_thresholds(built.data, built.support)
-    eps = built.data.epsilons.copy()
+    eps = built.data.epsilons
     regimes = tuple(MIXED if eps[j] == 0 else
                     classify_regime(lam_co[j], lam_cc[j])
                     for j in range(len(lam_co)))
     return DataValueReport(
-        epsilons=eps,
         lambda_co=lam_co,
         lambda_cc=lam_cc,
         phi=phi,

@@ -50,6 +50,13 @@ def test_quality_laplace_analytic(capsys):
     assert "xi_1: epsilon = 0.05 (p=1)" in out
 
 
+def test_quality_gaussian_order_2_sums_variances(capsys):
+    assert run("quality", "--noise", "gaussian:0.2", "--p", "2",
+               "--dimension", "3") == EXIT_OK
+    # E||Z||_2^2 = 3 * 0.2**2 for three iid N(0, 0.2) coordinates.
+    assert "xi_1: epsilon = 0.12 (p=2)" in capsys.readouterr().out
+
+
 def test_quality_identical_files_give_zero(tmp_path, capsys):
     xs = np.array([[0.1, -0.2, 0.3, 0.0], [0.5, 0.4, -0.1, 0.2]])
     write_samples_csv(tmp_path / "orig.csv", xs)
@@ -536,19 +543,28 @@ BAD_INPUT = [
     ["solve", "--eps", "0.1", "0.1", "--train", "-3"],
     ["oos", "--eps", "0.1", "0.1", "--oos-samples", "-5"],
     ["quality", "--noise", "laplace:0.05", "--dimension", "0"],
+    ["quality", "--noise", "uniform:1"],
+    ["solve", "--eps", "0.1", "0.1", "--quality", "q.csv"],
+    ["oos", "--eps", "0.1", "0.1", "--quality", "q.csv"],
+    ["solve", "--data", "d.csv", "--train", "50", "--eps", "0.1", "0.1"],
+    ["oos", "--data", "d.csv", "--train", "50", "--eps", "0.1", "0.1"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
 def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
                                             monkeypatch):
-    """Each value is checked where it enters, before any LP is solved."""
+    """Each value is checked where it enters, before any LP is solved. The
+    files named exist and are valid, so only the flags can be at fault."""
     from msdro_opf import lp
 
     def no_solve(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(lp.Model, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    write_quality_csv("q.csv", {"xi_1": 1.0, "xi_2": 1.0})
+    write_samples_csv("d.csv", np.zeros((2, 3)))
     try:
         code = run(*argv, "--out", tmp_path / "out")
     except SystemExit as exc:  # argparse rejected a flag
@@ -558,6 +574,42 @@ def test_bad_input_exits_2_before_any_solve(argv, tmp_path, capsys,
     assert "error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oos"])
+@pytest.mark.parametrize("pair", [["--eps", "0.1", "0.1", "--quality", "q.csv"],
+                                  ["--data", "d.csv", "--train", "50"]],
+                         ids=["eps-quality", "data-train"])
+def test_second_source_names_both_flags(command, pair, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, *pair)
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert pair[0] in err and pair[-2] in err
+
+
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    """Spreadsheet "CSV UTF-8" exports start with a BOM; it is skipped."""
+    plain = {"network": tmp_path / "net.json", "data": tmp_path / "d.csv",
+             "quality": tmp_path / "q.csv"}
+    plain["network"].write_bytes(CASE5.read_bytes())
+    write_samples_csv(plain["data"], training_matrix(
+        msdro_opf.bundled_network(), 20, derive_seed(1, "train")))
+    write_quality_csv(plain["quality"], {"xi_1": 0.1, "xi_2": 0.05})
+    objectives = []
+    for marked in (False, True):
+        args = []
+        for flag, path in plain.items():
+            if marked:
+                path = path.with_name("bom_" + path.name)
+                path.write_bytes(b"\xef\xbb\xbf" + plain[flag].read_bytes())
+            args += [f"--{flag}", path]
+        assert run("solve", *args, "--no-tighten",
+                   "--out", tmp_path / f"out{marked:d}") == EXIT_OK
+        objectives.append(capsys.readouterr().out.splitlines()[1])
+    assert objectives[0].startswith("objective: ")
+    assert objectives[0] == objectives[1]
 
 
 @pytest.mark.parametrize("argv", [

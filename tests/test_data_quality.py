@@ -139,17 +139,6 @@ def test_gaussian_bound_p2_is_variance():
     assert bound.epsilon == pytest.approx(0.09)
 
 
-def test_custom_bound_is_sample_mean():
-    assert additive_noise_bound(
-        NoiseModel.custom(np.zeros((10, 1))), 1, "l1").epsilon == 0.0
-    z = np.array([[0.1], [-0.3], [0.2]])
-    assert additive_noise_bound(
-        NoiseModel.custom(z), 1, "l1").epsilon == pytest.approx(0.2)
-    # A flat array is read as a single multi-coordinate draw.
-    flat = additive_noise_bound(NoiseModel.custom([0.1, -0.3, 0.2]), 1, "l1")
-    assert flat.epsilon == pytest.approx(0.6)
-
-
 def test_unsupported_noise_combination_raises():
     with pytest.raises(UnsupportedError):
         additive_noise_bound(NoiseModel.laplace(0.1), p=2, norm="l1")
@@ -162,6 +151,11 @@ def test_noise_model_requires_positive_scale():
         NoiseModel.laplace(0.0)
     with pytest.raises(InputError):
         NoiseModel.gaussian(-1.0)
+
+
+def test_noise_model_rejects_unknown_kind():
+    with pytest.raises(InputError, match="unknown noise kind 'uniform'"):
+        NoiseModel("uniform", 1.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),

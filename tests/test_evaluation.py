@@ -232,6 +232,10 @@ def test_run_sweep_records_per_cell_failures():
     oos_status = {o.epsilons: o.status for o in res.oos}
     assert oos_status[(1.0,)] == "infeasible"
     assert oos_status[(0.0,)] == "optimal"
+    # One record per cell: the grid's list and the oos list share it.
+    assert next(o for o in res.oos if o.epsilons == (1.0,)) is bad
+    assert math.isnan(bad.violation)
+    assert bad.n_samples == 0
 
 
 def test_sweep_tables_leave_failed_cell_values_empty(tmp_path):
