@@ -30,7 +30,7 @@ from .errors import ExtractionError, InputError
 from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
                          empirical_violation, oos_matrix, run_sweep,
                          training_matrix, write_sweep_csvs)
-from .lp import LpError
+from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
 from .valuation import (fmt, forecast_value_decomposition,
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LpError, ExtractionError) as exc:
+    except (SolverError, ExtractionError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -64,11 +64,7 @@ _ENDS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
          "kUnbounded": "unbounded"}
 
 
-class LpError(Exception):
-    """Base class for LP layer failures."""
-
-
-class SolverError(LpError):
+class SolverError(Exception):
     """HiGHS failed to produce a usable answer."""
 
 
@@ -210,23 +206,21 @@ class LpSolution:
         total += float(np.sum(red[at_ub] * m.ub[at_ub]))
         return total
 
-    def resolve(self, model: "Model") -> "LpSolution":
-        """Solve ``model``: this solution's model with rows deleted and
-        column bounds changed (``_kept_rows`` says what must match).
+    def resolve(self, drop, ub) -> "LpSolution":
+        """Solve ``self.model.without(drop, ub)``.
 
-        HiGHS deletes those rows from the LP it solved, changes the bounds
-        and restarts the dual simplex from its final basis. The HiGHS
-        object moves to the returned solution: a second call, or one on a
-        solution without it, solves ``model`` from scratch.
+        HiGHS deletes the dropped rows from the LP it solved, changes the
+        upper bounds and restarts the dual simplex from its final basis.
+        The HiGHS object moves to the returned solution: a second call, or
+        one on a solution without it, solves the derived model from scratch.
         """
         highs, self._highs = self._highs, None
+        old = self.model
+        model = old.without(drop, ub)
         if highs is None:
             return model.solve()
-        old = self.model
-        order = old._highs_rows()[0]
-        gone = np.flatnonzero(_kept_rows(old, model)[order] < 0).astype(np.int32)
-        moved = np.flatnonzero((old.lb != model.lb)
-                               | (old.ub != model.ub)).astype(np.int32)
+        gone = np.flatnonzero(drop[old._highs_rows()[0]]).astype(np.int32)
+        moved = np.flatnonzero(old.ub != model.ub).astype(np.int32)
         for status in (highs.deleteRows(len(gone), gone),
                        highs.changeColsBounds(len(moved), moved,
                                               model.lb[moved], model.ub[moved])):
@@ -300,6 +294,24 @@ class Model:
         self._num_rows += int(np.count_nonzero(present))
         self._cache.clear()
         return families[0] if len(families) == 1 else families
+
+    def without(self, drop, ub) -> "Model":
+        """A copy with the rows where the boolean ``drop`` (one per row) is
+        true left out, the kept rows renumbered in their order, and column
+        upper bounds ``ub``."""
+        m = Model(self.name)
+        m.lb, m.obj = self.lb.copy(), self.obj.copy()
+        m.ub = np.array(ub, dtype=float)
+        at = np.cumsum(~drop) - 1
+        for name, fam in self.families.items():
+            present = fam.present.copy()
+            present[present] = ~drop[fam.index[present]]
+            keep = present[fam.rows]
+            m.families[name] = Family(
+                name, fam.shape, fam.rows[keep], fam.cols[keep], fam.vals[keep],
+                fam.sense, fam.rhs, present, np.where(present, at[fam.index], -1))
+        m._num_rows = int(np.count_nonzero(~drop))
+        return m
 
     def _coo(self):
         """(row, column, value) of every coefficient, built once per model."""
@@ -413,37 +425,6 @@ class Model:
         highs.setOptionValue("presolve", "on" if _presolve else "off")
         self._load(highs)
         return _run_highs(highs, self)
-
-
-def _kept_rows(old: Model, new: Model) -> np.ndarray:
-    """Each row of ``old`` at its row in ``new``, -1 where ``new`` leaves it
-    out. ``LpError`` unless ``new`` has ``old``'s columns, costs and
-    families (``_kept_family``), in order, and numbers the rows it keeps in
-    ``old``'s order."""
-    at = np.full(old.num_constraints, -1)
-    if (new.num_vars == old.num_vars and np.array_equal(new.obj, old.obj)
-            and list(new.families) == list(old.families)
-            and all(_kept_family(old.families[name], fam)
-                    for name, fam in new.families.items())):
-        for name, fam in new.families.items():
-            at[old.families[name].index[fam.present]] = fam.index[fam.present]
-        if np.array_equal(at[at >= 0], np.arange(new.num_constraints)):
-            return at
-    raise LpError(f"{new.summary()} is not the solved {old.summary()} "
-                  f"with rows deleted and column bounds changed")
-
-
-def _kept_family(was: Family, fam: Family) -> bool:
-    """Whether ``fam`` is ``was`` with rows left out: the same shape and
-    sense, and at ``fam``'s rows the same right-hand sides and entries
-    (``was``'s entries there, in order)."""
-    if (fam.shape != was.shape or fam.sense != was.sense
-            or np.any(fam.present & ~was.present)):
-        return False
-    keep = fam.present[was.rows]
-    return (np.array_equal(fam.rhs[fam.present], was.rhs[fam.present])
-            and all(np.array_equal(a[keep], b) for a, b in (
-                (was.rows, fam.rows), (was.cols, fam.cols), (was.vals, fam.vals))))
 
 
 def _run_highs(highs, model: Model) -> LpSolution:

@@ -19,8 +19,7 @@ decomposition identities of the valuation module hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,24 +153,15 @@ def joint_constraint_rows(decision: OpfDecision, b_g: np.ndarray,
     return (const + coef @ decision.alpha)[:-1], -margin[:-1]
 
 
-def build_msdro_opf(network: Network, data: MultiDataset, gamma,
-                    fixed_zero_participation=frozenset()) -> OpfModel:
+def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     """Assemble the complete LP for one data-quality vector.
 
     Requires at least one uncertain resource and standardized data (one
     sample column per shared index).
     Features with epsilon_j = 0 bypass their multiplier machinery: lambda_j
     and the positive parts are fixed to zero, which recovers the plain
-    sample average for that feature. Generators in
-    ``fixed_zero_participation`` get alpha = r+ = r- = 0 and their two
-    reserve rows leave the CVaR the same way; the columns stay.
+    sample average for that feature.
     """
-    return _build(network, data, gamma, fixed_zero_participation)
-
-
-def _build(network: Network, data: MultiDataset, gamma,
-           fixed_zero_participation, reuse: OpfModel | None = None) -> OpfModel:
-    """``build_msdro_opf``; the support and flow maps come from ``reuse``."""
     gamma = risk_level(gamma)
     if data.dimension != network.num_resources:
         raise InputError(
@@ -182,18 +172,11 @@ def _build(network: Network, data: MultiDataset, gamma,
         raise InputError("OPF model needs at least one uncertain resource")
     if not data.is_standardized:
         raise ModeError("OPF model needs standardized data (equal sample counts)")
-    support = reuse.support if reuse else build_joint_support(network)
+    support = build_joint_support(network)
     data.validate_within(support)
-    n_g = network.num_generators
-    bad = [g for g in fixed_zero_participation
-           if not (isinstance(g, Integral) and 0 <= g < n_g)]
-    if bad:
-        raise InputError("unknown generator indices "
-                         + ", ".join(sorted(map(repr, bad))))
-    pinned = sorted({int(g) for g in fixed_zero_participation})
 
-    b_g_map, b_w_map, b_b_map = ((reuse.b_g, reuse.b_w, reuse.b_b) if reuse
-                                 else compute_flow_maps(network))
+    b_g_map, b_w_map, b_b_map = compute_flow_maps(network)
+    n_g = network.num_generators
     n_l = network.num_lines
     d = data.dimension
     n = int(data.counts[0])
@@ -209,8 +192,6 @@ def _build(network: Network, data: MultiDataset, gamma,
     f_max = np.array([ln.f_max for ln in network.lines])
 
     k_aug = 2 * n_g + 2 * n_l  # index of the augmented all-zero row
-    cc_mask = np.ones(k_aug + 1, dtype=bool)
-    cc_mask[pinned + [n_g + g for g in pinned]] = False
 
     m = Model("msdro-opf")
     p = m.add_vars(n_g, obj=np.array([g.c_E for g in gens]))
@@ -227,8 +208,7 @@ def _build(network: Network, data: MultiDataset, gamma,
     lam_cc = m.add_vars(d)
     s_cc = m.add_vars(n, lb=-INFINITY)
 
-    for cols in (alpha[pinned], rp[pinned], rm[pinned], lam_co[eps == 0.0],
-                 lam_cc[eps == 0.0]):
+    for cols in (lam_co[eps == 0.0], lam_cc[eps == 0.0]):
         m.fix_var(cols, 0.0)
 
     # (pi) energy balance: <1,p> = <1,d> - <1,u>
@@ -265,7 +245,7 @@ def _build(network: Network, data: MultiDataset, gamma,
     p_cc, q_cc = wasserstein_block(
         m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
         cols=alpha.T[:, None, :], coefs=coef[None, :, :],
-        where=(eps > 0.0)[:, None] & cc_mask)
+        where=(eps > 0.0)[:, None])
 
     # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
     # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for the
@@ -279,14 +259,14 @@ def _build(network: Network, data: MultiDataset, gamma,
                   (q_cc.T[None], -lo_room.T[:, None, :]),
                   (alpha[None, None], -coef[None, :, :, None]
                    * xi_hat.T[:, None, None, :])],
-                 GE, xi_hat.T @ const.T, where=cc_mask[None, :]))
+                 GE, xi_hat.T @ const.T))
 
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
            "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
     return OpfModel(model=m, network=network, data=data, support=support,
                     gamma=gamma, b_g=b_g_map, b_w=b_w_map, b_b=b_b_map,
-                    cc_mask=cc_mask, idx=idx)
+                    cc_mask=np.ones(k_aug + 1, dtype=bool), idx=idx)
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:
@@ -339,11 +319,10 @@ def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
     )
 
 
-def solve_msdro_opf(network: Network, data: MultiDataset, gamma,
-                    fixed_zero_participation=frozenset()) -> SolutionWithDuals:
+def solve_msdro_opf(network: Network, data: MultiDataset,
+                    gamma) -> SolutionWithDuals:
     """Build and solve in one step."""
-    return solve(build_msdro_opf(network, data, gamma,
-                                 fixed_zero_participation))
+    return solve(build_msdro_opf(network, data, gamma))
 
 
 def idle_balancers(sol: SolutionWithDuals) -> frozenset:
@@ -354,6 +333,35 @@ def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     return frozenset(np.flatnonzero(idle).tolist())
 
 
+def _pin(built: OpfModel, generators) -> tuple:
+    """The edit of ``built.model`` that pins ``generators`` out of the CVaR:
+    alpha = r+ = r- = 0 for each of them, and their two reserve rows of the
+    joint layout leave the CVaR max as a feature with epsilon_j = 0 leaves
+    it, their ``cc_up``, ``cc_lo`` and ``cc_main`` rows dropped and their
+    p_cc/q_cc columns set to zero. Columns and families stay.
+
+    Returns (cc_mask, drop, ub): the pinned model's ``cc_mask``, a boolean
+    per row of ``built.model`` marking the rows to drop, and its column
+    upper bounds.
+    """
+    pinned = sorted(generators)
+    n_g, m, idx = built.network.num_generators, built.model, built.idx
+    gone = np.zeros_like(built.cc_mask)
+    gone[pinned + [n_g + g for g in pinned]] = True
+    drop = np.zeros(m.num_constraints, dtype=bool)
+    for name in ("cc_up", "cc_lo", "cc_main"):
+        fam = m.families[name]
+        at = fam.index.reshape(fam.shape)[:, gone]
+        drop[at[at >= 0]] = True
+    ub = m.ub.copy()
+    ub[idx["alpha"][pinned]] = 0.0
+    for name in ("rp", "rm"):
+        ub[idx[name][pinned]] = 0.0
+    for name in ("p_cc", "q_cc"):
+        ub[idx[name][:, gone]] = 0.0
+    return built.cc_mask & ~gone, drop, ub
+
+
 def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
     """Re-solve ``first``'s instance with non-participating generators
     pinned out of the CVaR.
@@ -361,9 +369,9 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
     Generators with an all-zero participation row never activate, so their
     reserve rows inside the CVaR max only slacken the approximation. The
     re-run fixes r+ = r- = 0 for those generators and leaves their two rows
-    out of the CVaR. The pinned model is built on the first build's
-    network, data, gamma, support and flow maps, and HiGHS edits the LP it
-    solved into it and restarts from its basis (``LpSolution.resolve``).
+    out of the CVaR (``_pin``). HiGHS edits the LP it solved accordingly and
+    restarts from its basis (``LpSolution.resolve``); the pinned instance
+    keeps the first build's network, data, gamma, support and flow maps.
     Returns the first solution unchanged when there is nothing to pin or
     the re-run does not end optimal; solver exceptions propagate.
     """
@@ -371,9 +379,10 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
         raise ExtractionError(f"first solve ended {first.status}")
     built = first.built
     already = built.fixed_zero_participation
-    target = frozenset(idle_balancers(first) | already)
+    target = idle_balancers(first) | already
     if target == already:
         return first
-    pinned = _build(built.network, built.data, built.gamma, target, built)
-    rerun = _extract(pinned, first.lp_solution.resolve(pinned.model))
+    cc_mask, drop, ub = _pin(built, target)
+    sol = first.lp_solution.resolve(drop, ub)
+    rerun = _extract(replace(built, model=sol.model, cc_mask=cc_mask), sol)
     return rerun if rerun.optimal else first

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msdro_opf import MultiDataset, lp
-from msdro_opf.lp import (EQ, GE, INFINITY, LE, LpError, Model, SolverError,
+from msdro_opf.lp import (EQ, GE, INFINITY, LE, Model, SolverError,
                           family)
 from msdro_opf.opf_model import build_msdro_opf
 
@@ -318,81 +318,52 @@ def test_post_solve_check_passes_within_tolerance(monkeypatch):
     assert m.solve().x[x] == pytest.approx(3.5 + 1e-5)
 
 
-def cover_with_extra(drop=(), x_ub=INFINITY, z_ub=INFINITY, x_coef=1.0,
-                     rhs=4.0, cap=LE):
+def cover_with_extra(drop=(), x_ub=INFINITY, z_ub=INFINITY):
     """The cover LP plus a cheap capped column z in the cover row, without
-    the rows named in ``drop``; the other arguments vary one entry each."""
+    the rows named in ``drop``; x and z take the upper bounds given."""
     m = Model("cover")
     x = m.add_var(ub=x_ub, obj=2.0)
     y = m.add_var(obj=3.0)
     z = m.add_var(ub=z_ub, obj=1.0)
     for name, cols, vals, sense, b in (
-            ("cover", [x, y, z], [x_coef, 1.0, 1.0], GE, rhs),
+            ("cover", [x, y, z], [1.0, 1.0, 1.0], GE, 4.0),
             ("floor", [y], [1.0], GE, 0.5), ("zcap", [z], [1.0], LE, 1.0),
-            ("cap", [x], [1.0], cap, 10.0)):
+            ("cap", [x], [1.0], LE, 10.0)):
         m.add(family(name, (), [(np.array(cols), np.array(vals))], sense, b,
                      where=name not in drop))
     return m
 
 
-def pinned_cover(**change):
-    """The cover LP with z pinned to 0 and its two extra rows deleted."""
-    return cover_with_extra(drop=("floor", "zcap"), z_ub=0.0, **change)
+def test_without_leaves_rows_out_in_order():
+    """``without`` drops the marked rows, renumbers the rest in their order
+    and takes the new upper bounds; the model it copies is unchanged."""
+    full = cover_with_extra()
+    drop = np.array([False, True, True, False])  # floor and zcap
+    ub = np.array([3.0, INFINITY, 0.0])
+    smaller = full.without(drop, ub)
+    want = cover_with_extra(drop=("floor", "zcap"), x_ub=3.0, z_ub=0.0)
+    assert smaller.row_names() == want.row_names() == ["cover", "cap"]
+    for got, row in zip(smaller.constraints, want.constraints):
+        assert (got.name, got.sense, got.rhs) == (row.name, row.sense, row.rhs)
+        assert np.array_equal(got.cols, row.cols)
+        assert bits(got.vals) == bits(row.vals)
+    for part in ("lb", "ub", "obj"):
+        assert bits(getattr(smaller, part)) == bits(getattr(want, part))
+    assert full.row_names() == ["cover", "floor", "zcap", "cap"]
+    assert full.ub[0] == INFINITY
 
 
 def test_resolve_edits_the_solved_lp_and_hands_over_the_solver():
-    first = cover_with_extra().solve()
+    solved = cover_with_extra()
+    first = solved.solve()
     assert first.objective == pytest.approx(7.5)
-    smaller = pinned_cover(x_ub=3.0)
-    warm = first.resolve(smaller)
+    drop = np.array([False, True, True, False])  # floor and zcap
+    ub = np.array([3.0, INFINITY, 0.0])  # x <= 3, z pinned to 0
+    warm = first.resolve(drop, ub)
     assert first._highs is None and warm._highs is not None
-    cold = smaller.solve()
+    cold = cover_with_extra(drop=("floor", "zcap"), x_ub=3.0, z_ub=0.0).solve()
     assert warm.objective == pytest.approx(9.0)
+    assert warm.model.row_names() == cold.model.row_names()
     assert bits(warm.x) == bits(cold.x) and bits(warm.duals) == bits(cold.duals)
-    again = first.resolve(smaller)  # no solver left: from scratch
-    assert again.objective == warm.objective
-
-
-def test_resolve_rejects_a_model_that_is_not_the_edited_one():
-    def more_columns():
-        m = pinned_cover()
-        m.add_var()
-        return m
-
-    def more_families():
-        m = pinned_cover()
-        m.add(family("extra", (), [(0, 1.0)], LE, 20.0))
-        return m
-
-    def pairs(interleaved):
-        m = Model("pairs")
-        x = m.add_vars(2, obj=1.0)
-        rows = [family(name, 2, [(x, 1.0)], GE, 1.0) for name in "ab"]
-        if interleaved:
-            m.add(*rows)  # a[0], b[0], a[1], b[1]
-        else:
-            m.add(rows[0])
-            m.add(rows[1])
-        return m
-
-    cases = {
-        "rows in another order": (pairs(True), pairs(False)),
-        "another rhs": (cover_with_extra(), pinned_cover(rhs=5.0)),
-        "a row too many": (cover_with_extra(drop=("floor",)),
-                           cover_with_extra(drop=("zcap",), z_ub=0.0)),
-        "a column more": (cover_with_extra(), more_columns()),
-        "a family added": (cover_with_extra(), more_families()),
-        "another sense": (cover_with_extra(), pinned_cover(cap=GE)),
-    }
-    for solved, other in cases.values():
-        with pytest.raises(LpError, match="is not the solved"):
-            solved.solve().resolve(other)
-
-
-def test_resolve_rejects_other_coefficients():
-    """The cover row's coefficient on x is 2, not 1: the edited LP is not
-    ``other``, whose own optimum is 4."""
-    other = pinned_cover(x_coef=2.0)
-    assert other.solve().objective == pytest.approx(4.0)
-    with pytest.raises(LpError, match="is not the solved"):
-        cover_with_extra().solve().resolve(other)
+    again = first.resolve(drop, ub)  # no solver left: from scratch
+    assert again._highs is not None and again.objective == warm.objective

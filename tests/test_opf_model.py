@@ -1,10 +1,10 @@
 """Full dispatch LP: feasibility blocks, objective blocks, duals, reruns."""
 
 import itertools
-import re
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from msdro_opf import MultiDataset, lp, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
@@ -14,7 +14,7 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
 from msdro_opf.opf_model import (build_msdro_opf, cvar_tightening_rerun,
                                  idle_balancers, joint_constraint_rows,
-                                 risk_level, solve)
+                                 risk_level)
 
 from msdro_opf.valuation import (envelope_check,
                                  forecast_value_decomposition,
@@ -120,7 +120,7 @@ def test_activation_block_matches_separable_route(case5, train20, solve_cell):
 
 
 def test_tightening_rerun_drops_idle_rows(solve_cell, monkeypatch):
-    """The re-run pins the idle balancers and reuses the first build's
+    """The re-run pins the idle balancers and keeps the first build's
     support and flow maps."""
     from msdro_opf import opf_model
 
@@ -167,7 +167,7 @@ def test_tightening_rerun_keeps_first_solve_when_not_optimal(
 
 def test_second_tightening_rerun_solves_from_scratch(case5, train20):
     """The first re-run takes the first solve's HiGHS object; a second one
-    on the same solution builds the same pinned model and solves it cold,
+    on the same solution derives the same pinned model and solves it cold,
     to the same optimum."""
     data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
     first = solve_msdro_opf(case5, data, 0.05)
@@ -221,48 +221,43 @@ def test_undersized_network_reports_infeasible():
         sol.duality_gap()
 
 
-def test_input_validation(case5, train20):
+def test_input_validation(case5):
     with pytest.raises(InputError):
         solve_msdro_opf(case5, MultiDataset(np.zeros((3, 4)),
                                             np.array([0.1] * 3)), 0.05)
     with pytest.raises(ModeError):
         solve_msdro_opf(case5, MultiDataset([np.zeros(3), np.zeros(2)],
                                             np.array([0.1, 0.1])), 0.05)
-    data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
-    for bad in (1.5, "1", -1, case5.num_generators, None):
-        with pytest.raises(InputError, match=re.escape(
-                f"unknown generator indices {bad!r}")):
-            build_msdro_opf(case5, data, 0.05, {0, bad})
-    assert build_msdro_opf(case5, data, 0.05, {np.int64(1), 1}) \
-        .fixed_zero_participation == {1}
 
 
 def test_pinned_build_is_the_first_with_rows_deleted(case5, train20):
-    """Pinning generator g leaves out its two reserve rows of the joint
-    layout, in cc_up, cc_lo and cc_main, and fixes its p_cc/q_cc columns
-    (and alpha, r+, r-) to zero; families, shapes and columns stay, and the
-    row names are the first build's without the deleted ones, in order, so
-    cc_main[i,k] names the same joint row in both LPs."""
+    """Pinning the idle balancers leaves out their two reserve rows of the
+    joint layout, in cc_up, cc_lo and cc_main, and fixes their p_cc/q_cc
+    columns (and alpha, r+, r-) to zero; families, shapes and columns stay,
+    and the row names are the first build's without the deleted ones, in
+    order, so cc_main[i,k] names the same joint row in both LPs."""
     data = MultiDataset.from_matrix(train20, np.array([0.1, 0.1]))
-    g, n_g, n = 1, case5.num_generators, 20
-    full = build_msdro_opf(case5, data, 0.05)
-    pinned = build_msdro_opf(case5, data, 0.05, {g})
-    assert pinned.fixed_zero_participation == {g}
-    assert pinned.num_cc_rows == full.num_cc_rows - 2
+    n_g, n = case5.num_generators, 20
+    first = solve_msdro_opf(case5, data, 0.05)
+    full = first.built
+    idle = sorted(idle_balancers(first))
+    assert idle
+    pinned = cvar_tightening_rerun(first).built
+    assert pinned.fixed_zero_participation == set(idle)
+    assert pinned.num_cc_rows == full.num_cc_rows - 2 * len(idle)
     fams = full.model.families
     assert list(pinned.model.families) == list(fams)
     for name, fam in pinned.model.families.items():
         assert fam.shape == fams[name].shape
-    assert full.idx.keys() == pinned.idx.keys()
-    for name, cols in full.idx.items():
-        np.testing.assert_array_equal(pinned.idx[name], cols)
+    assert pinned.idx is full.idx
     np.testing.assert_array_equal(pinned.model.obj, full.model.obj)
 
-    gone = [g, n_g + g]
+    gone = idle + [n_g + g for g in idle]
     idx = pinned.idx
     fixed = np.concatenate([idx["p_cc"][:, gone].ravel(),
                             idx["q_cc"][:, gone].ravel(),
-                            idx["alpha"][g], [idx["rp"][g], idx["rm"][g]]])
+                            idx["alpha"][idle].ravel(), idx["rp"][idle],
+                            idx["rm"][idle]])
     moved = np.flatnonzero((pinned.model.lb != full.model.lb)
                            | (pinned.model.ub != full.model.ub))
     np.testing.assert_array_equal(moved, np.sort(fixed))
@@ -445,8 +440,27 @@ def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
             assert np.array_equal(getattr(got.a_matrix_, part),
                                   getattr(want.a_matrix_, part)), part
         assert bits(got.a_matrix_.value_) == bits(want.a_matrix_.value_)
-        cold = solve(build_msdro_opf(net, data, gamma,
-                                     rerun.built.fixed_zero_participation))
+        cold = rerun.built.model.solve()
         assert rerun.objective == pytest.approx(cold.objective, rel=1e-9)
         assert rerun.duality_gap() <= 1e-9
     assert warm >= 25  # 28 of the 46 instances pin some generator
+
+
+def test_rerun_without_highs_bindings_solves_the_pinned_model_cold(
+        case5, train20, monkeypatch):
+    """Without scipy's private HiGHS bindings every solve goes through
+    ``linprog``; the re-run solves the pinned model from scratch, to the
+    same floats as a direct cold solve of that model."""
+    calls = []
+    monkeypatch.setattr(lp, "_Highs", None)
+    monkeypatch.setattr(lp, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
+    first = solve_msdro_opf(case5, data, 0.05)
+    rerun = cvar_tightening_rerun(first)
+    assert rerun is not first and len(calls) == 2
+    assert rerun.lp_solution._highs is None
+    cold = lp._solve_scipy_highs(rerun.built.model)
+    assert rerun.objective == cold.objective
+    assert bits(rerun.lp_solution.x) == bits(cold.x)
+    assert bits(rerun.lp_solution.duals) == bits(cold.duals)
