@@ -21,6 +21,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,8 +47,9 @@ _NOISE_PARAM = {"laplace": "scale", "gaussian": "stddev"}
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive iid noise: a kind (laplace or gaussian) and its one
-    parameter, the laplace scale or the gaussian stddev."""
+    """Additive iid noise in ``dimension`` (an integer >= 1) coordinates: a
+    kind (laplace or gaussian) and its one parameter, the laplace scale or
+    the gaussian stddev."""
 
     kind: str
     param: float
@@ -59,6 +61,11 @@ class NoiseModel:
         if not 0 < self.param < math.inf:
             raise InputError(f"{self.kind} {_NOISE_PARAM[self.kind]} must be "
                              f"finite and > 0, got {self.param}")
+        if (isinstance(self.dimension, bool)
+                or not isinstance(self.dimension, Integral)
+                or self.dimension < 1):
+            raise InputError(f"noise dimension must be an integer >= 1, got "
+                             f"{self.dimension!r}")
 
     @classmethod
     def laplace(cls, scale: float, dimension: int = 1) -> "NoiseModel":
@@ -107,11 +114,12 @@ def empirical_wasserstein_1d(a, b, p: int = 1) -> float:
 
 
 #: E|z|^p of one noise coordinate, by (kind, p), from its parameter.
+#: Products, not ``**``, so that an overflow gives inf instead of raising.
 _NOISE_MOMENT = {
     ("laplace", 1): lambda scale: scale,
-    ("laplace", 2): lambda scale: 2.0 * scale ** 2,
+    ("laplace", 2): lambda scale: 2.0 * scale * scale,
     ("gaussian", 1): lambda stddev: stddev * math.sqrt(2.0 / math.pi),
-    ("gaussian", 2): lambda stddev: stddev ** 2,
+    ("gaussian", 2): lambda stddev: stddev * stddev,
 }
 
 
@@ -120,7 +128,8 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
     """Upper bound E||Z||^p on W_p^p induced by additive noise Z with iid
     coordinates, for p=1 with the 1-norm or p=2 with the 2-norm: the
     dimension times E|z|^p of one coordinate, which is the laplace scale or
-    stddev*sqrt(2/pi) for p=1, and 2*scale**2 or stddev**2 for p=2."""
+    stddev*sqrt(2/pi) for p=1, and 2*scale**2 or stddev**2 for p=2.
+    ``InputError`` when that bound overflows to inf."""
     if (p, norm) not in ((1, "l1"), (2, "l2")):
         raise UnsupportedError(f"no bound implemented for p={p}, norm={norm!r}")
     eps = noise.dimension * _NOISE_MOMENT[noise.kind, p](noise.param)

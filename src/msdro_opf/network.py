@@ -164,7 +164,12 @@ def load_network(path) -> Network:
         gens = [Generator(int(e["bus"]), float(e["p_min"]), float(e["p_max"]),
                           float(e["c_E"]), float(e["c_R"]), float(e["c_A"]))
                 for e in raw["generators"]]
-        loads = {int(e["bus"]): float(e["d"]) for e in raw["loads"]}
+        loads = {}
+        for e in raw["loads"]:
+            bus = int(e["bus"])
+            if bus in loads:
+                raise InputError(f"{path}: more than one load at bus {bus}")
+            loads[bus] = float(e["d"])
         resources = [Resource(int(e["bus"]), float(e["u"]), float(e["u_min"]),
                               float(e["u_max"]), float(e["kappa"]))
                      for e in raw["resources"]]

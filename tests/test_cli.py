@@ -111,6 +111,14 @@ def test_quality_rejects_non_finite_noise_parameter(spec, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["laplace:1e200", "gaussian:1e200"])
+def test_quality_rejects_an_overflowing_p2_bound(spec, capsys):
+    assert run("quality", "--noise", spec, "--p", "2") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: epsilon must be finite and >= 0, got inf" in err
+    assert "Traceback" not in err
+
+
 def test_quality_rejects_conflicting_sources(tmp_path):
     write_samples_csv(tmp_path / "a.csv", np.array([[0.1, 0.2]]))
     assert run("quality", "--noise", "laplace:0.1",
@@ -295,6 +303,19 @@ def test_solve_rejects_network_without_buses(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: network has no buses" in err
     assert "Traceback" not in err
+
+
+def test_solve_rejects_a_repeated_load_bus(tmp_path, capsys):
+    raw = json.loads(CASE5.read_text())
+    raw["loads"].append({"bus": 2, "d": 3.0})
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(raw))
+    assert run("solve", "--network", net_path, "--eps", "0.1",
+               "--out", tmp_path / "run") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {net_path}: more than one load at bus 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_rejects_non_finite_training_data(tmp_path, capsys):

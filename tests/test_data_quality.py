@@ -153,6 +153,29 @@ def test_noise_model_requires_positive_scale():
         NoiseModel.gaussian(-1.0)
 
 
+@pytest.mark.parametrize("dimension", [0, -1, 2.5, 1.0, "2", True, None])
+def test_noise_model_rejects_a_dimension_that_is_not_a_count(dimension):
+    with pytest.raises(InputError, match="noise dimension must be an integer "
+                                         ">= 1"):
+        NoiseModel("laplace", 0.1, dimension)
+
+
+def test_noise_model_accepts_integer_dimensions():
+    assert NoiseModel("gaussian", 0.1, np.int64(3)).dimension == 3
+    bound = additive_noise_bound(NoiseModel.laplace(0.05, 4), 1, "l1")
+    assert bound.epsilon == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+def test_overflowing_noise_bound_is_an_input_error(kind):
+    """E|z|^2 of a huge parameter overflows; the bound is rejected as
+    non-finite, not raised as an OverflowError."""
+    noise = NoiseModel(kind, 1e200)
+    with pytest.raises(InputError, match="epsilon must be finite"):
+        additive_noise_bound(noise, p=2, norm="l2")
+    assert np.isfinite(additive_noise_bound(noise, p=1, norm="l1").epsilon)
+
+
 def test_noise_model_rejects_unknown_kind():
     with pytest.raises(InputError, match="unknown noise kind 'uniform'"):
         NoiseModel("uniform", 1.0)

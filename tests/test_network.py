@@ -2,10 +2,12 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msdro_opf
 from msdro_opf.errors import InputError, TopologyError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, build_support,
@@ -13,6 +15,8 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
                                load_network)
 
 from oracles import dc_flows_by_angles
+
+CASE5 = Path(msdro_opf.__file__).parent / "data" / "case5.json"
 
 
 def two_bus(slack: int = 2) -> Network:
@@ -79,6 +83,17 @@ def test_load_network_roundtrip(tmp_path, case5):
     path.write_text(json.dumps(raw))
     back = load_network(path)
     assert back == case5
+
+
+def test_load_network_rejects_a_repeated_load_bus(tmp_path):
+    """A second load at bus 2 would otherwise replace the first one."""
+    raw = json.loads(CASE5.read_text())
+    raw["loads"].append({"bus": 2, "d": 3.0})
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(InputError, match=f"{path}: more than one load at "
+                                         f"bus 2$"):
+        load_network(path)
 
 
 def test_load_network_rejects_bad_json(tmp_path):
