@@ -174,9 +174,9 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
         raise ModeError("OPF model needs standardized data (equal sample counts)")
     support = build_joint_support(network)
     data.validate_within(support)
+    n_g = network.num_generators
 
     b_g_map, b_w_map, b_b_map = compute_flow_maps(network)
-    n_g = network.num_generators
     n_l = network.num_lines
     d = data.dimension
     n = int(data.counts[0])
@@ -336,12 +336,12 @@ def idle_balancers(sol: SolutionWithDuals) -> frozenset:
 def _pin(built: OpfModel, generators) -> tuple:
     """The edit of ``built.model`` that pins ``generators`` out of the CVaR:
     alpha = r+ = r- = 0 for each of them, and their two reserve rows of the
-    joint layout leave the CVaR max as a feature with epsilon_j = 0 leaves
-    it, their ``cc_up``, ``cc_lo`` and ``cc_main`` rows dropped and their
-    p_cc/q_cc columns set to zero. Columns and families stay.
+    joint layout leave the CVaR max: their ``cc_up``, ``cc_lo`` and
+    ``cc_main`` rows are dropped and their p_cc/q_cc columns fixed to zero.
+    Columns and families stay.
 
     Returns (cc_mask, drop, ub): the pinned model's ``cc_mask``, a boolean
-    per row of ``built.model`` marking the rows to drop, and its column
+    per row of ``built.model`` marking the rows to drop, and the column
     upper bounds.
     """
     pinned = sorted(generators)
@@ -354,11 +354,9 @@ def _pin(built: OpfModel, generators) -> tuple:
         at = fam.index.reshape(fam.shape)[:, gone]
         drop[at[at >= 0]] = True
     ub = m.ub.copy()
-    ub[idx["alpha"][pinned]] = 0.0
-    for name in ("rp", "rm"):
-        ub[idx[name][pinned]] = 0.0
-    for name in ("p_cc", "q_cc"):
-        ub[idx[name][:, gone]] = 0.0
+    for cols in (idx["alpha"][pinned], idx["rp"][pinned], idx["rm"][pinned],
+                 idx["p_cc"][:, gone], idx["q_cc"][:, gone]):
+        ub[cols] = 0.0
     return built.cc_mask & ~gone, drop, ub
 
 
