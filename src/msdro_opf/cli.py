@@ -26,7 +26,7 @@ from .data_quality import (NoiseModel, additive_noise_bound,
                            read_samples_csv, write_quality_csv,
                            write_samples_csv)
 from .dro_core import MultiDataset
-from .errors import ExtractionError, InputError
+from .errors import InputError
 from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
                          empirical_violation, oos_matrix, run_sweep,
                          training_matrix, write_sweep_csvs)
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SolverError, ExtractionError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 
 
 @dataclass
@@ -131,7 +131,7 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
     stddev*sqrt(2/pi) for p=1, and 2*scale**2 or stddev**2 for p=2.
     ``InputError`` when that bound overflows to inf."""
     if (p, norm) not in ((1, "l1"), (2, "l2")):
-        raise UnsupportedError(f"no bound implemented for p={p}, norm={norm!r}")
+        raise InputError(f"no bound implemented for p={p}, norm={norm!r}")
     eps = noise.dimension * _NOISE_MOMENT[noise.kind, p](noise.param)
     return QualitySignal(epsilon=float(eps), p=p)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModeError, SizeError
-from .lp import GE, INFINITY, Model, align_left, family
+from .errors import InputError
+from .lp import GE, INFINITY, Model, SolverError, align_left, family
 
 #: Width of the band around the usefulness threshold flagged as degenerate.
 DEGENERACY_BAND = 1e-9
@@ -183,7 +183,7 @@ class MultiDataset:
 
     def matrix(self) -> np.ndarray:
         if not self.is_standardized:
-            raise ModeError("datasets have unequal lengths; no shared index")
+            raise InputError("datasets have unequal lengths; no shared index")
         return np.vstack(self.samples)
 
     def validate_within(self, support: BoxSupport) -> None:
@@ -340,7 +340,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                      where=np.arange(k_pieces)[None, :] != k0[:, None]))
     sol = model.solve(_presolve=False)
     if not sol.optimal:
-        raise RuntimeError(f"{model.name} LP ended {sol.status}")
+        raise SolverError(f"{model.name} LP ended {sol.status}")
     x = sol.x
     s = base + np.sum(up * x[p.T[k0]] + lo * x[q.T[k0]], axis=1) + x[sigma]
     return float(sol.objective + np.mean(base)), sol, s
@@ -358,7 +358,7 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
     counts = data.counts
     n_idx = int(np.prod(counts))
     if n_idx > cap:
-        raise SizeError(
+        raise InputError(
             f"index product {n_idx} exceeds cap {cap}; use the separable or "
             "standardized reformulation"
         )
@@ -448,7 +448,7 @@ def wc_expectation_standardized(cost: PiecewiseMaxAffine, data: MultiDataset,
     """Worst-case expectation for standardized data (shared sample index)."""
     cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
-        raise ModeError("standardized reformulation needs equal sample counts")
+        raise InputError("standardized reformulation needs equal sample counts")
     model = Model("wc-standardized")
     lam = model.add_vars(data.dimension, obj=data.epsilons)
     value, sol, s = _solve_anchored(model, lam, cost, data.matrix().T, support)
@@ -465,7 +465,7 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     """
     cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
-        raise ModeError("single-budget comparator needs standardized data")
+        raise InputError("single-budget comparator needs standardized data")
     if epsilon < 0:
         raise InputError("epsilon must be >= 0")
     model = Model("wc-single-budget")

@@ -207,13 +207,6 @@ class SweepResult:
     cells: list
     oos: list
 
-    def cell(self, epsilons) -> CellResult:
-        key = tuple(float(e) for e in epsilons)
-        for c in self.cells:
-            if c.epsilons == key:
-                return c
-        raise KeyError(key)
-
 
 def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
                 oos_only: bool = False) -> CellResult:

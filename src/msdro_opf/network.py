@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dro_core import BoxSupport
-from .errors import InputError, TopologyError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Network:
     def __post_init__(self):
         _require_finite(self)
         if not self.buses:
-            raise TopologyError("network has no buses")
+            raise InputError("network has no buses")
         bus_set = set(self.buses)
         if len(bus_set) != len(self.buses):
             raise InputError("duplicate bus ids")
@@ -141,11 +141,9 @@ def _require_finite(network: Network) -> None:
             raise InputError(f"{label} is not a finite number ({value})")
 
 
-def bundled_network(name: str = "case5") -> Network:
-    """Load one of the network files shipped inside the package."""
-    ref = importlib.resources.files("msdro_opf") / "data" / f"{name}.json"
-    if not ref.is_file():
-        raise InputError(f"no bundled network named {name!r}")
+def bundled_network() -> Network:
+    """Load case5, the network file shipped inside the package."""
+    ref = importlib.resources.files("msdro_opf") / "data" / "case5.json"
     with importlib.resources.as_file(ref) as path:
         return load_network(path)
 
@@ -207,7 +205,7 @@ def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Injection shift factor matrices (B_G, B_W, B_B) for the DC model.
 
     Line flow = B_G p + B_W u - B_B d for generator injections p, resource
-    injections u and loads d. Raises TopologyError on a disconnected graph.
+    injections u and loads d. Raises InputError on a disconnected graph.
     """
     slack_bus = network.slack_bus
     buses = network.buses
@@ -257,4 +255,4 @@ def _check_connected(network: Network, bus_pos: dict) -> None:
                 stack.append(nxt)
     if len(seen) != network.num_buses:
         missing = [network.buses[i] for i in range(network.num_buses) if i not in seen]
-        raise TopologyError(f"network is disconnected; unreachable buses {missing}")
+        raise InputError(f"network is disconnected; unreachable buses {missing}")

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dro_core import (BoxSupport, MultiDataset, sample_worst_case,
                        transport_room, wasserstein_block)
-from .errors import ExtractionError, InputError, ModeError
-from .lp import EQ, GE, INFINITY, LE, LpSolution, Model, family
+from .errors import InputError
+from .lp import EQ, GE, INFINITY, LE, LpSolution, Model, SolverError, family
 from .network import Network, build_joint_support, compute_flow_maps
 
 #: Participation below this is treated as zero when picking re-run candidates.
@@ -68,29 +68,23 @@ class DualValues:
 @dataclass
 class OpfModel:
     """A built (not yet solved) instance plus the index bookkeeping;
-    ``cc_mask`` marks the ``_joint_layout`` rows inside the CVaR max."""
+    ``fixed_zero_participation`` holds the generators the tightening re-run
+    pinned out of the CVaR."""
 
     model: Model
     network: Network
     data: MultiDataset
     support: BoxSupport
-    gamma: float
     b_g: np.ndarray
     b_w: np.ndarray
-    b_b: np.ndarray
-    cc_mask: np.ndarray
     idx: dict
-
-    @property
-    def fixed_zero_participation(self) -> frozenset:
-        """The generators pinned out of the CVaR."""
-        n_g = self.network.num_generators
-        return frozenset(np.flatnonzero(~self.cc_mask[:n_g]).tolist())
+    fixed_zero_participation: frozenset = frozenset()
 
     @property
     def num_cc_rows(self) -> int:
         """Rows inside the CVaR max, excluding the augmented zero row."""
-        return int(np.count_nonzero(self.cc_mask[:-1]))
+        free = self.network.num_generators - len(self.fixed_zero_participation)
+        return 2 * free + 2 * self.network.num_lines
 
 
 @dataclass
@@ -112,7 +106,7 @@ class SolutionWithDuals:
     def duality_gap(self) -> float:
         """Relative gap between primal objective and the dual bound."""
         if not self.optimal:
-            raise ExtractionError(f"solution status is {self.status}")
+            raise SolverError(f"solution status is {self.status}")
         dual_obj = self.lp_solution.dual_objective()
         return abs(self.objective - dual_obj) / max(1.0, abs(self.objective))
 
@@ -171,7 +165,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     if data.dimension == 0:
         raise InputError("OPF model needs at least one uncertain resource")
     if not data.is_standardized:
-        raise ModeError("OPF model needs standardized data (equal sample counts)")
+        raise InputError("OPF model needs standardized data (equal sample counts)")
     support = build_joint_support(network)
     data.validate_within(support)
     n_g = network.num_generators
@@ -265,8 +259,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
            "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
     return OpfModel(model=m, network=network, data=data, support=support,
-                    gamma=gamma, b_g=b_g_map, b_w=b_w_map, b_b=b_b_map,
-                    cc_mask=np.ones(k_aug + 1, dtype=bool), idx=idx)
+                    b_g=b_g_map, b_w=b_w_map, idx=idx)
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:
@@ -328,7 +321,7 @@ def solve_msdro_opf(network: Network, data: MultiDataset,
 def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     """Generators whose participation row is numerically zero."""
     if not sol.optimal:
-        raise ExtractionError(f"solution status is {sol.status}")
+        raise SolverError(f"solution status is {sol.status}")
     idle = np.all(np.abs(sol.decision.alpha) <= PARTICIPATION_TOL, axis=1)
     return frozenset(np.flatnonzero(idle).tolist())
 
@@ -340,13 +333,12 @@ def _pin(built: OpfModel, generators) -> tuple:
     ``cc_main`` rows are dropped and their p_cc/q_cc columns fixed to zero.
     Columns and families stay.
 
-    Returns (cc_mask, drop, ub): the pinned model's ``cc_mask``, a boolean
-    per row of ``built.model`` marking the rows to drop, and the column
-    upper bounds.
+    Returns (drop, ub): a boolean per row of ``built.model`` marking the
+    rows to drop, and the column upper bounds.
     """
     pinned = sorted(generators)
     n_g, m, idx = built.network.num_generators, built.model, built.idx
-    gone = np.zeros_like(built.cc_mask)
+    gone = np.zeros(idx["p_cc"].shape[1], dtype=bool)
     gone[pinned + [n_g + g for g in pinned]] = True
     drop = np.zeros(m.num_constraints, dtype=bool)
     for name in ("cc_up", "cc_lo", "cc_main"):
@@ -357,7 +349,7 @@ def _pin(built: OpfModel, generators) -> tuple:
     for cols in (idx["alpha"][pinned], idx["rp"][pinned], idx["rm"][pinned],
                  idx["p_cc"][:, gone], idx["q_cc"][:, gone]):
         ub[cols] = 0.0
-    return built.cc_mask & ~gone, drop, ub
+    return drop, ub
 
 
 def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
@@ -369,18 +361,18 @@ def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:
     re-run fixes r+ = r- = 0 for those generators and leaves their two rows
     out of the CVaR (``_pin``). HiGHS edits the LP it solved accordingly and
     restarts from its basis (``LpSolution.resolve``); the pinned instance
-    keeps the first build's network, data, gamma, support and flow maps.
+    keeps the first build's network, data, support and flow maps.
     Returns the first solution unchanged when there is nothing to pin or
     the re-run does not end optimal; solver exceptions propagate.
     """
     if not first.optimal:
-        raise ExtractionError(f"first solve ended {first.status}")
+        raise SolverError(f"first solve ended {first.status}")
     built = first.built
     already = built.fixed_zero_participation
     target = idle_balancers(first) | already
     if target == already:
         return first
-    cc_mask, drop, ub = _pin(built, target)
-    sol = first.lp_solution.resolve(drop, ub)
-    rerun = _extract(replace(built, model=sol.model, cc_mask=cc_mask), sol)
+    sol = first.lp_solution.resolve(*_pin(built, target))
+    rerun = _extract(replace(built, model=sol.model,
+                             fixed_zero_participation=target), sol)
     return rerun if rerun.optimal else first

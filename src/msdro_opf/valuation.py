@@ -23,7 +23,8 @@ import numpy as np
 
 from .dro_core import (DEGENERACY_BAND, BoxSupport, MultiDataset,
                        mean_transport_room)
-from .errors import ExtractionError, InputError
+from .errors import InputError
+from .lp import SolverError
 from .network import Network
 from .opf_model import SolutionWithDuals, solve_msdro_opf
 
@@ -83,7 +84,7 @@ class EnvelopeCheck:
 
 def _require_duals(sol: SolutionWithDuals) -> None:
     if not sol.optimal:
-        raise ExtractionError(f"solution status is {sol.status}")
+        raise SolverError(f"solution status is {sol.status}")
 
 
 def classify_regime(lambda_co: float, lambda_cc: float) -> str:

@@ -673,12 +673,12 @@ def test_out_naming_a_file_exits_2_before_any_solve(argv, tmp_path, capsys,
     assert afile.read_text() == "kept\n"
 
 
-def test_every_error_but_extraction_is_an_input_error():
-    """``main`` exits 2 on ``InputError``, so on each of these too."""
+def test_errors_defines_only_input_error():
+    """One error type per exit code: ``InputError`` (2) lives in ``errors``,
+    ``lp.SolverError`` (4) in ``lp``."""
     classes = {c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, Exception)}
-    assert {c for c in classes if not issubclass(c, errors.InputError)} \
-        == {errors.ExtractionError}
+    assert classes == {errors.InputError}
 
 
 def test_solve_duals_csv_row_names_and_order(tmp_path):

@@ -13,7 +13,7 @@ from msdro_opf.data_quality import (NoiseModel, QualitySignal,
                                     laplace_mechanism, read_quality_csv,
                                     read_samples_csv, write_quality_csv,
                                     write_samples_csv)
-from msdro_opf.errors import InputError, UnsupportedError
+from msdro_opf.errors import InputError
 
 from oracles import read_samples_by_row, transport_wp
 
@@ -140,9 +140,11 @@ def test_gaussian_bound_p2_is_variance():
 
 
 def test_unsupported_noise_combination_raises():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="no bound implemented for p=2, "
+                                         "norm='l1'"):
         additive_noise_bound(NoiseModel.laplace(0.1), p=2, norm="l1")
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(InputError, match="no bound implemented for p=1, "
+                                         "norm='l2'"):
         additive_noise_bound(NoiseModel.laplace(0.1), p=1, norm="l2")
 
 

@@ -7,6 +7,7 @@ grid oracle, which is the one route that never factors through an anchor.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,8 @@ from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 wc_expectation_separable,
                                 wc_expectation_single_budget,
                                 wc_expectation_standardized)
-from msdro_opf.errors import InputError, ModeError, SizeError
-from msdro_opf.lp import Model
+from msdro_opf.errors import InputError
+from msdro_opf.lp import Model, SolverError
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
                      per_piece_anchored_lp, separable_lp)
@@ -275,7 +276,8 @@ def test_general_product_cap():
     xs = [np.linspace(-0.9, 0.9, 400), np.linspace(-0.9, 0.9, 400)]
     data = MultiDataset(xs, [0.1, 0.1])
     box = BoxSupport([-1, -1], [1, 1])
-    with pytest.raises(SizeError):
+    with pytest.raises(InputError, match="index product 160000 exceeds cap "
+                                         "100000"):
         wc_expectation_general(PiecewiseMaxAffine([[1.0, 1.0]], [0.0]),
                                data, box)
     assert wc_expectation_general(PiecewiseMaxAffine([[1.0, 1.0]], [0.0]),
@@ -314,7 +316,8 @@ def test_standardized_zero_budget_is_shared_index_average():
 def test_standardized_requires_equal_counts():
     data = MultiDataset([np.array([0.1, 0.2]), np.array([0.0])], [0.1, 0.1])
     box = BoxSupport([-1, -1], [1, 1])
-    with pytest.raises(ModeError):
+    with pytest.raises(InputError, match="standardized reformulation needs "
+                                         "equal sample counts"):
         wc_expectation_standardized(PiecewiseMaxAffine([[1.0, 1.0]], [0.0]),
                                     data, box)
 
@@ -506,6 +509,22 @@ def test_anchored_routes_solve_without_presolve(anchored_solves):
         assert sol._highs.getOptionValue("presolve")[1] == "off", name
         plain = sol.model.solve()
         assert plain._highs.getOptionValue("presolve")[1] == "on", name
+
+
+def test_anchored_routes_raise_solver_error_when_the_lp_is_not_optimal(
+        monkeypatch):
+    """A route whose epigraph LP does not end optimal raises ``SolverError``
+    (the CLI's exit 4), naming the LP and the status it ended in."""
+    solve = Model.solve
+
+    def unbounded(self, **options):
+        return replace(solve(self, **options), status="unbounded")
+
+    monkeypatch.setattr(Model, "solve", unbounded)
+    for name, route, _ in anchored_routes(np.random.default_rng(31)):
+        lp_name = "wc-" + name.replace("_", "-")
+        with pytest.raises(SolverError, match=f"^{lp_name} LP ended unbounded$"):
+            route(1.0)
 
 
 # --- cross-route structure ---------------------------------------------------

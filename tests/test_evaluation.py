@@ -266,7 +266,8 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     status = {c.epsilons: c.status for c in res.cells}
     assert status.pop((1.0, 1.0)) == "error"
     assert set(status.values()) == {"optimal"}
-    assert "SolverError" in res.cell((1.0, 1.0)).message
+    failed = next(c for c in res.cells if c.epsilons == (1.0, 1.0))
+    assert "SolverError" in failed.message
     oos_status = {o.epsilons: o.status for o in res.oos}
     assert oos_status.pop((1.0, 1.0)) == "error"
     assert set(oos_status.values()) == {"optimal"}

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import msdro_opf
-from msdro_opf.errors import InputError, TopologyError
+from msdro_opf.errors import InputError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, build_support,
-                               bundled_network, compute_flow_maps,
-                               load_network)
+                               compute_flow_maps, load_network)
 
 from oracles import dc_flows_by_angles
 
@@ -56,11 +55,6 @@ def test_bundled_case5_contents(case5):
         (3, 1.0, 0.6), (4, 1.5, 0.6)]
     # Largest generator sits at bus 5, which doubles as the reference bus.
     assert case5.slack_bus == 5
-
-
-def test_bundled_unknown_name():
-    with pytest.raises(InputError):
-        bundled_network("case9999")
 
 
 def test_load_network_roundtrip(tmp_path, case5):
@@ -111,7 +105,7 @@ def test_load_network_rejects_missing_key(tmp_path):
 
 
 def test_network_validation_errors():
-    with pytest.raises(TopologyError, match="network has no buses"):
+    with pytest.raises(InputError, match="network has no buses"):
         Network(buses=[], lines=[], generators=[], loads={}, resources=[])
     with pytest.raises(InputError):
         Network(buses=[1, 1], lines=[], generators=[], loads={}, resources=[])
@@ -261,7 +255,8 @@ def test_disconnected_network_raises():
         resources=[],
         slack_bus=1,
     )
-    with pytest.raises(TopologyError):
+    with pytest.raises(InputError, match=r"network is disconnected; "
+                                         r"unreachable buses \[3, 4\]"):
         compute_flow_maps(net)
 
 

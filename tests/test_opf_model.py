@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 from msdro_opf import MultiDataset, lp, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
-from msdro_opf.errors import ExtractionError, InputError, ModeError
+from msdro_opf.errors import InputError
 from msdro_opf.evaluation import DEFAULT_GRID, empirical_violation
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
@@ -217,7 +217,7 @@ def test_undersized_network_reports_infeasible():
     sol = solve_msdro_opf(bad, data, 0.05)
     assert sol.status == "infeasible"
     assert sol.decision is None
-    with pytest.raises(ExtractionError):
+    with pytest.raises(lp.SolverError, match="solution status is infeasible"):
         sol.duality_gap()
 
 
@@ -225,7 +225,7 @@ def test_input_validation(case5):
     with pytest.raises(InputError):
         solve_msdro_opf(case5, MultiDataset(np.zeros((3, 4)),
                                             np.array([0.1] * 3)), 0.05)
-    with pytest.raises(ModeError):
+    with pytest.raises(InputError, match="OPF model needs standardized data"):
         solve_msdro_opf(case5, MultiDataset([np.zeros(3), np.zeros(2)],
                                             np.array([0.1, 0.1])), 0.05)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msdro_opf import MultiDataset, solve_msdro_opf
-from msdro_opf.errors import ExtractionError
+from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
 from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
@@ -224,9 +224,9 @@ def test_reports_require_optimal_solution():
                   slack_bus=1)
     data = MultiDataset(np.zeros((1, 4)), np.array([0.1]))
     sol = solve_msdro_opf(bad, data, 0.05)
-    with pytest.raises(ExtractionError):
+    with pytest.raises(SolverError, match="solution status is infeasible"):
         marginal_data_value(sol)
-    with pytest.raises(ExtractionError):
+    with pytest.raises(SolverError, match="solution status is infeasible"):
         forecast_value_decomposition(sol)
 
 
