@@ -76,6 +76,8 @@ class Network:
         for ln in self.lines:
             if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
                 raise InputError(f"line {ln} references unknown bus")
+            if ln.from_bus == ln.to_bus:
+                raise InputError(f"line {ln} has both ends at bus {ln.from_bus}")
             if ln.reactance <= 0:
                 raise InputError("line reactance must be > 0")
             if ln.f_max <= 0:
@@ -148,6 +150,16 @@ def bundled_network() -> Network:
         return load_network(path)
 
 
+def _number(path, field: str, value, bus: bool = False):
+    """``value`` as a bus id (an int) or a float; a boolean, or a bus id
+    that is not a whole number, is an InputError naming file and field."""
+    if isinstance(value, bool) or (bus and isinstance(value, float)
+                                   and not value.is_integer()):
+        kind = "a whole bus id" if bus else "a number"
+        raise InputError(f"{path}: {field} is {value!r}, not {kind}")
+    return int(value) if bus else float(value)
+
+
 def load_network(path) -> Network:
     """Read a network JSON file, which may start with a byte order mark,
     into a Network."""
@@ -156,29 +168,35 @@ def load_network(path) -> Network:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+    def records(group: str, keys: tuple) -> list:
+        """Each entry of ``raw[group]`` as the values of ``keys``."""
+        return [[_number(path, f"{group}[{k}].{key}", e[key],
+                         key in ("bus", "from", "to"))
+                 for key in keys] for k, e in enumerate(raw[group])]
+
     try:
-        lines = [Line(int(e["from"]), int(e["to"]), float(e["reactance"]),
-                      float(e["f_max"])) for e in raw["lines"]]
-        gens = [Generator(int(e["bus"]), float(e["p_min"]), float(e["p_max"]),
-                          float(e["c_E"]), float(e["c_R"]), float(e["c_A"]))
-                for e in raw["generators"]]
+        lines = [Line(*r) for r in records(
+            "lines", ("from", "to", "reactance", "f_max"))]
+        gens = [Generator(*r) for r in records(
+            "generators", ("bus", "p_min", "p_max", "c_E", "c_R", "c_A"))]
         loads = {}
-        for e in raw["loads"]:
-            bus = int(e["bus"])
+        for bus, d in records("loads", ("bus", "d")):
             if bus in loads:
                 raise InputError(f"{path}: more than one load at bus {bus}")
-            loads[bus] = float(e["d"])
-        resources = [Resource(int(e["bus"]), float(e["u"]), float(e["u_min"]),
-                              float(e["u_max"]), float(e["kappa"]))
-                     for e in raw["resources"]]
+            loads[bus] = d
+        resources = [Resource(*r) for r in records(
+            "resources", ("bus", "u", "u_min", "u_max", "kappa"))]
         return Network(
-            buses=[int(b) for b in raw["buses"]],
+            buses=[_number(path, f"buses[{k}]", b, bus=True)
+                   for k, b in enumerate(raw["buses"])],
             lines=lines,
             generators=gens,
             loads=loads,
             resources=resources,
-            base_mva=float(raw.get("base_mva", 100.0)),
-            slack_bus=int(raw["slack_bus"]) if "slack_bus" in raw else None,
+            base_mva=_number(path, "base_mva", raw.get("base_mva", 100.0)),
+            slack_bus=(_number(path, "slack_bus", raw["slack_bus"], bus=True)
+                       if "slack_bus" in raw else None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InputError):

@@ -1,6 +1,7 @@
 """Network loading, forecast-error supports, and DC flow maps."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -90,6 +91,53 @@ def test_load_network_rejects_a_repeated_load_bus(tmp_path):
         load_network(path)
 
 
+def write_case5(tmp_path, field: str, value) -> Path:
+    """case5 with the entry at ``field`` (``lines[2].from``, ``buses[4]``
+    or ``slack_bus``) set to ``value``, written to a file."""
+    raw = json.loads(CASE5.read_text())
+    group, index, key = re.fullmatch(r"(\w+)(?:\[(\d+)\])?(?:\.(\w+))?",
+                                     field).groups()
+    if index is None:
+        raw[group] = value
+    elif key is None:
+        raw[group][int(index)] = value
+    else:
+        raw[group][int(index)][key] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("field", ["generators[0].bus", "lines[2].from",
+                                   "lines[2].to", "loads[1].bus",
+                                   "resources[0].bus", "buses[4]", "slack_bus"])
+@pytest.mark.parametrize("value", [1.7, True, float("inf")])
+def test_load_network_rejects_a_bus_id_that_is_not_whole(tmp_path, field,
+                                                         value):
+    """int() would truncate 1.7 to bus 1, read true as bus 1 and overflow
+    on Infinity (which JSON files may hold)."""
+    path = write_case5(tmp_path, field, value)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: {field} is {value!r}, not a whole bus id") + "$"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("field", ["generators[0].p_max", "lines[0].f_max",
+                                   "loads[0].d", "resources[1].kappa",
+                                   "base_mva"])
+def test_load_network_rejects_a_boolean_number(tmp_path, field):
+    """float() would read true as 1.0."""
+    path = write_case5(tmp_path, field, True)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: {field} is True, not a number") + "$"):
+        load_network(path)
+
+
+def test_load_network_reads_whole_float_bus_ids(tmp_path, case5):
+    path = write_case5(tmp_path, "generators[0].bus", 1.0)
+    assert load_network(path) == case5
+
+
 def test_load_network_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -118,6 +166,16 @@ def test_network_validation_errors():
     with pytest.raises(InputError):
         Network(buses=[1], lines=[], generators=[], loads={2: 1.0},
                 resources=[])
+
+
+def test_network_rejects_a_line_from_a_bus_to_itself():
+    """compute_flow_maps would give the loop a made-up flow against its
+    f_max (the -b write overwrites the +b one)."""
+    loop = Line(2, 2, 0.01, 0.5)
+    with pytest.raises(InputError, match=re.escape(
+            f"line {loop} has both ends at bus 2") + "$"):
+        Network(buses=[1, 2], lines=[Line(1, 2, 0.1, 5.0), loop],
+                generators=[], loads={}, resources=[])
 
 
 def test_network_rejects_non_finite_numbers():
