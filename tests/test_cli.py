@@ -318,36 +318,27 @@ def test_solve_rejects_a_repeated_load_bus(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_solve_rejects_a_line_from_a_bus_to_itself(tmp_path, capsys):
-    """The loop used to get a made-up flow, so the model read infeasible
-    (exit 3)."""
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["lines"].append(
+        {"from": 2, "to": 2, "reactance": 0.01, "f_max": 0.5}),
+     "has both ends at bus 2"),
+    (lambda raw: raw["generators"][0].update(bus=1.7),
+     "generators[0].bus is 1.7, not a whole bus id"),
+    (lambda raw: raw["generators"][0].update(p_max=True),
+     "generators[0].p_max is True, not a number")],
+    ids=["self-loop", "bus", "p_max"])
+def test_solve_rejects_a_network_file_it_used_to_bend(tmp_path, capsys, edit,
+                                                      message):
+    """A line from bus 2 to itself got a made-up flow (exit 3, infeasible);
+    bus 1.7 and p_max true solved as bus 1 and p_max 1.0 (exit 0)."""
     raw = json.loads(CASE5.read_text())
-    raw["lines"].append({"from": 2, "to": 2, "reactance": 0.01, "f_max": 0.5})
+    edit(raw)
     net_path = tmp_path / "net.json"
     net_path.write_text(json.dumps(raw))
     assert run("solve", "--network", net_path, "--eps", 0.1, 0.1,
                "--out", tmp_path / "run") == EXIT_INPUT
     err = capsys.readouterr().err
-    assert "has both ends at bus 2" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("bus", 1.7, "generators[0].bus is 1.7, not a whole bus id"),
-    ("p_max", True, "generators[0].p_max is True, not a number")],
-    ids=["bus", "p_max"])
-def test_solve_rejects_a_bent_generator_number(tmp_path, capsys, key, value,
-                                               message):
-    """Both used to solve and exit 0, with bus 1 and with p_max 1.0."""
-    raw = json.loads(CASE5.read_text())
-    raw["generators"][0][key] = value
-    net_path = tmp_path / "net.json"
-    net_path.write_text(json.dumps(raw))
-    assert run("solve", "--network", net_path, "--eps", 0.1, 0.1,
-               "--out", tmp_path / "run") == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert f"error: {net_path}: {message}" in err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
