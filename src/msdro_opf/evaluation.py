@@ -238,12 +238,13 @@ def _cell_result(base, config: SweepConfig) -> CellResult:
     tightened = cvar_tightening_rerun(first=base) if config.tighten else base
     network = base.built.network
     c_act = np.array([g.c_A for g in network.generators])
+    data_value = marginal_data_value(base)
     return CellResult(
         tuple(base.built.data.epsilons.tolist()), "optimal",
         objective=base.objective,
         objective_tightened=tightened.objective,
-        phi=base.duals.phi,
-        data_value=marginal_data_value(base),
+        phi=data_value.phi,
+        data_value=data_value,
         forecast_value=forecast_value_decomposition(base),
         activation_price=c_act @ base.decision.alpha,
         forecast=network.forecast_vector(),

@@ -53,19 +53,6 @@ class OpfDecision:
 
 
 @dataclass
-class DualValues:
-    """The duals the valuation reads (see module docstring for signs):
-    ``beta_*`` per line, ``eta`` per (sample, CVaR row). Every other family
-    is read from ``lp_solution.family_duals`` / ``family_multipliers``."""
-
-    pi: float
-    beta_up: np.ndarray
-    beta_lo: np.ndarray
-    phi: float
-    eta: np.ndarray
-
-
-@dataclass
 class OpfModel:
     """A built (not yet solved) instance plus the index bookkeeping;
     ``fixed_zero_participation`` holds the generators the tightening re-run
@@ -89,24 +76,40 @@ class OpfModel:
 
 @dataclass
 class SolutionWithDuals:
-    status: str
-    objective: float
-    decision: OpfDecision | None
-    lambda_co: np.ndarray | None
-    lambda_cc: np.ndarray | None
-    s_co: np.ndarray | None
-    duals: DualValues | None
+    """The LP solution of ``built`` and what is read off it once: the
+    decision, both blocks' multipliers and the activation block's worst
+    case per sample, each ``None`` unless the solve ended optimal. Duals
+    are read from ``lp_solution`` by family (signs in the module
+    docstring)."""
+
     built: OpfModel
-    lp_solution: LpSolution | None = None
+    lp_solution: LpSolution
+    decision: OpfDecision | None = None
+    lambda_co: np.ndarray | None = None
+    lambda_cc: np.ndarray | None = None
+    s_co: np.ndarray | None = None
+
+    @property
+    def status(self) -> str:
+        return self.lp_solution.status
+
+    @property
+    def objective(self) -> float:
+        """The LP's objective; NaN unless optimal."""
+        return self.lp_solution.objective
 
     @property
     def optimal(self) -> bool:
-        return self.status == "optimal"
+        return self.lp_solution.optimal
+
+    def require_optimal(self) -> None:
+        """``SolverError`` unless the solve ended optimal."""
+        if not self.optimal:
+            raise SolverError(f"solution status is {self.status}")
 
     def duality_gap(self) -> float:
         """Relative gap between primal objective and the dual bound."""
-        if not self.optimal:
-            raise SolverError(f"solution status is {self.status}")
+        self.require_optimal()
         dual_obj = self.lp_solution.dual_objective()
         return abs(self.objective - dual_obj) / max(1.0, abs(self.objective))
 
@@ -263,18 +266,14 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:
-    """Solve a built model and extract primal values and family duals."""
+    """Solve a built model and read its primal values off the solution."""
     return _extract(built, built.model.solve())
 
 
 def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
-    """Primal values and family duals of ``built`` from its LP solution."""
+    """Primal values of ``built`` read off its LP solution."""
     if not sol.optimal:
-        return SolutionWithDuals(
-            status=sol.status, objective=float("nan"), decision=None,
-            lambda_co=None, lambda_cc=None, s_co=None, duals=None,
-            built=built, lp_solution=sol,
-        )
+        return SolutionWithDuals(built, sol)
 
     idx, x = built.idx, sol.x
     decision = OpfDecision(
@@ -282,34 +281,14 @@ def _extract(built: OpfModel, sol: LpSolution) -> SolutionWithDuals:
         r_minus=x[idx["rm"]], f_ram_plus=x[idx["framp"]],
         f_ram_minus=x[idx["framm"]],
     )
-
-    mult = sol.family_multipliers
-    duals = DualValues(
-        pi=float(sol.family_duals("bal")),
-        beta_up=sol.family_duals("lineup"),
-        beta_lo=sol.family_duals("linelo"),
-        phi=float(mult("cvar_budget")),
-        eta=mult("cc_main"),
-    )
-
     slope = -(np.array([g.c_A for g in built.network.generators])
               @ decision.alpha)
     s_co = sample_worst_case(
         slope[:, None], x[idx["p_co"]][:, None], x[idx["q_co"]][:, None],
         built.data.matrix(),
         built.support.lower[:, None], built.support.upper[:, None])
-
-    return SolutionWithDuals(
-        status="optimal",
-        objective=float(sol.objective),
-        decision=decision,
-        lambda_co=x[idx["lam_co"]],
-        lambda_cc=x[idx["lam_cc"]],
-        s_co=s_co,
-        duals=duals,
-        built=built,
-        lp_solution=sol,
-    )
+    return SolutionWithDuals(built, sol, decision, x[idx["lam_co"]],
+                             x[idx["lam_cc"]], s_co)
 
 
 def solve_msdro_opf(network: Network, data: MultiDataset,
@@ -320,8 +299,7 @@ def solve_msdro_opf(network: Network, data: MultiDataset,
 
 def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     """Generators whose participation row is numerically zero."""
-    if not sol.optimal:
-        raise SolverError(f"solution status is {sol.status}")
+    sol.require_optimal()
     idle = np.all(np.abs(sol.decision.alpha) <= PARTICIPATION_TOL, axis=1)
     return frozenset(np.flatnonzero(idle).tolist())
 

@@ -1,12 +1,14 @@
 """Dual-based data valuation for the robust OPF solution.
 
-Everything in this module is post-processing: given an optimal solution
-with named duals, it reads off the marginal value of data quality
+Everything in this module is post-processing: given an optimal solution,
+it reads the duals it prices off the solution's LP, by family, and
+computes the marginal value of data quality
 
-    dL/deps_j = lambda_co_j + phi * lambda_cc_j,
+    dL/deps_j = lambda_co_j + phi * lambda_cc_j
 
-classifies each feature's regime, predicts the lambda_co dichotomy
-offline from the samples alone, and decomposes the marginal value of the
+once, in ``marginal_data_value``; the forecast value's pi_D and the
+envelope check take it from there. It classifies each feature's regime
+against the offline threshold and decomposes the marginal value of the
 forecast u_j into the locational price minus the balancing and reserve
 contributions.  The decomposition follows the price convention of the
 model's dual layer: equality duals are taken as written (rhs
@@ -24,7 +26,6 @@ import numpy as np
 from .dro_core import (DEGENERACY_BAND, BoxSupport, MultiDataset,
                        mean_transport_room)
 from .errors import InputError
-from .lp import SolverError
 from .network import Network
 from .opf_model import SolutionWithDuals, solve_msdro_opf
 
@@ -82,11 +83,6 @@ class EnvelopeCheck:
     degenerate: bool
 
 
-def _require_duals(sol: SolutionWithDuals) -> None:
-    if not sol.optimal:
-        raise SolverError(f"solution status is {sol.status}")
-
-
 def classify_regime(lambda_co: float, lambda_cc: float) -> str:
     if lambda_co <= REGIME_TOL and lambda_cc <= REGIME_TOL:
         return ROBUST_IGNORED
@@ -128,20 +124,20 @@ def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:
     feature with ``eps_j == 0`` is ``mixed/degenerate``: the zero budget
     fixes its multipliers at 0, so they do not price the budget there.
     """
-    _require_duals(sol)
+    sol.require_optimal()
     built = sol.built
-    phi = sol.duals.phi
-    lam_co = sol.lambda_co.copy()
-    lam_cc = sol.lambda_cc.copy()
-    marginal = lam_co + phi * lam_cc
+    phi = float(sol.lp_solution.family_multipliers("cvar_budget"))
+    lambda_co = sol.lambda_co.copy()
+    lambda_cc = sol.lambda_cc.copy()
+    marginal = lambda_co + phi * lambda_cc
     thresholds = offline_thresholds(built.data, built.support)
     eps = built.data.epsilons
     regimes = tuple(MIXED if eps[j] == 0 else
-                    classify_regime(lam_co[j], lam_cc[j])
-                    for j in range(len(lam_co)))
+                    classify_regime(lambda_co[j], lambda_cc[j])
+                    for j in range(len(lambda_co)))
     return DataValueReport(
-        lambda_co=lam_co,
-        lambda_cc=lam_cc,
+        lambda_co=lambda_co,
+        lambda_cc=lambda_cc,
         phi=phi,
         marginal_value=marginal,
         threshold=thresholds,
@@ -161,23 +157,23 @@ def forecast_value_decomposition(sol: SolutionWithDuals) -> ForecastValueReport:
     weighs those of the chance-constraint block by the same distances for
     sample i, priced at eta_ik.  The reserve sum runs over the physical
     rows only; the augmented zero row carries no a'_k, and a pinned
-    generator's rows read zero.
+    generator's rows read zero. pi_D is ``marginal_data_value``'s.
     """
-    _require_duals(sol)
-    duals = sol.duals
-    built = sol.built
+    pi_d = marginal_data_value(sol).marginal_value
+    built, lps = sol.built, sol.lp_solution
     resources = built.network.resources
     kappa = np.array([r.kappa for r in resources])
     u = np.array([r.u for r in resources])
 
-    x, idx = sol.lp_solution.x, built.idx
-    lmp = duals.pi + built.b_w.T @ (duals.beta_up - duals.beta_lo)
+    x, idx = lps.x, built.idx
+    beta = lps.family_duals("lineup") - lps.family_duals("linelo")
+    lmp = float(lps.family_duals("bal")) + built.b_w.T @ beta
     balancing = kappa * (x[idx["q_co"]] - x[idx["p_co"]])
     shift = x[idx["q_cc"]] - x[idx["p_cc"]]
-    reserve = kappa * (shift[:, :-1] @ duals.eta[:, :-1].sum(axis=0))
+    eta = lps.family_multipliers("cc_main")
+    reserve = kappa * (shift[:, :-1] @ eta[:, :-1].sum(axis=0))
 
     pi_f = lmp - balancing - reserve
-    pi_d = sol.lambda_co + duals.phi * sol.lambda_cc
     remuneration = u * pi_f - built.data.epsilons * pi_d
     return ForecastValueReport(
         lmp_term=lmp,
@@ -213,17 +209,16 @@ def envelope_check(network: Network, data: MultiDataset, gamma: float,
         raise InputError("delta must be > 0")
 
     base = solve_msdro_opf(network, data, gamma)
-    _require_duals(base)
-    analytic = float(base.lambda_co[j] + base.duals.phi * base.lambda_cc[j])
-    threshold = offline_thresholds(base.built.data, base.built.support)[j]
-    degenerate = abs(eps[j] - threshold) < DEGENERACY_BAND
+    report = marginal_data_value(base)
+    analytic = float(report.marginal_value[j])
+    degenerate = abs(eps[j] - report.threshold[j]) < DEGENERACY_BAND
 
     def solve_at(value: float) -> SolutionWithDuals:
         shifted = eps.copy()
         shifted[j] = value
         moved = MultiDataset(data.samples, shifted)
         out = solve_msdro_opf(network, moved, gamma)
-        _require_duals(out)
+        out.require_optimal()
         return out
 
     hi = solve_at(eps[j] + delta)

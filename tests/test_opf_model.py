@@ -215,10 +215,13 @@ def test_undersized_network_reports_infeasible():
                   slack_bus=1)
     data = MultiDataset(np.zeros((1, 4)), np.array([0.1]))
     sol = solve_msdro_opf(bad, data, 0.05)
-    assert sol.status == "infeasible"
-    assert sol.decision is None
-    with pytest.raises(lp.SolverError, match="solution status is infeasible"):
-        sol.duality_gap()
+    assert sol.status == "infeasible" and not sol.optimal
+    assert np.isnan(sol.objective)
+    assert sol.decision is None and sol.lambda_co is None
+    for read in (sol.duality_gap, lambda: idle_balancers(sol)):
+        with pytest.raises(lp.SolverError,
+                           match="solution status is infeasible"):
+            read()
 
 
 def test_input_validation(case5):
@@ -291,7 +294,7 @@ def test_family_duals_match_named_lookups(case5):
     eps = np.array([0.1, 0.0])  # eps_2 = 0 drops feature 2's block rows
     data = MultiDataset.from_matrix(training_matrix(case5, 3, seed=5), eps)
     sol = solve_msdro_opf(case5, data, 0.05)
-    lps, duals = sol.lp_solution, sol.duals
+    lps = sol.lp_solution
     d, n, k = 2, 3, sol.built.num_cc_rows + 1
     names = set(sol.built.model.row_names())
 
@@ -315,9 +318,9 @@ def test_family_duals_match_named_lookups(case5):
     for c in ("up", "lo"):
         np.testing.assert_array_equal(lps.family_multipliers(f"co_{c}"), mu[c])
         np.testing.assert_array_equal(lps.family_multipliers(f"cc_{c}"), rho[c])
-    np.testing.assert_array_equal(duals.eta, eta)
-    assert duals.pi == dual("bal")
-    assert duals.phi == mult("cvar_budget")
+    np.testing.assert_array_equal(lps.family_multipliers("cc_main"), eta)
+    assert lps.family_duals("bal") == dual("bal")
+    assert lps.family_multipliers("cvar_budget") == mult("cvar_budget")
     np.testing.assert_array_equal(lps.family_duals("chi"),
                                   [dual(f"chi[{j}]") for j in range(d)])
     g_range, l_range = range(case5.num_generators), range(case5.num_lines)
@@ -325,9 +328,9 @@ def test_family_duals_match_named_lookups(case5):
                                   [mult(f"gmax[{g}]") for g in g_range])
     np.testing.assert_array_equal(lps.family_multipliers("gmin"),
                                   [mult(f"gmin[{g}]") for g in g_range])
-    np.testing.assert_array_equal(duals.beta_up,
+    np.testing.assert_array_equal(lps.family_duals("lineup"),
                                   [dual(f"lineup[{l}]") for l in l_range])
-    np.testing.assert_array_equal(duals.beta_lo,
+    np.testing.assert_array_equal(lps.family_duals("linelo"),
                                   [dual(f"linelo[{l}]") for l in l_range])
 
 

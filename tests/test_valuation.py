@@ -16,6 +16,8 @@ from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                                  write_data_value_csv,
                                  write_forecast_value_csv)
 
+from oracles import bits
+
 
 def activation_cost_sums(case5, sol):
     c_a = np.array([g.c_A for g in case5.generators])
@@ -73,7 +75,8 @@ def test_phi_matches_eta_row_sums(solve_cell):
         sol = solve_cell(*eps)
         rep = marginal_data_value(sol)
         n = sol.built.data.counts[0]
-        per_sample = n * sol.duals.eta.sum(axis=1)
+        eta = sol.lp_solution.family_multipliers("cc_main")
+        per_sample = n * eta.sum(axis=1)
         np.testing.assert_allclose(per_sample, rep.phi,
                                    atol=1e-6 * max(1.0, abs(rep.phi)))
 
@@ -187,6 +190,15 @@ def test_pi_f_is_forecast_shadow_price(case5, train20, solve_cell):
             objs.append(solve_msdro_opf(pert, data, 0.05).objective)
         fd = -(objs[0] - objs[1]) / (2 * delta)
         assert fv.pi_f[j] == pytest.approx(fd, rel=1e-5, abs=1e-3)
+
+
+def test_pi_d_is_the_marginal_value_bit_for_bit(solve_cell):
+    """pi_D of the forecast decomposition is the marginal value of data,
+    read from the same formula, not a second one."""
+    for eps in ((1.0, 1.0), (0.1, 0.1), (1.0, 0.001), (0.0, 0.1)):
+        sol = solve_cell(*eps)
+        pi_d = forecast_value_decomposition(sol).pi_d
+        assert bits(pi_d) == bits(marginal_data_value(sol).marginal_value), eps
 
 
 def test_decomposition_terms_at_saturated_budgets(case5, robust_sol):
