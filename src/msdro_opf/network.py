@@ -151,10 +151,11 @@ def bundled_network() -> Network:
 
 
 def _number(path, field: str, value, bus: bool = False):
-    """``value`` as a bus id (an int) or a float; a boolean, or a bus id
-    that is not a whole number, is an InputError naming file and field."""
-    if isinstance(value, bool) or (bus and isinstance(value, float)
-                                   and not value.is_integer()):
+    """``value`` as a bus id (an int) or a float. Anything but a JSON number
+    (a string, null, a list, a boolean), or a bus id that is not a whole
+    number, is an InputError naming file and field."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (bus and isinstance(value, float) and not value.is_integer())):
         kind = "a whole bus id" if bus else "a number"
         raise InputError(f"{path}: {field} is {value!r}, not {kind}")
     return int(value) if bus else float(value)

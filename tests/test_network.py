@@ -133,6 +133,19 @@ def test_load_network_rejects_a_boolean_number(tmp_path, field):
         load_network(path)
 
 
+@pytest.mark.parametrize("field, kind", [
+    ("generators[0].bus", "a whole bus id"), ("buses[4]", "a whole bus id"),
+    ("generators[0].p_max", "a number"), ("base_mva", "a number")])
+@pytest.mark.parametrize("value", [" 1 ", "0.4", None, [1]])
+def test_load_network_rejects_a_value_that_is_not_a_json_number(
+        tmp_path, field, kind, value):
+    """int() and float() would read the text " 1 " and "0.4" as numbers."""
+    path = write_case5(tmp_path, field, value)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: {field} is {value!r}, not {kind}") + "$"):
+        load_network(path)
+
+
 def test_load_network_reads_whole_float_bus_ids(tmp_path, case5):
     path = write_case5(tmp_path, "generators[0].bus", 1.0)
     assert load_network(path) == case5
