@@ -2,11 +2,11 @@
 
 A dataset's quality is summarized by a budget epsilon: an upper bound on
 W_p^p between the empirical distribution of the published samples and the
-distribution they stand in for. Three ways to obtain epsilon are covered:
+distribution they stand in for. Two ways to obtain epsilon are covered:
 
-* additive noise with known law (analytic expectation of ||Z||^p),
-* the Laplace mechanism for differential privacy (a special case of the
-  above with scale = sensitivity / theta),
+* additive noise with known law (analytic expectation of ||Z||^p), such
+  as the Laplace noise of differential privacy, whose scale is
+  sensitivity / theta,
 * direct empirical transport distance between an original and a published
   dataset, for protocols where the additive bound does not apply.
 
@@ -134,23 +134,6 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
         raise InputError(f"no bound implemented for p={p}, norm={norm!r}")
     eps = noise.dimension * _NOISE_MOMENT[noise.kind, p](noise.param)
     return QualitySignal(epsilon=float(eps), p=p)
-
-
-def laplace_mechanism(data, sensitivity: float, theta: float,
-                      seed: int) -> tuple[np.ndarray, QualitySignal]:
-    """Perturb each entry with iid Laplace(sensitivity/theta) noise.
-
-    Returns the obfuscated samples and the matching quality signal
-    (p=1, 1-norm), deterministic for a given seed.
-    """
-    if sensitivity <= 0 or theta <= 0:
-        raise InputError("sensitivity and theta must be > 0")
-    values = _as_samples(data, "data")
-    scale = sensitivity / theta
-    rng = np.random.default_rng(seed)
-    noisy = values + rng.laplace(loc=0.0, scale=scale, size=values.shape)
-    signal = additive_noise_bound(NoiseModel.laplace(scale), p=1, norm="l1")
-    return noisy, signal
 
 
 def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal:

@@ -77,14 +77,6 @@ class BoxSupport:
     def dimension(self) -> int:
         return len(self.lower)
 
-    def contains(self, points) -> bool:
-        """True when every column of ``points`` (D x n) lies in the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            np.all(pts >= self.lower[:, None] - SUPPORT_TOL)
-            and np.all(pts <= self.upper[:, None] + SUPPORT_TOL)
-        )
-
 
 @dataclass(frozen=True)
 class PiecewiseMaxAffine:
@@ -222,29 +214,6 @@ def sample_worst_case(a, p, q, sample, lower, upper) -> np.ndarray:
     q = (-a - lam)^+, the sup over [l, u] of a*xi - lam |xi - xhat|."""
     up, lo = transport_room(sample, lower, upper)
     return a * np.asarray(sample, dtype=float) + up * p + lo * q
-
-
-def sup_affine_minus_l1(a, lam, sample, support: BoxSupport) -> float:
-    """Exact value of sup over the box of a.xi - sum_j lam_j |xi_j - sample_j|.
-
-    The objective separates per coordinate. With lam_j >= 0 and the sample
-    in [l_j, u_j], each 1-D piece is concave with its breakpoint at the
-    sample and rises toward at most one end, so its supremum is the sample
-    term plus the distance to that end times the positive part of the slope
-    beyond the sample (``sample_worst_case``).
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    sample = np.atleast_1d(np.asarray(sample, dtype=float))
-    if not (len(a) == len(lam) == len(sample) == support.dimension):
-        raise InputError("dimension mismatch")
-    if np.any(lam < 0):
-        raise InputError("lambda must be >= 0")
-    if not support.contains(sample[:, None]):
-        raise InputError("sample lies outside the support")
-    return float(np.sum(sample_worst_case(
-        a, np.maximum(a - lam, 0.0), np.maximum(-a - lam, 0.0), sample,
-        support.lower, support.upper)))
 
 
 def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,

@@ -69,14 +69,6 @@ class ForecastValueReport:
 
 
 @dataclass(frozen=True)
-class OfflinePrediction:
-    """Offline usefulness prediction from thresholds, one entry per feature."""
-
-    threshold: np.ndarray
-    predicted_lambda_co: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnvelopeCheck:
     finite_difference: float
     analytic: float
@@ -95,23 +87,6 @@ def offline_thresholds(data: MultiDataset, support: BoxSupport) -> np.ndarray:
     """Average distance of each feature's samples to its worst corner, the
     lower end (activation slopes -sum_g c_A_g alpha_gj are not positive)."""
     return mean_transport_room(data, support)[:, 1]
-
-
-def prop3_offline_check(data: MultiDataset, support: BoxSupport,
-                        activation_cost) -> OfflinePrediction:
-    """Predict the lambda_co dichotomy before solving anything.
-
-    activation_cost is the per-feature total activation price sum_g
-    c_g^A alpha_gj the prediction should snap to on the informative side.
-    The threshold is the sample mean distance to the lower support corner;
-    budgets at or above it buy nothing beyond the known support.
-    """
-    thresholds = offline_thresholds(data, support)
-    cost = np.atleast_1d(np.asarray(activation_cost, dtype=float))
-    if len(cost) != data.dimension:
-        raise InputError("need one activation cost per feature")
-    predicted = np.where(data.epsilons >= thresholds, 0.0, cost)
-    return OfflinePrediction(thresholds, predicted)
 
 
 def marginal_data_value(sol: SolutionWithDuals) -> DataValueReport:

@@ -8,6 +8,7 @@ modules it checks.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -87,6 +88,33 @@ def grid_sup_affine(a, lam, xhat, lower, upper, n=2001):
         vals = a[j] * grid - lam[j] * np.abs(grid - xhat[j])
         total += float(vals.max())
     return total
+
+
+def sup_affine_minus_l1(a, lam, sample, support):
+    """Exact value of sup over the box of a.xi - sum_j lam_j |xi_j - sample_j|.
+
+    The objective separates per coordinate. With lam_j >= 0 and the sample
+    in [l_j, u_j], each 1-D piece is concave with its breakpoint at the
+    sample and rises toward at most one end, so its supremum is the sample
+    term plus the distance to that end times the positive part of the slope
+    beyond the sample (``dro_core.sample_worst_case``).
+    """
+    from msdro_opf.dro_core import SUPPORT_TOL, sample_worst_case
+    from msdro_opf.errors import InputError
+
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    sample = np.atleast_1d(np.asarray(sample, dtype=float))
+    if not (len(a) == len(lam) == len(sample) == support.dimension):
+        raise InputError("dimension mismatch")
+    if np.any(lam < 0):
+        raise InputError("lambda must be >= 0")
+    if (np.any(sample < support.lower - SUPPORT_TOL)
+            or np.any(sample > support.upper + SUPPORT_TOL)):
+        raise InputError("sample lies outside the support")
+    return float(np.sum(sample_worst_case(
+        a, np.maximum(a - lam, 0.0), np.maximum(-a - lam, 0.0), sample,
+        support.lower, support.upper)))
 
 
 def multi_marginal_value(rows_a, rows_b, samples, epsilons, lower, upper,
@@ -709,6 +737,52 @@ def ring_instances(count=30):
         data = MultiDataset.from_matrix(
             xs, rng.choice([0.0, 0.001, 0.01, 0.1, 1.0], size=d))
         yield net, data, float(rng.choice([0.01, 0.05, 0.2]))
+
+
+def laplace_mechanism(data, sensitivity, theta, seed):
+    """Perturb each entry with iid Laplace(sensitivity/theta) noise.
+
+    Returns the obfuscated samples and the matching quality signal
+    (p=1, 1-norm), deterministic for a given seed.
+    """
+    from msdro_opf.data_quality import NoiseModel, additive_noise_bound
+    from msdro_opf.errors import InputError
+
+    if sensitivity <= 0 or theta <= 0:
+        raise InputError("sensitivity and theta must be > 0")
+    values = np.asarray(data, dtype=float)
+    scale = sensitivity / theta
+    rng = np.random.default_rng(seed)
+    noisy = values + rng.laplace(loc=0.0, scale=scale, size=values.shape)
+    signal = additive_noise_bound(NoiseModel.laplace(scale), p=1, norm="l1")
+    return noisy, signal
+
+
+@dataclass(frozen=True)
+class OfflinePrediction:
+    """Offline usefulness prediction from thresholds, one entry per feature."""
+
+    threshold: np.ndarray
+    predicted_lambda_co: np.ndarray
+
+
+def prop3_offline_check(data, support, activation_cost):
+    """Predict the lambda_co dichotomy before solving anything.
+
+    activation_cost is the per-feature total activation price sum_g
+    c_g^A alpha_gj the prediction should snap to on the informative side.
+    The threshold is the sample mean distance to the lower support corner;
+    budgets at or above it buy nothing beyond the known support.
+    """
+    from msdro_opf.errors import InputError
+    from msdro_opf.valuation import offline_thresholds
+
+    thresholds = offline_thresholds(data, support)
+    cost = np.atleast_1d(np.asarray(activation_cost, dtype=float))
+    if len(cost) != data.dimension:
+        raise InputError("need one activation cost per feature")
+    predicted = np.where(data.epsilons >= thresholds, 0.0, cost)
+    return OfflinePrediction(thresholds, predicted)
 
 
 def read_samples_by_row(path):

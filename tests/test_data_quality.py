@@ -10,12 +10,12 @@ from msdro_opf.data_quality import (NoiseModel, QualitySignal,
                                     additive_noise_bound,
                                     aggregation_protocol_bound,
                                     empirical_wasserstein_1d,
-                                    laplace_mechanism, read_quality_csv,
+                                    read_quality_csv,
                                     read_samples_csv, write_quality_csv,
                                     write_samples_csv)
 from msdro_opf.errors import InputError
 
-from oracles import read_samples_by_row, transport_wp
+from oracles import laplace_mechanism, read_samples_by_row, transport_wp
 
 samples_1d = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),

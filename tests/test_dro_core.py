@@ -18,8 +18,7 @@ from msdro_opf import lp
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 SeparableAffineCost, mean_transport_room,
                                 robust_value, sample_average,
-                                separable_thresholds,
-                                sup_affine_minus_l1, transport_room,
+                                separable_thresholds, transport_room,
                                 wasserstein_block, wc_expectation_general,
                                 wc_expectation_separable,
                                 wc_expectation_single_budget,
@@ -28,7 +27,7 @@ from msdro_opf.errors import InputError
 from msdro_opf.lp import Model, SolverError
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
-                     per_piece_anchored_lp, separable_lp)
+                     per_piece_anchored_lp, separable_lp, sup_affine_minus_l1)
 
 BOX11 = BoxSupport([-1.0], [1.0])
 

@@ -12,11 +12,11 @@ from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                                  envelope_check, fmt,
                                  forecast_value_decomposition,
                                  forecast_value_rows, marginal_data_value,
-                                 offline_thresholds, prop3_offline_check,
+                                 offline_thresholds,
                                  write_data_value_csv,
                                  write_forecast_value_csv)
 
-from oracles import bits
+from oracles import bits, prop3_offline_check
 
 
 def activation_cost_sums(case5, sol):
