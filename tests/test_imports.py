@@ -1,7 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+public name the package defines has a reader.
 
-A stdlib ``ast`` check: an imported name counts as used when it is read
-anywhere in the module or listed in its ``__all__``.
+Stdlib ``ast`` checks: an imported name counts as used when it is read
+anywhere in the module or listed in its ``__all__``. A top-level public
+name of the package counts as read when another line of the package, the
+benchmark (``perfbench/``), ``tests/test_acceptance.py`` or a README
+``python`` block reads it, as a name, an attribute, an imported name or a
+string that is exactly the name (the benchmark wraps attributes by name).
 """
 
 import ast
@@ -10,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import msdro_opf
+from test_readme import python_blocks
 
 SRC = Path(msdro_opf.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -43,3 +50,61 @@ def test_unused_imports_finds_only_the_unused_names():
 def test_module_uses_every_name_it_imports(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def public_definitions(source: str) -> set:
+    """Top-level functions, classes and assigned names not starting with _."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def read_names(source: str) -> set:
+    """Every identifier ``source`` reads: loaded names, attributes, imported
+    names and strings that are one identifier."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
+def unread_public_names(package: list, readers: list) -> list:
+    """Public names the ``package`` sources define and neither they nor the
+    ``readers`` sources read, sorted."""
+    defined = set().union(*(public_definitions(s) for s in package))
+    read = set().union(*(read_names(s) for s in package + readers))
+    return sorted(defined - read)
+
+
+def test_unread_public_names_finds_only_the_unread_names():
+    package = ["LIMIT = 1\nclass Box:\n    pass\n"
+               "def size(box: Box) -> int:\n    return LIMIT\n"
+               "def helper():\n    pass\n",
+               "from .a import size as measure\ndef _private():\n    pass\n"
+               "def orphan():\n    pass\n"]
+    assert unread_public_names(package, ["w(mod, 'helper')\n"]) == ["orphan"]
+
+
+def test_every_public_name_has_a_reader():
+    package = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    readers = [p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers += [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]
+    readers += python_blocks()
+    unread = unread_public_names(package, readers)
+    assert unread == [], (f"{unread} are read only by tests or by nothing: "
+                          "move them to tests/oracles.py or delete them")
