@@ -175,8 +175,9 @@ def cmd_solve(args) -> int:
               + [f"alpha_{j + 1}" for j in range(data.dimension)],
               ([g + 1, gen.bus, dec.p[g], dec.r_plus[g], dec.r_minus[g],
                 *dec.alpha[g]] for g, gen in enumerate(network.generators)))
+    duals = sol.lp_solution.duals
     write_csv(outdir / "duals.csv", ["constraint", "dual"],
-              zip(sol.built.model.row_names(), sol.lp_solution.duals))
+              zip(sol.built.model.row_names(), duals.tolist()))
 
     write_data_value_csv(outdir / "valuation.csv", report)
     write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
