@@ -22,9 +22,9 @@ from pathlib import Path
 
 from . import __version__
 from .data_quality import (NoiseModel, additive_noise_bound,
-                           aggregation_protocol_bound, read_quality_csv,
-                           read_samples_csv, write_quality_csv,
-                           write_samples_csv)
+                           aggregation_protocol_bound, fmt, parse_float,
+                           read_quality_csv, read_samples_csv, write_csv,
+                           write_quality_csv, write_samples_csv)
 from .dro_core import MultiDataset
 from .errors import InputError
 from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
@@ -33,9 +33,8 @@ from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
 from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
-from .valuation import (fmt, forecast_value_decomposition,
-                        marginal_data_value, write_csv, write_data_value_csv,
-                        write_forecast_value_csv)
+from .valuation import (forecast_value_decomposition, marginal_data_value,
+                        write_data_value_csv, write_forecast_value_csv)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -53,7 +52,7 @@ def _load_net(args):
 
 def _resolve_epsilons(args, dim: int) -> list:
     if args.eps is not None:
-        eps = [float(v) for v in args.eps]
+        eps = args.eps
     elif args.quality is not None:
         names = [f"xi_{j + 1}" for j in range(dim)]
         budgets = read_quality_csv(args.quality, names)
@@ -97,11 +96,7 @@ def cmd_quality(args) -> int:
         kind, sep, value = args.noise.partition(":")
         if not sep:
             raise InputError("--noise expects KIND:PARAM, e.g. laplace:0.05")
-        try:
-            param = float(value)
-        except ValueError:
-            raise InputError(f"--noise parameter {value!r} is not a number")
-        model = NoiseModel(kind, param, args.dimension)
+        model = NoiseModel(kind, parse_float("--noise", value), args.dimension)
         norm = "l1" if args.p == 1 else "l2"
         signal = additive_noise_bound(model, p=args.p, norm=norm)
         qualities["xi_1"] = signal.epsilon
@@ -209,8 +204,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     network, net_src = _load_net(args)
     config = SweepConfig(
-        grid=(DEFAULT_GRID if args.grid is None
-              else tuple(float(v) for v in args.grid)),
+        grid=DEFAULT_GRID if args.grid is None else tuple(args.grid),
         n_samples=args.n_samples,
         seed=args.seed,
         gamma=args.gamma,

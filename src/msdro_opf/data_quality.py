@@ -12,6 +12,9 @@ distribution they stand in for. Two ways to obtain epsilon are covered:
 
 The downstream OPF pipeline consumes epsilon as given and fixes p = 1 with
 the 1-norm; other (p, norm) combinations are supported here only.
+
+It is also the one module that reads and writes CSV tables: the sample and
+quality files and, through ``write_csv``, every result table.
 """
 
 from __future__ import annotations
@@ -151,15 +154,44 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
 _PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
 
 
-def _utf8_text(path) -> io.StringIO:
-    """A file's text, line ends as written, for the ``csv`` reader, without
-    a leading byte order mark; a file that is not UTF-8 is an ``InputError``
-    naming it."""
+def parse_float(label: str, text: str) -> float:
+    """``text`` as a float, by Python's ``float`` grammar; otherwise an
+    ``InputError`` giving ``label`` (such as ``path:line``) and ``float``'s
+    message."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from None
+
+
+def _read_header(path) -> tuple[list[str], str]:
+    """A CSV file's header cells, stripped, and the text after the header
+    row, line ends as written. A leading byte order mark is dropped; an
+    empty file, or one that is not UTF-8, is an ``InputError`` naming it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            return io.StringIO(fh.read(), newline="")
+            text = io.StringIO(fh.read(), newline="")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+    try:
+        header = next(csv.reader(text))
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    return [h.strip() for h in header], text.read()
+
+
+def _rows(path, body: str, width: int):
+    """Each row of ``body``, the text after the header, as its ``path:line``
+    label (lines counted from 2) and its ``width`` cells. Rows that are
+    blank or hold only blank cells are skipped; a row of another width is
+    an ``InputError`` naming its line."""
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")),
+                                 start=2):
+        if all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise InputError(f"{path}:{lineno}: expected {width} columns")
+        yield f"{path}:{lineno}", row
 
 
 def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
@@ -176,28 +208,20 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     row, which accepts the same files and names the line of the first bad
     row.
     """
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or not all(h.startswith("xi_") for h in header):
-            raise InputError(
-                f"{path}: expected header columns xi_1,...,xi_D, got {header}"
-            )
-        repeated = [h for j, h in enumerate(header) if h in header[:j]]
-        if repeated:
-            raise InputError(f"{path}:1: column {repeated[0]!r} repeated")
-        names = [f"xi_{j + 1}" for j in range(len(header))]
-        if set(header) != set(names):
-            raise InputError(f"{path}:1: expected header columns xi_1,...,"
-                             f"{names[-1]} in any order, got {header}")
-        body = fh.read()
+    header, body = _read_header(path)
+    if not header or not all(h.startswith("xi_") for h in header):
+        raise InputError(f"{path}: expected header columns xi_1,...,xi_D, "
+                         f"got {header}")
+    repeated = [h for j, h in enumerate(header) if h in header[:j]]
+    if repeated:
+        raise InputError(f"{path}:1: column {repeated[0]!r} repeated")
+    names = [f"xi_{j + 1}" for j in range(len(header))]
+    if set(header) != set(names):
+        raise InputError(f"{path}:1: expected header columns xi_1,...,"
+                         f"{names[-1]} in any order, got {header}")
     values = _plain_rows(body, len(header))
     if values is None:
-        values = _checked_rows(path, io.StringIO(body, newline=""), len(header))
+        values = _checked_rows(path, body, len(header))
     return names, values[:, [header.index(name) for name in names]].T
 
 
@@ -217,21 +241,13 @@ def _plain_rows(body: str, width: int) -> np.ndarray | None:
     return values
 
 
-def _checked_rows(path, lines, width: int) -> np.ndarray:
-    """Parse sample rows one by one (line numbers from 2, after the header);
-    the first bad row raises ``InputError`` naming its line."""
+def _checked_rows(path, body: str, width: int) -> np.ndarray:
+    """Parse sample rows one by one, refusing the first bad one by line."""
     rows = []
-    for lineno, row in enumerate(csv.reader(lines), start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != width:
-            raise InputError(f"{path}:{lineno}: expected {width} columns")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+    for label, row in _rows(path, body, width):
+        values = [parse_float(label, cell) for cell in row]
         if not all(math.isfinite(v) for v in values):
-            raise InputError(f"{path}:{lineno}: non-finite sample value")
+            raise InputError(f"{label}: non-finite sample value")
         rows.append(values)
     if not rows:
         raise InputError(f"{path}: no sample rows")
@@ -241,54 +257,53 @@ def _checked_rows(path, lines, width: int) -> np.ndarray:
 def write_samples_csv(path, samples: np.ndarray) -> None:
     """Write a D x N' sample array with the xi_1,...,xi_D header."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"xi_{j + 1}" for j in range(samples.shape[0])])
-        for i in range(samples.shape[1]):
-            writer.writerow([f"{samples[j, i]:.17g}" for j in range(samples.shape[0])])
+    write_csv(path, [f"xi_{j + 1}" for j in range(samples.shape[0])],
+              ([f"{v:.17g}" for v in row] for row in samples.T.tolist()))
 
 
 def read_quality_csv(path, features=None) -> dict[str, float]:
     """Read a ``feature,epsilon`` file into a mapping in file order. A
     feature named twice, or one outside ``features`` when given, is an
     ``InputError`` naming its line."""
+    header, body = _read_header(path)
+    if header != ["feature", "epsilon"]:
+        raise InputError(f"{path}: expected header 'feature,epsilon', got {header}")
     out: dict[str, float] = {}
-    with _utf8_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if header != ["feature", "epsilon"]:
-            raise InputError(f"{path}: expected header 'feature,epsilon', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                eps = float(row[1])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(eps) and eps >= 0):
-                raise InputError(f"{path}:{lineno}: epsilon must be a finite "
-                                 "number >= 0")
-            feature = row[0].strip()
-            if feature in out:
-                raise InputError(f"{path}:{lineno}: feature {feature!r} "
-                                 "repeated")
-            if features is not None and feature not in features:
-                raise InputError(f"{path}:{lineno}: feature {feature!r} is "
-                                 f"not one of {', '.join(features)}")
-            out[feature] = eps
+    for label, (feature, cell) in _rows(path, body, 2):
+        eps = parse_float(label, cell)
+        if not (math.isfinite(eps) and eps >= 0):
+            raise InputError(f"{label}: epsilon must be a finite number >= 0")
+        feature = feature.strip()
+        if feature in out:
+            raise InputError(f"{label}: feature {feature!r} repeated")
+        if features is not None and feature not in features:
+            raise InputError(f"{label}: feature {feature!r} is not one of "
+                             f"{', '.join(features)}")
+        out[feature] = eps
     if not out:
         raise InputError(f"{path}: no quality rows")
     return out
 
 
 def write_quality_csv(path, qualities: dict[str, float]) -> None:
+    write_csv(path, ["feature", "epsilon"],
+              ([feature, f"{eps:.17g}"] for feature, eps in qualities.items()))
+
+
+def fmt(x, nan: str = "nan") -> str:
+    """A float with ten significant digits (``nan`` for NaN, ``0`` for
+    -0.0), anything else with ``str``: how the CSVs and the CLI print
+    values."""
+    if not isinstance(x, float):
+        return str(x)
+    return nan if math.isnan(x) else f"{x + 0.0:.10g}"  # -0.0 + 0.0 is 0.0
+
+
+def write_csv(path, header, rows, nan: str = "nan") -> None:
+    """Write one table: the header, then every row's cells through
+    ``fmt``. The solve tables keep the default ``nan``; the sweep tables
+    pass ``nan=""`` so a failed cell's values are empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["feature", "epsilon"])
-        for feature, eps in qualities.items():
-            writer.writerow([feature, f"{eps:.17g}"])
+        writer.writerow(header)
+        writer.writerows([fmt(v, nan) for v in row] for row in rows)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data_quality import write_csv
 from .dro_core import MultiDataset
 from .errors import InputError
 from .network import Network, build_support
@@ -31,7 +32,7 @@ from .opf_model import (OpfDecision, cvar_tightening_rerun,
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport, data_value_rows,
                         forecast_value_decomposition, forecast_value_rows,
-                        marginal_data_value, write_csv)
+                        marginal_data_value)
 
 S_FRACTION = 0.15
 VIOLATION_TOL = 1e-9

@@ -17,12 +17,11 @@ sensitivities), inequality duals as nonnegative multipliers.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data_quality import write_csv
 from .dro_core import (DEGENERACY_BAND, BoxSupport, MultiDataset,
                        mean_transport_room)
 from .errors import InputError
@@ -213,25 +212,6 @@ DATA_VALUE_COLUMNS = ["feature", "lambda_co", "lambda_cc", "phi",
                       "marginal_value", "threshold", "regime"]
 FORECAST_VALUE_COLUMNS = ["feature", "lmp_term", "balancing_term",
                           "reserve_term", "pi_F", "pi_D", "remuneration"]
-
-
-def fmt(x, nan: str = "nan") -> str:
-    """A float with ten significant digits (``nan`` for NaN, ``0`` for
-    -0.0), anything else with ``str``: how the CSVs and the CLI print
-    values."""
-    if not isinstance(x, float):
-        return str(x)
-    return nan if math.isnan(x) else f"{x + 0.0:.10g}"  # -0.0 + 0.0 is 0.0
-
-
-def write_csv(path, header, rows, nan: str = "nan") -> None:
-    """Write one result table: the header, then every row's cells through
-    ``fmt``. The solve tables keep the default ``nan``; the sweep tables
-    pass ``nan=""`` so a failed cell's values are empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([fmt(v, nan) for v in row] for row in rows)
 
 
 def data_value_rows(report: DataValueReport) -> list:

@@ -383,13 +383,24 @@ def test_quality_csv_roundtrip(tmp_path):
     ("feature,epsilon\n\n , \n", ": no quality rows"),
     ("feature,epsilon\nxi_1,0.1\nxi_3,0.2\n",
      ":3: feature 'xi_3' is not one of xi_1, xi_2"),
+    # Rows both readers share: {header} is each file's own header.
+    ("{header}\n1,2,3\n", ":2: expected 2 columns"),
+    ("{header}\n\n1,wide\n", ":3: could not convert string to float: 'wide'"),
+    ("{header}\n , \n1\n", ":3: expected 2 columns"),
+    ("{header}\r\n\r\n,\r\n1,x\r\n",
+     ":4: could not convert string to float: 'x'"),
 ])
 def test_quality_csv_errors_name_the_line(tmp_path, text, message):
     path = tmp_path / "quality.csv"
-    path.write_text(text)
+    path.write_bytes(text.replace("{header}", "feature,epsilon").encode())
     with pytest.raises(InputError) as exc:
         read_quality_csv(path, ["xi_1", "xi_2"])
     assert str(exc.value).startswith(f"{path}{message}")
+    if "{header}" in text:
+        path.write_bytes(text.replace("{header}", "xi_1,xi_2").encode())
+        with pytest.raises(InputError) as samples_exc:
+            read_samples_csv(path)
+        assert str(samples_exc.value) == str(exc.value)
 
 
 def test_quality_csv_rejects_bad_header(tmp_path):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-public name the package defines has a reader.
+"""Every module of the package uses each name it imports, every public
+name the package defines has a reader, and one module reads and writes
+the CSV tables.
 
 Stdlib ``ast`` checks: an imported name counts as used when it is read
 anywhere in the module or listed in its ``__all__``. A top-level public
@@ -108,3 +109,35 @@ def test_every_public_name_has_a_reader():
     unread = unread_public_names(package, readers)
     assert unread == [], (f"{unread} are read only by tests or by nothing: "
                           "move them to tests/oracles.py or delete them")
+
+
+def call_sites(source: str, dotted: str) -> list:
+    """The top-level function or class around each call of ``dotted`` (such
+    as ``csv.writer``) in ``source``, in order; "" for a call outside any."""
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        sites += [owner for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == dotted]
+    return sites
+
+
+def test_call_sites_finds_each_call_and_its_function():
+    source = ("import csv\nw = csv.writer(f)\n"
+              "def read(f):\n    return csv.reader(f), csv.reader(f)\n"
+              "def write(f):\n    def inner():\n        csv.writer(f)\n"
+              "    return writer(f), csv.writer\n")
+    assert call_sites(source, "csv.writer") == ["", "write"]
+    assert call_sites(source, "csv.reader") == ["read", "read"]
+
+
+def test_one_module_reads_and_writes_csv_tables():
+    """``data_quality`` holds the one CSV writer, ``write_csv``, and the
+    only readers: the header reader and the row generator."""
+    sites = {call: {path.name: found for path in sorted(SRC.glob("*.py"))
+                    if (found := call_sites(path.read_text(encoding="utf-8"),
+                                            call))}
+             for call in ("csv.writer", "csv.reader")}
+    assert sites == {"csv.writer": {"data_quality.py": ["write_csv"]},
+                     "csv.reader": {"data_quality.py": ["_read_header", "_rows"]}}

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from msdro_opf import MultiDataset, solve_msdro_opf
+from msdro_opf.data_quality import fmt
 from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
 from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                                  MIXED, classify_regime, data_value_rows,
-                                 envelope_check, fmt,
-                                 forecast_value_decomposition,
+                                 envelope_check, forecast_value_decomposition,
                                  forecast_value_rows, marginal_data_value,
                                  offline_thresholds,
                                  write_data_value_csv,
