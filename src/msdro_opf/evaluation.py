@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -253,6 +254,16 @@ def _cell_result(base, config: SweepConfig) -> CellResult:
     )
 
 
+def _pooled_result(future, eps) -> CellResult:
+    """A worker's cell, or an ``error`` cell when a worker process died
+    before it finished; such a cell is not solved again here."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return CellResult(tuple(float(e) for e in eps), "error",
+                          message=f"worker process died: {exc}")
+
+
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Solve every grid cell on one shared training dataset, in up to
     ``jobs`` worker processes (one per cell at most)."""
@@ -272,7 +283,7 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_solve_cell, network, xs, c, config, oos_only)
                        for c, oos_only in tasks]
-            results = [f.result() for f in futures]
+            results = [_pooled_result(f, c) for f, (c, _) in zip(futures, tasks)]
     else:
         results = [_solve_cell(network, xs, c, config, oos_only)
                    for c, oos_only in tasks]

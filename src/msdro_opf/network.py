@@ -152,13 +152,18 @@ def bundled_network() -> Network:
 
 def _number(path, field: str, value, bus: bool = False):
     """``value`` as a bus id (an int) or a float. Anything but a JSON number
-    (a string, null, a list, a boolean), or a bus id that is not a whole
-    number, is an InputError naming file and field."""
+    (a string, null, a list, a boolean), a bus id that is not a whole
+    number, or an integer too large for a float, is an InputError naming
+    file and field."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (bus and isinstance(value, float) and not value.is_integer())):
         kind = "a whole bus id" if bus else "a number"
         raise InputError(f"{path}: {field} is {value!r}, not {kind}")
-    return int(value) if bus else float(value)
+    try:
+        return int(value) if bus else float(value)
+    except OverflowError:
+        raise InputError(f"{path}: {field} is an integer too large for a "
+                         "float") from None
 
 
 def load_network(path) -> Network:
@@ -167,7 +172,7 @@ def load_network(path) -> Network:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or too many digits
             raise InputError(f"{path}: not valid JSON ({exc})") from None
 
     def records(group: str, keys: tuple) -> list:

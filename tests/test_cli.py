@@ -330,13 +330,19 @@ def test_solve_rejects_a_repeated_load_bus(tmp_path, capsys):
     (lambda raw: raw["generators"][0].update(bus=" 1 "),
      "generators[0].bus is ' 1 ', not a whole bus id"),
     (lambda raw: raw["generators"][0].update(p_max="0.4"),
-     "generators[0].p_max is '0.4', not a number")],
-    ids=["self-loop", "bus", "p_max", "bus-text", "p_max-text"])
+     "generators[0].p_max is '0.4', not a number"),
+    (lambda raw: raw["generators"][2].update(p_max=10**400),
+     "generators[2].p_max is an integer too large for a float"),
+    (lambda raw: raw["resources"][0].update(u_max=10**400),
+     "resources[0].u_max is an integer too large for a float")],
+    ids=["self-loop", "bus", "p_max", "bus-text", "p_max-text", "p_max-huge",
+         "u_max-huge"])
 def test_solve_rejects_a_network_file_it_used_to_bend(tmp_path, capsys, edit,
                                                       message):
     """A line from bus 2 to itself got a made-up flow (exit 3, infeasible);
     bus 1.7, p_max true and the texts " 1 " and "0.4" solved as bus 1 and
-    p_max 1.0 or 0.4 (exit 0)."""
+    p_max 1.0 or 0.4 (exit 0); a 401-digit integer ended in an
+    ``OverflowError`` traceback (exit 1)."""
     raw = json.loads(CASE5.read_text())
     edit(raw)
     net_path = tmp_path / "net.json"

@@ -48,6 +48,38 @@ def network_json(draw) -> str:
     return json.dumps(net)  # NaN and inf are written as bare literals
 
 
+def leaves(node, path=()) -> list:
+    """The path (keys and list indices) to every scalar of ``node``."""
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in leaves(child, path + (key,))]
+    if isinstance(node, list):
+        return [p for k, child in enumerate(node) for p in leaves(child, path + (k,))]
+    return [path]
+
+
+JSON_SCALAR = (st.none() | st.booleans() | st.integers(-10**450, 10**450)
+               | st.floats() | st.text(max_size=4))
+# Scalars three times out of five: most defects in a file are one bad value.
+JSON_VALUE = st.one_of(JSON_SCALAR, JSON_SCALAR, JSON_SCALAR,
+                       st.lists(JSON_SCALAR, max_size=3),
+                       st.dictionaries(st.text(max_size=4), JSON_SCALAR,
+                                       max_size=3))
+
+
+@st.composite
+def network_with_one_leaf_replaced(draw) -> str:
+    """The bundled case with one scalar, anywhere in it, replaced by any
+    JSON value: null, a boolean, an integer of up to 451 digits, a float
+    (NaN and infinities included), a short text, a list or an object."""
+    net = copy.deepcopy(CASE5)
+    *parents, last = draw(st.sampled_from(leaves(CASE5)))
+    node = net
+    for key in parents:
+        node = node[key]
+    node[last] = draw(JSON_VALUE)
+    return json.dumps(net)
+
+
 SAMPLE = st.floats(min_value=-0.3, max_value=0.3).map(repr)
 BAD_CELL = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e999"])
 
@@ -100,4 +132,14 @@ def test_cli_fuzz_ends_with_a_documented_exit_code(tmp_path_factory, net,
         code = main(argv)
     except SystemExit as exc:  # argparse rejected a flag
         code = exc.code
+    assert code in EXIT_CODES
+
+
+@settings(max_examples=30, deadline=None)
+@given(net=network_with_one_leaf_replaced())
+def test_cli_fuzz_survives_any_value_in_a_network_file(tmp_path_factory, net):
+    work = tmp_path_factory.mktemp("leaf")
+    (work / "net.json").write_text(net)
+    code = main(["solve", "--network", str(work / "net.json"), "--train", "5",
+                 "--eps", "0.1", "0.1", "--out", str(work / "out")])
     assert code in EXIT_CODES

@@ -2,6 +2,7 @@
 
 import filecmp
 import math
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -271,6 +272,50 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     oos_status = {o.epsilons: o.status for o in res.oos}
     assert oos_status.pop((1.0, 1.0)) == "error"
     assert set(oos_status.values()) == {"optimal"}
+
+
+_solve_cell = evaluation._solve_cell
+
+
+def _die_at_cell(network, xs, eps, config, oos_only=False):
+    """``_solve_cell``, except that its process dies at cell (0.1, 0.1)."""
+    if tuple(eps) == (0.1, 0.1):
+        os._exit(9)
+    return _solve_cell(network, xs, eps, config, oos_only)
+
+
+def cell_values(cell) -> list:
+    """A cell's numbers: objectives, phi, out-of-sample rate, dispatch and
+    transport multipliers."""
+    dec, value = cell.decision, cell.data_value
+    return [cell.objective, cell.objective_tightened, cell.phi,
+            cell.violation, cell.n_samples,
+            *([] if dec is None else [dec.p, dec.r_plus, dec.r_minus, dec.alpha]),
+            *([] if value is None else [value.lambda_co, value.lambda_cc])]
+
+
+def test_run_sweep_survives_a_worker_that_dies(case5, monkeypatch):
+    """A worker killed mid-cell fails its cell, and any other the pool had
+    not finished, as ``error``; the cells that finished are the serial
+    sweep's."""
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
+    serial = {c.epsilons: c for c in run_sweep(case5, cfg).oos}
+    monkeypatch.setattr(evaluation, "_solve_cell", _die_at_cell)
+    res = run_sweep(case5, cfg, jobs=2)
+    assert [c.epsilons for c in res.oos] == sorted(serial)
+    killed = next(c for c in res.oos if c.epsilons == (0.1, 0.1))
+    assert killed.status == "error"
+    assert killed.message.startswith("worker process died: ")
+    assert any(c.optimal for c in res.oos)  # the first two cells come first
+    for cell in res.oos:
+        if cell.status == "error":
+            assert cell.message == killed.message
+            continue
+        want = cell_values(serial[cell.epsilons])
+        got = cell_values(cell)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(got, want)), cell.epsilons
 
 
 def test_training_matrix_shape_and_oos_orientation(case5):

@@ -146,6 +146,26 @@ def test_load_network_rejects_a_value_that_is_not_a_json_number(
         load_network(path)
 
 
+@pytest.mark.parametrize("field", ["generators[2].p_max", "resources[0].u_max"])
+def test_load_network_rejects_an_integer_too_large_for_a_float(tmp_path,
+                                                               field):
+    """float() raises OverflowError on a 401-digit integer."""
+    path = write_case5(tmp_path, field, 10**400)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: {field} is an integer too large for a float") + "$"):
+        load_network(path)
+
+
+def test_load_network_rejects_an_integer_too_long_to_read(tmp_path):
+    """json.load raises a plain ValueError on an integer of more digits
+    than Python converts from text (4 300 by default)."""
+    path = tmp_path / "net.json"
+    path.write_text(CASE5.read_text().replace('"p_max": 5.2', '"p_max": '
+                                              + "9" * 5000, 1))
+    with pytest.raises(InputError, match=re.escape(f"{path}: not valid JSON")):
+        load_network(path)
+
+
 def test_load_network_reads_whole_float_bus_ids(tmp_path, case5):
     path = write_case5(tmp_path, "generators[0].bus", 1.0)
     assert load_network(path) == case5
