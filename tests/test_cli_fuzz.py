@@ -59,7 +59,7 @@ def leaves(node, path=()) -> list:
 
 JSON_SCALAR = (st.none() | st.booleans() | st.integers(-10**450, 10**450)
                | st.floats() | st.text(max_size=4))
-# Scalars three times out of five: most defects in a file are one bad value.
+# Scalars are listed three times to weight them: most defects are one value.
 JSON_VALUE = st.one_of(JSON_SCALAR, JSON_SCALAR, JSON_SCALAR,
                        st.lists(JSON_SCALAR, max_size=3),
                        st.dictionaries(st.text(max_size=4), JSON_SCALAR,
