@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import opf_model
 from .data_quality import write_csv
-from .dro_core import MultiDataset
+from .dro_core import BoxSupport, MultiDataset
 from .errors import InputError
-from .network import Network, build_support
+from .network import Network, build_joint_support, build_support
 from .opf_model import (OpfDecision, cvar_tightening_rerun,
-                        joint_constraint_rows, risk_level, solve_msdro_opf)
+                        joint_constraint_rows, risk_level, with_budgets)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport, data_value_rows,
                         forecast_value_decomposition, forecast_value_rows,
@@ -55,21 +56,78 @@ def s_pert(epsilon: float) -> float:
     return epsilon * math.sqrt(math.pi / 2.0)
 
 
-def _truncated_draw(resource, loc: float, scale: float, n: int,
-                    seed: int) -> np.ndarray:
-    """Normal draws around ``loc`` truncated to the resource's error support."""
-    sup = build_support(resource)
-    lo, up = float(sup.lower[0]), float(sup.upper[0])
+def _log_sum(x, y):
+    """log(exp(x) + exp(y)) for real x, y, as
+    ``scipy.special.logsumexp([x, y], axis=0)`` computes it:
+    log1p(exp(min - max)) + max (log(2) + max on a tie, the same float),
+    and log(exp(x) + exp(y)) where that is not finite."""
+    hi = np.maximum(x, y)
+    with np.errstate(invalid="ignore"):
+        out = np.log1p(np.exp(np.minimum(x, y) - hi)) + hi
+    odd = ~np.isfinite(out)
+    if odd.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = np.log(np.exp(x) + np.exp(y))
+        out[odd] = np.broadcast_to(direct, out.shape)[odd]
+    return out
+
+
+def _log_diff(x: float, y: float) -> float:
+    """log(exp(x) - exp(y)) for x >= y, as ``scipy.stats.truncnorm``
+    computes it: the real part of ``logsumexp([x, y + pi i])``, whose
+    larger term (the last one on a tie) is factored out."""
+    big, small = complex(x, 0.0), complex(y, math.pi)
+    if y >= x:
+        big, small = small, big
+    big, small = np.complex128(big), np.complex128(small)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log1p(np.exp(small - big)) + big
+        if not np.isfinite(out):
+            out = np.log(np.exp(big) + np.exp(small))
+    return float(out.real)
+
+
+def _log_gauss_mass(a: float, b: float) -> float:
+    """Log of the standard normal mass on [a, b], a < b, by truncnorm's
+    three cases: all left of 0, all right of 0 (mirrored), or around 0."""
+    from scipy.special import log1p, log_ndtr, ndtr
+
+    if b <= 0:
+        return _log_diff(log_ndtr(b), log_ndtr(a))
+    if a > 0:
+        return _log_diff(log_ndtr(-a), log_ndtr(-b))
+    return float(log1p(-ndtr(a) - ndtr(-b)))
+
+
+def _truncated_draw(resource, loc: float, scale: float, n: int, seed: int,
+                    bounds: tuple | None = None) -> np.ndarray:
+    """Normal draws around ``loc`` truncated to ``bounds`` (lo, up), by
+    default the resource's error support.
+
+    The same floats as ``scipy.stats.truncnorm.rvs(a, b, loc, scale, n,
+    rng)``: its inverse CDF (the form from the left for a < 0, the mirrored
+    one otherwise) at ``rng.uniform(size=n)``, scaled and shifted.
+    """
+    if bounds is None:
+        sup = build_support(resource)
+        bounds = float(sup.lower[0]), float(sup.upper[0])
+    lo, up = bounds
     if up - lo <= 0:
         return np.zeros(n)
     if scale <= 0:
         point = min(max(loc, lo), up)
         return np.full(n, point)
-    from scipy.stats import truncnorm  # imported here: it is slow to load
+    from scipy.special import log_ndtr, ndtri_exp  # slow to load
 
-    rng = np.random.default_rng(seed)
+    q = np.random.default_rng(seed).uniform(size=n)
     a, b = (lo - loc) / scale, (up - loc) / scale
-    return truncnorm.rvs(a, b, loc=loc, scale=scale, size=n, random_state=rng)
+    mass = _log_gauss_mass(a, b)
+    with np.errstate(divide="ignore"):  # q = 0 draws the bound itself
+        if a < 0:
+            x = ndtri_exp(_log_sum(log_ndtr(a), np.log(q) + mass))
+        else:
+            x = -ndtri_exp(_log_sum(log_ndtr(-b), np.log1p(-q) + mass))
+    return x * scale + loc
 
 
 def generate_training_samples(resource, n: int, seed: int,
@@ -89,11 +147,12 @@ def generate_training_samples(resource, n: int, seed: int,
     return _truncated_draw(resource, loc, S_FRACTION * resource.u, n, seed)
 
 
-def generate_oos_samples(resource, epsilon: float, n: int,
-                         seed: int) -> np.ndarray:
-    """Zero-mean out-of-sample errors with spread widened by epsilon."""
+def generate_oos_samples(resource, epsilon: float, n: int, seed: int,
+                         bounds: tuple | None = None) -> np.ndarray:
+    """Zero-mean out-of-sample errors with spread widened by epsilon,
+    inside ``bounds``, the resource's error support when omitted."""
     scale = S_FRACTION * resource.u + s_pert(epsilon)
-    return _truncated_draw(resource, 0.0, scale, n, seed)
+    return _truncated_draw(resource, 0.0, scale, n, seed, bounds)
 
 
 def training_matrix(network: Network, n: int, seed: int,
@@ -105,13 +164,21 @@ def training_matrix(network: Network, n: int, seed: int,
     return np.vstack(rows) if rows else np.zeros((0, n))
 
 
-def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
-    """n x D out-of-sample error vectors for a given budget vector."""
+def oos_matrix(network: Network, epsilons, n: int, seed: int,
+               support: BoxSupport | None = None) -> np.ndarray:
+    """n x D out-of-sample error vectors for a given budget vector.
+
+    ``support`` is the network's joint error support, such as the one a
+    built model stores; it is built when omitted.
+    """
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     cell = tuple(float(e) for e in epsilons)
+    if support is None:
+        support = build_joint_support(network)
+    bounds = zip(support.lower.tolist(), support.upper.tolist())
     cols = [generate_oos_samples(r, epsilons[j], n,
-                                 derive_seed(seed, "oos", cell, j))
-            for j, r in enumerate(network.resources)]
+                                 derive_seed(seed, "oos", cell, j), box)
+            for j, (r, box) in enumerate(zip(network.resources, bounds))]
     return np.column_stack(cols) if cols else np.zeros((n, 0))
 
 
@@ -210,23 +277,46 @@ class SweepResult:
     oos: list
 
 
-def _solve_cell(network: Network, xs: np.ndarray, eps, config: SweepConfig,
+def _pattern_models(network: Network, xs: np.ndarray, cells,
+                    gamma: float) -> dict:
+    """One built model per zero pattern of the cells' budgets (which
+    budgets are positive), built at the first cell with that pattern. A
+    pattern whose build fails maps to the error's text instead, which each
+    of its cells records."""
+    models = {}
+    for cell in cells:
+        pattern = tuple(e > 0.0 for e in cell)
+        if pattern not in models:
+            try:
+                models[pattern] = opf_model.build_msdro_opf(
+                    network, MultiDataset.from_matrix(xs, list(cell)), gamma)
+            except Exception as exc:  # recorded by each cell of the pattern
+                models[pattern] = f"{type(exc).__name__}: {exc}"
+    return models
+
+
+def _solve_cell(models: dict, eps, config: SweepConfig,
                 oos_only: bool = False) -> CellResult:
     """One cell: base solve, tighten, valuation, out-of-sample.
 
-    With ``oos_only`` (cells outside the main grid, zero budgets) the
-    re-run and the valuation are skipped. Any failure is recorded in the
-    cell's status, so one cell cannot stop the sweep.
+    The cell's LP is its pattern's model from ``_pattern_models`` with the
+    cell's budgets written in. With ``oos_only`` (cells outside the main
+    grid, zero budgets) the re-run and the valuation are skipped. Any
+    failure is recorded in the cell's status, so one cell cannot stop the
+    sweep.
     """
     cell = tuple(float(e) for e in eps)
+    built = models[tuple(e > 0.0 for e in cell)]
+    if isinstance(built, str):
+        return CellResult(cell, "error", message=built)
     try:
-        data = MultiDataset.from_matrix(xs, list(cell))
-        base = solve_msdro_opf(network, data, config.gamma)
+        base = opf_model.solve(with_budgets(built, cell))
         if not base.optimal:
             return CellResult(cell, base.status)
-        samples = oos_matrix(network, cell, config.oos_samples, config.seed)
-        rate = empirical_violation(base.decision, samples, network,
-                                   flow_maps=(base.built.b_g, base.built.b_w))
+        samples = oos_matrix(built.network, cell, config.oos_samples,
+                             config.seed, built.support)
+        rate = empirical_violation(base.decision, samples, built.network,
+                                   flow_maps=(built.b_g, built.b_w))
         result = (CellResult(cell, "optimal") if oos_only
                   else _cell_result(base, config))
         result.violation, result.n_samples = rate, config.oos_samples
@@ -264,9 +354,30 @@ def _pooled_result(future, eps) -> CellResult:
                           message=f"worker process died: {exc}")
 
 
+#: The sweep's per-pattern models in a worker process, set once by
+#: ``_start_worker`` and read by every cell the worker solves.
+_worker_models: dict = {}
+
+
+def _start_worker(models: dict) -> None:
+    """Pool initializer: keep the models for the worker's cells."""
+    global _worker_models
+    _worker_models = models
+
+
+def _solve_pooled(eps, config: SweepConfig, oos_only: bool) -> CellResult:
+    """``_solve_cell`` on the models the worker was started with."""
+    return _solve_cell(_worker_models, eps, config, oos_only)
+
+
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Solve every grid cell on one shared training dataset, in up to
-    ``jobs`` worker processes (one per cell at most)."""
+    ``jobs`` worker processes (one per cell at most).
+
+    One model is built per zero pattern of the budgets, here, and each cell
+    writes its budgets into its pattern's model; workers get the models
+    once, when they start.
+    """
     dim = network.num_resources
     if dim == 0:
         raise InputError("sweep needs at least one uncertain resource")
@@ -277,15 +388,18 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
     on_grid = set(main_cells)
     tasks = [(c, False) for c in main_cells] + [
         (c, True) for c in config.oos_cells(dim) if c not in on_grid]
+    models = _pattern_models(network, xs, [c for c, _ in tasks], config.gamma)
 
     if jobs > 1:
         # No more workers than cells: the pool may start all of them at once.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_solve_cell, network, xs, c, config, oos_only)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_start_worker,
+                                 initargs=(models,)) as pool:
+            futures = [pool.submit(_solve_pooled, c, config, oos_only)
                        for c, oos_only in tasks]
             results = [_pooled_result(f, c) for f, (c, _) in zip(futures, tasks)]
     else:
-        results = [_solve_cell(network, xs, c, config, oos_only)
+        results = [_solve_cell(models, c, config, oos_only)
                    for c, oos_only in tasks]
 
     results.sort(key=lambda c: c.epsilons)

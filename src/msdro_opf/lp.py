@@ -30,7 +30,7 @@ The classical nonnegative KKT multiplier of an inequality is therefore
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, product, repeat
 from typing import NamedTuple
 
@@ -313,6 +313,36 @@ class Model:
         m._num_rows = int(np.count_nonzero(~drop))
         return m
 
+    def with_values(self, obj, name: str, vals) -> "Model":
+        """A copy with objective ``obj`` and ``vals`` for the coefficients
+        family ``name`` stores (same count and order, none zero). The
+        bounds, the families, the row layout and the matrix's column
+        structure are shared, not copied; only values are recomputed."""
+        fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))
+        obj = np.asarray(obj, dtype=float)
+        if fam.vals.shape != fam.cols.shape or obj.shape != self.obj.shape:
+            raise ValueError("with_values needs one value per coefficient "
+                             "and per column")
+        if not np.all(fam.vals != 0.0):
+            raise ValueError(f"a zero in family {name!r} would change the "
+                             "matrix's sparsity pattern")
+        self._columns()  # built here so that every copy shares it
+        m = Model(self.name)
+        m.lb, m.ub, m.obj = self.lb, self.ub, obj
+        m.families = dict(self.families)
+        m.families[name] = fam
+        m._num_rows = self._num_rows
+        m._cache = {key: self._cache[key]
+                    for key in ("senses", "highs_rows", "columns")}
+        rows, cols, _ = self._coo()
+        m._cache["coo"] = (rows, cols, m._values())
+        return m
+
+    def _values(self) -> np.ndarray:
+        """Every family's coefficients, in ``_coo`` order."""
+        return np.concatenate([np.zeros(0)]
+                              + [f.vals for f in self.families.values()])
+
     def _coo(self):
         """(row, column, value) of every coefficient, built once per model."""
         if "coo" not in self._cache:
@@ -321,7 +351,7 @@ class Model:
                 np.concatenate([np.zeros(0, np.int64)]
                                + [f.index[f.rows] for f in fams]),
                 np.concatenate([np.zeros(0, np.int64)] + [f.cols for f in fams]),
-                np.concatenate([np.zeros(0)] + [f.vals for f in fams]))
+                self._values())
         return self._cache["coo"]
 
     def _senses(self):
@@ -360,22 +390,50 @@ class Model:
             self._cache["highs_rows"] = (order, flip, lower, upper)
         return self._cache["highs_rows"]
 
+    def _columns(self):
+        """The ``_highs_rows`` layout's matrix structure, column-wise:
+        (indptr, indices, take, sign, starts). ``take`` orders ``_coo()``'s
+        coefficients by column and row, ``sign`` is their ``flip``, and
+        ``starts`` marks where each position's run of coefficients begins
+        (None when no position repeats). Built once per sparsity pattern;
+        ``with_values`` shares it."""
+        if "columns" not in self._cache:
+            order, flip, _, _ = self._highs_rows()
+            rows, cols, _ = self._coo()
+            at = np.empty(self._num_rows, np.int64)
+            at[order] = np.arange(self._num_rows)
+            rows = at[rows]
+            take = np.lexsort((rows, cols))
+            rows, cols = rows[take], cols[take]
+            new = np.ones(len(take), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            starts = np.flatnonzero(new)
+            indptr = np.searchsorted(cols[starts], np.arange(self.num_vars + 1))
+            self._cache["columns"] = (
+                indptr.astype(np.int32), rows[starts].astype(np.int32), take,
+                flip[rows], None if len(starts) == len(take) else starts)
+        return self._cache["columns"]
+
+    def _csc(self):
+        """(indptr, indices, data) of the ``_highs_rows`` layout's matrix
+        column-wise, rows ascending in each column and repeats summed: what
+        ``scipy.sparse.csc_matrix`` makes of the coefficient table."""
+        indptr, indices, take, sign, starts = self._columns()
+        data = self._coo()[2][take] * sign
+        if starts is not None:
+            data = np.add.reduceat(data, starts)
+        return indptr, indices, data
+
     def _load(self, highs) -> None:
         """Pass the model to ``highs`` as arrays, in the ``_highs_rows``
-        layout, its matrix column-wise straight from the coefficient table."""
-        order, flip, lower, upper = self._highs_rows()
-        rows, cols, vals = self._coo()
-        at = np.empty(self._num_rows, np.int64)
-        at[order] = np.arange(self._num_rows)
-        rows = at[rows]
-        a = sp.csc_matrix((vals * flip[rows], (rows, cols)),
-                          shape=(self._num_rows, self.num_vars))
+        layout, its matrix column-wise (``_csc``)."""
+        _, _, lower, upper = self._highs_rows()
+        indptr, indices, data = self._csc()
         # HiGHS refuses an empty integrality array; zeros mark continuous.
         status = highs.passModel(
-            self.num_vars, self._num_rows, a.nnz, int(MatrixFormat.kColwise),
+            self.num_vars, self._num_rows, len(data), int(MatrixFormat.kColwise),
             int(ObjSense.kMinimize), 0.0, self.obj, self.lb, self.ub, lower,
-            upper, a.indptr, a.indices, a.data,
-            np.zeros(self.num_vars, np.int32))
+            upper, indptr, indices, data, np.zeros(self.num_vars, np.int32))
         if status.name == "kError":
             raise SolverError(f"HiGHS rejected {self.summary()}")
 

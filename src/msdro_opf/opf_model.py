@@ -199,7 +199,7 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     rm = m.add_vars(n_g, obj=c_r)
     framp = m.add_vars(n_l)
     framm = m.add_vars(n_l)
-    lam_co = m.add_vars(d, obj=eps)
+    lam_co = m.add_vars(d)  # its costs are the budgets (with_budgets)
     tau = m.add_var(lb=-INFINITY, ub=0.0)
     nu = m.add_var(lb=-INFINITY)
     lam_cc = m.add_vars(d)
@@ -231,10 +231,12 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
         m, "co", d, lam_co, cols=alpha.T, coefs=-c_a[None, :],
         where=eps > 0.0, obj=(up_room.mean(axis=1), lo_room.mean(axis=1)))
 
-    # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi).
+    # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi),
+    # whose lam_cc coefficients are the budgets (with_budgets; a 1 here
+    # marks each positive one).
     m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
     m.add(family("cvar_budget", (),
-                 [(lam_cc, eps), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
+                 [(lam_cc, eps > 0.0), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
     # (rho) positive parts per (feature, row), the augmented one included;
     # row k's coefficients of xi are const[k] + coef[k] @ A.
@@ -261,8 +263,35 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     idx = {"p": p, "alpha": alpha, "rp": rp, "rm": rm, "framp": framp,
            "framm": framm, "lam_co": lam_co, "p_co": p_co, "q_co": q_co,
            "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
-    return OpfModel(model=m, network=network, data=data, support=support,
-                    b_g=b_g_map, b_w=b_w_map, idx=idx)
+    return with_budgets(OpfModel(model=m, network=network, data=data,
+                                 support=support, b_g=b_g_map, b_w=b_w_map,
+                                 idx=idx), eps)
+
+
+def with_budgets(built: OpfModel, epsilons) -> OpfModel:
+    """``built`` with the budgets ``epsilons`` written into its LP.
+
+    A budget enters the LP in two places: the cost of its ``lam_co`` column
+    and the ``lam_cc`` coefficient of the ``cvar_budget`` row. The copy
+    shares everything else with ``built.model`` (``lp.Model.with_values``)
+    and holds its own ``MultiDataset``. Budgets that are zero where
+    ``built``'s are not, or the other way round, are an ``InputError``:
+    they change which rows and columns the LP has.
+    """
+    data = MultiDataset(built.data.samples, epsilons)
+    eps, old = data.epsilons, built.data.epsilons
+    if not np.array_equal(eps > 0.0, old > 0.0):
+        raise InputError(f"budgets {eps.tolist()} are zero in other places "
+                         f"than {old.tolist()}, the model's")
+    m, lam_cc = built.model, built.idx["lam_cc"]
+    obj = m.obj.copy()
+    obj[built.idx["lam_co"]] = eps
+    budget = m.families["cvar_budget"]
+    vals = budget.vals.copy()
+    on = np.isin(budget.cols, lam_cc)
+    vals[on] = eps[budget.cols[on] - lam_cc[0]]
+    return replace(built, model=m.with_values(obj, "cvar_budget", vals),
+                   data=data)
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:

@@ -195,13 +195,14 @@ def test_run_sweep_jobs_parity(tmp_path, case5):
 
 def test_run_sweep_starts_no_more_workers_than_cells(case5, monkeypatch):
     """``jobs`` above the cell count asks the pool for one worker per cell.
-    The pool is replaced by one that runs each cell in this process and
-    records its size, so no worker process is started."""
+    The pool is replaced by one that runs its initializer and each cell in
+    this process and records its size, so no worker process is started."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -277,11 +278,11 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
 _solve_cell = evaluation._solve_cell
 
 
-def _die_at_cell(network, xs, eps, config, oos_only=False):
+def _die_at_cell(models, eps, config, oos_only=False):
     """``_solve_cell``, except that its process dies at cell (0.1, 0.1)."""
     if tuple(eps) == (0.1, 0.1):
         os._exit(9)
-    return _solve_cell(network, xs, eps, config, oos_only)
+    return _solve_cell(models, eps, config, oos_only)
 
 
 def cell_values(cell) -> list:
