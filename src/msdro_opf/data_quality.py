@@ -164,29 +164,34 @@ def parse_float(label: str, text: str) -> float:
         raise InputError(f"{label}: {exc}") from None
 
 
-def _read_header(path) -> tuple[list[str], str]:
-    """A CSV file's header cells, stripped, and the text after the header
-    row, line ends as written. A leading byte order mark is dropped; an
-    empty file, or one that is not UTF-8, is an ``InputError`` naming it."""
+def _read_header(path) -> tuple[list[str], str, int]:
+    """A CSV file's header cells, stripped, the text after the header row,
+    line ends as written, and the line that text starts on. A leading byte
+    order mark is dropped; an empty file, or one that is not UTF-8, is an
+    ``InputError`` naming it."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             text = io.StringIO(fh.read(), newline="")
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(text)
     try:
-        header = next(csv.reader(text))
+        header = next(reader)
     except StopIteration:
         raise InputError(f"{path}: empty file") from None
-    return [h.strip() for h in header], text.read()
+    return [h.strip() for h in header], text.read(), reader.line_num + 1
 
 
-def _rows(path, body: str, width: int):
-    """Each row of ``body``, the text after the header, as its ``path:line``
-    label (lines counted from 2) and its ``width`` cells. Rows that are
+def _rows(path, body: str, width: int, first: int):
+    """Each row of ``body``, text that starts on line ``first``, as its
+    ``path:line`` label (the line the row starts on, which a quoted cell
+    may carry over several lines) and its ``width`` cells. Rows that are
     blank or hold only blank cells are skipped; a row of another width is
     an ``InputError`` naming its line."""
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")),
-                                 start=2):
+    reader = csv.reader(io.StringIO(body, newline=""))
+    start = first
+    for row in reader:
+        lineno, start = start, first + reader.line_num
         if all(not cell.strip() for cell in row):
             continue
         if len(row) != width:
@@ -208,7 +213,7 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
     row, which accepts the same files and names the line of the first bad
     row.
     """
-    header, body = _read_header(path)
+    header, body, first = _read_header(path)
     if not header or not all(h.startswith("xi_") for h in header):
         raise InputError(f"{path}: expected header columns xi_1,...,xi_D, "
                          f"got {header}")
@@ -221,7 +226,7 @@ def read_samples_csv(path) -> tuple[list[str], np.ndarray]:
                          f"{names[-1]} in any order, got {header}")
     values = _plain_rows(body, len(header))
     if values is None:
-        values = _checked_rows(path, body, len(header))
+        values = _checked_rows(path, body, len(header), first)
     return names, values[:, [header.index(name) for name in names]].T
 
 
@@ -241,10 +246,10 @@ def _plain_rows(body: str, width: int) -> np.ndarray | None:
     return values
 
 
-def _checked_rows(path, body: str, width: int) -> np.ndarray:
+def _checked_rows(path, body: str, width: int, first: int) -> np.ndarray:
     """Parse sample rows one by one, refusing the first bad one by line."""
     rows = []
-    for label, row in _rows(path, body, width):
+    for label, row in _rows(path, body, width, first):
         values = [parse_float(label, cell) for cell in row]
         if not all(math.isfinite(v) for v in values):
             raise InputError(f"{label}: non-finite sample value")
@@ -265,11 +270,11 @@ def read_quality_csv(path, features=None) -> dict[str, float]:
     """Read a ``feature,epsilon`` file into a mapping in file order. A
     feature named twice, or one outside ``features`` when given, is an
     ``InputError`` naming its line."""
-    header, body = _read_header(path)
+    header, body, first = _read_header(path)
     if header != ["feature", "epsilon"]:
         raise InputError(f"{path}: expected header 'feature,epsilon', got {header}")
     out: dict[str, float] = {}
-    for label, (feature, cell) in _rows(path, body, 2):
+    for label, (feature, cell) in _rows(path, body, 2, first):
         eps = parse_float(label, cell)
         if not (math.isfinite(eps) and eps >= 0):
             raise InputError(f"{label}: epsilon must be a finite number >= 0")

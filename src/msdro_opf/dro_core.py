@@ -33,6 +33,7 @@ every free s_t into the basis.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -147,13 +148,24 @@ class MultiDataset:
                if not np.all(np.isfinite(s))]
         if bad:
             raise InputError(f"features {bad} have non-finite samples")
-        self.epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-        if len(self.epsilons) != len(self.samples):
+        self.epsilons = self._checked(epsilons)
+
+    def _checked(self, epsilons) -> np.ndarray:
+        """``epsilons`` as an array, one finite budget >= 0 per feature."""
+        epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
+        if len(epsilons) != len(self.samples):
             raise InputError("need one epsilon per feature")
-        if not np.all(np.isfinite(self.epsilons)):
+        if not np.all(np.isfinite(epsilons)):
             raise InputError("epsilons must be finite")
-        if np.any(self.epsilons < 0):
+        if np.any(epsilons < 0):
             raise InputError("epsilons must be >= 0")
+        return epsilons
+
+    def with_epsilons(self, epsilons) -> "MultiDataset":
+        """The same samples (shared, not copied) under other budgets."""
+        other = copy.copy(self)
+        other.epsilons = self._checked(epsilons)
+        return other
 
     @classmethod
     def from_matrix(cls, matrix, epsilons) -> "MultiDataset":

@@ -190,8 +190,10 @@ def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray) -> float:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(samples) == 0:
         return math.nan
-    lhs = samples @ a.T + b
-    return float(np.mean(np.any(lhs > VIOLATION_TOL, axis=1)))
+    # One row per constraint: any() then runs down columns, not along
+    # short rows; each entry is the same two-term dot product either way.
+    lhs = a @ samples.T + b[:, None]
+    return float(np.mean(np.any(lhs > VIOLATION_TOL, axis=0)))
 
 
 def empirical_violation(decision: OpfDecision, samples: np.ndarray,

@@ -392,10 +392,10 @@ class Model:
 
     def _columns(self):
         """The ``_highs_rows`` layout's matrix structure, column-wise:
-        (indptr, indices, take, sign, starts). ``take`` orders ``_coo()``'s
+        (indptr, indices, take, sign, runs). ``take`` orders ``_coo()``'s
         coefficients by column and row, ``sign`` is their ``flip``, and
-        ``starts`` marks where each position's run of coefficients begins
-        (None when no position repeats). Built once per sparsity pattern;
+        ``runs`` numbers the position each one adds into (None when no
+        position holds two). Built once per sparsity pattern;
         ``with_values`` shares it."""
         if "columns" not in self._cache:
             order, flip, _, _ = self._highs_rows()
@@ -411,17 +411,19 @@ class Model:
             indptr = np.searchsorted(cols[starts], np.arange(self.num_vars + 1))
             self._cache["columns"] = (
                 indptr.astype(np.int32), rows[starts].astype(np.int32), take,
-                flip[rows], None if len(starts) == len(take) else starts)
+                flip[rows],
+                None if len(starts) == len(take) else np.cumsum(new) - 1)
         return self._cache["columns"]
 
     def _csc(self):
         """(indptr, indices, data) of the ``_highs_rows`` layout's matrix
-        column-wise, rows ascending in each column and repeats summed: what
-        ``scipy.sparse.csc_matrix`` makes of the coefficient table."""
-        indptr, indices, take, sign, starts = self._columns()
+        column-wise, rows ascending in each column and repeats summed in
+        table order: what ``scipy.sparse.csc_matrix`` makes of the
+        coefficient table."""
+        indptr, indices, take, sign, runs = self._columns()
         data = self._coo()[2][take] * sign
-        if starts is not None:
-            data = np.add.reduceat(data, starts)
+        if runs is not None:
+            data = np.bincount(runs, weights=data, minlength=len(indices))
         return indptr, indices, data
 
     def _load(self, highs) -> None:
@@ -501,7 +503,7 @@ def _run_highs(highs, model: Model) -> LpSolution:
     if end == "optimal":
         solution = highs.getSolution()
         x = np.array(solution.col_value)
-        objective = float(highs.getInfo().objective_function_value)
+        objective = float(highs.getObjectiveValue())
         _, _, lower, upper = model._highs_rows()
         fault = _check(model, x, objective, upper - np.array(solution.row_value),
                        lower == upper)

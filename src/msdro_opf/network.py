@@ -131,7 +131,8 @@ class Network:
 
 
 def _require_finite(network: Network) -> None:
-    """Reject NaN or infinite numbers anywhere in the network data."""
+    """Reject numbers anywhere in the network data that are NaN, infinite
+    or too large for the solver (``_check_number``)."""
     numbers = [("base_mva", network.base_mva)]
     numbers += [(f"load at bus {bus}", d) for bus, d in network.loads.items()]
     for label, records in (("line", network.lines), ("generator", network.generators),
@@ -139,8 +140,18 @@ def _require_finite(network: Network) -> None:
         numbers += [(f"{label} {k} {name}", value) for k, rec in enumerate(records)
                     for name, value in vars(rec).items() if isinstance(value, float)]
     for label, value in numbers:
-        if not math.isfinite(value):
-            raise InputError(f"{label} is not a finite number ({value})")
+        _check_number(label, value)
+
+
+def _check_number(label: str, value: float) -> None:
+    """``InputError`` naming ``label`` unless ``value`` is finite and below
+    1e15 in magnitude. HiGHS rejects a model with a coefficient that large
+    (its ``large_matrix_value``) and takes costs and bounds from 1e20 on
+    as infinite."""
+    if not math.isfinite(value):
+        raise InputError(f"{label} is not a finite number ({value})")
+    if abs(value) >= 1e15:
+        raise InputError(f"{label} is {value:g}, not below 1e15 in magnitude")
 
 
 def bundled_network() -> Network:
@@ -153,17 +164,21 @@ def bundled_network() -> Network:
 def _number(path, field: str, value, bus: bool = False):
     """``value`` as a bus id (an int) or a float. Anything but a JSON number
     (a string, null, a list, a boolean), a bus id that is not a whole
-    number, or an integer too large for a float, is an InputError naming
-    file and field."""
+    number, an integer too large for a float, or a float that
+    ``_check_number`` refuses, is an InputError naming file and field."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (bus and isinstance(value, float) and not value.is_integer())):
         kind = "a whole bus id" if bus else "a number"
         raise InputError(f"{path}: {field} is {value!r}, not {kind}")
+    if bus:
+        return int(value)
     try:
-        return int(value) if bus else float(value)
+        number = float(value)
     except OverflowError:
         raise InputError(f"{path}: {field} is an integer too large for a "
                          "float") from None
+    _check_number(f"{path}: {field}", number)
+    return number
 
 
 def load_network(path) -> Network:

@@ -278,7 +278,7 @@ def with_budgets(built: OpfModel, epsilons) -> OpfModel:
     ``built``'s are not, or the other way round, are an ``InputError``:
     they change which rows and columns the LP has.
     """
-    data = MultiDataset(built.data.samples, epsilons)
+    data = built.data.with_epsilons(epsilons)
     eps, old = data.epsilons, built.data.epsilons
     if not np.array_equal(eps > 0.0, old > 0.0):
         raise InputError(f"budgets {eps.tolist()} are zero in other places "
@@ -288,8 +288,9 @@ def with_budgets(built: OpfModel, epsilons) -> OpfModel:
     obj[built.idx["lam_co"]] = eps
     budget = m.families["cvar_budget"]
     vals = budget.vals.copy()
-    on = np.isin(budget.cols, lam_cc)
-    vals[on] = eps[budget.cols[on] - lam_cc[0]]
+    j = budget.cols - lam_cc[0]  # lam_cc's columns are consecutive
+    on = (j >= 0) & (j < len(lam_cc))
+    vals[on] = eps[j[on]]
     return replace(built, model=m.with_values(obj, "cvar_budget", vals),
                    data=data)
 

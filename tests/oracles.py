@@ -805,7 +805,10 @@ def read_samples_by_row(path):
             raise InputError(
                 f"{path}: expected header columns xi_1,...,xi_D, got {header}")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            # The line the row starts on; a quoted cell may span lines.
+            lineno, start = start, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
@@ -820,3 +823,29 @@ def read_samples_by_row(path):
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return header, np.asarray(rows, dtype=float).T
+
+
+def truncnorm_draws(lo, up, loc, scale, n, rng):
+    """``scipy.stats.truncnorm.rvs`` on [lo, up] around ``loc``: the
+    reference for the package's own truncated normal draws."""
+    from scipy.stats import truncnorm
+
+    a, b = (lo - loc) / scale, (up - loc) / scale
+    with np.errstate(divide="ignore"):  # a uniform of 0 takes log(0)
+        return truncnorm.rvs(a, b, loc=loc, scale=scale, size=n,
+                             random_state=rng)
+
+
+def scipy_csc(model):
+    """The model's matrix in the HiGHS row layout as
+    ``scipy.sparse.csc_matrix`` builds it from the coefficient table:
+    what the package handed HiGHS before it kept the column structure."""
+    import scipy.sparse as sp
+
+    order, flip, _, _ = model._highs_rows()
+    rows, cols, vals = model._coo()
+    at = np.empty(model.num_constraints, np.int64)
+    at[order] = np.arange(model.num_constraints)
+    rows = at[rows]
+    return sp.csc_matrix((vals * flip[rows], (rows, cols)),
+                         shape=(model.num_constraints, model.num_vars))

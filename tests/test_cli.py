@@ -334,15 +334,20 @@ def test_solve_rejects_a_repeated_load_bus(tmp_path, capsys):
     (lambda raw: raw["generators"][2].update(p_max=10**400),
      "generators[2].p_max is an integer too large for a float"),
     (lambda raw: raw["resources"][0].update(u_max=10**400),
-     "resources[0].u_max is an integer too large for a float")],
+     "resources[0].u_max is an integer too large for a float"),
+    (lambda raw: raw["generators"][0].update(c_A=-1e15),
+     "generators[0].c_A is -1e+15, not below 1e15 in magnitude"),
+    (lambda raw: raw["generators"][0].update(c_E=1e19),
+     "generators[0].c_E is 1e+19, not below 1e15 in magnitude")],
     ids=["self-loop", "bus", "p_max", "bus-text", "p_max-text", "p_max-huge",
-         "u_max-huge"])
+         "u_max-huge", "c_A-beyond-highs", "c_E-beyond-highs"])
 def test_solve_rejects_a_network_file_it_used_to_bend(tmp_path, capsys, edit,
                                                       message):
     """A line from bus 2 to itself got a made-up flow (exit 3, infeasible);
     bus 1.7, p_max true and the texts " 1 " and "0.4" solved as bus 1 and
     p_max 1.0 or 0.4 (exit 0); a 401-digit integer ended in an
-    ``OverflowError`` traceback (exit 1)."""
+    ``OverflowError`` traceback (exit 1); c_A = -1e15 and c_E = 1e19 ended
+    in HiGHS errors (exit 4)."""
     raw = json.loads(CASE5.read_text())
     edit(raw)
     net_path = tmp_path / "net.json"
@@ -353,6 +358,17 @@ def test_solve_rejects_a_network_file_it_used_to_bend(tmp_path, capsys, edit,
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_solve_takes_a_network_cost_just_below_the_limit(tmp_path):
+    """The 1e15 bound refuses only what HiGHS could not take: c_A = -5e14
+    solves."""
+    raw = json.loads(CASE5.read_text())
+    raw["generators"][0]["c_A"] = -5e14
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(raw))
+    assert run("solve", "--network", net_path, "--train", 5, "--eps", 0.1,
+               0.1, "--out", tmp_path / "run") == EXIT_OK
 
 
 def test_solve_rejects_non_finite_training_data(tmp_path, capsys):

@@ -288,6 +288,8 @@ SAMPLE_FILES = [
     "xi_1\n\u0661\n",
     "xi_1\n\u20031\u2003\n",
     "xi_1,xi_2\n1,2\n3\n",
+    'xi_1,xi_2\n"1\n",2\n3,x\n',
+    '"xi_1\n",xi_2\n1,2\n3,x\n',
     "xi_1,xi_2\n1,2\n\n3,4,5\n",
     "xi_1,xi_2\n1,2,\n",
     "xi_1,xi_2\n1,2,3\n4,5,6\n",
@@ -328,6 +330,22 @@ def test_samples_csv_matches_row_by_row_reader(tmp_path, text):
     assert names == expect[0]
     assert values.shape == expect[1].shape
     assert np.array_equal(values, expect[1])
+
+
+@pytest.mark.parametrize("text", ['xi_1,xi_2\n"1\n",2\n3,x\n',
+                                  '"xi_1\n",xi_2\n1,2\n3,x\n'])
+def test_sample_readers_name_the_line_after_a_cell_across_lines(tmp_path,
+                                                                text):
+    """A quoted cell (or header cell) that spans lines 2-3 leaves the bad
+    row on line 4, where both readers place it; counting records put it on
+    line 3."""
+    path = tmp_path / "samples.csv"
+    path.write_bytes(text.encode())
+    message = f"{path}:4: could not convert string to float: 'x'"
+    for read in (read_samples_csv, read_samples_by_row):
+        with pytest.raises(InputError) as exc:
+            read(path)
+        assert str(exc.value) == message
 
 
 def test_samples_csv_matches_row_by_row_reader_on_a_large_file(tmp_path):
@@ -383,6 +401,8 @@ def test_quality_csv_roundtrip(tmp_path):
     ("feature,epsilon\n\n , \n", ": no quality rows"),
     ("feature,epsilon\nxi_1,0.1\nxi_3,0.2\n",
      ":3: feature 'xi_3' is not one of xi_1, xi_2"),
+    ('feature,epsilon\n"xi_1\n",0.1\nxi_2,x\n',
+     ":4: could not convert string to float: 'x'"),
     # Rows both readers share: {header} is each file's own header.
     ("{header}\n1,2,3\n", ":2: expected 2 columns"),
     ("{header}\n\n1,wide\n", ":3: could not convert string to float: 'wide'"),

@@ -21,6 +21,8 @@ from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_support)
 
+from oracles import bits, truncnorm_draws
+
 RESOURCE = Resource(2, 1.0, 0.0, 2.0, 0.6)
 
 SWEEP_FILES = ["cost_components.csv", "dispatch.csv", "lambdas.csv",
@@ -85,6 +87,71 @@ def test_training_forecast_shift_mode():
     assert xs.max() <= box.upper[0] + 1e-12
     with pytest.raises(InputError):
         generate_training_samples(RESOURCE, 10, seed=1, error_mean="bogus")
+
+
+def random_truncation(rng, kind: str) -> tuple:
+    """(lo, up, loc, scale) whose standardized bounds a = (lo - loc) / scale
+    and b = (up - loc) / scale fall in one case of truncnorm's inverse CDF:
+    the Gaussian mass left of 0 (b <= 0), right of 0 (a > 0), around 0, a
+    bound on loc (a = 0 or b = 0), or both bounds in one far tail."""
+    loc, scale = rng.normal(0.0, 2.0), rng.uniform(1e-3, 5.0)
+    width = rng.uniform(1e-3, 4.0)
+    if kind == "left":
+        b = -rng.uniform(0.0, 4.0)
+        a = b - width
+    elif kind == "right":
+        a = rng.uniform(1e-9, 4.0)
+        b = a + width
+    elif kind == "central":
+        a, b = -rng.uniform(1e-9, 6.0), rng.uniform(1e-9, 6.0)
+    elif kind == "on-bound":
+        a, b = (0.0, width) if rng.random() < 0.5 else (-width, 0.0)
+    else:  # far tail
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 38.0)
+        b = a + rng.uniform(1e-3, 5.0)
+    return loc + a * scale, loc + b * scale, loc, scale
+
+
+@pytest.mark.parametrize("kind", ["left", "right", "central", "on-bound",
+                                  "far-tail"])
+def test_draws_are_scipys_truncnorm_bit_for_bit(kind):
+    """The package's truncated normal draws are ``truncnorm.rvs``'s floats
+    on random bounds, locations, scales, sizes and seeds."""
+    rng = np.random.default_rng(["left", "right", "central", "on-bound",
+                                 "far-tail"].index(kind))
+    for _ in range(40):
+        lo, up, loc, scale = random_truncation(rng, kind)
+        n, seed = int(rng.integers(0, 1500)), int(rng.integers(2**63))
+        got = evaluation._truncated_draw(None, loc, scale, n, seed, (lo, up))
+        want = truncnorm_draws(lo, up, loc, scale, n,
+                               np.random.default_rng(seed))
+        assert bits(got) == bits(want), (lo, up, loc, scale, n, seed)
+
+
+class FixedUniform(np.random.Generator):
+    """A generator whose ``uniform`` returns the given values."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = np.asarray(values, dtype=float)
+
+    def uniform(self, size=None):
+        return self.values.copy()
+
+
+def test_draws_at_the_ends_of_the_unit_interval(monkeypatch):
+    """Uniforms of 0 (the draw is the lower bound), the smallest ones and
+    the largest below 1 give truncnorm's floats in every case."""
+    q = [0.0, 5e-324, 1e-300, 1e-17, 0.5, 1 - 2**-53, np.nextafter(1, 0)]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: FixedUniform(q))
+    for a, b in ((-2.0, 3.0), (-40.0, -30.0), (30.0, 40.0), (0.0, 2.0),
+                 (-2.0, 0.0), (-1e-3, 1e-3), (-38.0, -37.999), (5.0, 5.0001)):
+        lo, up = 0.3 + 2.0 * a, 0.3 + 2.0 * b
+        got = evaluation._truncated_draw(None, 0.3, 2.0, len(q), 0, (lo, up))
+        assert bits(got) == bits(truncnorm_draws(lo, up, 0.3, 2.0, len(q),
+                                                 FixedUniform(q))), (a, b)
+        assert got[0] == pytest.approx(lo, abs=1e-12)
 
 
 def test_oos_samples_zero_budget_uses_training_spread():
@@ -273,6 +340,30 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     oos_status = {o.epsilons: o.status for o in res.oos}
     assert oos_status.pop((1.0, 1.0)) == "error"
     assert set(oos_status.values()) == {"optimal"}
+
+
+def test_a_pattern_that_fails_to_build_fails_its_cells(case5, monkeypatch):
+    """Cells share one build per zero pattern, so a build error is recorded
+    on every cell of its pattern, and only there."""
+    from msdro_opf import opf_model
+
+    build = opf_model.build_msdro_opf
+
+    def failing(network, data, gamma):
+        if data.epsilons[0] == 0.0 and data.epsilons[1] > 0.0:
+            raise InputError("no model here")
+        return build(network, data, gamma)
+
+    monkeypatch.setattr(opf_model, "build_msdro_opf", failing)
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
+    res = run_sweep(case5, cfg)
+    for cell in res.oos:
+        if cell.epsilons[0] == 0.0 and cell.epsilons[1] > 0.0:
+            assert (cell.status, cell.message) == ("error",
+                                                   "InputError: no model here")
+        else:
+            assert cell.optimal, cell.epsilons
+    assert sum(c.status == "error" for c in res.oos) == 2
 
 
 _solve_cell = evaluation._solve_cell

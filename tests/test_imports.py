@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every public
-name the package defines has a reader, and one module reads and writes
-the CSV tables.
+name the package defines has a reader, one module reads and writes the
+CSV tables, and no module imports ``scipy.stats``.
 
 Stdlib ``ast`` checks: an imported name counts as used when it is read
 anywhere in the module or listed in its ``__all__``. A top-level public
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import msdro_opf
-from test_readme import python_blocks
+from test_readme import python_blocks, run_fresh
 
 SRC = Path(msdro_opf.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,3 +141,53 @@ def test_one_module_reads_and_writes_csv_tables():
              for call in ("csv.writer", "csv.reader")}
     assert sites == {"csv.writer": {"data_quality.py": ["write_csv"]},
                      "csv.reader": {"data_quality.py": ["_read_header", "_rows"]}}
+
+
+def stats_imports(source: str) -> list:
+    """Each import of ``scipy.stats`` (or a module under it) in ``source``,
+    at any depth, as the text of the import statement."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.stats" or n.startswith("scipy.stats.")
+               for n in names):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_stats_imports_finds_each_form():
+    source = ("import scipy.special\nfrom scipy import sparse, stats\n"
+              "def f():\n    from scipy.stats import truncnorm\n"
+              "    import scipy.stats._distn_infrastructure as d\n"
+              "from scipy.statsmodels import x\n")
+    assert stats_imports(source) == [
+        "from scipy import sparse, stats",
+        "from scipy.stats import truncnorm",
+        "import scipy.stats._distn_infrastructure as d"]
+
+
+def test_no_module_imports_scipy_stats():
+    """The truncated normal draws compute ``truncnorm.rvs`` from
+    ``scipy.special``; ``scipy.stats`` takes about a second to load."""
+    found = {path.name: imports for path in sorted(SRC.glob("*.py"))
+             if (imports := stats_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_a_sweep_does_not_load_scipy_stats(tmp_path):
+    result = run_fresh(f"""
+        import contextlib, io, json, sys
+        from msdro_opf.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--grid", "1", "0.1", "--n-samples", "5",
+                         "--oos-samples", "20", "--out", {str(tmp_path)!r}])
+        print(json.dumps({{"code": code,
+                           "stats": "scipy.stats" in sys.modules}}))
+    """)
+    assert result == {"code": 0, "stats": False}
+    assert (tmp_path / "oos.csv").exists()

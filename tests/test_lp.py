@@ -11,7 +11,7 @@ from msdro_opf.lp import (EQ, GE, INFINITY, LE, Model, SolverError,
                           family)
 from msdro_opf.opf_model import build_msdro_opf
 
-from oracles import add_row, bits, row_dual, row_multiplier
+from oracles import add_row, bits, row_dual, row_multiplier, scipy_csc
 
 
 def build_cover_model():
@@ -224,6 +224,61 @@ def test_row_views_read_the_csr_matrix():
     assert [r.cols.tolist() for r in rows] == [[0, 2], [1]]
     assert [r.vals.tolist() for r in rows] == [[2.0, 1.0], [4.0]]
     assert sum(len(r.cols) for r in rows) == m._matrix().nnz == 3
+
+
+def test_column_arrays_are_scipys_bit_for_bit():
+    """The column-wise matrix ``_load`` hands HiGHS (its structure cached,
+    values gathered per model) is the one scipy builds from the
+    coefficient table: repeats in one position summed in table order, the
+    ``>=`` rows negated, on toys and on OPF models."""
+    repeats = Model()
+    x = repeats.add_vars(3)
+    repeats.add(family("mix", 2, [(x[[2, 1]], 1.0), (x[[0, 1]], [2.0, 3.0])],
+                       LE, 1.0))
+    repeats.add(family("thrice", (), [(x[0], 0.1), (x[0], 0.2), (x[0], 0.3)],
+                       GE, 0.0))
+    data = MultiDataset.from_matrix([[0.01, -0.02, 0.03], [0.0, 0.02, -0.01]],
+                                    [0.1, 0.0])
+    from msdro_opf.network import bundled_network
+    opf = build_msdro_opf(bundled_network(), data, 0.05).model
+    for model in (repeats, build_cover_model()[0], _toy_by_families(), opf):
+        indptr, indices, values = model._csc()
+        want = scipy_csc(model)
+        assert np.array_equal(indptr, want.indptr)
+        assert np.array_equal(indices, want.indices)
+        assert bits(values) == bits(want.data)
+    assert repeats._columns()[4] is not None  # the repeats took the sum path
+
+
+def test_with_values_shares_the_structure_and_solves_as_built():
+    """A copy with other objective and family values shares bounds, row
+    layout and column structure, and solves as the model built with those
+    values; the original is unchanged."""
+    base = cover_with_extra()
+    edited = base.with_values([2.5, 3.0, 0.5], "cover", [1.0, 2.0, 0.5])
+    built = Model("cover")
+    xx = built.add_var(obj=2.5)
+    yy = built.add_var(obj=3.0)
+    zz = built.add_var(obj=0.5)
+    for name, cols, vals, sense, b in (
+            ("cover", [xx, yy, zz], [1.0, 2.0, 0.5], GE, 4.0),
+            ("floor", [yy], [1.0], GE, 0.5), ("zcap", [zz], [1.0], LE, 1.0),
+            ("cap", [xx], [1.0], LE, 10.0)):
+        built.add(family(name, (), [(np.array(cols), np.array(vals))], sense, b))
+    assert edited._columns() is base._columns()
+    assert edited.lb is base.lb and edited.ub is base.ub
+    assert edited._highs_rows() is base._highs_rows()
+    for got, want in zip(edited._csc(), built._csc()):
+        assert bits(got) == bits(want)
+    got, want = edited.solve(), built.solve()
+    assert got.objective == want.objective
+    assert bits(got.x) == bits(want.x) and bits(got.duals) == bits(want.duals)
+    assert base.families["cover"].vals.tolist() == [1.0, 1.0, 1.0]
+    assert base.obj.tolist() == [2.0, 3.0, 1.0]
+    with pytest.raises(ValueError, match="sparsity"):
+        base.with_values(base.obj, "cover", [1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="one value per"):
+        base.with_values(base.obj, "cover", [1.0, 1.0])
 
 
 def test_interleaved_families_need_equal_shapes():

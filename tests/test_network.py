@@ -156,6 +156,32 @@ def test_load_network_rejects_an_integer_too_large_for_a_float(tmp_path,
         load_network(path)
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("generators[0].c_A", -1e15, "-1e+15"), ("generators[0].c_E", 1e19, "1e+19"),
+    ("generators[2].c_A", -6.07e262, "-6.07e+262"),
+    ("lines[0].f_max", 10**15, "1e+15")])
+def test_load_network_rejects_a_number_too_large_for_the_solver(
+        tmp_path, field, value, shown):
+    """HiGHS rejected the model (-1e15, -6.07e262) or ended without a status
+    (1e19): exit 4 instead of an input error."""
+    path = write_case5(tmp_path, field, value)
+    with pytest.raises(InputError, match=re.escape(
+            f"{path}: {field} is {shown}, not below 1e15 in magnitude") + "$"):
+        load_network(path)
+
+
+def test_network_rejects_a_number_too_large_for_the_solver():
+    gen = Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)
+    good = dict(buses=[1, 2], lines=[Line(1, 2, 0.1, 5.0)], generators=[gen],
+                loads={2: 3.0}, resources=[Resource(2, 0.5, 0.0, 1.0, 0.5)])
+    Network(**dict(good, generators=[replace(gen, c_A=-5e14)]))
+    with pytest.raises(InputError, match=re.escape(
+            "generator 0 c_A is -1e+15, not below 1e15 in magnitude")):
+        Network(**dict(good, generators=[replace(gen, c_A=-1e15)]))
+    with pytest.raises(InputError, match="load at bus 2 is 1e"):
+        Network(**dict(good, loads={2: 1e20}))
+
+
 def test_load_network_rejects_an_integer_too_long_to_read(tmp_path):
     """json.load raises a plain ValueError on an integer of more digits
     than Python converts from text (4 300 by default)."""

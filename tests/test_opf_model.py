@@ -9,12 +9,13 @@ from scipy.optimize import linprog
 from msdro_opf import MultiDataset, lp, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
 from msdro_opf.errors import InputError
-from msdro_opf.evaluation import DEFAULT_GRID, empirical_violation
+from msdro_opf.evaluation import (DEFAULT_GRID, derive_seed,
+                                  empirical_violation, training_matrix)
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support, compute_flow_maps)
 from msdro_opf.opf_model import (build_msdro_opf, cvar_tightening_rerun,
                                  idle_balancers, joint_constraint_rows,
-                                 risk_level)
+                                 risk_level, with_budgets)
 
 from msdro_opf.valuation import (envelope_check,
                                  forecast_value_decomposition,
@@ -467,3 +468,40 @@ def test_rerun_without_highs_bindings_solves_the_pinned_model_cold(
     assert rerun.objective == cold.objective
     assert bits(rerun.lp_solution.x) == bits(cold.x)
     assert bits(rerun.lp_solution.duals) == bits(cold.duals)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_with_budgets_is_the_build_bit_for_bit(case5, seed):
+    """On every cell of the default grid and the zero column, the model
+    built at the first cell of the cell's zero pattern, with the cell's
+    budgets written in, is the model built at the cell: the same costs,
+    column bounds, row bounds and column arrays HiGHS receives."""
+    xs = training_matrix(case5, 20, derive_seed(seed, "train"))
+    patterns = {}
+    for cell in itertools.product(DEFAULT_GRID + (0.0,), repeat=2):
+        data = MultiDataset.from_matrix(xs, list(cell))
+        want = build_msdro_opf(case5, data, 0.05)
+        base = patterns.setdefault(tuple(e > 0 for e in cell), want)
+        got = with_budgets(base, cell)
+        assert got.data.epsilons.tolist() == list(cell)
+        assert got.data.samples is base.data.samples
+        for part in ("obj", "lb", "ub"):
+            assert bits(getattr(got.model, part)) == \
+                bits(getattr(want.model, part)), (cell, part)
+        for g, w in zip(got.model._highs_rows() + got.model._csc(),
+                        want.model._highs_rows() + want.model._csc()):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), cell
+        assert got.model.num_constraints == want.model.num_constraints
+    assert len(patterns) == 4
+
+
+def test_with_budgets_refuses_another_zero_pattern(case5, train20):
+    built = build_msdro_opf(
+        case5, MultiDataset.from_matrix(train20, [0.1, 0.0]), 0.05)
+    for eps in ((0.1, 0.1), (0.0, 0.0), (0.0, 0.1)):
+        with pytest.raises(InputError, match="zero in other places"):
+            with_budgets(built, eps)
+    with pytest.raises(InputError, match="one epsilon per feature"):
+        with_budgets(built, (0.1,))
+    assert with_budgets(built, (2.0, 0.0)).data.epsilons.tolist() == [2.0, 0.0]
+    assert built.data.epsilons.tolist() == [0.1, 0.0]
