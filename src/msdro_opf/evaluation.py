@@ -190,8 +190,8 @@ def violation_rate(a: np.ndarray, b: np.ndarray, samples: np.ndarray) -> float:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(samples) == 0:
         return math.nan
-    # One row per constraint: any() then runs down columns, not along
-    # short rows; each entry is the same two-term dot product either way.
+    # One row per constraint, so any() runs down columns, not along short
+    # rows; each entry is the same dot product as in samples @ a.T.
     lhs = a @ samples.T + b[:, None]
     return float(np.mean(np.any(lhs > VIOLATION_TOL, axis=0)))
 

@@ -76,8 +76,8 @@ def test_package_root_is_lean():
 
 
 def test_cli_does_not_load_scipy_stats():
-    """Every ``msdro`` command imports the CLI; ``scipy.stats`` is loaded
-    only when the sweep or ``oos`` draws truncated normal samples."""
+    """Every ``msdro`` command imports the CLI, which does not load
+    ``scipy.stats``; a whole sweep does not either (``test_imports``)."""
     result = run_fresh("""
         import json, sys
         import msdro_opf.cli
