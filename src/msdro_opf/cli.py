@@ -248,8 +248,7 @@ def cmd_oos(args) -> int:
         return solved
     sol, net_src, data_src = solved
     network, eps = sol.built.network, sol.built.data.epsilons.tolist()
-    samples = oos_matrix(network, eps, args.oos_samples, args.seed,
-                         sol.built.support)
+    samples = oos_matrix(network, eps, args.oos_samples, args.seed)
     rate = empirical_violation(sol.decision, samples, network,
                                flow_maps=(sol.built.b_g, sol.built.b_w))
     print(f"objective: {fmt(sol.objective)}")

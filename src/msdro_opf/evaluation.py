@@ -26,9 +26,9 @@ import numpy as np
 
 from . import opf_model
 from .data_quality import write_csv
-from .dro_core import BoxSupport, MultiDataset
+from .dro_core import MultiDataset
 from .errors import InputError
-from .network import Network, build_joint_support, build_support
+from .network import Network, build_support
 from .opf_model import (OpfDecision, cvar_tightening_rerun,
                         joint_constraint_rows, risk_level, with_budgets)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
@@ -99,19 +99,22 @@ def _log_gauss_mass(a: float, b: float) -> float:
     return float(log1p(-ndtr(a) - ndtr(-b)))
 
 
-def _truncated_draw(resource, loc: float, scale: float, n: int, seed: int,
-                    bounds: tuple | None = None) -> np.ndarray:
-    """Normal draws around ``loc`` truncated to ``bounds`` (lo, up), by
-    default the resource's error support.
+def _truncated_draw(resource, loc: float, scale: float, n: int,
+                    seed: int) -> np.ndarray:
+    """Normal draws around ``loc`` truncated to the resource's error support."""
+    sup = build_support(resource)
+    return _draw_between(float(sup.lower[0]), float(sup.upper[0]), loc, scale,
+                         n, seed)
+
+
+def _draw_between(lo: float, up: float, loc: float, scale: float, n: int,
+                  seed: int) -> np.ndarray:
+    """Normal draws around ``loc`` truncated to [lo, up].
 
     The same floats as ``scipy.stats.truncnorm.rvs(a, b, loc, scale, n,
     rng)``: its inverse CDF (the form from the left for a < 0, the mirrored
     one otherwise) at ``rng.uniform(size=n)``, scaled and shifted.
     """
-    if bounds is None:
-        sup = build_support(resource)
-        bounds = float(sup.lower[0]), float(sup.upper[0])
-    lo, up = bounds
     if up - lo <= 0:
         return np.zeros(n)
     if scale <= 0:
@@ -147,12 +150,11 @@ def generate_training_samples(resource, n: int, seed: int,
     return _truncated_draw(resource, loc, S_FRACTION * resource.u, n, seed)
 
 
-def generate_oos_samples(resource, epsilon: float, n: int, seed: int,
-                         bounds: tuple | None = None) -> np.ndarray:
-    """Zero-mean out-of-sample errors with spread widened by epsilon,
-    inside ``bounds``, the resource's error support when omitted."""
+def generate_oos_samples(resource, epsilon: float, n: int,
+                         seed: int) -> np.ndarray:
+    """Zero-mean out-of-sample errors with spread widened by epsilon."""
     scale = S_FRACTION * resource.u + s_pert(epsilon)
-    return _truncated_draw(resource, 0.0, scale, n, seed, bounds)
+    return _truncated_draw(resource, 0.0, scale, n, seed)
 
 
 def training_matrix(network: Network, n: int, seed: int,
@@ -164,21 +166,13 @@ def training_matrix(network: Network, n: int, seed: int,
     return np.vstack(rows) if rows else np.zeros((0, n))
 
 
-def oos_matrix(network: Network, epsilons, n: int, seed: int,
-               support: BoxSupport | None = None) -> np.ndarray:
-    """n x D out-of-sample error vectors for a given budget vector.
-
-    ``support`` is the network's joint error support, such as the one a
-    built model stores; it is built when omitted.
-    """
+def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
+    """n x D out-of-sample error vectors for a given budget vector."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     cell = tuple(float(e) for e in epsilons)
-    if support is None:
-        support = build_joint_support(network)
-    bounds = zip(support.lower.tolist(), support.upper.tolist())
     cols = [generate_oos_samples(r, epsilons[j], n,
-                                 derive_seed(seed, "oos", cell, j), box)
-            for j, (r, box) in enumerate(zip(network.resources, bounds))]
+                                 derive_seed(seed, "oos", cell, j))
+            for j, r in enumerate(network.resources)]
     return np.column_stack(cols) if cols else np.zeros((n, 0))
 
 
@@ -316,7 +310,7 @@ def _solve_cell(models: dict, eps, config: SweepConfig,
         if not base.optimal:
             return CellResult(cell, base.status)
         samples = oos_matrix(built.network, cell, config.oos_samples,
-                             config.seed, built.support)
+                             config.seed)
         rate = empirical_violation(base.decision, samples, built.network,
                                    flow_maps=(built.b_g, built.b_w))
         result = (CellResult(cell, "optimal") if oos_only

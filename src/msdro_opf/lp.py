@@ -316,8 +316,9 @@ class Model:
     def with_values(self, obj, name: str, vals) -> "Model":
         """A copy with objective ``obj`` and ``vals`` for the coefficients
         family ``name`` stores (same count and order, none zero). The
-        bounds, the families, the row layout and the matrix's column
-        structure are shared, not copied; only values are recomputed."""
+        bounds are copied, so ``fix_var`` on either model leaves the other
+        alone; the families, the row layout and the matrix's column
+        structure are shared, and only values are recomputed."""
         fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))
         obj = np.asarray(obj, dtype=float)
         if fam.vals.shape != fam.cols.shape or obj.shape != self.obj.shape:
@@ -328,7 +329,7 @@ class Model:
                              "matrix's sparsity pattern")
         self._columns()  # built here so that every copy shares it
         m = Model(self.name)
-        m.lb, m.ub, m.obj = self.lb, self.ub, obj
+        m.lb, m.ub, m.obj = self.lb.copy(), self.ub.copy(), obj
         m.families = dict(self.families)
         m.families[name] = fam
         m._num_rows = self._num_rows

@@ -122,7 +122,7 @@ def test_draws_are_scipys_truncnorm_bit_for_bit(kind):
     for _ in range(40):
         lo, up, loc, scale = random_truncation(rng, kind)
         n, seed = int(rng.integers(0, 1500)), int(rng.integers(2**63))
-        got = evaluation._truncated_draw(None, loc, scale, n, seed, (lo, up))
+        got = evaluation._draw_between(lo, up, loc, scale, n, seed)
         want = truncnorm_draws(lo, up, loc, scale, n,
                                np.random.default_rng(seed))
         assert bits(got) == bits(want), (lo, up, loc, scale, n, seed)
@@ -148,7 +148,7 @@ def test_draws_at_the_ends_of_the_unit_interval(monkeypatch):
     for a, b in ((-2.0, 3.0), (-40.0, -30.0), (30.0, 40.0), (0.0, 2.0),
                  (-2.0, 0.0), (-1e-3, 1e-3), (-38.0, -37.999), (5.0, 5.0001)):
         lo, up = 0.3 + 2.0 * a, 0.3 + 2.0 * b
-        got = evaluation._truncated_draw(None, 0.3, 2.0, len(q), 0, (lo, up))
+        got = evaluation._draw_between(lo, up, 0.3, 2.0, len(q), 0)
         assert bits(got) == bits(truncnorm_draws(lo, up, 0.3, 2.0, len(q),
                                                  FixedUniform(q))), (a, b)
         assert got[0] == pytest.approx(lo, abs=1e-12)

@@ -251,9 +251,9 @@ def test_column_arrays_are_scipys_bit_for_bit():
 
 
 def test_with_values_shares_the_structure_and_solves_as_built():
-    """A copy with other objective and family values shares bounds, row
-    layout and column structure, and solves as the model built with those
-    values; the original is unchanged."""
+    """A copy with other objective and family values shares row layout and
+    column structure, and solves as the model built with those values; the
+    original is unchanged, also when the copy's bounds are fixed."""
     base = cover_with_extra()
     edited = base.with_values([2.5, 3.0, 0.5], "cover", [1.0, 2.0, 0.5])
     built = Model("cover")
@@ -266,7 +266,7 @@ def test_with_values_shares_the_structure_and_solves_as_built():
             ("cap", [xx], [1.0], LE, 10.0)):
         built.add(family(name, (), [(np.array(cols), np.array(vals))], sense, b))
     assert edited._columns() is base._columns()
-    assert edited.lb is base.lb and edited.ub is base.ub
+    assert bits(edited.lb) == bits(base.lb) and bits(edited.ub) == bits(base.ub)
     assert edited._highs_rows() is base._highs_rows()
     for got, want in zip(edited._csc(), built._csc()):
         assert bits(got) == bits(want)
@@ -275,6 +275,9 @@ def test_with_values_shares_the_structure_and_solves_as_built():
     assert bits(got.x) == bits(want.x) and bits(got.duals) == bits(want.duals)
     assert base.families["cover"].vals.tolist() == [1.0, 1.0, 1.0]
     assert base.obj.tolist() == [2.0, 3.0, 1.0]
+    lb, ub = base.lb.copy(), base.ub.copy()
+    edited.fix_var(0, 1.0)
+    assert bits(base.lb) == bits(lb) and bits(base.ub) == bits(ub)
     with pytest.raises(ValueError, match="sparsity"):
         base.with_values(base.obj, "cover", [1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="one value per"):

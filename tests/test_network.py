@@ -159,11 +159,12 @@ def test_load_network_rejects_an_integer_too_large_for_a_float(tmp_path,
 @pytest.mark.parametrize("field, value, shown", [
     ("generators[0].c_A", -1e15, "-1e+15"), ("generators[0].c_E", 1e19, "1e+19"),
     ("generators[2].c_A", -6.07e262, "-6.07e+262"),
-    ("lines[0].f_max", 10**15, "1e+15")])
+    ("lines[0].f_max", 10**16, "1e+16")])
 def test_load_network_rejects_a_number_too_large_for_the_solver(
         tmp_path, field, value, shown):
     """HiGHS rejected the model (-1e15, -6.07e262) or ended without a status
-    (1e19): exit 4 instead of an input error."""
+    (1e19): exit 4 instead of an input error; f_max = 1e16 made case5
+    infeasible (exit 3), though f_max = 1e15 solved."""
     path = write_case5(tmp_path, field, value)
     with pytest.raises(InputError, match=re.escape(
             f"{path}: {field} is {shown}, not below 1e15 in magnitude") + "$"):
