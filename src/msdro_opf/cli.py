@@ -271,6 +271,15 @@ def cmd_oos(args) -> int:
     return EXIT_OK
 
 
+def _float(text: str) -> float:
+    """argparse type: a float in the number grammar of the input files
+    (``parse_float``)."""
+    try:
+        return parse_float("", text)
+    except InputError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _at_least(minimum: int):
     """argparse type: an integer no smaller than ``minimum``."""
     def parse(text: str) -> int:
@@ -299,7 +308,7 @@ def _out_dir(text: str) -> Path:
 def _add_common_model_flags(sub) -> None:
     sub.add_argument("--network", type=Path, default=None,
                      help="network JSON file (default: bundled case5)")
-    sub.add_argument("--gamma", type=float, default=0.05,
+    sub.add_argument("--gamma", type=_float, default=0.05,
                      help="joint chance-constraint risk level")
     sub.add_argument("--seed", type=int, default=1, help="master seed")
     sub.add_argument("--error-mean", choices=["zero", "forecast-shift"],
@@ -317,7 +326,7 @@ def _add_data_flags(sub) -> None:
                         help="generate this many training samples instead "
                              "(default 20)")
     budgets = sub.add_mutually_exclusive_group()
-    budgets.add_argument("--eps", type=float, nargs="+", default=None,
+    budgets.add_argument("--eps", type=_float, nargs="+", default=None,
                          help="per-feature Wasserstein budgets")
     budgets.add_argument("--quality", type=Path, default=None,
                          help="feature,epsilon CSV instead of --eps")
@@ -357,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = subs.add_parser("sweep", help="grid sweep over budgets")
     _add_common_model_flags(w)
-    w.add_argument("--grid", type=float, nargs="+", default=None,
+    w.add_argument("--grid", type=_float, nargs="+", default=None,
                    help="budget grid applied to every feature "
                         "(default: 1.0 0.1 0.005 0.001)")
     w.add_argument("--n-samples", type=int, default=20)

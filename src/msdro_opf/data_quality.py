@@ -154,14 +154,22 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
 _PLAIN_ROWS = re.compile(r"[-+.,0-9eEaAfFiInNtTyY \t\r\n]*")
 
 
+#: The number grammar of every input: ASCII decimal text (a sign, digits
+#: with a point, an exponent), nan or inf, with ASCII whitespace around it.
+#: Python's ``float`` also takes underscores, other decimal digits and
+#: Unicode spaces.
+_NUMBER = re.compile(r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?"
+                     r"|inf(?:inity)?|nan)\s*", re.ASCII | re.IGNORECASE)
+
+
 def parse_float(label: str, text: str) -> float:
-    """``text`` as a float, by Python's ``float`` grammar; otherwise an
-    ``InputError`` giving ``label`` (such as ``path:line``) and ``float``'s
-    message."""
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InputError(f"{label}: {exc}") from None
+    """``text`` as a float if it is in the ``_NUMBER`` grammar; otherwise
+    an ``InputError`` giving ``label`` (such as ``path:line``) and
+    ``float``'s message for text it cannot read."""
+    if not _NUMBER.fullmatch(text):
+        raise InputError(f"{label}: could not convert string to float: "
+                         f"{text!r}")
+    return float(text)
 
 
 def _read_header(path) -> tuple[list[str], str, int]:

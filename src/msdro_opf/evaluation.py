@@ -1,12 +1,17 @@
-"""Experiment harness: sample generation, epsilon sweeps, out-of-sample checks.
+"""Experiment harness: error draws, epsilon sweeps, out-of-sample checks.
+
+Every error sample is a truncated normal draw by ``_draw_between``, one
+call per resource, between that resource's bounds in the network's joint
+support (``build_joint_support``). Training errors have spread
+S = S_FRACTION u around 0 (around u with ``forecast-shift``);
+out-of-sample errors are centred at 0 with the spread widened by the
+claimed budget (S_oos = S + S_pert(eps), E|X|_1 = eps for X ~ N(0, S_pert)).
 
 A sweep solves the model on every cell of an epsilon grid with one shared
 training dataset, re-runs each cell with idle balancers pinned, extracts
 the valuation reports, and measures the empirical violation rate of the
-joint constraint set on fresh out-of-sample draws whose spread widens
-with the claimed budget (S_oos = S + S_pert(eps), E|X|_1 = eps for
-X ~ N(0, S_pert)).  Everything is seeded; identical configuration gives
-byte-identical CSV files.
+joint constraint set on the cell's out-of-sample draws. Everything is
+seeded; identical configuration gives byte-identical CSV files.
 
 Training data is drawn once per sweep (not per cell) so that objective
 values are comparable across cells; out-of-sample draws are per cell.
@@ -28,7 +33,7 @@ from . import opf_model
 from .data_quality import write_csv
 from .dro_core import MultiDataset
 from .errors import InputError
-from .network import Network, build_support
+from .network import Network, build_joint_support
 from .opf_model import (OpfDecision, cvar_tightening_rerun,
                         joint_constraint_rows, risk_level, with_budgets)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
@@ -99,14 +104,6 @@ def _log_gauss_mass(a: float, b: float) -> float:
     return float(log1p(-ndtr(a) - ndtr(-b)))
 
 
-def _truncated_draw(resource, loc: float, scale: float, n: int,
-                    seed: int) -> np.ndarray:
-    """Normal draws around ``loc`` truncated to the resource's error support."""
-    sup = build_support(resource)
-    return _draw_between(float(sup.lower[0]), float(sup.upper[0]), loc, scale,
-                         n, seed)
-
-
 def _draw_between(lo: float, up: float, loc: float, scale: float, n: int,
                   seed: int) -> np.ndarray:
     """Normal draws around ``loc`` truncated to [lo, up].
@@ -133,45 +130,33 @@ def _draw_between(lo: float, up: float, loc: float, scale: float, n: int,
     return x * scale + loc
 
 
-def generate_training_samples(resource, n: int, seed: int,
-                              error_mean: str = "zero") -> np.ndarray:
-    """Forecast-error draws for one resource, inside its support interval.
+def training_matrix(network: Network, n: int, seed: int,
+                    error_mean: str = "zero") -> np.ndarray:
+    """D x n training errors, one row per resource, inside its support.
 
     ``zero`` centers the error distribution at zero (injections drawn
     around the forecast, then shifted back); ``forecast-shift`` keeps the
     raw injection magnitudes as errors, truncated to the same support.
     """
-    if error_mean == "zero":
-        loc = 0.0
-    elif error_mean == "forecast-shift":
-        loc = resource.u
-    else:
+    if error_mean not in ("zero", "forecast-shift"):
         raise InputError(f"unknown error-mean mode {error_mean!r}")
-    return _truncated_draw(resource, loc, S_FRACTION * resource.u, n, seed)
-
-
-def generate_oos_samples(resource, epsilon: float, n: int,
-                         seed: int) -> np.ndarray:
-    """Zero-mean out-of-sample errors with spread widened by epsilon."""
-    scale = S_FRACTION * resource.u + s_pert(epsilon)
-    return _truncated_draw(resource, 0.0, scale, n, seed)
-
-
-def training_matrix(network: Network, n: int, seed: int,
-                    error_mean: str = "zero") -> np.ndarray:
-    """D x n standardized error samples, one row per resource."""
-    rows = [generate_training_samples(r, n, derive_seed(seed, "train", j),
-                                      error_mean)
+    support = build_joint_support(network)
+    rows = [_draw_between(support.lower[j], support.upper[j],
+                          r.u if error_mean == "forecast-shift" else 0.0,
+                          S_FRACTION * r.u, n, derive_seed(seed, "train", j))
             for j, r in enumerate(network.resources)]
     return np.vstack(rows) if rows else np.zeros((0, n))
 
 
 def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
-    """n x D out-of-sample error vectors for a given budget vector."""
+    """n x D zero-mean out-of-sample errors for a budget vector, inside the
+    support, with each spread widened by its budget."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
     cell = tuple(float(e) for e in epsilons)
-    cols = [generate_oos_samples(r, epsilons[j], n,
-                                 derive_seed(seed, "oos", cell, j))
+    support = build_joint_support(network)
+    cols = [_draw_between(support.lower[j], support.upper[j], 0.0,
+                          S_FRACTION * r.u + s_pert(epsilons[j]), n,
+                          derive_seed(seed, "oos", cell, j))
             for j, r in enumerate(network.resources)]
     return np.column_stack(cols) if cols else np.zeros((n, 0))
 

@@ -225,19 +225,12 @@ def load_network(path) -> Network:
         raise InputError(f"{path}: malformed network schema ({exc})") from None
 
 
-def build_support(resource: Resource) -> BoxSupport:
-    """Forecast-error interval [kappa (u_min - u), kappa (u_max - u)]."""
-    if not (resource.u_min <= resource.u <= resource.u_max):
-        raise InputError("resource forecast outside [u_min, u_max]")
-    lo = resource.kappa * (resource.u_min - resource.u)
-    up = resource.kappa * (resource.u_max - resource.u)
-    return BoxSupport([lo], [up])
-
-
 def build_joint_support(network: Network) -> BoxSupport:
-    """Box support over all uncertain resources of the network."""
-    boxes = [build_support(r) for r in network.resources]
-    return BoxSupport([b.lower[0] for b in boxes], [b.upper[0] for b in boxes])
+    """Forecast-error box over the network's uncertain resources: resource j
+    errs within [kappa (u_min - u), kappa (u_max - u)]."""
+    rs = network.resources
+    return BoxSupport([r.kappa * (r.u_min - r.u) for r in rs],
+                      [r.kappa * (r.u_max - r.u) for r in rs])
 
 
 def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

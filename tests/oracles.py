@@ -788,7 +788,9 @@ def prop3_offline_check(data, support, activation_cost):
 def read_samples_by_row(path):
     """A sample file read one ``csv`` row and one ``float`` per cell at a
     time: the reader the package had before it parsed plain files with
-    numpy. Returns (header, D x N' array) or raises ``InputError``."""
+    numpy, refusing as the package does what ``float`` reads beyond ASCII
+    decimals (an underscore, another script's digit, a Unicode space).
+    Returns (header, D x N' array) or raises ``InputError``."""
     import csv
     import math
 
@@ -814,7 +816,7 @@ def read_samples_by_row(path):
             if len(row) != len(header):
                 raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
             try:
-                values = [float(cell) for cell in row]
+                values = [ascii_float(cell) for cell in row]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             if not all(math.isfinite(v) for v in values):
@@ -823,6 +825,14 @@ def read_samples_by_row(path):
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return header, np.asarray(rows, dtype=float).T
+
+
+def ascii_float(text: str) -> float:
+    """``float(text)`` for ASCII text without underscores, else the
+    ``ValueError`` ``float`` raises on text it cannot read."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def truncnorm_draws(lo, up, loc, scale, n, rng):

@@ -195,6 +195,24 @@ def test_solve_rejects_repeated_quality_feature(tmp_path, capsys):
     assert f"{path}:3: feature 'xi_1' repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["0.0_5", "\u0661"])
+def test_solve_refuses_what_float_reads_beyond_ascii(tmp_path, capsys, cell):
+    """A sample or quality file holding an underscore or an Arabic-Indic
+    digit, both of which ``float`` reads, exits 2 naming the line."""
+    samples, quality = tmp_path / "d.csv", tmp_path / "q.csv"
+    samples.write_text(f"xi_1,xi_2\n0.01,{cell}\n", encoding="utf-8")
+    quality.write_text(f"feature,epsilon\nxi_1,{cell}\nxi_2,1\n",
+                       encoding="utf-8")
+    message = f":2: could not convert string to float: {cell!r}"
+    assert run("solve", "--data", samples, "--eps", 0.1, 0.1,
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert f"{samples}{message}" in capsys.readouterr().err
+    assert run("solve", "--quality", quality,
+               "--out", tmp_path / "run") == EXIT_INPUT
+    assert f"{quality}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_gives_quality_budgets_by_name(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("feature,epsilon\nxi_2,0.3\nxi_1,0.1\n")
@@ -515,13 +533,21 @@ def test_sweep_draws_a_constant_for_a_pinned_resource(tmp_path, monkeypatch,
     net["resources"][0].update(resource)
     net_path = tmp_path / "net.json"
     net_path.write_text(json.dumps(net))
-    draws, draw = [], evaluation._truncated_draw
+    draws = []  # (resource bus, one resource's draws), in draw order
+    train, oos = evaluation.training_matrix, evaluation.oos_matrix
 
-    def recorded(res, *args):
-        draws.append((res.bus, draw(res, *args)))
-        return draws[-1][1]
+    def recorded_rows(network, *args):
+        rows = train(network, *args)
+        draws.extend(zip([r.bus for r in network.resources], rows))
+        return rows
 
-    monkeypatch.setattr(evaluation, "_truncated_draw", recorded)
+    def recorded_columns(network, *args):
+        cols = oos(network, *args)
+        draws.extend(zip([r.bus for r in network.resources], cols.T))
+        return cols
+
+    monkeypatch.setattr(evaluation, "training_matrix", recorded_rows)
+    monkeypatch.setattr(evaluation, "oos_matrix", recorded_columns)
     assert run("sweep", "--network", net_path, "--grid", 0.1, 0.001,
                "--oos-samples", 50, "--out", tmp_path / "out") == EXIT_OK
     assert "4/4 cells solved" in capsys.readouterr().out
@@ -608,6 +634,11 @@ def test_unknown_subcommand_exits_via_argparse():
 
 BAD_INPUT = [
     ["sweep", "--gamma", "1.5"],
+    ["sweep", "--gamma", "0.0_5"],
+    ["sweep", "--grid", "0.1", "1_0"],
+    ["solve", "--eps", "0.0_5", "1"],
+    ["oos", "--eps", "\u0661", "1"],
+    ["quality", "--noise", "laplace:0.0_5"],
     ["sweep", "--grid", "nan"],
     ["sweep", "--grid", "inf"],
     ["sweep", "--grid", "0.1", "0.1"],

@@ -273,8 +273,10 @@ def test_samples_csv_rejects_ragged_rows(tmp_path):
 
 
 #: Sample files as text: plain, Windows and old Mac line ends, blank and
-#: comma-only rows, quoted cells, what ``float`` accepts beyond plain
-#: decimals, and every kind of bad row, some after a blank line.
+#: comma-only rows, quoted cells, and every kind of bad row, some after a
+#: blank line. ``1_000``, ``\u0661`` (Arabic-Indic one) and a number between
+#: em spaces are what ``float`` reads beyond ASCII decimals; both readers
+#: refuse them, as the number grammar is ASCII decimal text only.
 SAMPLE_FILES = [
     "xi_1,xi_2\n0.1,-2\n3e-3,4E+2\n",
     "xi_1,xi_2\r\n0.1,-2\r\n.5,5.\r\n",
@@ -409,6 +411,11 @@ def test_quality_csv_roundtrip(tmp_path):
     ("{header}\n , \n1\n", ":3: expected 2 columns"),
     ("{header}\r\n\r\n,\r\n1,x\r\n",
      ":4: could not convert string to float: 'x'"),
+    # What ``float`` reads beyond ASCII decimals: the number grammar refuses.
+    ("{header}\n0.1,0.0_5\n",
+     ":2: could not convert string to float: '0.0_5'"),
+    ("{header}\n0.1,\u0661\n",
+     ":2: could not convert string to float: '\u0661'"),
 ])
 def test_quality_csv_errors_name_the_line(tmp_path, text, message):
     path = tmp_path / "quality.csv"

@@ -13,13 +13,12 @@ from msdro_opf import evaluation, lp
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   derive_seed, empirical_violation,
-                                  generate_oos_samples,
-                                  generate_training_samples, oos_matrix,
-                                  run_sweep, s_pert, training_matrix,
-                                  violation_rate, write_sweep_csvs)
+                                  oos_matrix, run_sweep, s_pert,
+                                  training_matrix, violation_rate,
+                                  write_sweep_csvs)
 from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
-                               build_support)
+                               build_joint_support)
 
 from oracles import bits, truncnorm_draws
 
@@ -53,31 +52,38 @@ def test_s_pert_solves_mean_absolute_deviation():
     assert abs(np.abs(draws).mean() - 0.1) <= 3 * se
 
 
+def one_resource_draws(n: int, seed: int, error_mean: str = "zero",
+                       epsilon: float | None = None) -> np.ndarray:
+    """``RESOURCE``'s training row, or with ``epsilon`` its out-of-sample
+    column, in a network where it is the only resource."""
+    net = undersized_network()
+    if epsilon is None:
+        return training_matrix(net, n, seed, error_mean)[0]
+    return oos_matrix(net, [epsilon], n, seed)[:, 0]
+
+
 def test_training_samples_inside_support_and_deterministic():
-    box = build_support(RESOURCE)
-    xs = generate_training_samples(RESOURCE, 500, seed=9)
+    box = build_joint_support(undersized_network())
+    xs = one_resource_draws(500, seed=9)
     assert xs.min() >= box.lower[0] - 1e-12
     assert xs.max() <= box.upper[0] + 1e-12
-    np.testing.assert_array_equal(
-        xs, generate_training_samples(RESOURCE, 500, seed=9))
-    assert not np.array_equal(
-        xs, generate_training_samples(RESOURCE, 500, seed=10))
+    np.testing.assert_array_equal(xs, one_resource_draws(500, seed=9))
+    assert not np.array_equal(xs, one_resource_draws(500, seed=10))
 
 
 def test_training_sample_mean_is_near_zero():
     n = 4000
-    xs = generate_training_samples(RESOURCE, n, seed=11)
+    xs = one_resource_draws(n, seed=11)
     s = S_FRACTION * RESOURCE.u
     assert abs(xs.mean()) <= 3 * s / math.sqrt(n)
 
 
 def test_training_forecast_shift_mode():
     n = 4000
-    xs = generate_training_samples(RESOURCE, n, seed=11,
-                                   error_mean="forecast-shift")
+    xs = one_resource_draws(n, seed=11, error_mean="forecast-shift")
     # Draws centered on u but truncated to the error support pile up near
     # the upper end; compare against the analytic truncated-normal mean.
-    box = build_support(RESOURCE)
+    box = build_joint_support(undersized_network())
     s = S_FRACTION * RESOURCE.u
     a = (box.lower[0] - RESOURCE.u) / s
     b = (box.upper[0] - RESOURCE.u) / s
@@ -86,7 +92,28 @@ def test_training_forecast_shift_mode():
     assert abs(xs.mean() - expect) <= 3 * spread / math.sqrt(n)
     assert xs.max() <= box.upper[0] + 1e-12
     with pytest.raises(InputError):
-        generate_training_samples(RESOURCE, 10, seed=1, error_mean="bogus")
+        training_matrix(undersized_network(), 10, 1, error_mean="bogus")
+
+
+@pytest.mark.parametrize("error_mean", ["zero", "forecast-shift"])
+def test_matrices_are_truncnorm_at_the_joint_support(case5, error_mean):
+    """Each training row and out-of-sample column is ``truncnorm.rvs``'s
+    floats between its resource's joint-support bounds, with its derived
+    seed: the training spread around 0 (u for ``forecast-shift``), the
+    out-of-sample spread widened by the budget around 0."""
+    box = build_joint_support(case5)
+    train = training_matrix(case5, 300, 5, error_mean)
+    cell = (0.1, 0.005)
+    oos = oos_matrix(case5, cell, 300, 5)
+    for j, r in enumerate(case5.resources):
+        lo, up, s = box.lower[j], box.upper[j], S_FRACTION * r.u
+        loc = r.u if error_mean == "forecast-shift" else 0.0
+        rng = np.random.default_rng(derive_seed(5, "train", j))
+        assert bits(train[j]) == bits(truncnorm_draws(lo, up, loc, s, 300,
+                                                      rng))
+        rng = np.random.default_rng(derive_seed(5, "oos", cell, j))
+        assert bits(oos[:, j]) == bits(truncnorm_draws(
+            lo, up, 0.0, s + s_pert(cell[j]), 300, rng))
 
 
 def random_truncation(rng, kind: str) -> tuple:
@@ -155,8 +182,8 @@ def test_draws_at_the_ends_of_the_unit_interval(monkeypatch):
 
 
 def test_oos_samples_zero_budget_uses_training_spread():
-    box = build_support(RESOURCE)
-    xs = generate_oos_samples(RESOURCE, 0.0, 40_000, seed=13)
+    box = build_joint_support(undersized_network())
+    xs = one_resource_draws(40_000, seed=13, epsilon=0.0)
     assert xs.min() >= box.lower[0] and xs.max() <= box.upper[0]
     s = S_FRACTION * RESOURCE.u
     a, b = box.lower[0] / s, box.upper[0] / s
@@ -165,20 +192,20 @@ def test_oos_samples_zero_budget_uses_training_spread():
 
 
 def test_oos_samples_widen_with_budget():
-    narrow = generate_oos_samples(RESOURCE, 0.0, 20_000, seed=17)
-    wide = generate_oos_samples(RESOURCE, 0.2, 20_000, seed=17)
+    narrow = one_resource_draws(20_000, seed=17, epsilon=0.0)
+    wide = one_resource_draws(20_000, seed=17, epsilon=0.2)
     assert wide.std() > narrow.std()
 
 
 def test_violation_rate_against_truncated_normal_tail():
     cut = 0.25
     n = 50_000
-    xs = generate_oos_samples(RESOURCE, 0.05, n, seed=19)
+    xs = one_resource_draws(n, seed=19, epsilon=0.05)
     a = np.array([[1.0]])
     b = np.array([-cut])
     got = violation_rate(a, b, xs[:, None])
     s = S_FRACTION * RESOURCE.u + s_pert(0.05)
-    box = build_support(RESOURCE)
+    box = build_joint_support(undersized_network())
     analytic = truncnorm.sf(cut, box.lower[0] / s, box.upper[0] / s, scale=s)
     se = math.sqrt(analytic * (1 - analytic) / n)
     assert abs(got - analytic) <= 3 * se

@@ -143,6 +143,15 @@ def test_one_module_reads_and_writes_csv_tables():
                      "csv.reader": {"data_quality.py": ["_read_header", "_rows"]}}
 
 
+def test_one_draw_function_between_joint_support_bounds():
+    """Training and out-of-sample errors are drawn by ``_draw_between``
+    alone, from ``training_matrix`` and ``oos_matrix`` only."""
+    sites = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := call_sites(path.read_text(encoding="utf-8"),
+                                     "_draw_between"))}
+    assert sites == {"evaluation.py": ["training_matrix", "oos_matrix"]}
+
+
 def stats_imports(source: str) -> list:
     """Each import of ``scipy.stats`` (or a module under it) in ``source``,
     at any depth, as the text of the import statement."""

@@ -11,7 +11,7 @@ import pytest
 import msdro_opf
 from msdro_opf.errors import InputError
 from msdro_opf.network import (Generator, Line, Network, Resource,
-                               build_joint_support, build_support,
+                               build_joint_support,
                                compute_flow_maps, load_network)
 
 from oracles import dc_flows_by_angles
@@ -254,27 +254,32 @@ def test_network_rejects_non_finite_numbers():
             Network(**dict(good, **{key: value}))
 
 
-def test_build_support_centred_forecast():
-    box = build_support(Resource(1, 1.0, 0.0, 2.0, 0.6))
+def with_resource(resource: Resource) -> Network:
+    """The two-bus network with ``resource`` as its one resource."""
+    return replace(two_bus(), resources=[resource])
+
+
+def test_joint_support_centred_forecast():
+    box = build_joint_support(with_resource(Resource(1, 1.0, 0.0, 2.0, 0.6)))
     assert box.lower[0] == pytest.approx(-0.6)
     assert box.upper[0] == pytest.approx(0.6)
 
 
-def test_build_support_asymmetric_forecast():
-    box = build_support(Resource(1, 1.5, 0.0, 2.0, 0.6))
+def test_joint_support_asymmetric_forecast():
+    box = build_joint_support(with_resource(Resource(1, 1.5, 0.0, 2.0, 0.6)))
     assert box.lower[0] == pytest.approx(-0.9)
     assert box.upper[0] == pytest.approx(0.3)
 
 
-def test_build_support_zero_kappa_degenerates():
-    box = build_support(Resource(1, 1.7, 0.0, 2.0, 0.0))
+def test_joint_support_zero_kappa_degenerates():
+    box = build_joint_support(with_resource(Resource(1, 1.7, 0.0, 2.0, 0.0)))
     assert box.lower[0] == 0.0
     assert box.upper[0] == 0.0
 
 
-def test_build_support_rejects_forecast_outside_window():
-    with pytest.raises(InputError):
-        build_support(Resource(1, 2.5, 0.0, 2.0, 0.6))
+def test_network_rejects_forecast_outside_window():
+    with pytest.raises(InputError, match="resource forecast outside"):
+        with_resource(Resource(1, 2.5, 0.0, 2.0, 0.6))
 
 
 def test_joint_support_stacks_resources(case5):
