@@ -28,8 +28,8 @@ from .data_quality import (NoiseModel, additive_noise_bound,
 from .dro_core import MultiDataset
 from .errors import InputError
 from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
-                         empirical_violation, oos_matrix, run_sweep,
-                         training_matrix, write_sweep_csvs)
+                         out_of_sample, run_sweep, training_matrix,
+                         write_sweep_csvs)
 from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
@@ -247,10 +247,8 @@ def cmd_oos(args) -> int:
     if isinstance(solved, int):
         return solved
     sol, net_src, data_src = solved
-    network, eps = sol.built.network, sol.built.data.epsilons.tolist()
-    samples = oos_matrix(network, eps, args.oos_samples, args.seed)
-    rate = empirical_violation(sol.decision, samples, network,
-                               flow_maps=(sol.built.b_g, sol.built.b_w))
+    eps = sol.built.data.epsilons.tolist()
+    rate = out_of_sample(sol, args.oos_samples, args.seed)
     print(f"objective: {fmt(sol.objective)}")
     print(f"violation: {fmt(rate)} over {args.oos_samples} samples "
           f"(gamma = {fmt(args.gamma)})")

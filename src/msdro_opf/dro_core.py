@@ -296,8 +296,8 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     distances on p and q plus the constant mean_t max_k (a_k . x_t + b_k).
     The solver's all-slack start, sigma = 0, is the sample average, and it
     is dual feasible: every column (lam, sigma, p, q) has lower bound 0
-    and a nonnegative cost. So HiGHS solves without presolve, whose cost
-    here exceeds the few dual simplex iterations from that start.
+    and a nonnegative cost. So ``Model.solve`` leaves presolve off, whose
+    cost here exceeds the few dual simplex iterations from that start.
     Returns (optimal value, LP solution, s values).
     """
     n_t, k_pieces = len(points), cost.num_pieces
@@ -319,7 +319,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                       (q.T[k0][:, None, :], lo[:, None, :])],
                      GE, heights - base[:, None],
                      where=np.arange(k_pieces)[None, :] != k0[:, None]))
-    sol = model.solve(_presolve=False)
+    sol = model.solve()
     if not sol.optimal:
         raise SolverError(f"{model.name} LP ended {sol.status}")
     x = sol.x

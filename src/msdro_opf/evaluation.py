@@ -10,8 +10,11 @@ claimed budget (S_oos = S + S_pert(eps), E|X|_1 = eps for X ~ N(0, S_pert)).
 A sweep solves the model on every cell of an epsilon grid with one shared
 training dataset, re-runs each cell with idle balancers pinned, extracts
 the valuation reports, and measures the empirical violation rate of the
-joint constraint set on the cell's out-of-sample draws. Everything is
-seeded; identical configuration gives byte-identical CSV files.
+joint constraint set on the cell's out-of-sample draws (``out_of_sample``,
+which ``msdro oos`` calls too). Cells of the added zero column get the
+solve and that check only. A failed solve fails its cell; a failed build
+fails the sweep. Everything is seeded; identical configuration gives
+byte-identical CSV files.
 
 Training data is drawn once per sweep (not per cell) so that objective
 values are comparable across cells; out-of-sample draws are per cell.
@@ -25,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ from .data_quality import write_csv
 from .dro_core import MultiDataset
 from .errors import InputError
 from .network import Network, build_joint_support
-from .opf_model import (OpfDecision, cvar_tightening_rerun,
+from .opf_model import (OpfDecision, SolutionWithDuals, cvar_tightening_rerun,
                         joint_constraint_rows, risk_level, with_budgets)
 from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                         DataValueReport, ForecastValueReport, data_value_rows,
@@ -189,6 +193,16 @@ def empirical_violation(decision: OpfDecision, samples: np.ndarray,
     return violation_rate(a, b, samples)
 
 
+def out_of_sample(sol: SolutionWithDuals, n: int, seed: int) -> float:
+    """Empirical joint violation rate of an optimal solution's decision on
+    ``n`` out-of-sample draws (``oos_matrix``) at its budgets, against the
+    flow maps its model was built with."""
+    built = sol.built
+    samples = oos_matrix(built.network, built.data.epsilons, n, seed)
+    return empirical_violation(sol.decision, samples, built.network,
+                               flow_maps=(built.b_g, built.b_w))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     grid: tuple = DEFAULT_GRID
@@ -210,6 +224,10 @@ class SweepConfig:
         if len(set(self.grid)) != len(self.grid):
             raise InputError("grid values must be distinct, got "
                              f"{list(self.grid)}")
+        for name in ("n_samples", "oos_samples"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, Integral):
+                raise InputError(f"{name} must be an integer, got {count!r}")
         if self.n_samples < 1:
             raise InputError("need at least one training sample")
         if self.oos_samples < 0:
@@ -261,45 +279,36 @@ class SweepResult:
 def _pattern_models(network: Network, xs: np.ndarray, cells,
                     gamma: float) -> dict:
     """One built model per zero pattern of the cells' budgets (which
-    budgets are positive), built at the first cell with that pattern. A
-    pattern whose build fails maps to the error's text instead, which each
-    of its cells records."""
+    budgets are positive), built at the first cell with that pattern. The
+    patterns share the network, the samples and gamma, so a build error is
+    the sweep's and leaves it."""
     models = {}
     for cell in cells:
         pattern = tuple(e > 0.0 for e in cell)
         if pattern not in models:
-            try:
-                models[pattern] = opf_model.build_msdro_opf(
-                    network, MultiDataset.from_matrix(xs, list(cell)), gamma)
-            except Exception as exc:  # recorded by each cell of the pattern
-                models[pattern] = f"{type(exc).__name__}: {exc}"
+            models[pattern] = opf_model.build_msdro_opf(
+                network, MultiDataset.from_matrix(xs, list(cell)), gamma)
     return models
 
 
-def _solve_cell(models: dict, eps, config: SweepConfig,
-                oos_only: bool = False) -> CellResult:
+def _solve_cell(models: dict, eps, config: SweepConfig) -> CellResult:
     """One cell: base solve, tighten, valuation, out-of-sample.
 
     The cell's LP is its pattern's model from ``_pattern_models`` with the
-    cell's budgets written in. With ``oos_only`` (cells outside the main
-    grid, zero budgets) the re-run and the valuation are skipped. Any
-    failure is recorded in the cell's status, so one cell cannot stop the
-    sweep.
+    cell's budgets written in. A cell with a budget off ``config.grid`` (in
+    the added zero column) skips the re-run and the valuation. Any failure
+    is recorded in the cell's status, so one cell cannot stop the sweep.
     """
     cell = tuple(float(e) for e in eps)
     built = models[tuple(e > 0.0 for e in cell)]
-    if isinstance(built, str):
-        return CellResult(cell, "error", message=built)
     try:
         base = opf_model.solve(with_budgets(built, cell))
         if not base.optimal:
             return CellResult(cell, base.status)
-        samples = oos_matrix(built.network, cell, config.oos_samples,
-                             config.seed)
-        rate = empirical_violation(base.decision, samples, built.network,
-                                   flow_maps=(built.b_g, built.b_w))
-        result = (CellResult(cell, "optimal") if oos_only
-                  else _cell_result(base, config))
+        rate = out_of_sample(base, config.oos_samples, config.seed)
+        result = (_cell_result(base, config)
+                  if all(e in config.grid for e in cell)
+                  else CellResult(cell, "optimal"))
         result.violation, result.n_samples = rate, config.oos_samples
         return result
     except Exception as exc:  # recorded, sweep continues
@@ -346,9 +355,9 @@ def _start_worker(models: dict) -> None:
     _worker_models = models
 
 
-def _solve_pooled(eps, config: SweepConfig, oos_only: bool) -> CellResult:
+def _solve_pooled(eps, config: SweepConfig) -> CellResult:
     """``_solve_cell`` on the models the worker was started with."""
-    return _solve_cell(_worker_models, eps, config, oos_only)
+    return _solve_cell(_worker_models, eps, config)
 
 
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -360,28 +369,24 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
     once, when they start.
     """
     dim = network.num_resources
-    if dim == 0:
-        raise InputError("sweep needs at least one uncertain resource")
     xs = training_matrix(network, config.n_samples,
                          derive_seed(config.seed, "train"),
                          config.error_mean)
-    main_cells = config.cells(dim)
-    on_grid = set(main_cells)
-    tasks = [(c, False) for c in main_cells] + [
-        (c, True) for c in config.oos_cells(dim) if c not in on_grid]
-    models = _pattern_models(network, xs, [c for c, _ in tasks], config.gamma)
+    # Grid cells first, then the zero column: the order the pool starts them.
+    grid_cells = config.cells(dim)
+    on_grid = set(grid_cells)
+    tasks = grid_cells + [c for c in config.oos_cells(dim) if c not in on_grid]
+    models = _pattern_models(network, xs, tasks, config.gamma)
 
     if jobs > 1:
         # No more workers than cells: the pool may start all of them at once.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                                  initializer=_start_worker,
                                  initargs=(models,)) as pool:
-            futures = [pool.submit(_solve_pooled, c, config, oos_only)
-                       for c, oos_only in tasks]
-            results = [_pooled_result(f, c) for f, (c, _) in zip(futures, tasks)]
+            futures = [pool.submit(_solve_pooled, c, config) for c in tasks]
+            results = [_pooled_result(f, c) for f, c in zip(futures, tasks)]
     else:
-        results = [_solve_cell(models, c, config, oos_only)
-                   for c, oos_only in tasks]
+        results = [_solve_cell(models, c, config) for c in tasks]
 
     results.sort(key=lambda c: c.epsilons)
     return SweepResult(config, [c for c in results if c.epsilons in on_grid],

@@ -4,15 +4,16 @@ Variables are array blocks and constraints are *families* (named arrays
 of rows sharing one sense). The matrix is assembled once, column-wise, and
 handed as numpy arrays to the HiGHS object scipy bundles
 (``scipy.optimize._highspy``) with the settings of
-``linprog(method="highs")``: presolve on, dual simplex, no output. Only
-``dro_core``'s anchored epigraph LPs turn presolve off, because their
-all-slack start is dual feasible and already the sample average. HiGHS
-returns primal values and one dual per row; duals are read back per
-family, in the family's shape. Row names (``name[i,j]``) are made only
-when asked for. A solution keeps its HiGHS object until
-``LpSolution.resolve`` deletes rows and changes column bounds in it and
-restarts from its final basis. Where scipy lacks the private bindings,
-``linprog`` solves every model from scratch.
+``linprog(method="highs")`` (dual simplex, no output), presolve off
+exactly when every column has lower bound 0 and a nonnegative cost,
+since then the all-slack start is dual feasible (in ``dro_core``'s
+anchored epigraph LPs, the sample average). HiGHS returns primal values
+and one dual per row; duals are read back per family, in the family's
+shape. Row names (``name[i,j]``) are made only when asked for. A solution
+keeps its HiGHS object until ``LpSolution.resolve`` deletes rows and
+changes column bounds in it and restarts from its final basis. Where
+scipy lacks the private bindings, ``linprog`` solves every model from
+scratch.
 
 Dual sign convention
 --------------------
@@ -471,19 +472,16 @@ class Model:
                 f"columns, {self._matrix().nnz} nonzeros; rows in families "
                 f"{listing}")
 
-    def solve(self, *, _presolve: bool = True) -> LpSolution:
-        """Solve with HiGHS from scratch.
-
-        ``_presolve=False`` starts the dual simplex at the all-slack basis
-        without presolving; only ``dro_core``'s anchored epigraph LPs ask
-        for it, since that basis is their sample average.
-        """
+    def solve(self) -> LpSolution:
+        """Solve with HiGHS from scratch, presolve off exactly when the
+        all-slack start is dual feasible (module docstring)."""
+        presolve = bool(np.any(self.lb != 0.0) or np.any(self.obj < 0.0))
         if _Highs is None:
-            return _solve_scipy_highs(self, _presolve)
+            return _solve_scipy_highs(self, presolve)
         highs = _Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
-        highs.setOptionValue("presolve", "on" if _presolve else "off")
+        highs.setOptionValue("presolve", "on" if presolve else "off")
         self._load(highs)
         return _run_highs(highs, self)
 

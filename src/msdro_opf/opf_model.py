@@ -121,13 +121,8 @@ class SolutionWithDuals:
 
     def cc_a_matrix(self) -> np.ndarray:
         """Row vectors a'_k at the optimal decision, augmented row last."""
-        a, _ = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
-        return np.vstack([a, np.zeros((1, a.shape[1]))])
-
-    def cc_b_vector(self) -> np.ndarray:
-        """Intercepts b_k at the optimal decision, augmented row last (0)."""
-        _, b = joint_constraint_rows(self.decision, self.built.b_g, self.built.b_w)
-        return np.append(b, 0.0)
+        return joint_constraint_rows(self.decision, self.built.b_g,
+                                     self.built.b_w)[0]
 
 
 def _joint_layout(b_g: np.ndarray, b_w: np.ndarray, margins) -> tuple:
@@ -143,11 +138,12 @@ def _joint_layout(b_g: np.ndarray, b_w: np.ndarray, margins) -> tuple:
 def joint_constraint_rows(decision: OpfDecision, b_g: np.ndarray,
                           b_w: np.ndarray) -> tuple:
     """Rows (a_k, b_k) of a_k . xi + b_k <= 0 at a fixed decision, in the
-    order of ``_joint_layout`` without the augmented row."""
+    order of ``_joint_layout``: the augmented row (a = 0, b = 0) last, which
+    no sample violates."""
     dec = decision
     coef, const, margin = _joint_layout(
         b_g, b_w, (dec.r_plus, dec.r_minus, dec.f_ram_plus, dec.f_ram_minus))
-    return (const + coef @ decision.alpha)[:-1], -margin[:-1]
+    return const + coef @ dec.alpha, -margin
 
 
 def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:

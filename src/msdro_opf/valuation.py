@@ -166,21 +166,19 @@ def _active_set_signature(sol: SolutionWithDuals):
 
 
 def envelope_check(network: Network, data: MultiDataset, gamma: float,
-                   j: int, delta: float | None = None) -> EnvelopeCheck:
+                   j: int) -> EnvelopeCheck:
     """Compare the analytic sensitivity in eps_j against a finite difference.
 
-    Central difference where eps_j - delta stays nonnegative, forward
-    difference otherwise.  The check is flagged degenerate (and should not
-    be asserted against) when eps_j sits on the offline threshold or when
-    the two perturbed solves disagree on the active-set signature.
+    The step is delta = 1e-5 eps_j (1e-8 where that is 0): a central
+    difference where eps_j - delta stays nonnegative, forward otherwise.
+    The check is flagged degenerate (and should not be asserted against)
+    when eps_j sits on the offline threshold or when the two perturbed
+    solves disagree on the active-set signature.
     """
     if not 0 <= j < data.dimension:
         raise InputError(f"feature index {j} out of range")
     eps = data.epsilons
-    if delta is None:
-        delta = 1e-5 * eps[j] if eps[j] > 0 else 1e-8
-    if delta <= 0:
-        raise InputError("delta must be > 0")
+    delta = 1e-5 * eps[j] or 1e-8
 
     base = solve_msdro_opf(network, data, gamma)
     report = marginal_data_value(base)

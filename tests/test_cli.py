@@ -571,6 +571,50 @@ def test_sweep_without_uncertain_resources_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_on_a_disconnected_network_exits_2(tmp_path, capsys):
+    """A network error is the sweep's input error, as in ``msdro solve``:
+    exit 2 with one message, before any cell is solved or any file
+    written."""
+    net = json.loads(CASE5.read_text())
+    net["buses"].append(99)
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net))
+    assert run("sweep", "--network", net_path, "--grid", "1.0", "0.1",
+               "--oos-samples", "10", "--out", tmp_path / "out") == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: network is disconnected; unreachable buses [99]\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_without_tightening_differs_only_in_objectives(tmp_path,
+                                                             monkeypatch):
+    """``--no-tighten`` never runs the re-run: ``objective_tightened`` is
+    the base objective, and every other table is the tightened sweep's."""
+    from msdro_opf import evaluation
+
+    # On this grid the re-run lowers two cells' objectives.
+    args = ["sweep", "--grid", "0.005", "0.001", "--n-samples", "5",
+            "--oos-samples", "20"]
+    assert run(*args, "--out", tmp_path / "tight") == EXIT_OK
+    reruns = []
+    monkeypatch.setattr(evaluation, "cvar_tightening_rerun",
+                        lambda *args, **kwargs: reruns.append(kwargs))
+    assert run(*args, "--no-tighten", "--out", tmp_path / "loose") == EXIT_OK
+    assert reruns == []
+    tight, loose = tmp_path / "tight", tmp_path / "loose"
+    for path in sorted(tight.glob("*.csv")):
+        if path.name != "objectives.csv":
+            assert (loose / path.name).read_bytes() == path.read_bytes(), \
+                path.name
+    rows = read_rows(loose / "objectives.csv")
+    assert rows[0][2:4] == ["objective", "objective_tightened"]
+    assert len(rows) == 1 + 4
+    assert all(row[2] == row[3] for row in rows[1:])
+    assert read_rows(tight / "objectives.csv")[1:] != rows[1:]
+    manifest = json.loads((loose / "manifest.json").read_text())
+    assert manifest["tighten"] is False
+
+
 # -------------------------------------------------------------------- oos
 
 def test_oos_robust_budget_never_violates(tmp_path, capsys):

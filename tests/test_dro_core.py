@@ -25,6 +25,7 @@ from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 wc_expectation_standardized)
 from msdro_opf.errors import InputError
 from msdro_opf.lp import Model, SolverError
+from msdro_opf.opf_model import solve_msdro_opf
 
 from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
                      per_piece_anchored_lp, separable_lp, sup_affine_minus_l1)
@@ -470,8 +471,8 @@ def anchored_solves(monkeypatch):
     seen = []
     solve = Model.solve
 
-    def spy(self, **options):
-        sol = solve(self, **options)
+    def spy(self):
+        sol = solve(self)
         seen.append(sol)
         return sol
 
@@ -483,14 +484,14 @@ def test_anchored_routes_without_presolve_match_presolved_and_per_piece_lp(
         anchored_solves):
     """Solving the anchored LPs from their slack basis without presolve
     changes no value, from near-zero to saturated budgets: each LP's
-    optimum equals the same LP presolved, and each route's value the
-    per-piece LP's."""
+    optimum equals the same LP presolved by ``linprog``, and each route's
+    value the per-piece LP's."""
     for name, route, oracle in anchored_routes(np.random.default_rng(23)):
         for scale in BUDGET_SCALES:
             anchored_solves.clear()
             value = route(scale)
             (sol,) = anchored_solves
-            presolved = sol.model.solve()
+            presolved = lp._solve_scipy_highs(sol.model, True)
             assert presolved.objective == pytest.approx(
                 sol.objective, rel=1e-9, abs=1e-9), (name, scale)
             assert value == pytest.approx(oracle(scale), rel=1e-9,
@@ -498,16 +499,19 @@ def test_anchored_routes_without_presolve_match_presolved_and_per_piece_lp(
 
 
 @pytest.mark.skipif(lp._Highs is None, reason="scipy lacks its HiGHS bindings")
-def test_anchored_routes_solve_without_presolve(anchored_solves):
-    """The anchored LPs' HiGHS objects have presolve off; a plain
-    ``Model.solve`` keeps ``linprog``'s presolve."""
+def test_anchored_routes_solve_without_presolve(anchored_solves, case5,
+                                                train20):
+    """The anchored LPs' HiGHS objects have presolve off; the OPF LP, with
+    free columns and negative costs, keeps ``linprog``'s presolve."""
     for name, route, _ in anchored_routes(np.random.default_rng(29)):
         anchored_solves.clear()
         route(1.0)
         (sol,) = anchored_solves
         assert sol._highs.getOptionValue("presolve")[1] == "off", name
-        plain = sol.model.solve()
-        assert plain._highs.getOptionValue("presolve")[1] == "on", name
+    anchored_solves.clear()
+    solve_msdro_opf(case5, MultiDataset.from_matrix(train20, [0.1, 0.1]), 0.05)
+    (opf,) = anchored_solves
+    assert opf._highs.getOptionValue("presolve")[1] == "on"
 
 
 def test_anchored_routes_raise_solver_error_when_the_lp_is_not_optimal(

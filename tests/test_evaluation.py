@@ -251,6 +251,14 @@ def test_sweep_config_validation():
         SweepConfig(grid=())
 
 
+@pytest.mark.parametrize("field", ["n_samples", "oos_samples"])
+@pytest.mark.parametrize("count", [2.5, True, 20.0, "20"])
+def test_sweep_config_refuses_a_count_that_is_not_an_integer(field, count):
+    with pytest.raises(InputError, match=f"^{field} must be an integer, got "):
+        SweepConfig(**{field: count})
+    assert getattr(SweepConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_oos_cells_include_zero_only_when_asked():
     cfg = SweepConfig(grid=(1.0, 0.1), oos_include_zero=False)
     assert len(list(cfg.oos_cells(2))) == 4
@@ -369,12 +377,14 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
     assert set(oos_status.values()) == {"optimal"}
 
 
-def test_a_pattern_that_fails_to_build_fails_its_cells(case5, monkeypatch):
-    """Cells share one build per zero pattern, so a build error is recorded
-    on every cell of its pattern, and only there."""
+def test_a_build_error_leaves_run_sweep(case5, monkeypatch):
+    """Every zero pattern is built from the same network, samples and gamma,
+    so a build error is the sweep's: it leaves ``run_sweep`` as raised,
+    before any cell is solved."""
     from msdro_opf import opf_model
 
     build = opf_model.build_msdro_opf
+    solved = []
 
     def failing(network, data, gamma):
         if data.epsilons[0] == 0.0 and data.epsilons[1] > 0.0:
@@ -382,25 +392,22 @@ def test_a_pattern_that_fails_to_build_fails_its_cells(case5, monkeypatch):
         return build(network, data, gamma)
 
     monkeypatch.setattr(opf_model, "build_msdro_opf", failing)
+    monkeypatch.setattr(evaluation, "_solve_cell",
+                        lambda *args: solved.append(args))
     cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
-    res = run_sweep(case5, cfg)
-    for cell in res.oos:
-        if cell.epsilons[0] == 0.0 and cell.epsilons[1] > 0.0:
-            assert (cell.status, cell.message) == ("error",
-                                                   "InputError: no model here")
-        else:
-            assert cell.optimal, cell.epsilons
-    assert sum(c.status == "error" for c in res.oos) == 2
+    with pytest.raises(InputError, match="^no model here$"):
+        run_sweep(case5, cfg)
+    assert solved == []
 
 
 _solve_cell = evaluation._solve_cell
 
 
-def _die_at_cell(models, eps, config, oos_only=False):
+def _die_at_cell(models, eps, config):
     """``_solve_cell``, except that its process dies at cell (0.1, 0.1)."""
     if tuple(eps) == (0.1, 0.1):
         os._exit(9)
-    return _solve_cell(models, eps, config, oos_only)
+    return _solve_cell(models, eps, config)
 
 
 def cell_values(cell) -> list:

@@ -152,6 +152,15 @@ def test_one_draw_function_between_joint_support_bounds():
     assert sites == {"evaluation.py": ["training_matrix", "oos_matrix"]}
 
 
+def test_one_out_of_sample_check():
+    """``msdro oos`` and the sweep's cells draw their out-of-sample errors
+    in ``out_of_sample`` alone."""
+    sites = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := call_sites(path.read_text(encoding="utf-8"),
+                                     "oos_matrix"))}
+    assert sites == {"evaluation.py": ["out_of_sample"]}
+
+
 def stats_imports(source: str) -> list:
     """Each import of ``scipy.stats`` (or a module under it) in ``source``,
     at any depth, as the text of the import statement."""

@@ -186,8 +186,7 @@ def test_cc_row_geometry(case5, solve_cell):
     sol = solve_cell(0.1, 0.1)
     k = 2 * case5.num_generators + 2 * case5.num_lines
     assert sol.built.num_cc_rows == k
-    a = sol.cc_a_matrix()
-    b = sol.cc_b_vector()
+    a, b = joint_constraint_rows(sol.decision, sol.built.b_g, sol.built.b_w)
     assert a.shape == (k + 1, case5.num_resources)
     np.testing.assert_allclose(a[-1], 0.0)
     assert b[-1] == 0.0
