@@ -237,7 +237,9 @@ def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Injection shift factor matrices (B_G, B_W, B_B) for the DC model.
 
     Line flow = B_G p + B_W u - B_B d for generator injections p, resource
-    injections u and loads d. Raises InputError on a disconnected graph.
+    injections u and loads d. Raises InputError on a disconnected graph
+    and on reactances so far apart that the bus susceptance matrix is
+    singular in floating point.
     """
     slack_bus = network.slack_bus
     buses = network.buses
@@ -264,7 +266,11 @@ def compute_flow_maps(network: Network) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     keep = [i for i in range(v) if i != bus_pos[slack_bus]]
     ptdf = np.zeros((n_lines, v))
-    ptdf[:, keep] = bf[:, keep] @ np.linalg.inv(bbus[np.ix_(keep, keep)])
+    try:
+        ptdf[:, keep] = bf[:, keep] @ np.linalg.inv(bbus[np.ix_(keep, keep)])
+    except np.linalg.LinAlgError:
+        raise InputError("line reactances are too far apart: the bus "
+                         "susceptance matrix is singular") from None
 
     b_g = ptdf[:, [bus_pos[g.bus] for g in network.generators]]
     b_w = ptdf[:, [bus_pos[r.bus] for r in network.resources]]

@@ -383,6 +383,16 @@ def test_disconnected_network_raises():
         compute_flow_maps(net)
 
 
+def test_reactances_too_far_apart_raise(case5):
+    """A reactance of 1e-112 on line 3-4 leaves 1/x + b == 1/x for the
+    other susceptances b at buses 3 and 4, so the reduced matrix is
+    singular; this used to escape as numpy's LinAlgError."""
+    lines = [replace(ln, reactance=1e-112) if (ln.from_bus, ln.to_bus) == (3, 4)
+             else ln for ln in case5.lines]
+    with pytest.raises(InputError, match="susceptance matrix is singular"):
+        compute_flow_maps(replace(case5, lines=lines))
+
+
 def test_load_and_forecast_vectors(case5):
     np.testing.assert_allclose(case5.load_vector(), [0.0, 3.0, 3.0, 4.0, 0.0])
     np.testing.assert_allclose(case5.forecast_vector(), [1.0, 1.5])
