@@ -27,9 +27,9 @@ from .data_quality import (NoiseModel, additive_noise_bound,
                            write_quality_csv, write_samples_csv)
 from .dro_core import MultiDataset
 from .errors import InputError
-from .evaluation import (DEFAULT_GRID, OOS_COLUMNS, SweepConfig, derive_seed,
-                         out_of_sample, run_sweep, training_matrix,
-                         write_sweep_csvs)
+from .evaluation import (DEFAULT_GRID, ERROR_MEANS, OOS_COLUMNS, SweepConfig,
+                         derive_seed, out_of_sample, run_sweep,
+                         training_matrix, write_sweep_csvs)
 from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
@@ -309,7 +309,7 @@ def _add_common_model_flags(sub) -> None:
     sub.add_argument("--gamma", type=_float, default=0.05,
                      help="joint chance-constraint risk level")
     sub.add_argument("--seed", type=int, default=1, help="master seed")
-    sub.add_argument("--error-mean", choices=["zero", "forecast-shift"],
+    sub.add_argument("--error-mean", choices=ERROR_MEANS,
                      default="zero",
                      help="training error centering convention")
 

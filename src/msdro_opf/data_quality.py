@@ -24,11 +24,10 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, is_integer, real
 
 
 @dataclass
@@ -39,7 +38,7 @@ class QualitySignal:
     p: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.epsilon < math.inf:
+        if not 0 <= real("epsilon", self.epsilon) < math.inf:
             raise InputError(
                 f"epsilon must be finite and >= 0, got {self.epsilon}")
 
@@ -52,31 +51,30 @@ _NOISE_PARAM = {"laplace": "scale", "gaussian": "stddev"}
 class NoiseModel:
     """Additive iid noise in ``dimension`` (an integer >= 1) coordinates: a
     kind (laplace or gaussian) and its one parameter, the laplace scale or
-    the gaussian stddev."""
+    the gaussian stddev, kept as a float."""
 
     kind: str
     param: float
     dimension: int = 1
 
     def __post_init__(self):
-        if self.kind not in _NOISE_PARAM:
+        if not isinstance(self.kind, str) or self.kind not in _NOISE_PARAM:
             raise InputError(f"unknown noise kind {self.kind!r}")
+        label = f"{self.kind} {_NOISE_PARAM[self.kind]}"
+        object.__setattr__(self, "param", real(label, self.param))
         if not 0 < self.param < math.inf:
-            raise InputError(f"{self.kind} {_NOISE_PARAM[self.kind]} must be "
-                             f"finite and > 0, got {self.param}")
-        if (isinstance(self.dimension, bool)
-                or not isinstance(self.dimension, Integral)
-                or self.dimension < 1):
+            raise InputError(f"{label} must be finite and > 0, got {self.param}")
+        if not is_integer(self.dimension) or self.dimension < 1:
             raise InputError(f"noise dimension must be an integer >= 1, got "
                              f"{self.dimension!r}")
 
     @classmethod
     def laplace(cls, scale: float, dimension: int = 1) -> "NoiseModel":
-        return cls("laplace", float(scale), dimension)
+        return cls("laplace", scale, dimension)
 
     @classmethod
     def gaussian(cls, stddev: float, dimension: int = 1) -> "NoiseModel":
-        return cls("gaussian", float(stddev), dimension)
+        return cls("gaussian", stddev, dimension)
 
 
 def _as_samples(values, label: str) -> np.ndarray:

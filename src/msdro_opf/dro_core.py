@@ -49,6 +49,14 @@ DEGENERACY_BAND = 1e-9
 SUPPORT_TOL = 1e-9
 
 
+def _floats(values, label: str) -> np.ndarray:
+    """``values`` as an at least 1-D float array, or ``InputError``."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{label} must be numbers ({exc})") from None
+
+
 @dataclass(frozen=True)
 class BoxSupport:
     """Per-coordinate interval [lower_j, upper_j] containing the error vector.
@@ -61,8 +69,8 @@ class BoxSupport:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
+        lower = _floats(lower, "support bounds")
+        upper = _floats(upper, "support bounds")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InputError("support bounds must be vectors of equal length")
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
@@ -141,7 +149,12 @@ class MultiDataset:
     """
 
     def __init__(self, samples, epsilons):
-        self.samples = [np.atleast_1d(np.asarray(s, dtype=float)) for s in samples]
+        try:
+            self.samples = [_floats(s, "samples") for s in samples]
+        except TypeError:  # not iterable
+            raise InputError(f"samples must be a list, got {samples!r}") from None
+        if any(s.ndim != 1 for s in self.samples):
+            raise InputError("each feature's samples must be one vector")
         if any(s.size == 0 for s in self.samples):
             raise InputError("every feature needs at least one sample")
         bad = [j for j, s in enumerate(self.samples, start=1)
@@ -152,8 +165,8 @@ class MultiDataset:
 
     def _checked(self, epsilons) -> np.ndarray:
         """``epsilons`` as an array, one finite budget >= 0 per feature."""
-        epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
-        if len(epsilons) != len(self.samples):
+        epsilons = _floats(epsilons, "epsilons")
+        if epsilons.shape != (len(self.samples),):
             raise InputError("need one epsilon per feature")
         if not np.all(np.isfinite(epsilons)):
             raise InputError("epsilons must be finite")

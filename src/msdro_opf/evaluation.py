@@ -28,7 +28,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import product
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from . import opf_model
 from .data_quality import write_csv
 from .dro_core import MultiDataset
-from .errors import InputError
+from .errors import InputError, is_integer, real
 from .network import Network, build_joint_support
 from .opf_model import (OpfDecision, SolutionWithDuals, cvar_tightening_rerun,
                         joint_constraint_rows, risk_level, with_budgets)
@@ -50,6 +49,8 @@ VIOLATION_TOL = 1e-9
 DEFAULT_GRID = (1.0, 0.1, 0.005, 0.001)
 #: Columns of ``oos.csv`` after the budgets, in ``msdro oos`` and the sweep.
 OOS_COLUMNS = ["violation_probability", "n_samples", "status"]
+#: Where training errors are centred (``training_matrix``).
+ERROR_MEANS = ("zero", "forecast-shift")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -142,7 +143,7 @@ def training_matrix(network: Network, n: int, seed: int,
     around the forecast, then shifted back); ``forecast-shift`` keeps the
     raw injection magnitudes as errors, truncated to the same support.
     """
-    if error_mean not in ("zero", "forecast-shift"):
+    if error_mean not in ERROR_MEANS:
         raise InputError(f"unknown error-mean mode {error_mean!r}")
     support = build_joint_support(network)
     rows = [_draw_between(support.lower[j], support.upper[j],
@@ -216,18 +217,18 @@ class SweepConfig:
 
     def __post_init__(self):
         risk_level(self.gamma)  # InputError unless 0 <= gamma < 1
-        if not self.grid:
-            raise InputError("grid needs at least one value")
-        if not all(0 <= v < math.inf for v in self.grid):
-            raise InputError("grid values must be finite and >= 0, got "
-                             f"{list(self.grid)}")
-        if len(set(self.grid)) != len(self.grid):
-            raise InputError("grid values must be distinct, got "
-                             f"{list(self.grid)}")
-        for name in ("n_samples", "oos_samples"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, Integral):
-                raise InputError(f"{name} must be an integer, got {count!r}")
+        if not isinstance(self.grid, tuple) or not self.grid:
+            raise InputError(f"grid must be a tuple of at least one value, "
+                             f"got {self.grid!r}")
+        grid = [real("a grid value", v) for v in self.grid]
+        if not all(0 <= v < math.inf for v in grid) or len(set(grid)) < len(grid):
+            raise InputError("grid values must be finite, >= 0 and distinct, "
+                             f"got {list(self.grid)}")
+        for name in ("n_samples", "oos_samples", "seed"):
+            if not is_integer(value := getattr(self, name)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        if self.error_mean not in ERROR_MEANS:
+            raise InputError(f"unknown error-mean mode {self.error_mean!r}")
         if self.n_samples < 1:
             raise InputError("need at least one training sample")
         if self.oos_samples < 0:

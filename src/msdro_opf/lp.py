@@ -11,9 +11,9 @@ anchored epigraph LPs, the sample average). HiGHS returns primal values
 and one dual per row; duals are read back per family, in the family's
 shape. Row names (``name[i,j]``) are made only when asked for. A solution
 keeps its HiGHS object until ``LpSolution.resolve`` deletes rows and
-changes column bounds in it and restarts from its final basis. Where
-scipy lacks the private bindings, ``linprog`` solves every model from
-scratch.
+changes column bounds in it and restarts from its final basis. The row
+views (``Model.constraints``) are read off the column-wise matrix; without
+scipy's private bindings (scipy >= 1.15) the module does not import.
 
 Dual sign convention
 --------------------
@@ -36,13 +36,16 @@ from itertools import compress, product, repeat
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+import scipy.optimize
 
 try:
     from scipy.optimize._highspy._core import MatrixFormat, ObjSense, _Highs
-except ImportError:  # a scipy build without its private HiGHS bindings
-    _Highs = None
+except ImportError as err:
+    raise ImportError("msdro_opf needs scipy >= 1.15, whose private HiGHS "
+                      "bindings (scipy.optimize._highspy) solve every LP") from err
+
+#: Never called by the program; ``perfbench`` wraps and replaces it by name.
+linprog = scipy.optimize.linprog
 
 INFINITY = float("inf")
 
@@ -199,8 +202,9 @@ class LpSolution:
         """
         m = self.model
         total = float(self.duals @ m._senses()[1])
-        # Bound contributions: reduced cost = obj coefficient minus dual row.
-        red = m.obj - m._matrix().T @ self.duals
+        # Bound contributions: reduced cost = obj coefficient minus A^T y.
+        rows, cols, vals = m._coo()
+        red = m.obj - np.bincount(cols, vals * self.duals[rows], m.num_vars)
         at_lb = np.isfinite(m.lb) & (red > 0)
         at_ub = np.isfinite(m.ub) & (red < 0)
         total += float(np.sum(red[at_lb] * m.lb[at_lb]))
@@ -303,7 +307,8 @@ class Model:
         m = Model(self.name)
         m.lb, m.obj = self.lb.copy(), self.obj.copy()
         m.ub = np.array(ub, dtype=float)
-        at = np.cumsum(~drop) - 1
+        # Each row's new number; absent rows' -1 reads the appended -1.
+        at = np.append(np.cumsum(~drop) - 1, -1)
         for name, fam in self.families.items():
             present = fam.present.copy()
             present[present] = ~drop[fam.index[present]]
@@ -367,14 +372,6 @@ class Model:
                 rhs[at] = f.rhs[f.present]
             self._cache["senses"] = (sense, rhs)
         return self._cache["senses"]
-
-    def _matrix(self) -> sp.csr_matrix:
-        """The constraint matrix in CSR form, built once per model."""
-        if "matrix" not in self._cache:
-            rows, cols, vals = self._coo()
-            self._cache["matrix"] = sp.csr_matrix(
-                (vals, (rows, cols)), shape=(self._num_rows, self.num_vars))
-        return self._cache["matrix"]
 
     def _highs_rows(self):
         """The row layout ``linprog`` gives HiGHS: ``<=`` rows, then ``>=``
@@ -453,13 +450,21 @@ class Model:
     @property
     def constraints(self) -> list:
         """Every row as a ``Row`` (name, cols, vals, sense, rhs), columns in
-        ascending order, read off the CSR matrix on first use; solving
-        never needs them."""
+        ascending order, repeats summed, read off ``_csc()`` on first use;
+        solving never needs them."""
         if "rows" not in self._cache:
-            a, (sense, rhs) = self._matrix(), self._senses()
-            spans = list(map(slice, a.indptr[:-1].tolist(), a.indptr[1:].tolist()))
-            fields = zip(self.row_names(), map(a.indices.__getitem__, spans),
-                         map(a.data.__getitem__, spans), sense.tolist(), rhs.tolist())
+            order, flip, _, _ = self._highs_rows()
+            indptr, indices, data = self._csc()
+            rows = order[indices]
+            # Stable, so each row keeps the ascending columns of ``_csc()``.
+            by_row = np.argsort(rows, kind="stable")
+            cols = np.repeat(np.arange(self.num_vars), np.diff(indptr))[by_row]
+            vals = (data * flip[indices])[by_row]
+            ends = np.cumsum(np.bincount(rows, minlength=self._num_rows)).tolist()
+            spans = list(map(slice, [0] + ends[:-1], ends))
+            sense, rhs = self._senses()
+            fields = zip(self.row_names(), map(cols.__getitem__, spans),
+                         map(vals.__getitem__, spans), sense.tolist(), rhs.tolist())
             # tuple.__new__ fills each Row without a Python-level call per row.
             self._cache["rows"] = list(map(tuple.__new__, repeat(Row), fields))
         return self._cache["rows"]
@@ -469,15 +474,13 @@ class Model:
         listing = ", ".join(f"{name}({k})" for name, fam in self.families.items()
                             if (k := int(np.count_nonzero(fam.present))))
         return (f"model {self.name!r}: {self._num_rows} rows, {self.num_vars} "
-                f"columns, {self._matrix().nnz} nonzeros; rows in families "
+                f"columns, {len(self._columns()[1])} nonzeros; rows in families "
                 f"{listing}")
 
     def solve(self) -> LpSolution:
         """Solve with HiGHS from scratch, presolve off exactly when the
         all-slack start is dual feasible (module docstring)."""
         presolve = bool(np.any(self.lb != 0.0) or np.any(self.obj < 0.0))
-        if _Highs is None:
-            return _solve_scipy_highs(self, presolve)
         highs = _Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
@@ -492,8 +495,9 @@ def _run_highs(highs, model: Model) -> LpSolution:
 
     An optimal solution passes ``linprog``'s check (no NaN; bounds, ``<=``
     slacks and equality residuals within ``CHECK_TOL``) and keeps
-    ``highs``. Any status but optimal, infeasible or unbounded, or a failed
-    check, raises ``SolverError`` with the status, its text and the model.
+    ``highs``; an infeasible or unbounded end reads as zeros and a NaN
+    objective. Any other status, or a failed check, raises ``SolverError``
+    with the status, its text and the model.
     """
     highs.run()
     status = highs.getModelStatus()
@@ -503,31 +507,18 @@ def _run_highs(highs, model: Model) -> LpSolution:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         objective = float(highs.getObjectiveValue())
-        _, _, lower, upper = model._highs_rows()
+        order, flip, lower, upper = model._highs_rows()
         fault = _check(model, x, objective, upper - np.array(solution.row_value),
                        lower == upper)
         if not fault:
-            return _solution(model, end, x, objective,
-                             np.array(solution.row_dual), highs)
+            duals = np.empty(model.num_constraints)
+            duals[order] = flip * np.array(solution.row_dual)
+            return LpSolution(end, objective, x, duals, model, highs)
     elif end:
-        return _solution(model, end)
-    raise SolverError(f"HiGHS status {int(status)} ({fault}) on "
-                      f"{model.summary()}")
-
-
-def _solution(model: Model, end: str, x=None, objective=None, row_duals=None,
-              highs=None) -> LpSolution:
-    """HiGHS's answer in the ``_highs_rows`` layout as an ``LpSolution`` in
-    model order, the duals mapped back through ``order`` and ``flip``; zeros
-    and a NaN objective for an LP that ends infeasible or unbounded."""
-    if end != "optimal":
         return LpSolution(end, float("nan"), np.zeros(model.num_vars),
                           np.zeros(model.num_constraints), model)
-    order, flip, _, _ = model._highs_rows()
-    duals = np.empty(model.num_constraints)
-    duals[order] = flip * np.asarray(row_duals)
-    return LpSolution(end, float(objective), np.asarray(x, dtype=float), duals,
-                      model, highs)
+    raise SolverError(f"HiGHS status {int(status)} ({fault}) on "
+                      f"{model.summary()}")
 
 
 def _check(model: Model, x, objective: float, slack, eq) -> str:
@@ -544,25 +535,3 @@ def _check(model: Model, x, objective: float, slack, eq) -> str:
                 f"{CHECK_TOL:.2E}")
     return ""
 
-
-def _solve_scipy_highs(model: Model, presolve: bool = True) -> LpSolution:
-    """Solve through scipy's ``linprog``, in the ``_highs_rows`` layout: the
-    fallback without the private HiGHS bindings, and the tests' reference
-    for ``Model.solve``."""
-    order, flip, lower, upper = model._highs_rows()
-    a = model._matrix()[order]
-    a.data *= np.repeat(flip, np.diff(a.indptr))
-    eq = lower == upper
-    res = linprog(
-        c=model.obj, A_ub=a[~eq], b_ub=upper[~eq], A_eq=a[eq], b_eq=upper[eq],
-        bounds=np.column_stack([model.lb, model.ub]), method="highs",
-        options={"presolve": presolve},
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise SolverError(f"HiGHS status {res.status} ({res.message}) on "
-                          f"{model.summary()}")
-    if status != "optimal":
-        return _solution(model, status)
-    return _solution(model, status, res.x, res.fun,
-                     np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))

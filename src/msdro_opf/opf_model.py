@@ -25,7 +25,7 @@ import numpy as np
 
 from .dro_core import (BoxSupport, MultiDataset, sample_worst_case,
                        transport_room, wasserstein_block)
-from .errors import InputError
+from .errors import InputError, real
 from .lp import EQ, GE, INFINITY, LE, LpSolution, Model, SolverError, family
 from .network import Network, build_joint_support, compute_flow_maps
 
@@ -35,8 +35,8 @@ PARTICIPATION_TOL = 1e-9
 
 def risk_level(gamma) -> float:
     """The joint chance constraint's violation budget as a float;
-    ``InputError`` unless 0 <= gamma < 1."""
-    gamma = float(gamma)
+    ``InputError`` unless it is a number with 0 <= gamma < 1."""
+    gamma = real("gamma", gamma)
     if not 0.0 <= gamma < 1.0:
         raise InputError(f"gamma must lie in [0, 1), got {gamma}")
     return gamma

@@ -859,3 +859,78 @@ def scipy_csc(model):
     rows = at[rows]
     return sp.csc_matrix((vals * flip[rows], (rows, cols)),
                          shape=(model.num_constraints, model.num_vars))
+
+
+def linprog_solve(model, presolve=True):
+    """``model`` solved by scipy's ``linprog`` in the row layout
+    ``Model.solve`` hands HiGHS (``<=`` rows, negated ``>=`` rows, then
+    equalities), from a CSR matrix scipy assembles from the coefficient
+    table: the reference for ``Model.solve``. An infeasible or unbounded
+    end reads as zeros and a NaN objective; any other end but optimal
+    raises ``SolverError``."""
+    import scipy.sparse as sp
+    from msdro_opf.lp import LpSolution, SolverError
+
+    order, flip, lower, upper = model._highs_rows()
+    rows, cols, vals = model._coo()
+    a = sp.csr_matrix((vals, (rows, cols)),
+                      shape=(model.num_constraints, model.num_vars))[order]
+    a.data *= np.repeat(flip, np.diff(a.indptr))
+    eq = lower == upper
+    res = linprog(
+        c=model.obj, A_ub=a[~eq], b_ub=upper[~eq], A_eq=a[eq], b_eq=upper[eq],
+        bounds=np.column_stack([model.lb, model.ub]), method="highs",
+        options={"presolve": presolve},
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise SolverError(f"HiGHS status {res.status} ({res.message}) on "
+                          f"{model.summary()}")
+    duals = np.zeros(model.num_constraints)
+    if status != "optimal":
+        return LpSolution(status, float("nan"), np.zeros(model.num_vars),
+                          duals, model)
+    duals[order] = flip * np.concatenate([res.ineqlin.marginals,
+                                          res.eqlin.marginals])
+    return LpSolution(status, float(res.fun), np.asarray(res.x, dtype=float),
+                      duals, model)
+
+
+def optimality_faults(sol, tol=1e-7) -> list:
+    """The optimality conditions an optimal ``LpSolution`` breaks ([] when
+    none), checked with a dense matrix summed from the coefficient table
+    (``_coo()``) and the rows' senses and right-hand sides (``_senses()``):
+    primal feasibility; the dual signs of the ``lp`` docstring (``<=``
+    rows <= 0, ``>=`` rows >= 0); reduced costs c - A'y that push only
+    against a finite bound the point sits at; complementary slackness of
+    the rows; and strong duality. ``tol`` scales with each quantity."""
+    m = sol.model
+    rows, cols, vals = m._coo()
+    a = np.zeros((m.num_constraints, m.num_vars))
+    np.add.at(a, (rows, cols), vals)
+    sense, rhs = m._senses()
+    x, y = sol.x, sol.duals
+    le, ge, eq = sense == "<=", sense == ">=", sense == "=="
+    gap = a @ x - rhs  # the row's activity over its right-hand side
+    row_tol = tol * (1 + np.abs(a) @ np.abs(x) + np.abs(rhs))
+    faults = []
+    if ((gap > row_tol) & le).any() or ((gap < -row_tol) & ge).any() \
+            or ((np.abs(gap) > row_tol) & eq).any() \
+            or (x < m.lb - tol * (1 + np.abs(m.lb))).any() \
+            or (x > m.ub + tol * (1 + np.abs(m.ub))).any():
+        faults.append("primal infeasible")
+    if (y[le] > tol).any() or (y[ge] < -tol).any():
+        faults.append("dual sign")
+    red = m.obj - a.T @ y
+    red_tol = tol * (1 + np.abs(m.obj) + np.abs(a).T @ np.abs(y))
+    at_lb, at_ub = red > red_tol, red < -red_tol
+    off_lb = np.abs(x - m.lb) > tol * (1 + np.abs(x))
+    off_ub = np.abs(m.ub - x) > tol * (1 + np.abs(x))
+    if (at_lb & off_lb).any() or (at_ub & off_ub).any():
+        faults.append("reduced cost at no bound")
+    if (np.abs(y * gap) > (1 + np.abs(y)) * row_tol).any():
+        faults.append("complementary slackness")
+    dual = y @ rhs + red[at_lb] @ m.lb[at_lb] + red[at_ub] @ m.ub[at_ub]
+    if abs(m.obj @ x - dual) > tol * (1 + abs(m.obj @ x) + np.abs(y) @ np.abs(rhs)):
+        faults.append("duality gap")
+    return faults

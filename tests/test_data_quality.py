@@ -162,6 +162,22 @@ def test_noise_model_rejects_a_dimension_that_is_not_a_count(dimension):
         NoiseModel("laplace", 0.1, dimension)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: NoiseModel("laplace", "0.1"), "laplace scale must be a number"),
+    (lambda: NoiseModel("laplace", True), "laplace scale must be a number"),
+    (lambda: NoiseModel("laplace", 10**400), "laplace scale is an integer too"),
+    (lambda: NoiseModel.gaussian("abc"), "gaussian stddev must be a number"),
+    (lambda: NoiseModel(["x"], 1.0), r"unknown noise kind \['x'\]"),
+    (lambda: QualitySignal("a"), "epsilon must be a number, got 'a'"),
+    (lambda: QualitySignal(None), "epsilon must be a number, got None"),
+], ids=["text scale", "bool scale", "huge scale", "text stddev", "list kind",
+        "text epsilon", "no epsilon"])
+def test_quality_constructors_refuse_values_of_the_wrong_type(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+    assert NoiseModel("laplace", 1).param.__class__ is float
+
+
 def test_noise_model_accepts_integer_dimensions():
     assert NoiseModel("gaussian", 0.1, np.int64(3)).dimension == 3
     bound = additive_noise_bound(NoiseModel.laplace(0.05, 4), 1, "l1")

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msdro_opf import lp
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 SeparableAffineCost, mean_transport_room,
                                 robust_value, sample_average,
@@ -27,8 +26,9 @@ from msdro_opf.errors import InputError
 from msdro_opf.lp import Model, SolverError
 from msdro_opf.opf_model import solve_msdro_opf
 
-from oracles import (anchored_dual_value, grid_sup_affine, multi_marginal_value,
-                     per_piece_anchored_lp, separable_lp, sup_affine_minus_l1)
+from oracles import (anchored_dual_value, grid_sup_affine, linprog_solve,
+                     multi_marginal_value, per_piece_anchored_lp, separable_lp,
+                     sup_affine_minus_l1)
 
 BOX11 = BoxSupport([-1.0], [1.0])
 
@@ -491,14 +491,13 @@ def test_anchored_routes_without_presolve_match_presolved_and_per_piece_lp(
             anchored_solves.clear()
             value = route(scale)
             (sol,) = anchored_solves
-            presolved = lp._solve_scipy_highs(sol.model, True)
+            presolved = linprog_solve(sol.model)
             assert presolved.objective == pytest.approx(
                 sol.objective, rel=1e-9, abs=1e-9), (name, scale)
             assert value == pytest.approx(oracle(scale), rel=1e-9,
                                           abs=1e-9), (name, scale)
 
 
-@pytest.mark.skipif(lp._Highs is None, reason="scipy lacks its HiGHS bindings")
 def test_anchored_routes_solve_without_presolve(anchored_solves, case5,
                                                 train20):
     """The anchored LPs' HiGHS objects have presolve off; the OPF LP, with
@@ -616,6 +615,21 @@ def test_box_support_validation():
     for lower, upper in (([np.nan], [1.0]), ([-np.inf], [1.0]), ([-1.0], [np.inf])):
         with pytest.raises(InputError):
             BoxSupport(lower, upper)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: BoxSupport("a", "b"), "support bounds must be numbers"),
+    (lambda: BoxSupport([-1.0], [[1.0], 2.0]), "support bounds must be numbers"),
+    (lambda: MultiDataset([[1.0, "a"]], [0.1]), "samples must be numbers"),
+    (lambda: MultiDataset(None, [0.1]), "samples must be a list, got None"),
+    (lambda: MultiDataset([[1.0]], "x"), "epsilons must be numbers"),
+    (lambda: MultiDataset([[[1.0, 2.0]]], [0.1]), "must be one vector"),
+    (lambda: MultiDataset([[1.0]], [[0.1]]), "one epsilon per feature"),
+], ids=["text bounds", "ragged bound", "text sample", "no samples",
+        "text budget", "matrix feature", "budget matrix"])
+def test_dataset_and_support_refuse_what_is_not_numbers(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
 
 
 def test_dataset_validation():

@@ -259,6 +259,29 @@ def test_sweep_config_refuses_a_count_that_is_not_an_integer(field, count):
     assert getattr(SweepConfig(**{field: np.int64(3)}), field) == 3
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("grid", (True, 0.1), "a grid value must be a number, got True"),
+    ("grid", ("a",), "a grid value must be a number, got 'a'"),
+    ("grid", (None,), "a grid value must be a number, got None"),
+    ("grid", (10**400, 0.1), "a grid value is an integer too large"),
+    ("grid", 0.1, "grid must be a tuple of at least one value, got 0.1"),
+    ("grid", [1.0, 0.1], "grid must be a tuple"),
+    ("gamma", None, "gamma must be a number, got None"),
+    ("gamma", "0.05", "gamma must be a number"),
+    ("error_mean", "x", "unknown error-mean mode 'x'"),
+])
+def test_sweep_config_refuses_values_of_the_wrong_type(field, value, message):
+    """Each field is checked where the configuration is made, not when a
+    sweep first reads it (``seed=1.5`` drew as seed 1)."""
+    with pytest.raises(InputError, match=message):
+        SweepConfig(**{field: value})
+    cfg = SweepConfig(seed=np.int64(7), gamma=np.float32(0.25), grid=(1, 0.5))
+    assert (cfg.seed, cfg.grid) == (7, (1, 0.5))
+
+
 def test_oos_cells_include_zero_only_when_asked():
     cfg = SweepConfig(grid=(1.0, 0.1), oos_include_zero=False)
     assert len(list(cfg.oos_cells(2))) == 4

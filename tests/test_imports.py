@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every public
 name the package defines has a reader, one module reads and writes the
-CSV tables, and no module imports ``scipy.stats``.
+CSV tables, no module imports ``scipy.stats`` or ``scipy.sparse``, and
+HiGHS is reached one way.
 
 Stdlib ``ast`` checks: an imported name counts as used when it is read
 anywhere in the module or listed in its ``__all__``. A top-level public
@@ -161,9 +162,9 @@ def test_one_out_of_sample_check():
     assert sites == {"evaluation.py": ["out_of_sample"]}
 
 
-def stats_imports(source: str) -> list:
-    """Each import of ``scipy.stats`` (or a module under it) in ``source``,
-    at any depth, as the text of the import statement."""
+def module_imports(source: str, module: str) -> list:
+    """Each import of ``module`` (or a module under it) in ``source``, at
+    any depth, as the text of the import statement."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -172,8 +173,7 @@ def stats_imports(source: str) -> list:
             names = [f"{node.module}.{a.name}" for a in node.names]
         else:
             continue
-        if any(n == "scipy.stats" or n.startswith("scipy.stats.")
-               for n in names):
+        if any(n == module or n.startswith(f"{module}.") for n in names):
             found.append(ast.unparse(node))
     return found
 
@@ -183,18 +183,69 @@ def test_stats_imports_finds_each_form():
               "def f():\n    from scipy.stats import truncnorm\n"
               "    import scipy.stats._distn_infrastructure as d\n"
               "from scipy.statsmodels import x\n")
-    assert stats_imports(source) == [
+    assert module_imports(source, "scipy.stats") == [
         "from scipy import sparse, stats",
         "from scipy.stats import truncnorm",
         "import scipy.stats._distn_infrastructure as d"]
+    assert module_imports(source, "scipy.sparse") == [
+        "from scipy import sparse, stats"]
+
+
+def imports_in_package(module: str) -> dict:
+    """Each package module's imports of ``module``, by file name."""
+    return {path.name: imports for path in sorted(SRC.glob("*.py"))
+            if (imports := module_imports(path.read_text(encoding="utf-8"),
+                                          module))}
 
 
 def test_no_module_imports_scipy_stats():
     """The truncated normal draws compute ``truncnorm.rvs`` from
     ``scipy.special``; ``scipy.stats`` takes about a second to load."""
-    found = {path.name: imports for path in sorted(SRC.glob("*.py"))
-             if (imports := stats_imports(path.read_text(encoding="utf-8")))}
+    assert imports_in_package("scipy.stats") == {}
+
+
+def test_no_module_imports_scipy_sparse():
+    """The LP layer assembles one matrix, column-wise, in numpy."""
+    assert imports_in_package("scipy.sparse") == {}
+
+
+def name_reads(source: str, name: str) -> list:
+    """The top-level function or class around each read of the bare
+    ``name`` in ``source``, in order; "" for a read outside any."""
+    return [getattr(top, "name", "") for top in ast.parse(source).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_name_reads_finds_each_read_and_its_function():
+    source = ("x = None\nprint(x)\nclass A:\n    def f(self):\n"
+              "        return x() if x is not None else x\n")
+    assert name_reads(source, "x") == ["", "A", "A", "A"]
+
+
+def test_no_module_calls_linprog():
+    """Every LP is solved through HiGHS's bindings; ``lp.linprog`` is only
+    bound, for the benchmark to wrap."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        found |= {(path.name, call): sites
+                  for call in ("linprog", "optimize.linprog",
+                               "scipy.optimize.linprog")
+                  if (sites := call_sites(source, call))}
     assert found == {}
+
+
+def test_highs_objects_are_made_only_in_model():
+    """``_Highs`` is read only to make a HiGHS object, in ``lp.Model``, and
+    never tested for: there is no second way to solve."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if reads := name_reads(source, "_Highs"):
+            found[path.name] = reads, call_sites(source, "_Highs")
+    assert found == {"lp.py": (["Model"], ["Model"])}
 
 
 def test_a_sweep_does_not_load_scipy_stats(tmp_path):

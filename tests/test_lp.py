@@ -11,7 +11,8 @@ from msdro_opf.lp import (EQ, GE, INFINITY, LE, Model, SolverError,
                           family)
 from msdro_opf.opf_model import build_msdro_opf
 
-from oracles import add_row, bits, row_dual, row_multiplier, scipy_csc
+from oracles import (add_row, bits, linprog_solve, row_dual, row_multiplier,
+                     scipy_csc)
 
 
 def build_cover_model():
@@ -179,8 +180,9 @@ def _toy_by_families():
 
 def test_families_read_like_rows():
     by_rows, by_fams = _toy_by_rows(), _toy_by_families()
-    a, b = by_rows._matrix(), by_fams._matrix()
-    assert (a != b).nnz == 0 and a.shape == b.shape
+    for a, b in zip(by_rows._csc(), by_fams._csc()):
+        assert bits(a) == bits(b)
+    assert by_rows.num_vars == by_fams.num_vars
     assert by_rows.num_constraints == by_fams.num_constraints == 8
     assert by_rows.row_names() == by_fams.row_names()
     for r, f in zip(by_rows.constraints, by_fams.constraints):
@@ -211,9 +213,9 @@ def test_row_views_and_names_stay_lazy():
     assert m.constraints[1].cols.tolist() == [0]
 
 
-def test_row_views_read_the_csr_matrix():
+def test_row_views_read_the_column_wise_matrix():
     """A row lists its columns in ascending order, repeats summed, as the
-    CSR matrix holds them."""
+    column-wise matrix HiGHS gets holds them."""
     m = Model()
     x = m.add_vars(3)
     m.add(family("mix", 2, [(x[[2, 1]], 1.0), (x[[0, 1]], [2.0, 3.0])], LE, 1.0))
@@ -223,7 +225,7 @@ def test_row_views_read_the_csr_matrix():
                                                         ("mix[1]", LE, 1.0)]
     assert [r.cols.tolist() for r in rows] == [[0, 2], [1]]
     assert [r.vals.tolist() for r in rows] == [[2.0, 1.0], [4.0]]
-    assert sum(len(r.cols) for r in rows) == m._matrix().nnz == 3
+    assert sum(len(r.cols) for r in rows) == len(m._csc()[1]) == 3
 
 
 def test_column_arrays_are_scipys_bit_for_bit():
@@ -294,31 +296,29 @@ def test_interleaved_families_need_equal_shapes():
         family("c", 2, [(x, 1.0)], "<", 1.0)
 
 
-def test_fallback_without_private_bindings_gives_same_numbers(
-        monkeypatch, case5, train20):
-    """Where scipy has no ``_Highs``, ``linprog`` solves every model, to the
-    same bits as the direct backend."""
+def test_lp_without_private_bindings_fails_at_import(monkeypatch):
+    """Where scipy has no ``_Highs``, loading ``lp`` fails with an
+    ``ImportError`` that names the bindings and the scipy floor, chained
+    from scipy's own."""
     from scipy.optimize._highspy import _core
 
-    spec = importlib.util.spec_from_file_location("lp_fallback", lp.__file__)
-    fallback = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "lp_fallback", fallback)
-    with monkeypatch.context() as patch:  # the import fails, linprog works
-        patch.delattr(_core, "_Highs")
-        spec.loader.exec_module(fallback)
-    assert fallback._Highs is None
-    models = [build_cover_model()[0]] + [
-        build_msdro_opf(case5, MultiDataset.from_matrix(train20, eps), 0.05).model
-        for eps in ([1.0, 1.0], [0.1, 0.005])]
-    for model in models:
-        direct, slow = model.solve(), fallback.Model.solve(model)
-        assert slow.optimal and slow._highs is None
-        assert slow.objective == direct.objective
-        assert bits(slow.x) == bits(direct.x)
-        assert bits(slow.duals) == bits(direct.duals)
+    spec = importlib.util.spec_from_file_location("lp_without", lp.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "lp_without", module)
+    monkeypatch.delattr(_core, "_Highs")
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15.*"
+                       r"scipy\.optimize\._highspy") as err:
+        spec.loader.exec_module(module)
+    assert isinstance(err.value.__cause__, ImportError)
+    assert "_Highs" in str(err.value.__cause__)
+
+
+def test_infeasible_and_unbounded_ends_read_as_zeros():
+    """Both the solver and the ``linprog`` reference end an infeasible or
+    unbounded LP with that status, zeros and a NaN objective."""
     for end, model in (("infeasible", _infeasible_toy()),
                        ("unbounded", _unbounded_toy())):
-        for sol in (model.solve(), fallback.Model.solve(model)):
+        for sol in (model.solve(), linprog_solve(model)):
             assert sol.status == end
             assert not sol.x.any() and np.isnan(sol.objective)
 
@@ -409,6 +409,16 @@ def test_without_leaves_rows_out_in_order():
         assert bits(getattr(smaller, part)) == bits(getattr(want, part))
     assert full.row_names() == ["cover", "floor", "zcap", "cap"]
     assert full.ub[0] == INFINITY
+
+
+def test_without_copies_a_model_whose_rows_are_all_absent():
+    m = Model()
+    x = m.add_vars(2, obj=1.0)
+    m.add(family("none", 2, [(x, 1.0)], LE, 1.0, where=False))
+    copy = m.without(np.zeros(0, dtype=bool), [INFINITY, 0.0])
+    assert copy.num_constraints == 0
+    assert copy.families["none"].index.tolist() == [-1, -1]
+    assert copy.solve().objective == 0.0
 
 
 def test_resolve_edits_the_solved_lp_and_hands_over_the_solver():

@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from msdro_opf import MultiDataset, lp, solve_msdro_opf
 from msdro_opf.dro_core import SeparableAffineCost, wc_expectation_separable
@@ -21,7 +20,7 @@ from msdro_opf.valuation import (envelope_check,
                                  forecast_value_decomposition,
                                  marginal_data_value)
 
-from oracles import (bits, ring_instances, ring_network,
+from oracles import (bits, linprog_solve, ring_instances, ring_network,
                      robust_corner_objective, row_dual, row_multiplier,
                      saa_cvar_objective, three_cut_opf)
 
@@ -412,7 +411,7 @@ def test_direct_highs_matches_linprog_bit_for_bit(case5, train20):
     duals and objective are the same floats as through ``linprog``."""
     for net, data, gamma in parity_instances(case5, train20):
         model = build_msdro_opf(net, data, gamma).model
-        direct, oracle = model.solve(), lp._solve_scipy_highs(model)
+        direct, oracle = model.solve(), linprog_solve(model)
         assert direct.optimal and oracle.optimal
         assert direct.objective == oracle.objective
         assert bits(direct.x) == bits(oracle.x)
@@ -447,26 +446,6 @@ def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
         assert rerun.objective == pytest.approx(cold.objective, rel=1e-9)
         assert rerun.duality_gap() <= 1e-9
     assert warm >= 25  # 28 of the 46 instances pin some generator
-
-
-def test_rerun_without_highs_bindings_solves_the_pinned_model_cold(
-        case5, train20, monkeypatch):
-    """Without scipy's private HiGHS bindings every solve goes through
-    ``linprog``; the re-run solves the pinned model from scratch, to the
-    same floats as a direct cold solve of that model."""
-    calls = []
-    monkeypatch.setattr(lp, "_Highs", None)
-    monkeypatch.setattr(lp, "linprog",
-                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
-    data = MultiDataset.from_matrix(train20, np.array([1.0, 1.0]))
-    first = solve_msdro_opf(case5, data, 0.05)
-    rerun = cvar_tightening_rerun(first)
-    assert rerun is not first and len(calls) == 2
-    assert rerun.lp_solution._highs is None
-    cold = lp._solve_scipy_highs(rerun.built.model)
-    assert rerun.objective == cold.objective
-    assert bits(rerun.lp_solution.x) == bits(cold.x)
-    assert bits(rerun.lp_solution.duals) == bits(cold.duals)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
