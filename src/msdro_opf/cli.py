@@ -33,8 +33,9 @@ from .evaluation import (DEFAULT_GRID, ERROR_MEANS, OOS_COLUMNS, SweepConfig,
 from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
-from .valuation import (forecast_value_decomposition, marginal_data_value,
-                        write_data_value_csv, write_forecast_value_csv)
+from .valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
+                        data_value_rows, forecast_value_decomposition,
+                        forecast_value_rows, marginal_data_value)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -174,8 +175,10 @@ def cmd_solve(args) -> int:
     write_csv(outdir / "duals.csv", ["constraint", "dual"],
               zip(sol.built.model.row_names(), duals.tolist()))
 
-    write_data_value_csv(outdir / "valuation.csv", report)
-    write_forecast_value_csv(outdir / "forecast_value.csv", forecast)
+    write_csv(outdir / "valuation.csv", DATA_VALUE_COLUMNS,
+              data_value_rows(report))
+    write_csv(outdir / "forecast_value.csv", FORECAST_VALUE_COLUMNS,
+              forecast_value_rows(forecast))
     outputs = ["solution.csv", "duals.csv", "valuation.csv",
                "forecast_value.csv", "samples.csv"]
     write_samples_csv(outdir / "samples.csv", data.matrix())

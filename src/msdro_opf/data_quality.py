@@ -35,7 +35,6 @@ class QualitySignal:
     """Wasserstein budget for one feature: an upper bound on W_p^p."""
 
     epsilon: float
-    p: int = 1
 
     def __post_init__(self):
         if not 0 <= real("epsilon", self.epsilon) < math.inf:
@@ -134,7 +133,7 @@ def additive_noise_bound(noise: NoiseModel, p: int = 1,
     if (p, norm) not in ((1, "l1"), (2, "l2")):
         raise InputError(f"no bound implemented for p={p}, norm={norm!r}")
     eps = noise.dimension * _NOISE_MOMENT[noise.kind, p](noise.param)
-    return QualitySignal(epsilon=float(eps), p=p)
+    return QualitySignal(epsilon=float(eps))
 
 
 def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal:
@@ -144,7 +143,7 @@ def aggregation_protocol_bound(original, published, p: int = 1) -> QualitySignal
     and the analytic bound may not hold.
     """
     eps = empirical_wasserstein_1d(original, published, p=p)
-    return QualitySignal(epsilon=eps, p=p)
+    return QualitySignal(epsilon=eps)
 
 
 #: Everything a file of plain decimal rows can hold: numbers (with

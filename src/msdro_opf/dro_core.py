@@ -48,6 +48,9 @@ DEGENERACY_BAND = 1e-9
 #: How far a sample may lie outside its support box and still count as in it.
 SUPPORT_TOL = 1e-9
 
+#: Largest index product ``wc_expectation_general`` builds an LP over.
+INDEX_CAP = 100_000
+
 
 def _floats(values, label: str) -> np.ndarray:
     """``values`` as an at least 1-D float array, or ``InputError``."""
@@ -341,20 +344,20 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
-                           support: BoxSupport, cap: int = 100_000) -> float:
+                           support: BoxSupport) -> float:
     """Worst-case expectation via the exact multi-index linear program.
 
     One epigraph variable per element of the index product across datasets,
-    so the instance size is prod_j N_j. Guarded by ``cap``; larger problems
-    should use the separable or standardized reformulation instead.
+    so the instance size is prod_j N_j. Guarded by ``INDEX_CAP``; larger
+    problems should use the separable or standardized reformulation instead.
     """
     cost = _checked_piecewise(cost, data, support)
     counts = data.counts
     n_idx = int(np.prod(counts))
-    if n_idx > cap:
+    if n_idx > INDEX_CAP:
         raise InputError(
-            f"index product {n_idx} exceeds cap {cap}; use the separable or "
-            "standardized reformulation"
+            f"index product {n_idx} exceeds cap {INDEX_CAP}; use the "
+            "separable or standardized reformulation"
         )
     model = Model("wc-general")
     lam = model.add_vars(data.dimension, obj=data.epsilons)

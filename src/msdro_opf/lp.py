@@ -1,7 +1,8 @@
 """Linear program built from constraint families, solved by HiGHS.
 
-Variables are array blocks and constraints are *families* (named arrays
-of rows sharing one sense). The matrix is assembled once, column-wise, and
+Variables are array blocks, their bounds and costs given when they are
+added, and constraints are *families* (named arrays of rows sharing one
+sense). The matrix is assembled once, column-wise, and
 handed as numpy arrays to the HiGHS object scipy bundles
 (``scipy.optimize._highspy``) with the settings of
 ``linprog(method="highs")`` (dual simplex, no output), presolve off
@@ -13,7 +14,10 @@ shape. Row names (``name[i,j]``) are made only when asked for. A solution
 keeps its HiGHS object until ``LpSolution.resolve`` deletes rows and
 changes column bounds in it and restarts from its final basis. The row
 views (``Model.constraints``) are read off the column-wise matrix; without
-scipy's private bindings (scipy >= 1.15) the module does not import.
+scipy's private bindings (scipy >= 1.15) the module does not import. A
+solve is checked as ``linprog`` checks it (``_check``); strong duality and
+the other optimality conditions are certified by the test oracle
+``tests/oracles.optimality_faults``.
 
 Dual sign convention
 --------------------
@@ -194,23 +198,6 @@ class LpSolution:
         duals = self.family_duals(name)
         return -duals if sense == LE else duals
 
-    def dual_objective(self) -> float:
-        """Objective value recomputed from duals and reduced costs.
-
-        Skips bound terms at infinite bounds (their multipliers are zero but
-        0 * inf is nan). Used for strong-duality checks.
-        """
-        m = self.model
-        total = float(self.duals @ m._senses()[1])
-        # Bound contributions: reduced cost = obj coefficient minus A^T y.
-        rows, cols, vals = m._coo()
-        red = m.obj - np.bincount(cols, vals * self.duals[rows], m.num_vars)
-        at_lb = np.isfinite(m.lb) & (red > 0)
-        at_ub = np.isfinite(m.ub) & (red < 0)
-        total += float(np.sum(red[at_lb] * m.lb[at_lb]))
-        total += float(np.sum(red[at_ub] * m.ub[at_ub]))
-        return total
-
     def resolve(self, drop, ub) -> "LpSolution":
         """Solve ``self.model.without(drop, ub)``.
 
@@ -273,11 +260,6 @@ class Model:
         """Add one variable and return its column index."""
         return int(self.add_vars((), lb, ub, obj))
 
-    def fix_var(self, index, value: float) -> None:
-        """Pin one variable, or an array of them, to ``value``."""
-        self.lb[index] = value
-        self.ub[index] = value
-
     def add(self, *families: Family):
         """Append families; several families are interleaved row by row.
 
@@ -322,7 +304,7 @@ class Model:
     def with_values(self, obj, name: str, vals) -> "Model":
         """A copy with objective ``obj`` and ``vals`` for the coefficients
         family ``name`` stores (same count and order, none zero). The
-        bounds are copied, so ``fix_var`` on either model leaves the other
+        bounds are copied, so writing either model's leaves the other
         alone; the families, the row layout and the matrix's column
         structure are shared, and only values are recomputed."""
         fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))

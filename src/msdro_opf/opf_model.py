@@ -67,12 +67,6 @@ class OpfModel:
     idx: dict
     fixed_zero_participation: frozenset = frozenset()
 
-    @property
-    def num_cc_rows(self) -> int:
-        """Rows inside the CVaR max, excluding the augmented zero row."""
-        free = self.network.num_generators - len(self.fixed_zero_participation)
-        return 2 * free + 2 * self.network.num_lines
-
 
 @dataclass
 class SolutionWithDuals:
@@ -106,12 +100,6 @@ class SolutionWithDuals:
         """``SolverError`` unless the solve ended optimal."""
         if not self.optimal:
             raise SolverError(f"solution status is {self.status}")
-
-    def duality_gap(self) -> float:
-        """Relative gap between primal objective and the dual bound."""
-        self.require_optimal()
-        dual_obj = self.lp_solution.dual_objective()
-        return abs(self.objective - dual_obj) / max(1.0, abs(self.objective))
 
     def activation_cost_block(self) -> float:
         """Worst-case expected activation cost term of the objective."""
@@ -195,14 +183,12 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     rm = m.add_vars(n_g, obj=c_r)
     framp = m.add_vars(n_l)
     framm = m.add_vars(n_l)
-    lam_co = m.add_vars(d)  # its costs are the budgets (with_budgets)
+    lam_ub = np.where(eps == 0.0, 0.0, INFINITY)
+    lam_co = m.add_vars(d, ub=lam_ub)  # its costs are the budgets (with_budgets)
     tau = m.add_var(lb=-INFINITY, ub=0.0)
     nu = m.add_var(lb=-INFINITY)
-    lam_cc = m.add_vars(d)
+    lam_cc = m.add_vars(d, ub=lam_ub)
     s_cc = m.add_vars(n, lb=-INFINITY)
-
-    for cols in (lam_co[eps == 0.0], lam_cc[eps == 0.0]):
-        m.fix_var(cols, 0.0)
 
     # (pi) energy balance: <1,p> = <1,d> - <1,u>
     m.add(family("bal", (), [(p, 1.0)], EQ, float(np.sum(d_vec) - np.sum(u_vec))))

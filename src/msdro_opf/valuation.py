@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_quality import write_csv
 from .dro_core import (DEGENERACY_BAND, BoxSupport, MultiDataset,
                        mean_transport_room)
 from .errors import InputError
@@ -225,11 +224,3 @@ def forecast_value_rows(report: ForecastValueReport) -> list:
              report.reserve_term[j], report.pi_f[j], report.pi_d[j],
              report.remuneration[j]]
             for j in range(report.dimension)]
-
-
-def write_data_value_csv(path, report: DataValueReport) -> None:
-    write_csv(path, DATA_VALUE_COLUMNS, data_value_rows(report))
-
-
-def write_forecast_value_csv(path, report: ForecastValueReport) -> None:
-    write_csv(path, FORECAST_VALUE_COLUMNS, forecast_value_rows(report))

@@ -532,7 +532,7 @@ def three_cut_opf(network, data, gamma, fixed_zero_participation=()):
     s_aux = m.add_vars((d, n, k_aug + 1), lb=-INFINITY)
     for cols in (alpha[skip], rp[skip], rm[skip], lam_co[eps == 0.0],
                  lam_cc[eps == 0.0]):
-        m.fix_var(cols, 0.0)
+        m.lb[cols] = m.ub[cols] = 0.0
 
     d_vec, u_vec = network.load_vector(), network.forecast_vector()
     f_max = np.array([ln.f_max for ln in network.lines])

@@ -114,7 +114,6 @@ def test_w1_triangle_inequality(a, b, c):
 def test_laplace_bound_analytic():
     signal = additive_noise_bound(NoiseModel.laplace(0.05), p=1, norm="l1")
     assert signal.epsilon == pytest.approx(0.05)
-    assert signal.p == 1
 
 
 def test_laplace_bound_matches_monte_carlo():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msdro_opf import dro_core
 from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
                                 SeparableAffineCost, mean_transport_room,
                                 robust_value, sample_average,
@@ -272,7 +273,7 @@ def test_general_saturated_budget_is_robust_value():
             robust_value(cost, box), rel=1e-8)
 
 
-def test_general_product_cap():
+def test_general_product_cap(monkeypatch):
     xs = [np.linspace(-0.9, 0.9, 400), np.linspace(-0.9, 0.9, 400)]
     data = MultiDataset(xs, [0.1, 0.1])
     box = BoxSupport([-1, -1], [1, 1])
@@ -280,8 +281,9 @@ def test_general_product_cap():
                                          "100000"):
         wc_expectation_general(PiecewiseMaxAffine([[1.0, 1.0]], [0.0]),
                                data, box)
+    monkeypatch.setattr(dro_core, "INDEX_CAP", 200_000)
     assert wc_expectation_general(PiecewiseMaxAffine([[1.0, 1.0]], [0.0]),
-                                  data, box, cap=200_000) > 0
+                                  data, box) > 0
 
 
 def test_general_rejects_dimension_mismatch():

@@ -4,14 +4,17 @@ CSV tables, no module imports ``scipy.stats`` or ``scipy.sparse``, and
 HiGHS is reached one way.
 
 Stdlib ``ast`` checks: an imported name counts as used when it is read
-anywhere in the module or listed in its ``__all__``. A top-level public
-name of the package counts as read when another line of the package, the
-benchmark (``perfbench/``), ``tests/test_acceptance.py`` or a README
-``python`` block reads it, as a name, an attribute, an imported name or a
-string that is exactly the name (the benchmark wraps attributes by name).
+anywhere in the module or listed in its ``__all__``. A public name of the
+package, top-level or a class's method or property, counts as read when
+another line of the package, the benchmark (``perfbench/``),
+``tests/test_acceptance.py`` or a README ``python`` block reads it, as a
+name, an attribute, an imported name or a string that is exactly the name
+(the benchmark wraps attributes by name); a method's reads of its own name
+inside its own body do not count.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,29 +70,44 @@ def public_definitions(source: str) -> set:
     return {n for n in names if not n.startswith("_")}
 
 
-def read_names(source: str) -> set:
-    """Every identifier ``source`` reads: loaded names, attributes, imported
-    names and strings that are one identifier."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.alias):
-            read.add(node.name.split(".")[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            read.add(node.value)
+def read_names(node) -> Counter:
+    """Every identifier read under the ``ast`` node ``node``, with its
+    count: loaded names, attributes, imported names and strings that are
+    one identifier."""
+    read = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            read[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            read[sub.name.split(".")[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            read[sub.value] += 1
     return read
 
 
+def public_members(tree) -> list:
+    """The public methods and properties of ``tree``'s top-level classes."""
+    return [node for top in tree.body if isinstance(top, ast.ClassDef)
+            for node in top.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
 def unread_public_names(package: list, readers: list) -> list:
-    """Public names the ``package`` sources define and neither they nor the
-    ``readers`` sources read, sorted."""
-    defined = set().union(*(public_definitions(s) for s in package))
-    read = set().union(*(read_names(s) for s in package + readers))
-    return sorted(defined - read)
+    """Public names the ``package`` sources define, top-level or as a
+    class's method or property, that neither they nor the ``readers``
+    sources read, sorted. A member's reads of its own name inside its own
+    definition do not count."""
+    trees = [ast.parse(s) for s in package]
+    read = sum((read_names(t) for t in trees + [ast.parse(s) for s in readers]),
+               Counter())
+    unread = {n for s in package for n in public_definitions(s) if not read[n]}
+    own = Counter()
+    for member in (m for t in trees for m in public_members(t)):
+        own[member.name] += read_names(member)[member.name]
+    return sorted(unread | {name for name in own if read[name] <= own[name]})
 
 
 def test_unread_public_names_finds_only_the_unread_names():
@@ -97,8 +115,14 @@ def test_unread_public_names_finds_only_the_unread_names():
                "def size(box: Box) -> int:\n    return LIMIT\n"
                "def helper():\n    pass\n",
                "from .a import size as measure\ndef _private():\n    pass\n"
-               "def orphan():\n    pass\n"]
-    assert unread_public_names(package, ["w(mod, 'helper')\n"]) == ["orphan"]
+               "def orphan():\n    pass\n"
+               "class Pile:\n    @property\n    def height(self):\n"
+               "        return self.depth() + self.height\n"
+               "    def depth(self):\n        return self.depth()\n"
+               "    def wide(self):\n        return 0\n"
+               "    def _inner(self):\n        return 0\n"]
+    assert unread_public_names(package, ["w(mod, 'helper')\n",
+                                         "Pile().wide()\n"]) == ["height", "orphan"]
 
 
 def test_every_public_name_has_a_reader():

@@ -164,7 +164,7 @@ CONSTRUCTORS = [
                    "tighten": True, "oos_include_zero": True}),
     (NoiseModel, {"kind": "laplace", "param": 0.1, "dimension": 1}),
     (NoiseModel.gaussian, {"stddev": 0.1, "dimension": 2}),
-    (QualitySignal, {"epsilon": 0.1, "p": 1}),
+    (QualitySignal, {"epsilon": 0.1}),
     (MultiDataset, {"samples": [[0.1, -0.2], [0.0, 0.3]],
                     "epsilons": [0.1, 0.0]}),
     (BoxSupport, {"lower": [-1.0, 0.0], "upper": [1.0, 2.0]}),

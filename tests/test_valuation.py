@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msdro_opf import MultiDataset, solve_msdro_opf
-from msdro_opf.data_quality import fmt
+from msdro_opf.data_quality import fmt, write_csv
 from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
@@ -12,9 +12,7 @@ from msdro_opf.valuation import (DATA_VALUE_COLUMNS, FORECAST_VALUE_COLUMNS,
                                  MIXED, classify_regime, data_value_rows,
                                  envelope_check, forecast_value_decomposition,
                                  forecast_value_rows, marginal_data_value,
-                                 offline_thresholds,
-                                 write_data_value_csv,
-                                 write_forecast_value_csv)
+                                 offline_thresholds)
 
 from oracles import bits, prop3_offline_check
 
@@ -245,14 +243,15 @@ def test_reports_require_optimal_solution():
 def test_csv_outputs(tmp_path, case5, solve_cell):
     sol = solve_cell(0.1, 0.1)
     dv_path = tmp_path / "data_value.csv"
-    write_data_value_csv(dv_path, marginal_data_value(sol))
+    write_csv(dv_path, DATA_VALUE_COLUMNS,
+              data_value_rows(marginal_data_value(sol)))
     lines = dv_path.read_text().splitlines()
     assert lines[0] == ",".join(DATA_VALUE_COLUMNS)
     assert len(lines) == 1 + case5.num_resources
 
     fv_path = tmp_path / "forecast_value.csv"
-    write_forecast_value_csv(fv_path,
-                             forecast_value_decomposition(sol))
+    write_csv(fv_path, FORECAST_VALUE_COLUMNS,
+              forecast_value_rows(forecast_value_decomposition(sol)))
     flines = fv_path.read_text().splitlines()
     assert flines[0] == ",".join(FORECAST_VALUE_COLUMNS)
     assert flines[0].split(",") == ["feature", "lmp_term", "balancing_term",
