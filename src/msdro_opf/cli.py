@@ -159,9 +159,11 @@ def cmd_solve(args) -> int:
     eps = data.epsilons.tolist()
 
     final = sol if args.no_tighten else cvar_tightening_rerun(first=sol)
-
-    report = marginal_data_value(sol)
-    forecast = forecast_value_decomposition(sol)
+    # Every output but duals.csv, which keeps the first LP's rows, comes
+    # from ``final``; the manifest says which LP is behind each file.
+    final_lp = "first" if final is sol else "tightened"
+    report = marginal_data_value(final)
+    forecast = forecast_value_decomposition(final)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -188,11 +190,18 @@ def cmd_solve(args) -> int:
         "train_seed": derive_seed(args.seed, "train"),
         "error_mean": args.error_mean, "tighten": not args.no_tighten,
         "outputs": outputs,
+        "lp": {"solution.csv": final_lp, "duals.csv": "first",
+               "valuation.csv": final_lp, "forecast_value.csv": final_lp},
+        "pinned_generators": [g + 1 for g in
+                              sorted(final.built.fixed_zero_participation)],
+        # As printed: ten significant digits.
+        "objective": float(fmt(sol.objective)),
+        "objective_tightened": float(fmt(final.objective)),
     })
 
     print("status: optimal")
     print(f"objective: {fmt(sol.objective)}")
-    if not args.no_tighten and final is not sol:
+    if final is not sol:
         print(f"objective after tightening re-run: {fmt(final.objective)}")
     for j in range(data.dimension):
         print(f"feature {j + 1}: eps={fmt(eps[j])} "

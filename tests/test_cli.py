@@ -13,7 +13,9 @@ from msdro_opf import errors
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
+from msdro_opf.dro_core import MultiDataset
 from msdro_opf.evaluation import derive_seed, training_matrix
+from msdro_opf.opf_model import _pin, build_msdro_opf
 
 CASE5 = Path(msdro_opf.__file__).parent / "data" / "case5.json"
 
@@ -176,6 +178,48 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     assert "status: optimal" in out
     assert "objective:" in out
     assert "feature 1:" in out and "feature 2:" in out
+
+
+def test_solve_values_the_lp_behind_solution_csv(tmp_path):
+    """Where the re-run pins generators, ``valuation.csv`` prices the LP
+    behind ``solution.csv``: each marginal value is a central difference
+    of the re-run objective in that budget, the pins held. The manifest
+    names the LP behind each file; ``duals.csv`` keeps the first LP's."""
+    outdir = tmp_path / "run"
+    assert run("solve", "--eps", "0.001", "0.001", "--out", outdir) == EXIT_OK
+    network = msdro_opf.bundled_network()
+    xs = training_matrix(network, 20, derive_seed(1, "train"))
+
+    def pinned_objective(eps) -> float:
+        """The objective with generators 1 and 4 pinned, as the re-run
+        pins them at this cell."""
+        built = build_msdro_opf(network, MultiDataset.from_matrix(xs, eps),
+                                0.05)
+        return built.model.without(*_pin(built, [0, 3])).solve().objective
+
+    rows = read_rows(outdir / "valuation.csv")
+    for j in range(2):
+        step = np.eye(2)[j] * 1e-9  # 1e-6 of the budget
+        fd = (pinned_objective(0.001 + step)
+              - pinned_objective(0.001 - step)) / 2e-9
+        assert float(rows[1 + j][4]) == pytest.approx(fd, rel=1e-3)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["lp"] == {"solution.csv": "tightened", "duals.csv": "first",
+                              "valuation.csv": "tightened",
+                              "forecast_value.csv": "tightened"}
+    assert manifest["pinned_generators"] == [1, 4]
+    assert manifest["objective"] == 12636.01378
+    assert manifest["objective_tightened"] == 12597.48965
+
+    plain = tmp_path / "plain"
+    assert run("solve", "--eps", "0.001", "0.001", "--no-tighten",
+               "--out", plain) == EXIT_OK
+    manifest = json.loads((plain / "manifest.json").read_text())
+    assert set(manifest["lp"].values()) == {"first"}
+    assert manifest["pinned_generators"] == []
+    assert manifest["objective_tightened"] == manifest["objective"]
+    assert (plain / "duals.csv").read_bytes() == \
+        (outdir / "duals.csv").read_bytes()
 
 
 def test_solve_accepts_quality_csv_budgets(tmp_path):
