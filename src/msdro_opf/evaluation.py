@@ -227,6 +227,9 @@ class SweepConfig:
         for name in ("n_samples", "oos_samples", "seed"):
             if not is_integer(value := getattr(self, name)):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in ("tighten", "oos_include_zero"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise InputError(f"{name} must be True or False, got {value!r}")
         if self.error_mean not in ERROR_MEANS:
             raise InputError(f"unknown error-mean mode {self.error_mean!r}")
         if self.n_samples < 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dro_core import BoxSupport
-from .errors import InputError
+from .errors import InputError, is_integer, real
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Network:
     slack_bus: int | None = None
 
     def __post_init__(self):
-        _require_finite(self)
+        _check_values(self)
         if not self.buses:
             raise InputError("network has no buses")
         bus_set = set(self.buses)
@@ -130,17 +130,36 @@ class Network:
         return np.array([r.u for r in self.resources])
 
 
-def _require_finite(network: Network) -> None:
-    """Reject numbers anywhere in the network data that are NaN, infinite
-    or too large for the solver (``_check_number``)."""
+def _check_values(network: Network) -> None:
+    """``InputError`` unless the four lists are lists (or tuples) and hold
+    records of their kind, ``loads`` is a dict, every bus id is an integer
+    (``is_integer``) and every other number is real (``real``), finite and
+    below the solver's limit (``_check_number``)."""
+    for name in ("buses", "lines", "generators", "resources"):
+        if not isinstance(value := getattr(network, name), (list, tuple)):
+            raise InputError(f"{name} must be a list, got {value!r}")
+    if not isinstance(network.loads, dict):
+        raise InputError(f"loads must be a dict from bus id to load, got "
+                         f"{network.loads!r}")
+    ids = [(f"bus {k}", b) for k, b in enumerate(network.buses)]
+    ids += [("load bus", bus) for bus in network.loads]
+    ids += [] if network.slack_bus is None else [("slack bus", network.slack_bus)]
     numbers = [("base_mva", network.base_mva)]
     numbers += [(f"load at bus {bus}", d) for bus, d in network.loads.items()]
-    for label, records in (("line", network.lines), ("generator", network.generators),
-                           ("resource", network.resources)):
-        numbers += [(f"{label} {k} {name}", value) for k, rec in enumerate(records)
-                    for name, value in vars(rec).items() if isinstance(value, float)]
+    for label, kind, records in (("line", Line, network.lines),
+                                 ("generator", Generator, network.generators),
+                                 ("resource", Resource, network.resources)):
+        for k, rec in enumerate(records):
+            if not isinstance(rec, kind):
+                raise InputError(f"{label} {k} is {rec!r}, not a {kind.__name__}")
+            for name, value in vars(rec).items():
+                (ids if name.endswith("bus") else numbers).append(
+                    (f"{label} {k} {name}", value))
+    for label, value in ids:
+        if not is_integer(value):
+            raise InputError(f"{label} is {value!r}, not a whole bus id")
     for label, value in numbers:
-        _check_number(label, value)
+        _check_number(label, real(label, value))
 
 
 def _check_number(label: str, value: float) -> None:

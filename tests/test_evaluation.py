@@ -272,6 +272,9 @@ def test_sweep_config_refuses_a_count_that_is_not_an_integer(field, count):
     ("gamma", None, "gamma must be a number, got None"),
     ("gamma", "0.05", "gamma must be a number"),
     ("error_mean", "x", "unknown error-mean mode 'x'"),
+    ("tighten", "no", "tighten must be True or False, got 'no'"),
+    ("tighten", None, "tighten must be True or False, got None"),
+    ("oos_include_zero", 1, "oos_include_zero must be True or False, got 1"),
 ])
 def test_sweep_config_refuses_values_of_the_wrong_type(field, value, message):
     """Each field is checked where the configuration is made, not when a

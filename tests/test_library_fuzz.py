@@ -20,6 +20,7 @@ from msdro_opf.dro_core import BoxSupport, MultiDataset
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import SweepConfig
 from msdro_opf.lp import EQ, GE, INFINITY, LE, Model, SolverError, family
+from msdro_opf.network import Generator, Line, Network, Resource
 
 from oracles import bits, linprog_solve, optimality_faults
 
@@ -168,6 +169,12 @@ CONSTRUCTORS = [
     (MultiDataset, {"samples": [[0.1, -0.2], [0.0, 0.3]],
                     "epsilons": [0.1, 0.0]}),
     (BoxSupport, {"lower": [-1.0, 0.0], "upper": [1.0, 2.0]}),
+    (Network, {"buses": [1, 2], "lines": [Line(1, 2, 0.1, 5.0)],
+               "generators": [Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)],
+               "loads": {2: 3.0}, "resources": [Resource(2, 0.5, 0.0, 1.0, 0.5)],
+               "base_mva": 100.0, "slack_bus": 1}),
+    (lambda **line: Network([1, 2], [Line(**line)], [], {}, []),
+     {"from_bus": 1, "to_bus": 2, "reactance": 0.1, "f_max": 5.0}),
 ]
 
 

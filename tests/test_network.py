@@ -254,6 +254,34 @@ def test_network_rejects_non_finite_numbers():
             Network(**dict(good, **{key: value}))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"loads": [1.0]}, "loads must be a dict from bus id to load, got [1.0]"),
+    ({"lines": [Line(1, 2, "a", 1.0)]},
+     "line 0 reactance must be a number, got 'a'"),
+    ({"generators": [Generator(1, 0.0, None, 10.0, 1.0, 20.0)]},
+     "generator 0 p_max must be a number, got None"),
+    ({"resources": [Resource(2.5, 0.5, 0.0, 1.0, 0.5)]},
+     "resource 0 bus is 2.5, not a whole bus id"),
+    ({"buses": [1, "2"]}, "bus 1 is '2', not a whole bus id"),
+    ({"loads": {True: 3.0}}, "load bus is True, not a whole bus id"),
+    ({"loads": {2: "3"}}, "load at bus 2 must be a number, got '3'"),
+    ({"lines": None}, "lines must be a list, got None"),
+    ({"lines": [(1, 2, 0.1, 5.0)]}, "line 0 is (1, 2, 0.1, 5.0), not a Line"),
+    ({"slack_bus": 1.5}, "slack bus is 1.5, not a whole bus id"),
+    ({"base_mva": 10**400}, "base_mva is an integer too large for a float"),
+])
+def test_network_refuses_values_of_the_wrong_type(edit, message):
+    """A library caller's network ends in ``InputError``, not in the
+    ``AttributeError`` or ``TypeError`` of a later comparison."""
+    good = dict(buses=[1, 2], lines=[Line(1, 2, 0.1, 5.0)],
+                generators=[Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)],
+                loads={2: 3.0}, resources=[Resource(2, 0.5, 0.0, 1.0, 0.5)])
+    with pytest.raises(InputError, match=re.escape(message) + "$"):
+        Network(**dict(good, **edit))
+    Network(**dict(good, buses=(np.int64(1), 2), base_mva=100,
+                   loads={np.int64(2): np.float32(3.0)}))
+
+
 def with_resource(resource: Resource) -> Network:
     """The two-bus network with ``resource`` as its one resource."""
     return replace(two_bus(), resources=[resource])
