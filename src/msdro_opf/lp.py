@@ -2,8 +2,8 @@
 
 Variables are array blocks, their bounds and costs given when they are
 added, and constraints are *families* (named arrays of rows sharing one
-sense). The matrix is assembled once, column-wise, and
-handed as numpy arrays to the HiGHS object scipy bundles
+sense). The matrix is assembled once, column-wise, and handed as numpy
+arrays to the HiGHS object scipy bundles
 (``scipy.optimize._highspy``) with the settings of
 ``linprog(method="highs")`` (dual simplex, no output), presolve off
 exactly when every column has lower bound 0 and a nonnegative cost,
@@ -304,9 +304,10 @@ class Model:
     def with_values(self, obj, name: str, vals) -> "Model":
         """A copy with objective ``obj`` and ``vals`` for the coefficients
         family ``name`` stores (same count and order, none zero). The
-        bounds are copied, so writing either model's leaves the other
-        alone; the families, the row layout and the matrix's column
-        structure are shared, and only values are recomputed."""
+        bounds are copied, so a write to either model's ``lb`` or ``ub``
+        leaves the other alone; the families, the row layout and the
+        matrix's column structure are shared, and only values are
+        recomputed."""
         fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))
         obj = np.asarray(obj, dtype=float)
         if fam.vals.shape != fam.cols.shape or obj.shape != self.obj.shape:

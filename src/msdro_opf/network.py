@@ -143,7 +143,8 @@ def _check_values(network: Network) -> None:
                          f"{network.loads!r}")
     ids = [(f"bus {k}", b) for k, b in enumerate(network.buses)]
     ids += [("load bus", bus) for bus in network.loads]
-    ids += [] if network.slack_bus is None else [("slack bus", network.slack_bus)]
+    if network.slack_bus is not None:
+        ids.append(("slack bus", network.slack_bus))
     numbers = [("base_mva", network.base_mva)]
     numbers += [(f"load at bus {bus}", d) for bus, d in network.loads.items()]
     for label, kind, records in (("line", Line, network.lines),
