@@ -28,18 +28,23 @@ s_t = row(t, k0) + sigma_t with sigma_t >= 0. That is exact, since
 s_t >= row(t, k0) is one of the epigraph's own rows, and it is invertible,
 so the LP has the same optimum; but sigma = 0 is already the sample
 average, so the solver starts next to the optimum instead of pivoting
-every free s_t into the basis.
+every free s_t into the basis. From that start only a few of the
+n_t (K - 1) rows sigma_t >= row(t, k) - row(t, k0) are ever violated, so
+they are generated: the LP is first solved without them, and the rows the
+solution violates are added until it violates none. The last LP is a
+relaxation whose optimum meets every row, so it is the full LP's optimum.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, real
 from .lp import GE, INFINITY, Model, SolverError, align_left, family
 
 #: Width of the band around the usefulness threshold flagged as degenerate.
@@ -60,6 +65,14 @@ def _floats(values, label: str) -> np.ndarray:
         raise InputError(f"{label} must be numbers ({exc})") from None
 
 
+def _finite(values, label: str) -> np.ndarray:
+    """``_floats(values, label)``, or ``InputError`` if any is not finite."""
+    values = _floats(values, label)
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{label} must be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class BoxSupport:
     """Per-coordinate interval [lower_j, upper_j] containing the error vector.
@@ -72,12 +85,10 @@ class BoxSupport:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lower = _floats(lower, "support bounds")
-        upper = _floats(upper, "support bounds")
+        lower = _finite(lower, "support bounds")
+        upper = _finite(upper, "support bounds")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InputError("support bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise InputError("support bounds must be finite")
         if np.any(lower > upper):
             raise InputError("support has lower > upper")
         if np.any(lower > 0) or np.any(upper < 0):
@@ -98,8 +109,11 @@ class PiecewiseMaxAffine:
     b: np.ndarray
 
     def __init__(self, a, b):
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        a = _finite(a, "cost slopes")
+        b = _finite(b, "cost intercepts")
+        if a.ndim != 2 or b.ndim != 1:
+            raise InputError("cost slopes must be a K x d matrix and "
+                             "intercepts a K-vector")
         if a.shape[0] != b.shape[0] or a.shape[0] < 1:
             raise InputError("need one intercept per affine piece")
         object.__setattr__(self, "a", a)
@@ -126,7 +140,9 @@ class SeparableAffineCost:
     c: np.ndarray
 
     def __init__(self, c):
-        c = np.atleast_1d(np.asarray(c, dtype=float))
+        c = _finite(c, "cost coefficients")
+        if c.ndim != 1:
+            raise InputError("cost coefficients must be a vector")
         object.__setattr__(self, "c", c)
 
     @property
@@ -168,11 +184,9 @@ class MultiDataset:
 
     def _checked(self, epsilons) -> np.ndarray:
         """``epsilons`` as an array, one finite budget >= 0 per feature."""
-        epsilons = _floats(epsilons, "epsilons")
+        epsilons = _finite(epsilons, "epsilons")
         if epsilons.shape != (len(self.samples),):
             raise InputError("need one epsilon per feature")
-        if not np.all(np.isfinite(epsilons)):
-            raise InputError("epsilons must be finite")
         if np.any(epsilons < 0):
             raise InputError("epsilons must be >= 0")
         return epsilons
@@ -314,7 +328,17 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     is dual feasible: every column (lam, sigma, p, q) has lower bound 0
     and a nonnegative cost. So ``Model.solve`` leaves presolve off, whose
     cost here exceeds the few dual simplex iterations from that start.
-    Returns (optimal value, LP solution, s values).
+
+    Few ``idx`` rows bind at the optimum, so they are generated: the first
+    LP has the ``cut`` rows only, and after each solve every ``idx`` row is
+    evaluated at the solution (from the family's coefficient table) and
+    those violated by more than round-off (1e-12 (1 + |rhs|)) join the LP
+    (``Model.without`` of the full model). Each round's LP is a relaxation
+    of the full one, so its optimum is a lower bound; the last one's
+    solution meets every row, so it is also feasible, hence optimal for the
+    full LP. Each round adds a row, so the loop ends, at worst with the
+    full LP. Every round keeps the bounds and costs, so presolve stays off.
+    Returns (optimal value, LP solution of the last round, s values).
     """
     n_t, k_pieces = len(points), cost.num_pieces
     heights = cost.b[None, :] + points @ cost.a.T
@@ -335,9 +359,21 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                       (q.T[k0][:, None, :], lo[:, None, :])],
                      GE, heights - base[:, None],
                      where=np.arange(k_pieces)[None, :] != k0[:, None]))
-    sol = model.solve()
-    if not sol.optimal:
-        raise SolverError(f"{model.name} LP ended {sol.status}")
+    idx = model.families["idx"]
+    keep = np.ones(model.num_constraints, dtype=bool)
+    keep[idx.index[idx.present]] = False
+    round_off = 1e-12 * (1.0 + np.abs(idx.rhs))
+    while True:
+        sol = model.without(~keep, model.ub).solve()
+        if not sol.optimal:
+            raise SolverError(f"{model.name} LP ended {sol.status}")
+        short = idx.rhs - np.bincount(idx.rows, idx.vals * sol.x[idx.cols],
+                                      minlength=idx.size)
+        rows = idx.index[idx.present & (short > round_off)]
+        rows = rows[~keep[rows]]
+        if not rows.size:
+            break
+        keep[rows] = True
     x = sol.x
     s = base + np.sum(up * x[p.T[k0]] + lo * x[q.T[k0]], axis=1) + x[sigma]
     return float(sol.objective + np.mean(base)), sol, s
@@ -463,10 +499,11 @@ def wc_expectation_single_budget(cost: PiecewiseMaxAffine, data: MultiDataset,
     cost = _checked_piecewise(cost, data, support)
     if not data.is_standardized:
         raise InputError("single-budget comparator needs standardized data")
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+    epsilon = real("epsilon", epsilon)
+    if not 0 <= epsilon < math.inf:
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     model = Model("wc-single-budget")
-    lam = model.add_var(obj=float(epsilon))
+    lam = model.add_var(obj=epsilon)
     return _solve_anchored(model, np.full(data.dimension, lam), cost,
                            data.matrix().T, support)[0]
 

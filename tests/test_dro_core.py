@@ -7,7 +7,9 @@ grid oracle, which is the one route that never factors through an anchor.
 """
 
 import itertools
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -485,34 +487,176 @@ def anchored_solves(monkeypatch):
 def test_anchored_routes_without_presolve_match_presolved_and_per_piece_lp(
         anchored_solves):
     """Solving the anchored LPs from their slack basis without presolve
-    changes no value, from near-zero to saturated budgets: each LP's
-    optimum equals the same LP presolved by ``linprog``, and each route's
-    value the per-piece LP's."""
+    changes no value, from near-zero to saturated budgets: each round's
+    LP optimum equals the same LP presolved by ``linprog``, and each
+    route's value the per-piece LP's."""
     for name, route, oracle in anchored_routes(np.random.default_rng(23)):
         for scale in BUDGET_SCALES:
             anchored_solves.clear()
             value = route(scale)
-            (sol,) = anchored_solves
-            presolved = linprog_solve(sol.model)
-            assert presolved.objective == pytest.approx(
-                sol.objective, rel=1e-9, abs=1e-9), (name, scale)
+            assert anchored_solves, (name, scale)
+            for sol in anchored_solves:
+                presolved = linprog_solve(sol.model)
+                assert presolved.objective == pytest.approx(
+                    sol.objective, rel=1e-9, abs=1e-9), (name, scale)
             assert value == pytest.approx(oracle(scale), rel=1e-9,
                                           abs=1e-9), (name, scale)
 
 
 def test_anchored_routes_solve_without_presolve(anchored_solves, case5,
                                                 train20):
-    """The anchored LPs' HiGHS objects have presolve off; the OPF LP, with
-    free columns and negative costs, keeps ``linprog``'s presolve."""
+    """Every round's anchored LP has presolve off in its HiGHS object; the
+    OPF LP, with free columns and negative costs, keeps ``linprog``'s
+    presolve."""
     for name, route, _ in anchored_routes(np.random.default_rng(29)):
         anchored_solves.clear()
         route(1.0)
-        (sol,) = anchored_solves
-        assert sol._highs.getOptionValue("presolve")[1] == "off", name
+        assert anchored_solves, name
+        for sol in anchored_solves:
+            assert sol._highs.getOptionValue("presolve")[1] == "off", name
     anchored_solves.clear()
     solve_msdro_opf(case5, MultiDataset.from_matrix(train20, [0.1, 0.1]), 0.05)
     (opf,) = anchored_solves
     assert opf._highs.getOptionValue("presolve")[1] == "on"
+
+
+def spy_on_anchored(monkeypatch) -> list:
+    """Every ``dro_core._solve_anchored`` call from here on, in call order:
+    its cost, anchors, support, the number of columns before its own (the
+    multipliers) and the LP solution it returns."""
+    seen = []
+    solve_anchored = dro_core._solve_anchored
+
+    def spy(model, lam, cost, points, support):
+        n_lam = model.num_vars
+        out = solve_anchored(model, lam, cost, points, support)
+        seen.append(SimpleNamespace(cost=cost, points=points, support=support,
+                                    n_lam=n_lam, sol=out[1]))
+        return out
+
+    monkeypatch.setattr(dro_core, "_solve_anchored", spy)
+    return seen
+
+
+@pytest.fixture
+def anchored_calls(monkeypatch):
+    return spy_on_anchored(monkeypatch)
+
+
+def anchored_row_faults(call, tol=1e-9) -> list:
+    """The anchored rows sigma_t >= row(t, k) - row(t, k0), k != k0(t),
+    that the returned solution misses by more than tol (1 + |rhs|), as
+    (t, k, rhs - lhs). All n_t (K - 1) rows are computed here from the
+    instance: the columns after the multipliers are sigma (one per anchor)
+    and p and q (feature by piece), in that order."""
+    cost, points, support = call.cost, call.points, call.support
+    n_t, d = points.shape
+    k_pieces = cost.num_pieces
+    x = call.sol.x[call.n_lam:]
+    sigma, x = x[:n_t], x[n_t:]
+    p, q = x.reshape(2, d, k_pieces)
+    heights = cost.b + points @ cost.a.T
+    k0 = np.argmax(heights, axis=1)
+    up, lo = transport_room(points, support.lower, support.upper)
+    spread = up @ p + lo @ q
+    t = np.arange(n_t)
+    rhs = heights - heights[t, k0][:, None]
+    lhs = sigma[:, None] - spread + spread[t, k0][:, None]
+    bad = ((lhs < rhs - tol * (1.0 + np.abs(rhs)))
+           & (np.arange(k_pieces) != k0[:, None]))
+    return [(int(i), int(k), float(rhs[i, k] - lhs[i, k]))
+            for i, k in zip(*np.nonzero(bad))]
+
+
+def test_generated_lp_answer_meets_every_anchored_row(anchored_calls):
+    """Each route's returned solution meets all n_t (K - 1) anchored rows,
+    also those its last LP left out, and some LP left rows out."""
+    left_out = 0
+    for name, route, _ in anchored_routes(np.random.default_rng(37)):
+        for scale in BUDGET_SCALES:
+            anchored_calls.clear()
+            route(scale)
+            (call,) = anchored_calls
+            assert anchored_row_faults(call) == [], (name, scale)
+            n_t, k_pieces = len(call.points), call.cost.num_pieces
+            idx = call.sol.model.families["idx"]
+            left_out += n_t * (k_pieces - 1) - int(np.count_nonzero(idx.present))
+    assert left_out > 0
+
+
+@st.composite
+def small_instances(draw):
+    """As ``oracle_instance`` draws them, smaller: d <= 3 features, K <= 4
+    pieces, 1-4 samples per feature (equal counts or not), some on a
+    support end, some budgets zero, and some pieces tied at the first
+    anchor (by an intercept shift or a duplicated piece)."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def floats(lo, up, n):
+        return np.array(draw(st.lists(st.floats(lo, up), min_size=n, max_size=n)))
+
+    lo, up = -floats(0.5, 2.0, d), floats(0.5, 2.0, d)
+    counts = (draw(st.integers(1, 4)),) * d if draw(st.booleans()) else \
+        draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    samples = [np.array(draw(st.lists(
+        st.sampled_from([lo[j], up[j]]) | st.floats(lo[j], up[j]),
+        min_size=n, max_size=n))) for j, n in enumerate(counts)]
+    eps = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 0.5),
+                                 min_size=d, max_size=d)))
+    eighths = st.integers(-24, 24).map(lambda v: v / 8)
+    a = np.array(draw(st.lists(eighths, min_size=k * d,
+                               max_size=k * d))).reshape(k, d)
+    b = np.array(draw(st.lists(eighths, min_size=k, max_size=k)))
+    if k > 1:
+        tie = draw(st.integers(0, 2))
+        if tie == 1:
+            b[1] = b[0] + (a[0] - a[1]) @ np.array([s[0] for s in samples])
+        elif tie == 2:
+            a[1], b[1] = a[0], b[0]
+    return PiecewiseMaxAffine(a, b), MultiDataset(samples, eps), BoxSupport(lo, up)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=small_instances())
+def test_generated_lp_answer_meets_every_anchored_row_on_small_instances(
+        instance):
+    """On every anchored route a small instance admits, the returned
+    solution meets all anchored rows and the value is the per-piece LP's."""
+    cost, data, box = instance
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = spy_on_anchored(monkeypatch)
+        routes = [(wc_expectation_general(cost, data, box),
+                   product_anchor(data)[0], None)]
+        if data.is_standardized:
+            pooled = float(np.sum(data.epsilons))
+            routes += [
+                (wc_expectation_standardized(cost, data, box).value,
+                 data.matrix().T, None),
+                (wc_expectation_single_budget(cost, data, box, pooled),
+                 data.matrix().T, pooled)]
+    assert len(calls) == len(routes)
+    for call, (value, points, pooled) in zip(calls, routes):
+        assert anchored_row_faults(call) == []
+        ref = per_piece_anchored_lp(cost, points, data.epsilons, box,
+                                    pooled=pooled)
+        assert value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+
+
+def test_product_route_ends_in_few_anchored_rows(anchored_calls):
+    """A product the size of the benchmark's (2 features, 60 x 50 samples,
+    3 pieces: 6 000 anchored rows) ends in an LP with fewer than half of
+    them, at the per-piece LP's value. (Seeds 30-59 end with 0 rows in 27
+    cases and at most 2 406; this seed ends with 1 375.)"""
+    rng = np.random.default_rng(41)
+    xs = [np.clip(rng.normal(0.0, 0.35, n), -1.0, 1.0) for n in (60, 50)]
+    cost = PiecewiseMaxAffine(rng.normal(size=(3, 2)), 0.1 * rng.normal(size=3))
+    data, box = MultiDataset(xs, [0.05, 0.1]), BoxSupport(-np.ones(2), np.ones(2))
+    value = wc_expectation_general(cost, data, box)
+    (call,) = anchored_calls
+    assert int(np.count_nonzero(call.sol.model.families["idx"].present)) < 3_000
+    assert anchored_row_faults(call) == []
+    ref = per_piece_anchored_lp(cost, product_anchor(data)[0], data.epsilons, box)
+    assert value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
 
 
 def test_anchored_routes_raise_solver_error_when_the_lp_is_not_optimal(
@@ -632,6 +776,50 @@ def test_box_support_validation():
 def test_dataset_and_support_refuse_what_is_not_numbers(make, message):
     with pytest.raises(InputError, match=message):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SeparableAffineCost([np.nan, 1.0]), "cost coefficients must be finite"),
+    (lambda: SeparableAffineCost([1.0, -np.inf]), "cost coefficients must be finite"),
+    (lambda: SeparableAffineCost(["a", 1.0]), "cost coefficients must be numbers"),
+    (lambda: SeparableAffineCost([[1.0, 2.0]]), "cost coefficients must be a vector"),
+    (lambda: PiecewiseMaxAffine([[np.nan, 0.0]], [0.0]), "cost slopes must be finite"),
+    (lambda: PiecewiseMaxAffine([[1.0, np.inf]], [0.0]), "cost slopes must be finite"),
+    (lambda: PiecewiseMaxAffine([[1.0, 0.0]], [np.nan]), "cost intercepts must be finite"),
+    (lambda: PiecewiseMaxAffine([[1.0, "a"]], [0.0]), "cost slopes must be numbers"),
+    (lambda: PiecewiseMaxAffine([[1.0, 0.0]], None), "cost intercepts must be finite"),
+    (lambda: PiecewiseMaxAffine([1.0, 0.0], [0.0]), "a K x d matrix"),
+    (lambda: PiecewiseMaxAffine([[1.0, 0.0]], [[0.0]]), "a K x d matrix"),
+    (lambda: PiecewiseMaxAffine([[1.0, 0.0]], [0.0, 1.0]), "one intercept per"),
+], ids=["nan coefficient", "infinite coefficient", "text coefficient",
+        "coefficient matrix", "nan slope", "infinite slope", "nan intercept",
+        "text slope", "no intercepts", "slope vector", "intercept matrix",
+        "intercept count"])
+def test_costs_refuse_coefficients_that_are_not_finite_numbers(make, message):
+    """A NaN coefficient used to come out of the routes as a NaN value or
+    a HiGHS rejection; it ends in ``InputError`` at construction now."""
+    with pytest.raises(InputError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    (np.nan, "epsilon must be finite and >= 0, got nan"),
+    (np.inf, "epsilon must be finite and >= 0, got inf"),
+    (-0.1, "epsilon must be finite and >= 0, got -0.1"),
+    ("0.3", "epsilon must be a number, got '0.3'"),
+    (None, "epsilon must be a number, got None"),
+    (True, "epsilon must be a number, got True"),
+])
+def test_single_budget_refuses_a_budget_that_is_not_a_finite_number(
+        epsilon, message):
+    cost = PiecewiseMaxAffine([[1.0, -1.0], [0.5, 0.5]], [0.0, 0.1])
+    data = MultiDataset([[0.1, -0.2], [0.0, 0.3]], [0.1, 0.1])
+    box = BoxSupport(-np.ones(2), np.ones(2))
+    with pytest.raises(InputError, match=re.escape(message)):
+        wc_expectation_single_budget(cost, data, box, epsilon)
+    for zero in (0, np.float64(0.0)):
+        assert wc_expectation_single_budget(cost, data, box, zero) == \
+            pytest.approx(np.mean(cost.evaluate(data.matrix())), abs=1e-12)
 
 
 def test_dataset_validation():

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msdro_opf.data_quality import NoiseModel, QualitySignal
-from msdro_opf.dro_core import BoxSupport, MultiDataset
+from msdro_opf.dro_core import (BoxSupport, MultiDataset, PiecewiseMaxAffine,
+                                SeparableAffineCost)
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import SweepConfig
 from msdro_opf.lp import EQ, GE, INFINITY, LE, Model, SolverError, family
@@ -169,6 +170,8 @@ CONSTRUCTORS = [
     (MultiDataset, {"samples": [[0.1, -0.2], [0.0, 0.3]],
                     "epsilons": [0.1, 0.0]}),
     (BoxSupport, {"lower": [-1.0, 0.0], "upper": [1.0, 2.0]}),
+    (PiecewiseMaxAffine, {"a": [[1.0, -0.5], [0.0, 2.0]], "b": [0.1, 0.0]}),
+    (SeparableAffineCost, {"c": [1.0, -0.5]}),
     (Network, {"buses": [1, 2], "lines": [Line(1, 2, 0.1, 5.0)],
                "generators": [Generator(1, 0.0, 4.0, 10.0, 1.0, 20.0)],
                "loads": {2: 3.0}, "resources": [Resource(2, 0.5, 0.0, 1.0, 0.5)],
