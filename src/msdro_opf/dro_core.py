@@ -33,6 +33,8 @@ n_t (K - 1) rows sigma_t >= row(t, k) - row(t, k0) are ever violated, so
 they are generated: the LP is first solved without them, and the rows the
 solution violates are added until it violates none. The last LP is a
 relaxation whose optimum meets every row, so it is the full LP's optimum.
+Each round's LP has a sigma_t column only for the anchors with a generated
+row; any other sigma_t would be 0 at every optimum.
 """
 
 from __future__ import annotations
@@ -331,13 +333,22 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
 
     Few ``idx`` rows bind at the optimum, so they are generated: the first
     LP has the ``cut`` rows only, and after each solve every ``idx`` row is
-    evaluated at the solution (from the family's coefficient table) and
-    those violated by more than round-off (1e-12 (1 + |rhs|)) join the LP
-    (``Model.without`` of the full model). Each round's LP is a relaxation
-    of the full one, so its optimum is a lower bound; the last one's
-    solution meets every row, so it is also feasible, hence optimal for the
-    full LP. Each round adds a row, so the loop ends, at worst with the
-    full LP. Every round keeps the bounds and costs, so presolve stays off.
+    evaluated at the solution (a dense (n_t, K) array, its terms added in
+    the order of the family's coefficient table) and those violated by
+    more than round-off (1e-12 (1 + |rhs|)) join the LP. Each round's LP is
+    a relaxation of the full one, so its optimum is a lower bound; the last
+    one's solution meets every row, so it is also feasible, hence optimal
+    for the full LP. Each round adds a row, so the loop ends, at worst with
+    the full LP. Every round keeps the bounds and costs, so presolve stays
+    off.
+
+    Each round's LP holds only what its rows use. Its columns are ``lam``,
+    then p and q (the ``cut`` rows' columns), then one sigma_t for each
+    anchor with at least one generated row, in anchor order; the ``idx``
+    family keeps its (n_t, K) shape with ``where`` set to the generated
+    rows. Leaving out the other sigma_t is exact: such a column has cost
+    1/n_t > 0, lower bound 0 and no entry in any row, so it is 0 at every
+    optimum, and it reads as 0 here.
     Returns (optimal value, LP solution of the last round, s values).
     """
     n_t, k_pieces = len(points), cost.num_pieces
@@ -348,34 +359,46 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     # (feature j, piece k), the distance to u_j summed over the anchors
     # whose k0 is k, over n_t.
     weight = np.eye(k_pieces)[k0] / n_t
-    sigma = model.add_vars(n_t, obj=1.0 / n_t)
     p, q = wasserstein_block(model, "cut", (len(lam), k_pieces), lam,
                              const=cost.a.T, obj=(up.T @ weight, lo.T @ weight))
     base = heights[np.arange(n_t), k0]
-    model.add(family("idx", (n_t, k_pieces),
-                     [(sigma, 1.0),
-                      (p.T[None], -up[:, None, :]), (q.T[None], -lo[:, None, :]),
-                      (p.T[k0][:, None, :], up[:, None, :]),
-                      (q.T[k0][:, None, :], lo[:, None, :])],
-                     GE, heights - base[:, None],
-                     where=np.arange(k_pieces)[None, :] != k0[:, None]))
-    idx = model.families["idx"]
-    keep = np.ones(model.num_constraints, dtype=bool)
-    keep[idx.index[idx.present]] = False
-    round_off = 1e-12 * (1.0 + np.abs(idx.rhs))
+    rhs = heights - base[:, None]
+    anchored = np.arange(k_pieces)[None, :] != k0[:, None]
+    round_off = 1e-12 * (1.0 + np.abs(rhs))
+    rows = np.zeros((n_t, k_pieces), dtype=bool)
+    no_rows = np.zeros(model.num_constraints, dtype=bool)
     while True:
-        sol = model.without(~keep, model.ub).solve()
+        lp = model.without(no_rows, model.ub)
+        active = np.flatnonzero(rows.any(axis=1))
+        # Anchors without a row keep column 0 here: ``where`` never reads it.
+        sigma = np.zeros(n_t, np.int64)
+        sigma[active] = lp.add_vars(len(active), obj=1.0 / n_t)
+        lp.add(family("idx", (n_t, k_pieces),
+                      [(sigma, 1.0),
+                       (p.T[None], -up[:, None, :]), (q.T[None], -lo[:, None, :]),
+                       (p.T[k0][:, None, :], up[:, None, :]),
+                       (q.T[k0][:, None, :], lo[:, None, :])],
+                      GE, rhs, where=rows))
+        sol = lp.solve()
         if not sol.optimal:
             raise SolverError(f"{model.name} LP ended {sol.status}")
-        short = idx.rhs - np.bincount(idx.rows, idx.vals * sol.x[idx.cols],
-                                      minlength=idx.size)
-        rows = idx.index[idx.present & (short > round_off)]
-        rows = rows[~keep[rows]]
-        if not rows.size:
+        x_sigma = np.zeros(n_t)
+        x_sigma[active] = sol.x[sigma[active]]
+        x_p, x_q = sol.x[p], sol.x[q]
+        # Each row's left side, its terms added in the order of the family's
+        # coefficient table, so that exactly its rows cross the round-off.
+        lhs = np.repeat(x_sigma[:, None], k_pieces, axis=1)
+        for room, x in ((up, x_p), (lo, x_q)):
+            for j in range(room.shape[1]):
+                lhs -= room[:, j, None] * x[j]
+        for room, x in ((up, x_p), (lo, x_q)):
+            for j in range(room.shape[1]):
+                lhs += (room[:, j] * x[j, k0])[:, None]
+        new = anchored & ~rows & (rhs - lhs > round_off)
+        if not new.any():
             break
-        keep[rows] = True
-    x = sol.x
-    s = base + np.sum(up * x[p.T[k0]] + lo * x[q.T[k0]], axis=1) + x[sigma]
+        rows |= new
+    s = base + np.sum(up * x_p.T[k0] + lo * x_q.T[k0], axis=1) + x_sigma
     return float(sol.objective + np.mean(base)), sol, s
 
 
@@ -389,7 +412,8 @@ def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,
     """
     cost = _checked_piecewise(cost, data, support)
     counts = data.counts
-    n_idx = int(np.prod(counts))
+    # Python ints: an int64 product of large counts wraps past the cap.
+    n_idx = math.prod(counts.tolist())
     if n_idx > INDEX_CAP:
         raise InputError(
             f"index product {n_idx} exceeds cap {INDEX_CAP}; use the "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import msdro_opf
-from msdro_opf import errors
+from msdro_opf import cli, errors
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
@@ -718,6 +718,38 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once_and_parses_each_call_afresh(
+        monkeypatch, capsys):
+    """``main`` builds the parser on its first call only, yet each call
+    parses as a fresh parser would: an argparse refusal in between leaves
+    nothing behind, no value carries over, and a ``cmd_quality`` replaced
+    after the parser was built is the one that runs."""
+    builds, fresh = [], cli.build_parser
+
+    def build_parser():
+        builds.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_quality",
+                        lambda args: seen.append(vars(args)) or EXIT_OK)
+    calls = [["quality", "--noise", "laplace:0.05", "--p", "2"],
+             ["quality", "--dimension", "2"]]
+    assert main(calls[0]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["quality", "--p", "3"])
+    assert exc.value.code == EXIT_INPUT
+    refusal = capsys.readouterr().err
+    assert main(calls[1]) == EXIT_OK
+    assert len(builds) == 1
+    assert seen == [vars(fresh().parse_args(argv)) for argv in calls]
+    with pytest.raises(SystemExit):
+        fresh().parse_args(["quality", "--p", "3"])
+    assert capsys.readouterr().err == refusal
 
 
 BAD_INPUT = [

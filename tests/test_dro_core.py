@@ -288,6 +288,17 @@ def test_general_product_cap(monkeypatch):
                                   data, box) > 0
 
 
+def test_general_product_cap_counts_past_int64():
+    """4 features of 65 536 samples make a product of 2**64, which wraps to
+    0 in int64; the cap still refuses it with ``InputError``."""
+    data = MultiDataset([np.zeros(65_536)] * 4, np.zeros(4))
+    box = BoxSupport(-np.ones(4), np.ones(4))
+    with pytest.raises(InputError, match=f"^index product {2 ** 64} exceeds "
+                                         "cap 100000"):
+        wc_expectation_general(PiecewiseMaxAffine(np.ones((1, 4)), [0.0]),
+                               data, box)
+
+
 def test_general_rejects_dimension_mismatch():
     data = MultiDataset([np.array([0.0])], [0.1])
     with pytest.raises(InputError):
@@ -547,14 +558,18 @@ def anchored_row_faults(call, tol=1e-9) -> list:
     """The anchored rows sigma_t >= row(t, k) - row(t, k0), k != k0(t),
     that the returned solution misses by more than tol (1 + |rhs|), as
     (t, k, rhs - lhs). All n_t (K - 1) rows are computed here from the
-    instance: the columns after the multipliers are sigma (one per anchor)
-    and p and q (feature by piece), in that order."""
+    instance: the columns after the multipliers are p and q (feature by
+    piece), then one sigma_t for each anchor with a row in the last LP, in
+    anchor order; sigma_t is 0 for the anchors without one."""
     cost, points, support = call.cost, call.points, call.support
     n_t, d = points.shape
     k_pieces = cost.num_pieces
     x = call.sol.x[call.n_lam:]
-    sigma, x = x[:n_t], x[n_t:]
-    p, q = x.reshape(2, d, k_pieces)
+    p, q = x[:2 * d * k_pieces].reshape(2, d, k_pieces)
+    idx = call.sol.model.families["idx"]
+    has_row = idx.present.reshape(n_t, k_pieces).any(axis=1)
+    sigma = np.zeros(n_t)
+    sigma[has_row] = x[2 * d * k_pieces:]
     heights = cost.b + points @ cost.a.T
     k0 = np.argmax(heights, axis=1)
     up, lo = transport_room(points, support.lower, support.upper)
@@ -566,6 +581,38 @@ def anchored_row_faults(call, tol=1e-9) -> list:
            & (np.arange(k_pieces) != k0[:, None]))
     return [(int(i), int(k), float(rhs[i, k] - lhs[i, k]))
             for i, k in zip(*np.nonzero(bad))]
+
+
+def test_each_round_holds_sigma_only_for_anchors_with_a_row(
+        anchored_calls, anchored_solves):
+    """Every round's LP has n_lam + 2 d K + (anchors with an ``idx`` row)
+    columns: the multipliers, p and q, then one sigma_t per anchor with a
+    row, in anchor order, each in that anchor's rows alone. The first round
+    has no ``idx`` row and no sigma column."""
+    with_sigma = 0
+    for name, route, _ in anchored_routes(np.random.default_rng(43)):
+        for scale in BUDGET_SCALES:
+            anchored_calls.clear()
+            anchored_solves.clear()
+            route(scale)
+            (call,) = anchored_calls
+            n_t, d = call.points.shape
+            k_pieces = call.cost.num_pieces
+            first = call.n_lam + 2 * d * k_pieces
+            assert anchored_solves[0].model.num_vars == first, (name, scale)
+            for sol in anchored_solves:
+                idx = sol.model.families["idx"]
+                active = np.flatnonzero(
+                    idx.present.reshape(n_t, k_pieces).any(axis=1))
+                assert sol.model.num_vars == first + len(active), (name, scale)
+                on_sigma = idx.cols >= first
+                assert np.array_equal(
+                    active[idx.cols[on_sigma] - first],
+                    idx.rows[on_sigma] // k_pieces), (name, scale)
+                assert np.all(idx.vals[on_sigma] == 1.0)
+                with_sigma += len(active)
+            assert anchored_solves[-1] is call.sol
+    assert with_sigma > 0
 
 
 def test_generated_lp_answer_meets_every_anchored_row(anchored_calls):

@@ -187,6 +187,71 @@ def test_families_read_like_rows():
         sf.family_multipliers("bal")
 
 
+def _family_cases():
+    """(shape, terms, rhs, where) for ``family``: scalar and array shapes,
+    terms with and without axes beyond the shape, zero coefficients, and
+    masks that keep every row, none, some, or broadcast."""
+    rng = np.random.default_rng(3)
+    ragged = rng.integers(-2, 3, (3, 1, 2)).astype(float)
+    terms3x4 = [(np.arange(12).reshape(3, 4), 1.0),
+                (np.arange(3)[:, None, None] + np.array([20, 25]), ragged),
+                (7, -1.0),
+                (np.arange(4)[None, :], np.array([[0.0, 1.5, 0.0, 2.0]]))]
+    some = rng.random((3, 4)) < 0.4
+    scalar = [(np.array([0, 1, 2]), np.array([1.0, 0.0, -2.0])), (3, 0.5)]
+    cube = [(np.arange(24).reshape(2, 3, 4, 1), rng.normal(size=(2, 1, 4, 3)))]
+    vector = [(np.arange(5)[:, None] + np.array([0, 10]), np.array([[1.0, 0.0]])),
+              (3, 0.5)]
+    return [((), scalar, 1.0, True), ((), scalar, 1.0, False),
+            ((), scalar, 1.0, None), (5, vector, np.arange(5.0), None),
+            (5, vector, 0.0, np.arange(5) % 2 == 0),
+            ((3, 4), terms3x4, np.arange(12.0).reshape(3, 4), None),
+            ((3, 4), terms3x4, 2.0, np.ones((3, 4), bool)),
+            ((3, 4), terms3x4, 2.0, np.zeros((3, 4), bool)),
+            ((3, 4), terms3x4, -1.0, some),
+            ((3, 4), terms3x4, -1.0, np.array([True, False, True])),
+            ((2, 3, 4), cube, 0.0, rng.random((2, 3, 4)) < 0.5)]
+
+
+@pytest.mark.parametrize("case", _family_cases())
+def test_family_where_matches_the_full_build_filtered(case):
+    """A family built with ``where`` holds exactly the full build's entries
+    at the kept rows, in its order, with the same rhs and dtypes."""
+    shape, terms, rhs, where = case
+    got = family("f", shape, terms, GE, rhs, where)
+    full = family("f", shape, terms, GE, rhs)
+    ndim = len(got.shape)
+    mask = (np.ones(full.size, bool) if where is None else
+            np.broadcast_to(lp.align_left(where, ndim), got.shape).ravel())
+    keep = mask[full.rows]
+    assert got.shape == full.shape
+    np.testing.assert_array_equal(got.present, mask)
+    for name in ("rows", "cols", "vals"):
+        want = getattr(full, name)[keep]
+        assert getattr(got, name).dtype == want.dtype, name
+        assert bits(getattr(got, name)) == bits(want), name
+    assert bits(got.rhs) == bits(full.rhs)
+
+
+def test_family_reads_terms_only_at_the_kept_rows():
+    """Keeping 3 of 100 000 rows of four terms each allocates the rhs and
+    the mask, about 9 bytes a position, not the 100-odd a full build of
+    rows, columns and coefficients takes."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    shape = (1000, 100)
+    where = np.zeros(shape, bool)
+    where[[3, 500, 999], [0, 50, 99]] = True
+    terms = [(np.arange(4)[None, None, :], np.ones(4)[None, None, :])]
+    tracemalloc.start()
+    try:
+        fam = family("f", shape, terms, GE, 0.0, where)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * where.size
+    assert fam.rows.tolist() == [300] * 4 + [50050] * 4 + [99999] * 4
+
+
 def test_row_views_and_names_stay_lazy():
     m = _toy_by_families()
     m.solve()
