@@ -58,13 +58,6 @@ SUPPORT_TOL = 1e-9
 #: Largest index product ``wc_expectation_general`` builds an LP over.
 INDEX_CAP = 100_000
 
-#: HiGHS's feasibility tolerances on the anchored LPs, the smallest it
-#: takes. At its default, 1e-7, a solution may miss a row it holds, or end
-#: at a vertex a reduced cost below 1e-7 away from the optimum, by more
-#: than the routes agree to (1e-9 relative) when budgets or sample gaps
-#: are near 1e-8.
-ANCHORED_TOL = 1e-10
-
 
 def _floats(values, label: str) -> np.ndarray:
     """``values`` as an at least 1-D float array, or ``InputError``."""
@@ -336,8 +329,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     The solver's all-slack start, sigma = 0, is the sample average, and it
     is dual feasible: every column (lam, sigma, p, q) has lower bound 0
     and a nonnegative cost. So ``Model.solve`` leaves presolve off, whose
-    cost here exceeds the few dual simplex iterations from that start. Each
-    LP is solved to ``ANCHORED_TOL``.
+    cost here exceeds the few dual simplex iterations from that start.
 
     Few ``idx`` rows bind at the optimum, so they are generated: the first
     LP has the ``cut`` rows only, and after each solve every ``idx`` row is
@@ -387,7 +379,7 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
                        (p.T[k0][:, None, :], up[:, None, :]),
                        (q.T[k0][:, None, :], lo[:, None, :])],
                       GE, rhs, where=rows))
-        sol = lp.solve(tolerance=ANCHORED_TOL)
+        sol = lp.solve()
         if not sol.optimal:
             raise SolverError(f"{model.name} LP ended {sol.status}")
         x_sigma = np.zeros(n_t)

@@ -8,9 +8,7 @@ arrays to the HiGHS object scipy bundles
 ``linprog(method="highs")`` (dual simplex, no output), presolve off
 exactly when every column has lower bound 0 and a nonnegative cost,
 since then the all-slack start is dual feasible (in ``dro_core``'s
-anchored epigraph LPs, the sample average). A solve may tighten HiGHS's
-primal and dual feasibility tolerances below ``linprog``'s 1e-7, as
-``dro_core`` does for those LPs. HiGHS returns primal values
+anchored epigraph LPs, the sample average). HiGHS returns primal values
 and one dual per row; duals are read back per family, in the family's
 shape. Row names (``name[i,j]``) are made only when asked for. A solution
 keeps its HiGHS object until ``LpSolution.resolve`` deletes rows and
@@ -481,19 +479,13 @@ class Model:
                 f"columns, {len(self._columns()[1])} nonzeros; rows in families "
                 f"{listing}")
 
-    def solve(self, tolerance: float | None = None) -> LpSolution:
+    def solve(self) -> LpSolution:
         """Solve with HiGHS from scratch, presolve off exactly when the
-        all-slack start is dual feasible (module docstring). ``tolerance``
-        sets HiGHS's primal and dual feasibility tolerances (at least
-        1e-10); None keeps ``linprog``'s, 1e-7."""
+        all-slack start is dual feasible (module docstring)."""
         presolve = bool(np.any(self.lb != 0.0) or np.any(self.obj < 0.0))
         highs = _Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
-        if tolerance is not None:
-            for option in ("primal_feasibility_tolerance",
-                           "dual_feasibility_tolerance"):
-                highs.setOptionValue(option, float(tolerance))
         highs.setOptionValue("presolve", "on" if presolve else "off")
         self._load(highs)
         return _run_highs(highs, self)

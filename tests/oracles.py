@@ -605,8 +605,7 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
     """
     from types import SimpleNamespace
 
-    from msdro_opf.dro_core import (ANCHORED_TOL, transport_room,
-                                    wasserstein_block)
+    from msdro_opf.dro_core import transport_room, wasserstein_block
     from msdro_opf.lp import GE, INFINITY, Model, family
 
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -624,7 +623,7 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
                  [(s, 1.0), (p.T[None], -up[:, None, :]),
                   (q.T[None], -lo[:, None, :])],
                  GE, cost.b[None, :] + points @ cost.a.T))
-    sol = m.solve(tolerance=ANCHORED_TOL)
+    sol = m.solve()
     assert sol.optimal, sol.status
     return SimpleNamespace(value=float(sol.objective), lam=sol.x[lam],
                            s=sol.x[s])
