@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dimension", type=_at_least(1), default=1,
                    help="feature dimension for analytic bounds")
     q.add_argument("--out", type=_out_dir, default=None)
-    q.set_defaults(func="cmd_quality")
 
     s = subs.add_parser("solve", help="solve one instance")
     _add_common_model_flags(s)
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-tighten", action="store_true",
                    help="skip the re-run with idle balancers pinned")
     s.add_argument("--out", type=_out_dir, default="msdro_out")
-    s.set_defaults(func="cmd_solve")
 
     w = subs.add_parser("sweep", help="grid sweep over budgets")
     _add_common_model_flags(w)
@@ -386,29 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel worker processes for sweep cells")
     w.add_argument("--no-tighten", action="store_true")
     w.add_argument("--out", type=_out_dir, default="msdro_out")
-    w.set_defaults(func="cmd_sweep")
 
     o = subs.add_parser("oos", help="out-of-sample violation check")
     _add_common_model_flags(o)
     _add_data_flags(o)
     o.add_argument("--oos-samples", type=_at_least(0), default=1000)
     o.add_argument("--out", type=_out_dir, default=None)
-    o.set_defaults(func="cmd_oos")
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """``build_parser()``, built once per process: parsing leaves it as it
-    was, and it names each command's handler (``func``) instead of holding
-    it, so a ``cmd_*`` replaced after the build is the one that runs."""
+    was, and ``main`` looks each command's handler up when it runs, so a
+    ``cmd_*`` replaced after the build is the one that runs."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return globals()[args.func](args)
+        return {"quality": cmd_quality, "solve": cmd_solve, "sweep": cmd_sweep,
+                "oos": cmd_oos}[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -333,14 +333,13 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
 
     Few ``idx`` rows bind at the optimum, so they are generated: the first
     LP has the ``cut`` rows only, and after each solve every ``idx`` row is
-    evaluated at the solution (a dense (n_t, K) array, its terms added in
-    the order of the family's coefficient table) and those violated by
-    more than round-off (1e-12 (1 + |rhs|)) join the LP. Each round's LP is
-    a relaxation of the full one, so its optimum is a lower bound; the last
-    one's solution meets every row, so it is also feasible, hence optimal
-    for the full LP. Each round adds a row, so the loop ends, at worst with
-    the full LP. Every round keeps the bounds and costs, so presolve stays
-    off.
+    evaluated at the solution (``_row_sums``, a dense (n_t, K) array) and
+    those violated by more than round-off (1e-12 (1 + |rhs|)) join the LP.
+    Each round's LP is a relaxation of the full one, so its optimum is a
+    lower bound; the last one's solution meets every row, so it is also
+    feasible, hence optimal for the full LP. Each round adds a row, so the
+    loop ends, at worst with the full LP. Every round keeps the bounds and
+    costs, so presolve stays off.
 
     Each round's LP holds only what its rows use. Its columns are ``lam``,
     then p and q (the ``cut`` rows' columns), then one sigma_t for each
@@ -370,36 +369,43 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
     while True:
         lp = model.without(no_rows, model.ub)
         active = np.flatnonzero(rows.any(axis=1))
-        # Anchors without a row keep column 0 here: ``where`` never reads it.
-        sigma = np.zeros(n_t, np.int64)
+        # Anchors without a row point one past the last column, which
+        # ``where`` never reads and the check reads as 0.
+        sigma = np.full(n_t, lp.num_vars + len(active))
         sigma[active] = lp.add_vars(len(active), obj=1.0 / n_t)
-        lp.add(family("idx", (n_t, k_pieces),
-                      [(sigma, 1.0),
-                       (p.T[None], -up[:, None, :]), (q.T[None], -lo[:, None, :]),
-                       (p.T[k0][:, None, :], up[:, None, :]),
-                       (q.T[k0][:, None, :], lo[:, None, :])],
-                      GE, rhs, where=rows))
+        terms = [(sigma, 1.0),
+                 (p.T[None], -up[:, None, :]), (q.T[None], -lo[:, None, :]),
+                 (p.T[k0][:, None, :], up[:, None, :]),
+                 (q.T[k0][:, None, :], lo[:, None, :])]
+        lp.add(family("idx", (n_t, k_pieces), terms, GE, rhs, where=rows))
         sol = lp.solve()
         if not sol.optimal:
             raise SolverError(f"{model.name} LP ended {sol.status}")
-        x_sigma = np.zeros(n_t)
-        x_sigma[active] = sol.x[sigma[active]]
-        x_p, x_q = sol.x[p], sol.x[q]
-        # Each row's left side, its terms added in the order of the family's
-        # coefficient table, so that exactly its rows cross the round-off.
-        lhs = np.repeat(x_sigma[:, None], k_pieces, axis=1)
-        for room, x in ((up, x_p), (lo, x_q)):
-            for j in range(room.shape[1]):
-                lhs -= room[:, j, None] * x[j]
-        for room, x in ((up, x_p), (lo, x_q)):
-            for j in range(room.shape[1]):
-                lhs += (room[:, j] * x[j, k0])[:, None]
-        new = anchored & ~rows & (rhs - lhs > round_off)
+        x = np.append(sol.x, 0.0)
+        short = rhs - _row_sums((n_t, k_pieces), terms, x)
+        new = anchored & ~rows & (short > round_off)
         if not new.any():
             break
         rows |= new
-    s = base + np.sum(up * x_p.T[k0] + lo * x_q.T[k0], axis=1) + x_sigma
+    s = base + np.sum(up * x[p.T[k0]] + lo * x[q.T[k0]], axis=1) + x[sigma]
     return float(sol.objective + np.mean(base)), sol, s
+
+
+def _row_sums(shape: tuple, terms, x) -> np.ndarray:
+    """Every row of ``family(name, shape, terms, ...)`` evaluated at ``x``,
+    as an array of ``shape``. The products are added in the order the
+    family lists its entries (term by term, then along each term's axes
+    beyond ``shape``), so each sum is the one its entries give."""
+    ndim = len(shape)
+    total = np.zeros(shape)
+    for c, v in terms:
+        c, v = np.asarray(c), np.asarray(v, dtype=float)
+        k = max(ndim, c.ndim, v.ndim)
+        term = align_left(x[c], k) * align_left(v, k)
+        term = np.broadcast_to(term, shape + term.shape[ndim:])
+        for part in np.moveaxis(term.reshape(shape + (-1,)), -1, 0):
+            total += part
+    return total
 
 
 def wc_expectation_general(cost: PiecewiseMaxAffine, data: MultiDataset,

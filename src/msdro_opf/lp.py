@@ -127,10 +127,8 @@ def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
     further terms of the same row. ``rhs`` and the boolean ``where`` (rows
     to keep) broadcast the same way. Exact zero coefficients are dropped;
     repeated columns in a row are summed when the matrix is assembled.
-    When ``where`` leaves rows out, terms are read only at the kept
-    positions (indexing broadcast views), so the coefficient arrays grow
-    with the kept rows, not with ``shape``; they come out as the full
-    build's, filtered.
+    Terms are read only at the kept positions (indexing broadcast views),
+    so the coefficient arrays grow with the kept rows, not with ``shape``.
     """
     if sense not in _SENSES:
         raise ValueError(f"unknown sense {sense!r}")
@@ -139,13 +137,10 @@ def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
     size = int(np.prod(shape, dtype=np.int64))
     present = (np.ones(size, dtype=bool) if where is None else
                _filled(where, shape, bool))
-    if present.all():
-        kept, flat = None, np.arange(size).reshape(shape)
-    else:
-        # The kept positions index each term's broadcast view: one index
-        # array per axis of ``shape`` (a scalar shape gets a unit axis).
-        kept = np.flatnonzero(present)
-        at = np.unravel_index(kept, shape) if ndim else (kept,)
+    # The kept positions index each term's broadcast view: one index array
+    # per axis of ``shape`` (a scalar shape gets a unit axis).
+    kept = np.flatnonzero(present)
+    at = np.unravel_index(kept, shape) if ndim else (kept,)
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for c, v in terms:
         c, v = np.asarray(c), np.asarray(v, dtype=float)
@@ -153,11 +148,6 @@ def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
         c, v = align_left(c, k), align_left(v, k)
         full = shape + tuple(a if b == 1 else b
                              for a, b in zip(c.shape[ndim:], v.shape[ndim:]))
-        if kept is None:
-            rows.append(_filled(flat, full, np.int64))
-            cols.append(_filled(c, full, np.int64))
-            vals.append(_filled(v, full, float))
-            continue
         per_row = int(np.prod(full[ndim:], dtype=np.int64))
         rows.append(np.repeat(kept, per_row))
         for out, array, dtype in ((cols, c, np.int64), (vals, v, float)):

@@ -213,24 +213,46 @@ def _family_cases():
             ((2, 3, 4), cube, 0.0, rng.random((2, 3, 4)) < 0.5)]
 
 
+def _full_build(shape: tuple, terms) -> dict:
+    """Every position's entries as (rows, cols, vals), each term broadcast
+    over the whole of ``shape`` and listed term by term, exact zero
+    coefficients dropped."""
+    ndim = len(shape)
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    parts = {"rows": [], "cols": [], "vals": []}
+    for c, v in terms:
+        c, v = np.asarray(c), np.asarray(v, dtype=float)
+        k = max(ndim, c.ndim, v.ndim)
+        arrays = (lp.align_left(flat, k), lp.align_left(c, k),
+                  lp.align_left(v, k))
+        full = np.broadcast_shapes(*(a.shape for a in arrays))
+        for name, array, dtype in zip(parts, arrays, (np.int64, np.int64, float)):
+            parts[name].append(np.broadcast_to(array, full).ravel().astype(dtype))
+    parts = {name: np.concatenate(a) for name, a in parts.items()}
+    keep = parts["vals"] != 0.0
+    return {name: a[keep] for name, a in parts.items()}
+
+
 @pytest.mark.parametrize("case", _family_cases())
 def test_family_where_matches_the_full_build_filtered(case):
-    """A family built with ``where`` holds exactly the full build's entries
-    at the kept rows, in its order, with the same rhs and dtypes."""
+    """A family holds exactly the entries of a build over every position
+    (``_full_build``) at the rows ``where`` keeps, in their order, with the
+    broadcast rhs and the same dtypes."""
     shape, terms, rhs, where = case
     got = family("f", shape, terms, GE, rhs, where)
-    full = family("f", shape, terms, GE, rhs)
     ndim = len(got.shape)
-    mask = (np.ones(full.size, bool) if where is None else
+    full = _full_build(got.shape, terms)
+    mask = (np.ones(got.size, bool) if where is None else
             np.broadcast_to(lp.align_left(where, ndim), got.shape).ravel())
-    keep = mask[full.rows]
-    assert got.shape == full.shape
+    keep = mask[full["rows"]]
+    assert got.shape == ((shape,) if np.isscalar(shape) else tuple(shape))
     np.testing.assert_array_equal(got.present, mask)
     for name in ("rows", "cols", "vals"):
-        want = getattr(full, name)[keep]
+        want = full[name][keep]
         assert getattr(got, name).dtype == want.dtype, name
         assert bits(getattr(got, name)) == bits(want), name
-    assert bits(got.rhs) == bits(full.rhs)
+    assert bits(got.rhs) == bits(np.broadcast_to(
+        lp.align_left(np.asarray(rhs, float), ndim), got.shape).ravel())
 
 
 def test_family_reads_terms_only_at_the_kept_rows():
