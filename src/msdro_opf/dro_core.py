@@ -395,7 +395,8 @@ def _row_sums(shape: tuple, terms, x) -> np.ndarray:
     """Every row of ``family(name, shape, terms, ...)`` evaluated at ``x``,
     as an array of ``shape``. The products are added in the order the
     family lists its entries (term by term, then along each term's axes
-    beyond ``shape``), so each sum is the one its entries give."""
+    beyond ``shape``), so each sum is the one its entries give; the zero
+    coefficients the family drops add only zeros."""
     ndim = len(shape)
     total = np.zeros(shape)
     for c, v in terms:
