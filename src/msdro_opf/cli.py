@@ -28,9 +28,10 @@ from .data_quality import (NoiseModel, additive_noise_bound,
                            write_quality_csv, write_samples_csv)
 from .dro_core import MultiDataset
 from .errors import InputError
-from .evaluation import (DEFAULT_GRID, ERROR_MEANS, OOS_COLUMNS, SweepConfig,
-                         derive_seed, out_of_sample, run_sweep,
-                         training_matrix, write_sweep_csvs)
+from .evaluation import (DEFAULT_GRID, ERROR_MEANS, OOS_COLUMNS,
+                         OOS_SEED_SCHEME, SweepConfig, derive_seed,
+                         out_of_sample, run_sweep, training_matrix,
+                         write_sweep_csvs)
 from .lp import SolverError
 from .network import bundled_network, load_network
 from .opf_model import cvar_tightening_rerun, solve_msdro_opf
@@ -245,7 +246,7 @@ def cmd_sweep(args) -> int:
         "gamma": config.gamma, "seed": config.seed,
         "train_seed": derive_seed(config.seed, "train"),
         "oos_samples": config.oos_samples,
-        "oos_seed_scheme": "sha256(seed,'oos',cell,feature)",
+        "oos_seed_scheme": OOS_SEED_SCHEME,
         "error_mean": config.error_mean, "tighten": config.tighten,
         "jobs": args.jobs,
         "outputs": [p.name for p in paths],
@@ -275,7 +276,7 @@ def cmd_oos(args) -> int:
             "command": "oos", "network": net_src, "data": data_src,
             "epsilons": eps, "gamma": args.gamma, "seed": args.seed,
             "oos_samples": args.oos_samples,
-            "oos_seed_scheme": "sha256(seed,'oos',cell,feature)",
+            "oos_seed_scheme": OOS_SEED_SCHEME,
             "error_mean": args.error_mean,
             "outputs": ["oos.csv"],
         })

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, real
-from .lp import GE, INFINITY, Model, SolverError, align_left, family
+from .lp import (GE, INFINITY, Model, SolverError, align_left,
+                 broadcast_term, family)
 
 #: Width of the band around the usefulness threshold flagged as degenerate.
 DEGENERACY_BAND = 1e-9
@@ -393,18 +394,14 @@ def _solve_anchored(model: Model, lam, cost: PiecewiseMaxAffine, points,
 
 def _row_sums(shape: tuple, terms, x) -> np.ndarray:
     """Every row of ``family(name, shape, terms, ...)`` evaluated at ``x``,
-    as an array of ``shape``. The products are added in the order the
-    family lists its entries (term by term, then along each term's axes
-    beyond ``shape``), so each sum is the one its entries give; the zero
-    coefficients the family drops add only zeros."""
-    ndim = len(shape)
+    as an array of ``shape``: each term broadcast as ``family`` reads it
+    (``broadcast_term``), and its products added in the order the family
+    lists its entries (term by term, then along each term's axes beyond
+    ``shape``). The zero coefficients the family drops add only zeros."""
     total = np.zeros(shape)
     for c, v in terms:
-        c, v = np.asarray(c), np.asarray(v, dtype=float)
-        k = max(ndim, c.ndim, v.ndim)
-        term = align_left(x[c], k) * align_left(v, k)
-        term = np.broadcast_to(term, shape + term.shape[ndim:])
-        for part in np.moveaxis(term.reshape(shape + (-1,)), -1, 0):
+        c, v = broadcast_term(shape, c, v)
+        for part in np.moveaxis((x[c] * v).reshape(shape + (-1,)), -1, 0):
             total += part
     return total
 

@@ -153,6 +153,10 @@ def training_matrix(network: Network, n: int, seed: int,
     return np.vstack(rows) if rows else np.zeros((0, n))
 
 
+#: How ``oos_matrix`` seeds the draws of each feature of a cell.
+OOS_SEED_SCHEME = "sha256(seed,'oos',cell,feature)"
+
+
 def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
     """n x D zero-mean out-of-sample errors for a budget vector, inside the
     support, with each spread widened by its budget."""

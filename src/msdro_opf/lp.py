@@ -2,8 +2,11 @@
 
 Variables are array blocks, their bounds and costs given when they are
 added, and constraints are *families* (named arrays of rows sharing one
-sense). The matrix is assembled once, column-wise, and handed as numpy
-arrays to the HiGHS object scipy bundles
+sense). A model caches structure, never values: its row ``Layout`` and,
+once per sparsity pattern, the matrix's column-wise structure. At each
+load the coefficients are read from the families and summed into that
+structure one way (``np.bincount``), and the arrays are handed to the
+HiGHS object scipy bundles
 (``scipy.optimize._highspy``) with the settings of
 ``linprog(method="highs")`` (dual simplex, no output), presolve off
 exactly when every column has lower bound 0 and a nonnegative cost,
@@ -84,6 +87,19 @@ def align_left(array, ndim: int) -> np.ndarray:
     return array
 
 
+def broadcast_term(shape: tuple, cols, coefs) -> tuple:
+    """A term (columns, coefficients) of a family of ``shape`` as two
+    broadcast views of one shape: ``shape`` followed by the term's further
+    axes. Both line up with ``shape`` from the left (missing trailing axes
+    broadcast); the axes beyond ``shape`` broadcast against each other."""
+    cols, coefs = np.asarray(cols, dtype=np.int64), np.asarray(coefs, dtype=float)
+    ndim = len(shape)
+    k = max(ndim, cols.ndim, coefs.ndim)
+    cols, coefs = align_left(cols, k), align_left(coefs, k)
+    full = shape + np.broadcast_shapes(cols.shape[ndim:], coefs.shape[ndim:])
+    return np.broadcast_to(cols, full), np.broadcast_to(coefs, full)
+
+
 def _labels(name: str, shape) -> list:
     """``name[i,j,...]`` for every position of ``shape``, in flat order."""
     if not shape:
@@ -122,11 +138,12 @@ def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
     """A family of rows ``sum(terms) sense rhs`` over an array of positions.
 
     Each term is a pair (columns, coefficients) of arrays broadcast against
-    each other. Their leading axes line up with ``shape`` from the left
-    (missing trailing axes broadcast), and any axes beyond ``shape`` list
-    further terms of the same row. ``rhs`` and the boolean ``where`` (rows
-    to keep) broadcast the same way. Exact zero coefficients are dropped;
-    repeated columns in a row are summed when the matrix is assembled.
+    each other (``broadcast_term``). Their leading axes line up with
+    ``shape`` from the left (missing trailing axes broadcast), and any axes
+    beyond ``shape`` list further terms of the same row. ``rhs`` and the
+    boolean ``where`` (rows to keep) broadcast the same way. Exact zero
+    coefficients are dropped; repeated columns in a row are summed when the
+    matrix is assembled.
     Terms are read only at the kept positions (indexing broadcast views),
     so the coefficient arrays grow with the kept rows, not with ``shape``.
     """
@@ -143,17 +160,10 @@ def family(name: str, shape, terms, sense: str, rhs, where=None) -> Family:
     at = np.unravel_index(kept, shape) if ndim else (kept,)
     rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for c, v in terms:
-        c, v = np.asarray(c), np.asarray(v, dtype=float)
-        k = max(ndim, c.ndim, v.ndim)
-        c, v = align_left(c, k), align_left(v, k)
-        full = shape + tuple(a if b == 1 else b
-                             for a, b in zip(c.shape[ndim:], v.shape[ndim:]))
-        per_row = int(np.prod(full[ndim:], dtype=np.int64))
-        rows.append(np.repeat(kept, per_row))
-        for out, array, dtype in ((cols, c, np.int64), (vals, v, float)):
-            view = np.broadcast_to(array, full)
-            out.append(np.asarray((view if ndim else view[None])[at],
-                                  dtype=dtype).ravel())
+        c, v = broadcast_term(shape, c, v)
+        rows.append(np.repeat(kept, int(np.prod(c.shape[ndim:]))))
+        for out, view in ((cols, c), (vals, v)):
+            out.append((view if ndim else view[None])[at].ravel())
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     keep = vals != 0.0
     return Family(name, shape, rows[keep], cols[keep], vals[keep], sense,
@@ -165,6 +175,20 @@ def _filled(array, shape: tuple, dtype) -> np.ndarray:
     out = np.empty(shape, dtype=dtype)
     out[...] = align_left(array, len(shape))
     return out.ravel()
+
+
+class Layout(NamedTuple):
+    """Each model row's ``sense`` and ``rhs``, and the rows as HiGHS gets
+    them (``linprog``'s layout: ``<=`` rows, then ``>=`` rows negated, then
+    equalities, each in model order): the model row of each HiGHS row
+    (``order``), its sign (``flip``, -1 where negated) and its bounds."""
+
+    sense: np.ndarray
+    rhs: np.ndarray
+    order: np.ndarray
+    flip: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 class Row(NamedTuple):
@@ -220,7 +244,7 @@ class LpSolution:
         model = old.without(drop, ub)
         if highs is None:
             return model.solve()
-        gone = np.flatnonzero(drop[old._highs_rows()[0]]).astype(np.int32)
+        gone = np.flatnonzero(drop[old._layout().order]).astype(np.int32)
         moved = np.flatnonzero(old.ub != model.ub).astype(np.int32)
         for status in (highs.deleteRows(len(gone), gone),
                        highs.changeColsBounds(len(moved), moved,
@@ -315,8 +339,8 @@ class Model:
         family ``name`` stores (same count and order, none zero). The
         bounds are copied, so a write to either model's ``lb`` or ``ub``
         leaves the other alone; the families, the row layout and the
-        matrix's column structure are shared, and only values are
-        recomputed."""
+        matrix's column structure are shared, and the values are read at
+        each load."""
         fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))
         obj = np.asarray(obj, dtype=float)
         if fam.vals.shape != fam.cols.shape or obj.shape != self.obj.shape:
@@ -325,75 +349,51 @@ class Model:
         if not np.all(fam.vals != 0.0):
             raise ValueError(f"a zero in family {name!r} would change the "
                              "matrix's sparsity pattern")
-        self._columns()  # built here so that every copy shares it
+        self._columns()  # built here, with the layout, so every copy shares both
         m = Model(self.name)
         m.lb, m.ub, m.obj = self.lb.copy(), self.ub.copy(), obj
         m.families = dict(self.families)
         m.families[name] = fam
         m._num_rows = self._num_rows
-        m._cache = {key: self._cache[key]
-                    for key in ("senses", "highs_rows", "columns")}
-        rows, cols, _ = self._coo()
-        m._cache["coo"] = (rows, cols, m._values())
+        m._cache = {key: self._cache[key] for key in ("layout", "columns")}
         return m
 
     def _values(self) -> np.ndarray:
-        """Every family's coefficients, in ``_coo`` order."""
+        """Every family's coefficients, in family order."""
         return np.concatenate([np.zeros(0)]
                               + [f.vals for f in self.families.values()])
 
-    def _coo(self):
-        """(row, column, value) of every coefficient, built once per model."""
-        if "coo" not in self._cache:
-            fams = list(self.families.values())
-            self._cache["coo"] = (
-                np.concatenate([np.zeros(0, np.int64)]
-                               + [f.index[f.rows] for f in fams]),
-                np.concatenate([np.zeros(0, np.int64)] + [f.cols for f in fams]),
-                self._values())
-        return self._cache["coo"]
-
-    def _senses(self):
-        """(sense per row, rhs per row), built once per model."""
-        if "senses" not in self._cache:
+    def _layout(self) -> Layout:
+        """The model's ``Layout``, built once per model."""
+        if "layout" not in self._cache:
             sense = np.empty(self._num_rows, dtype="<U2")
             rhs = np.empty(self._num_rows)
             for f in self.families.values():
                 at = f.index[f.present]
                 sense[at] = f.sense
                 rhs[at] = f.rhs[f.present]
-            self._cache["senses"] = (sense, rhs)
-        return self._cache["senses"]
-
-    def _highs_rows(self):
-        """The row layout ``linprog`` gives HiGHS: ``<=`` rows, then ``>=``
-        rows negated into ``<=`` form, then equalities, each in model order.
-
-        Returns (order, flip, lower, upper): the model row of each HiGHS
-        row, its sign (-1 where negated) and its bounds. Built once.
-        """
-        if "highs_rows" not in self._cache:
-            sense, rhs = self._senses()
             order = np.concatenate([np.flatnonzero(sense == s) for s in _SENSES])
             flip = np.where(sense[order] == GE, -1.0, 1.0)
             upper = flip * rhs[order]
             lower = np.where(sense[order] == EQ, upper, -INFINITY)
-            self._cache["highs_rows"] = (order, flip, lower, upper)
-        return self._cache["highs_rows"]
+            self._cache["layout"] = Layout(sense, rhs, order, flip, lower, upper)
+        return self._cache["layout"]
 
     def _columns(self):
-        """The ``_highs_rows`` layout's matrix structure, column-wise:
-        (indptr, indices, take, sign, runs). ``take`` orders ``_coo()``'s
-        coefficients by column and row, ``sign`` is their ``flip``, and
-        ``runs`` numbers the position each one adds into (None when no
-        position holds two). Built once per sparsity pattern;
-        ``with_values`` shares it."""
+        """The matrix's structure in the ``_layout`` row order, column-wise:
+        (indptr, indices, take, sign, runs). ``take`` orders the
+        coefficients of ``_values()`` by column and row, ``sign`` is their
+        row's ``flip`` and ``runs`` numbers the position each one adds
+        into. Built once per sparsity pattern; ``with_values`` shares it,
+        and a model ``LpSolution.resolve`` solves never builds it."""
         if "columns" not in self._cache:
-            order, flip, _, _ = self._highs_rows()
-            rows, cols, _ = self._coo()
+            layout = self._layout()
             at = np.empty(self._num_rows, np.int64)
-            at[order] = np.arange(self._num_rows)
-            rows = at[rows]
+            at[layout.order] = np.arange(self._num_rows)
+            fams = self.families.values()
+            rows, cols = (np.concatenate([np.zeros(0, np.int64)] + parts)
+                          for parts in ([at[f.index[f.rows]] for f in fams],
+                                        [f.cols for f in fams]))
             take = np.lexsort((rows, cols))
             rows, cols = rows[take], cols[take]
             new = np.ones(len(take), dtype=bool)
@@ -402,25 +402,23 @@ class Model:
             indptr = np.searchsorted(cols[starts], np.arange(self.num_vars + 1))
             self._cache["columns"] = (
                 indptr.astype(np.int32), rows[starts].astype(np.int32), take,
-                flip[rows],
-                None if len(starts) == len(take) else np.cumsum(new) - 1)
+                layout.flip[rows], np.cumsum(new) - 1)
         return self._cache["columns"]
 
     def _csc(self):
-        """(indptr, indices, data) of the ``_highs_rows`` layout's matrix
-        column-wise, rows ascending in each column and repeats summed in
-        table order: what ``scipy.sparse.csc_matrix`` makes of the
-        coefficient table."""
+        """(indptr, indices, data) of the ``_layout`` matrix column-wise,
+        rows ascending in each column and repeats summed in table order:
+        what ``scipy.sparse.csc_matrix`` makes of the coefficient table.
+        The values are read from the families on every call."""
         indptr, indices, take, sign, runs = self._columns()
-        data = self._coo()[2][take] * sign
-        if runs is not None:
-            data = np.bincount(runs, weights=data, minlength=len(indices))
+        data = np.bincount(runs, weights=self._values()[take] * sign,
+                           minlength=len(indices))
         return indptr, indices, data
 
     def _load(self, highs) -> None:
-        """Pass the model to ``highs`` as arrays, in the ``_highs_rows``
-        layout, its matrix column-wise (``_csc``)."""
-        _, _, lower, upper = self._highs_rows()
+        """Pass the model to ``highs`` as arrays, in the ``_layout`` row
+        order, its matrix column-wise (``_csc``)."""
+        *_, lower, upper = self._layout()
         indptr, indices, data = self._csc()
         # HiGHS refuses an empty integrality array; zeros mark continuous.
         status = highs.passModel(
@@ -445,7 +443,7 @@ class Model:
         ascending order, repeats summed, read off ``_csc()`` on first use;
         solving never needs them."""
         if "rows" not in self._cache:
-            order, flip, _, _ = self._highs_rows()
+            sense, rhs, order, flip, _, _ = self._layout()
             indptr, indices, data = self._csc()
             rows = order[indices]
             # Stable, so each row keeps the ascending columns of ``_csc()``.
@@ -454,7 +452,6 @@ class Model:
             vals = (data * flip[indices])[by_row]
             ends = np.cumsum(np.bincount(rows, minlength=self._num_rows)).tolist()
             spans = list(map(slice, [0] + ends[:-1], ends))
-            sense, rhs = self._senses()
             fields = zip(self.row_names(), map(cols.__getitem__, spans),
                          map(vals.__getitem__, spans), sense.tolist(), rhs.tolist())
             # tuple.__new__ fills each Row without a Python-level call per row.
@@ -482,8 +479,8 @@ class Model:
 
 
 def _run_highs(highs, model: Model) -> LpSolution:
-    """Run HiGHS on ``model``'s LP, loaded in ``highs`` in the
-    ``_highs_rows`` layout, and read the solution back in model order.
+    """Run HiGHS on ``model``'s LP, loaded in ``highs`` in the ``_layout``
+    row order, and read the solution back in model order.
 
     An optimal solution passes ``linprog``'s check (no NaN; bounds, ``<=``
     slacks and equality residuals within ``CHECK_TOL``) and keeps
@@ -499,7 +496,7 @@ def _run_highs(highs, model: Model) -> LpSolution:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         objective = float(highs.getObjectiveValue())
-        order, flip, lower, upper = model._highs_rows()
+        _, _, order, flip, lower, upper = model._layout()
         fault = _check(model, x, objective, upper - np.array(solution.row_value),
                        lower == upper)
         if not fault:

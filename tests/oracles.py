@@ -600,8 +600,8 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
     ``dro_core.wasserstein_block``. The formulation ``dro_core`` used before
     it anchored each epigraph at its largest piece. With ``pooled`` set, one
     multiplier with objective ``pooled`` serves every feature (the
-    single-budget comparator). Returns the value, lam and s. Test-only
-    reference.
+    single-budget comparator). Returns the value, lam, s and the LP
+    solution. Test-only reference.
     """
     from types import SimpleNamespace
 
@@ -626,7 +626,7 @@ def per_piece_anchored_lp(cost, points, epsilons, support, pooled=None):
     sol = m.solve()
     assert sol.optimal, sol.status
     return SimpleNamespace(value=float(sol.objective), lam=sol.x[lam],
-                           s=sol.x[s])
+                           s=sol.x[s], sol=sol)
 
 
 def separable_lp(cost, data, support):
@@ -846,14 +846,70 @@ def truncnorm_draws(lo, up, loc, scale, n, rng):
                              random_state=rng)
 
 
+def coefficient_table(model):
+    """(rows, cols, vals, sense, rhs) read off the model's families alone:
+    every coefficient's model row, column and value, in family order, and
+    each model row's sense and right-hand side."""
+    fams = list(model.families.values())
+    rows, cols = (np.concatenate([np.zeros(0, np.int64)] + parts) for parts in
+                  ([f.index[f.rows] for f in fams], [f.cols for f in fams]))
+    vals = np.concatenate([np.zeros(0)] + [f.vals for f in fams])
+    sense = np.empty(model.num_constraints, dtype=object)
+    rhs = np.empty(model.num_constraints)
+    for f in fams:
+        sense[f.index[f.present]] = f.sense
+        rhs[f.index[f.present]] = f.rhs[f.present]
+    return rows, cols, vals, sense, rhs
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n: a sum of n floating-point products is within
+    gamma(n) times the sum of their magnitudes of the exact sum."""
+    unit = np.finfo(float).eps / 2
+    return n * unit / (1 - n * unit)
+
+
+def highs_tolerances(sol) -> tuple:
+    """The primal and dual feasibility tolerances HiGHS solved ``sol`` to."""
+    return tuple(sol._highs.getOptionValue(name)[1] for name in
+                 ("primal_feasibility_tolerance", "dual_feasibility_tolerance"))
+
+
+def optimum_gap_bound(sol) -> float:
+    """How far an optimal solution's objective may lie from its LP's exact
+    optimum. HiGHS ends "optimal" at a point (x, y) that is exactly optimal
+    for a perturbed LP: each row or bound it holds moved by at most the
+    primal feasibility tolerance, and each cost by at most the dual
+    feasibility tolerance. To first order the optimum moves by the
+    perturbations times the duals: tol_p (|y| + |c - A'y|) for the rows and
+    bounds, tol_d |x| for the costs, read at the returned point; plus the
+    round-off of c'x."""
+    m = sol.model
+    rows, cols, vals, _, _ = coefficient_table(m)
+    tol_p, tol_d = highs_tolerances(sol)
+    reduced = m.obj - np.bincount(cols, vals * sol.duals[rows], m.num_vars)
+    return float(tol_d * np.abs(sol.x).sum()
+                 + tol_p * (np.abs(sol.duals).sum() + np.abs(reduced).sum())
+                 + gamma(m.num_vars) * np.abs(m.obj) @ np.abs(sol.x))
+
+
+def highs_row_order(sense):
+    """The documented row layout HiGHS gets: ``<=`` rows, then ``>=`` rows
+    negated, then equalities, each in model order. Returns the model row of
+    each HiGHS row and its sign."""
+    order = np.concatenate([np.flatnonzero(sense == s)
+                            for s in ("<=", ">=", "==")]).astype(np.int64)
+    return order, np.where(sense[order] == ">=", -1.0, 1.0)
+
+
 def scipy_csc(model):
     """The model's matrix in the HiGHS row layout as
     ``scipy.sparse.csc_matrix`` builds it from the coefficient table:
     what the package handed HiGHS before it kept the column structure."""
     import scipy.sparse as sp
 
-    order, flip, _, _ = model._highs_rows()
-    rows, cols, vals = model._coo()
+    rows, cols, vals, sense, _ = coefficient_table(model)
+    order, flip = highs_row_order(sense)
     at = np.empty(model.num_constraints, np.int64)
     at[order] = np.arange(model.num_constraints)
     rows = at[rows]
@@ -871,12 +927,12 @@ def linprog_solve(model, presolve=True):
     import scipy.sparse as sp
     from msdro_opf.lp import LpSolution, SolverError
 
-    order, flip, lower, upper = model._highs_rows()
-    rows, cols, vals = model._coo()
+    rows, cols, vals, sense, rhs = coefficient_table(model)
+    order, flip = highs_row_order(sense)
     a = sp.csr_matrix((vals, (rows, cols)),
                       shape=(model.num_constraints, model.num_vars))[order]
     a.data *= np.repeat(flip, np.diff(a.indptr))
-    eq = lower == upper
+    upper, eq = flip * rhs[order], sense[order] == "=="
     res = linprog(
         c=model.obj, A_ub=a[~eq], b_ub=upper[~eq], A_eq=a[eq], b_eq=upper[eq],
         bounds=np.column_stack([model.lb, model.ub]), method="highs",
@@ -899,16 +955,15 @@ def linprog_solve(model, presolve=True):
 def optimality_faults(sol, tol=1e-7) -> list:
     """The optimality conditions an optimal ``LpSolution`` breaks ([] when
     none), checked with a dense matrix summed from the coefficient table
-    (``_coo()``) and the rows' senses and right-hand sides (``_senses()``):
+    and the rows' senses and right-hand sides (``coefficient_table``):
     primal feasibility; the dual signs of the ``lp`` docstring (``<=``
     rows <= 0, ``>=`` rows >= 0); reduced costs c - A'y that push only
     against a finite bound the point sits at; complementary slackness of
     the rows; and strong duality. ``tol`` scales with each quantity."""
     m = sol.model
-    rows, cols, vals = m._coo()
+    rows, cols, vals, sense, rhs = coefficient_table(m)
     a = np.zeros((m.num_constraints, m.num_vars))
     np.add.at(a, (rows, cols), vals)
-    sense, rhs = m._senses()
     x, y = sol.x, sol.duals
     le, ge, eq = sense == "<=", sense == ">=", sense == "=="
     gap = a @ x - rhs  # the row's activity over its right-hand side

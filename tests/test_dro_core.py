@@ -29,8 +29,9 @@ from msdro_opf.errors import InputError
 from msdro_opf.lp import Model, SolverError
 from msdro_opf.opf_model import solve_msdro_opf
 
-from oracles import (anchored_dual_value, grid_sup_affine, linprog_solve,
-                     multi_marginal_value, per_piece_anchored_lp, separable_lp,
+from oracles import (anchored_dual_value, gamma, grid_sup_affine,
+                     highs_tolerances, linprog_solve, multi_marginal_value,
+                     optimum_gap_bound, per_piece_anchored_lp, separable_lp,
                      sup_affine_minus_l1)
 
 BOX11 = BoxSupport([-1.0], [1.0])
@@ -560,7 +561,14 @@ def anchored_row_faults(call, tol=1e-9) -> list:
     (t, k, rhs - lhs). All n_t (K - 1) rows are computed here from the
     instance: the columns after the multipliers are p and q (feature by
     piece), then one sigma_t for each anchor with a row in the last LP, in
-    anchor order; sigma_t is 0 for the anchors without one."""
+    anchor order; sigma_t is 0 for the anchors without one.
+
+    With ``tol=None`` the allowed miss is what the route guarantees: a row
+    in the last LP may be missed by HiGHS's primal feasibility tolerance,
+    a row left out by the route's threshold for adding it, 1e-12 (1 +
+    |rhs|); each plus the round-off of two evaluations of its 1 + 4 d
+    products (HiGHS's or the route's, and this one), 2 gamma(1 + 4 d)
+    times the sum of their magnitudes."""
     cost, points, support = call.cost, call.points, call.support
     n_t, d = points.shape
     k_pieces = cost.num_pieces
@@ -577,8 +585,16 @@ def anchored_row_faults(call, tol=1e-9) -> list:
     t = np.arange(n_t)
     rhs = heights - heights[t, k0][:, None]
     lhs = sigma[:, None] - spread + spread[t, k0][:, None]
-    bad = ((lhs < rhs - tol * (1.0 + np.abs(rhs)))
-           & (np.arange(k_pieces) != k0[:, None]))
+    if tol is None:
+        size = up @ np.abs(p) + lo @ np.abs(q)
+        size = np.abs(sigma)[:, None] + size + size[t, k0][:, None]
+        present = idx.present.reshape(n_t, k_pieces)
+        allowed = (np.where(present, highs_tolerances(call.sol)[0],
+                            1e-12 * (1.0 + np.abs(rhs)))
+                   + 2 * gamma(1 + 4 * d) * size)
+    else:
+        allowed = tol * (1.0 + np.abs(rhs))
+    bad = (lhs < rhs - allowed) & (np.arange(k_pieces) != k0[:, None])
     return [(int(i), int(k), float(rhs[i, k] - lhs[i, k]))
             for i, k in zip(*np.nonzero(bad))]
 
@@ -668,7 +684,11 @@ def small_instances(draw):
 def test_generated_lp_answer_meets_every_anchored_row_on_small_instances(
         instance):
     """On every anchored route a small instance admits, the returned
-    solution meets all anchored rows and the value is the per-piece LP's."""
+    solution meets all anchored rows and the value is the per-piece LP's,
+    each within what HiGHS's tolerances allow: the rows within the bound
+    ``anchored_row_faults`` derives, and the two values within the sum of
+    the two LPs' ``optimum_gap_bound``, plus the round-off of the route's
+    constant mean_t max_k row(t, k) added to its LP's objective."""
     cost, data, box = instance
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = spy_on_anchored(monkeypatch)
@@ -683,10 +703,13 @@ def test_generated_lp_answer_meets_every_anchored_row_on_small_instances(
                  data.matrix().T, pooled)]
     assert len(calls) == len(routes)
     for call, (value, points, pooled) in zip(calls, routes):
-        assert anchored_row_faults(call) == []
+        assert anchored_row_faults(call, tol=None) == []
         ref = per_piece_anchored_lp(cost, points, data.epsilons, box,
                                     pooled=pooled)
-        assert value == pytest.approx(ref.value, rel=1e-9, abs=1e-9)
+        base = np.max(cost.b + points @ cost.a.T, axis=1)
+        bound = (optimum_gap_bound(call.sol) + optimum_gap_bound(ref.sol)
+                 + gamma(len(base) + 1) * (abs(value) + np.mean(np.abs(base))))
+        assert abs(value - ref.value) <= bound, (value, ref.value, bound)
 
 
 def test_product_route_ends_in_few_anchored_rows(anchored_calls):

@@ -23,7 +23,7 @@ from msdro_opf.evaluation import SweepConfig
 from msdro_opf.lp import EQ, GE, INFINITY, LE, Model, SolverError, family
 from msdro_opf.network import Generator, Line, Network, Resource
 
-from oracles import bits, linprog_solve, optimality_faults
+from oracles import bits, linprog_solve, optimality_faults, scipy_csc
 
 #: Column bounds: nonnegative, free, negative lower, boxed, above zero.
 BOUNDS = ((0.0, INFINITY), (-INFINITY, INFINITY), (-2.0, INFINITY),
@@ -134,7 +134,8 @@ def test_random_lps_solve_as_linprog_and_certify(case, data):
                                                    abs=1e-9)
 
     # New values for one family's coefficients: the column arrays HiGHS
-    # gets are those of the model built with them.
+    # gets are those of the model built with them, and scipy's, repeated
+    # columns in a row summed.
     named = [f for group in groups for f in group if len(f.vals)]
     if not named:
         return
@@ -148,8 +149,10 @@ def test_random_lps_solve_as_linprog_and_certify(case, data):
     for group in groups:
         rebuilt.add(*(replace(f, vals=vals if f is edit else f.vals, index=None)
                       for f in group))
-    for got, want in zip(edited._csc(), rebuilt._csc()):
-        assert bits(got) == bits(want)
+    ref = scipy_csc(rebuilt)
+    for got, want, by_scipy in zip(edited._csc(), rebuilt._csc(),
+                                   (ref.indptr, ref.indices, ref.data)):
+        assert bits(got) == bits(want) == bits(by_scipy)
 
 
 #: Arbitrary Python values: scalars of every JSON type, text, and lists and

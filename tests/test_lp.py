@@ -299,9 +299,9 @@ def test_row_views_read_the_column_wise_matrix():
 
 def test_column_arrays_are_scipys_bit_for_bit():
     """The column-wise matrix ``_load`` hands HiGHS (its structure cached,
-    values gathered per model) is the one scipy builds from the
-    coefficient table: repeats in one position summed in table order, the
-    ``>=`` rows negated, on toys and on OPF models."""
+    values read from the families at each load) is the one scipy builds
+    from the coefficient table: repeats in one position summed in table
+    order, the ``>=`` rows negated, on toys and on OPF models."""
     repeats = Model()
     x = repeats.add_vars(3)
     repeats.add(family("mix", 2, [(x[[2, 1]], 1.0), (x[[0, 1]], [2.0, 3.0])],
@@ -318,7 +318,8 @@ def test_column_arrays_are_scipys_bit_for_bit():
         assert np.array_equal(indptr, want.indptr)
         assert np.array_equal(indices, want.indices)
         assert bits(values) == bits(want.data)
-    assert repeats._columns()[4] is not None  # the repeats took the sum path
+    # Four entries of ``mix`` and three of ``thrice`` share a position.
+    assert len(repeats._values()) - len(repeats._csc()[1]) == 3
 
 
 def test_with_values_shares_the_structure_and_solves_as_built():
@@ -336,9 +337,7 @@ def test_with_values_shares_the_structure_and_solves_as_built():
             ("floor", [yy], [1.0], GE, 0.5), ("zcap", [zz], [1.0], LE, 1.0),
             ("cap", [xx], [1.0], LE, 10.0)):
         built.add(family(name, (), [(np.array(cols), np.array(vals))], sense, b))
-    assert edited._columns() is base._columns()
     assert bits(edited.lb) == bits(base.lb) and bits(edited.ub) == bits(base.ub)
-    assert edited._highs_rows() is base._highs_rows()
     for got, want in zip(edited._csc(), built._csc()):
         assert bits(got) == bits(want)
     got, want = edited.solve(), built.solve()
@@ -353,6 +352,26 @@ def test_with_values_shares_the_structure_and_solves_as_built():
         base.with_values(base.obj, "cover", [1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="one value per"):
         base.with_values(base.obj, "cover", [1.0, 1.0])
+
+
+def test_models_cache_structure_and_read_values_at_each_load():
+    """A ``with_values`` copy shares its base's row layout and column
+    structure and caches nothing else; a ``without`` model, which HiGHS
+    solves by editing the loaded LP, builds its row layout and never the
+    column structure; and a changed coefficient reaches the next load."""
+    base = cover_with_extra()
+    edited = base.with_values(base.obj, "cover", [1.0, 2.0, 0.5])
+    assert edited._cache.keys() == {"layout", "columns"}
+    assert edited._layout() is base._layout()
+    assert edited._columns() is base._columns()
+    first = cover_with_extra().solve()
+    assert "columns" in first.model._cache
+    resolved = first.resolve(np.array([False, True, False, False]),
+                             first.model.ub)
+    assert resolved.optimal and resolved._highs is not None
+    assert resolved.model._cache.keys() == {"layout"}
+    base.families["cover"].vals[:] = [1.0, 2.0, 0.5]
+    assert bits(base._csc()[2]) == bits(edited._csc()[2])
 
 
 def test_interleaved_families_need_equal_shapes():

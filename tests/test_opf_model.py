@@ -471,8 +471,8 @@ def test_with_budgets_is_the_build_bit_for_bit(case5, seed):
         for part in ("obj", "lb", "ub"):
             assert bits(getattr(got.model, part)) == \
                 bits(getattr(want.model, part)), (cell, part)
-        for g, w in zip(got.model._highs_rows() + got.model._csc(),
-                        want.model._highs_rows() + want.model._csc()):
+        for g, w in zip(got.model._layout() + got.model._csc(),
+                        want.model._layout() + want.model._csc()):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), cell
         assert got.model.num_constraints == want.model.num_constraints
     assert len(patterns) == 4
