@@ -8,6 +8,10 @@ solve     solve one instance, write solution/dual/valuation CSVs
 sweep     grid sweep over budgets, write the table CSVs
 oos       out-of-sample violation check for one budget vector
 
+Every table and printed feature line is read off a budget cell's first
+solve, the LP whose duals price the data; the tightening re-run reports
+only ``objective_tightened`` and the generators it pinned.
+
 Exit codes: 0 success, 2 input error, 3 infeasible model, 4 solver
 failure.  Every file-producing run writes a ``manifest.json`` echoing the
 resolved parameters and derived seeds next to its outputs.
@@ -160,16 +164,13 @@ def cmd_solve(args) -> int:
     network, data = sol.built.network, sol.built.data
     eps = data.epsilons.tolist()
 
-    final = sol if args.no_tighten else cvar_tightening_rerun(first=sol)
-    # Every output but duals.csv, which keeps the first LP's rows, comes
-    # from ``final``; the manifest says which LP is behind each file.
-    final_lp = "first" if final is sol else "tightened"
-    report = marginal_data_value(final)
-    forecast = forecast_value_decomposition(final)
+    tightened = cvar_tightening_rerun(first=sol)
+    report = marginal_data_value(sol)
+    forecast = forecast_value_decomposition(sol)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dec = final.decision
+    dec = sol.decision
     write_csv(outdir / "solution.csv",
               ["generator", "bus", "p", "r_plus", "r_minus"]
               + [f"alpha_{j + 1}" for j in range(data.dimension)],
@@ -190,21 +191,18 @@ def cmd_solve(args) -> int:
         "command": "solve", "network": net_src, "data": data_src,
         "epsilons": eps, "gamma": args.gamma, "seed": args.seed,
         "train_seed": derive_seed(args.seed, "train"),
-        "error_mean": args.error_mean, "tighten": not args.no_tighten,
-        "outputs": outputs,
-        "lp": {"solution.csv": final_lp, "duals.csv": "first",
-               "valuation.csv": final_lp, "forecast_value.csv": final_lp},
-        "pinned_generators": [g + 1 for g in
-                              sorted(final.built.fixed_zero_participation)],
+        "error_mean": args.error_mean, "outputs": outputs,
+        "pinned_generators": [g + 1 for g in sorted(
+            tightened.built.fixed_zero_participation)],
         # As printed: ten significant digits.
         "objective": float(fmt(sol.objective)),
-        "objective_tightened": float(fmt(final.objective)),
+        "objective_tightened": float(fmt(tightened.objective)),
     })
 
     print("status: optimal")
     print(f"objective: {fmt(sol.objective)}")
-    if final is not sol:
-        print(f"objective after tightening re-run: {fmt(final.objective)}")
+    if tightened is not sol:
+        print(f"objective after tightening re-run: {fmt(tightened.objective)}")
     for j in range(data.dimension):
         print(f"feature {j + 1}: eps={fmt(eps[j])} "
               f"lambda_co={fmt(report.lambda_co[j])} "
@@ -224,7 +222,6 @@ def cmd_sweep(args) -> int:
         gamma=args.gamma,
         oos_samples=args.oos_samples,
         error_mean=args.error_mean,
-        tighten=not args.no_tighten,
         # The default grid gets the extra 0.0 out-of-sample column for the
         # SAA comparison; an explicit --grid is swept exactly as given.
         oos_include_zero=args.grid is None,
@@ -247,8 +244,7 @@ def cmd_sweep(args) -> int:
         "train_seed": derive_seed(config.seed, "train"),
         "oos_samples": config.oos_samples,
         "oos_seed_scheme": OOS_SEED_SCHEME,
-        "error_mean": config.error_mean, "tighten": config.tighten,
-        "jobs": args.jobs,
+        "error_mean": config.error_mean, "jobs": args.jobs,
         "outputs": [p.name for p in paths],
     })
     print(f"{len(result.cells) - len(failed)}/{len(result.cells)} cells "
@@ -370,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("solve", help="solve one instance")
     _add_common_model_flags(s)
     _add_data_flags(s)
-    s.add_argument("--no-tighten", action="store_true",
-                   help="skip the re-run with idle balancers pinned")
     s.add_argument("--out", type=_out_dir, default="msdro_out")
 
     w = subs.add_parser("sweep", help="grid sweep over budgets")
@@ -383,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--oos-samples", type=int, default=1000)
     w.add_argument("--jobs", type=_at_least(1), default=1,
                    help="parallel worker processes for sweep cells")
-    w.add_argument("--no-tighten", action="store_true")
     w.add_argument("--out", type=_out_dir, default="msdro_out")
 
     o = subs.add_parser("oos", help="out-of-sample violation check")

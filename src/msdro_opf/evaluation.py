@@ -8,13 +8,13 @@ out-of-sample errors are centred at 0 with the spread widened by the
 claimed budget (S_oos = S + S_pert(eps), E|X|_1 = eps for X ~ N(0, S_pert)).
 
 A sweep solves the model on every cell of an epsilon grid with one shared
-training dataset, re-runs each cell with idle balancers pinned, extracts
-the valuation reports, and measures the empirical violation rate of the
-joint constraint set on the cell's out-of-sample draws (``out_of_sample``,
-which ``msdro oos`` calls too). Cells of the added zero column get the
-solve and that check only. A failed solve fails its cell; a failed build
-fails the sweep. Everything is seeded; identical configuration gives
-byte-identical CSV files.
+training dataset, extracts the valuation reports from that solve, re-runs
+each cell with idle balancers pinned for its objective only, and measures
+the empirical violation rate of the joint constraint set on the cell's
+out-of-sample draws (``out_of_sample``, which ``msdro oos`` calls too).
+Cells of the added zero column get the solve and that check only. A
+failed solve fails its cell; a failed build fails the sweep. Everything
+is seeded; identical configuration gives byte-identical CSV files.
 
 Training data is drawn once per sweep (not per cell) so that objective
 values are comparable across cells; out-of-sample draws are per cell.
@@ -216,7 +216,6 @@ class SweepConfig:
     gamma: float = 0.05
     oos_samples: int = 1000
     error_mean: str = "zero"
-    tighten: bool = True
     oos_include_zero: bool = True
 
     def __post_init__(self):
@@ -231,9 +230,9 @@ class SweepConfig:
         for name in ("n_samples", "oos_samples", "seed"):
             if not is_integer(value := getattr(self, name)):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in ("tighten", "oos_include_zero"):
-            if not isinstance(value := getattr(self, name), bool):
-                raise InputError(f"{name} must be True or False, got {value!r}")
+        if not isinstance(self.oos_include_zero, bool):
+            raise InputError("oos_include_zero must be True or False, got "
+                             f"{self.oos_include_zero!r}")
         if self.error_mean not in ERROR_MEANS:
             raise InputError(f"unknown error-mean mode {self.error_mean!r}")
         if self.n_samples < 1:
@@ -314,7 +313,7 @@ def _solve_cell(models: dict, eps, config: SweepConfig) -> CellResult:
         if not base.optimal:
             return CellResult(cell, base.status)
         rate = out_of_sample(base, config.oos_samples, config.seed)
-        result = (_cell_result(base, config)
+        result = (_cell_result(base)
                   if all(e in config.grid for e in cell)
                   else CellResult(cell, "optimal"))
         result.violation, result.n_samples = rate, config.oos_samples
@@ -323,9 +322,9 @@ def _solve_cell(models: dict, eps, config: SweepConfig) -> CellResult:
         return CellResult(cell, "error", message=f"{type(exc).__name__}: {exc}")
 
 
-def _cell_result(base, config: SweepConfig) -> CellResult:
-    """Tightening re-run and valuation of an optimal base solve."""
-    tightened = cvar_tightening_rerun(first=base) if config.tighten else base
+def _cell_result(base) -> CellResult:
+    """Valuation and tightened objective of an optimal base solve."""
+    tightened = cvar_tightening_rerun(first=base)
     network = base.built.network
     c_act = np.array([g.c_A for g in network.generators])
     data_value = marginal_data_value(base)

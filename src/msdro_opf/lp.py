@@ -237,7 +237,8 @@ class LpSolution:
         HiGHS deletes the dropped rows from the LP it solved, changes the
         upper bounds and restarts the dual simplex from its final basis.
         The HiGHS object moves to the returned solution: a second call, or
-        one on a solution without it, solves the derived model from scratch.
+        one on a solution without it, solves the derived model from scratch,
+        as does a warm restart that stops short of an end (``_ENDS``).
         """
         highs, self._highs = self._highs, None
         old = self.model
@@ -251,7 +252,12 @@ class LpSolution:
                                               model.lb[moved], model.ub[moved])):
             if status.name == "kError":
                 raise SolverError(f"HiGHS could not edit {old.summary()}")
-        return _run_highs(highs, model)
+        try:
+            return _run_highs(highs, model)
+        except SolverError:
+            if highs.getModelStatus().name in _ENDS:  # failed the check
+                raise
+        return model.solve()
 
 
 class Model:

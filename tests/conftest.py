@@ -1,13 +1,20 @@
-"""Shared fixtures: the bundled network, its training data, cached solves."""
+"""Shared fixtures: the bundled network, its training data, cached solves;
+the ``fresh`` hypothesis profile."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from msdro_opf import MultiDataset, bundled_network, solve_msdro_opf
 from msdro_opf.evaluation import derive_seed, training_matrix
 
 GAMMA = 0.05
 SEED = 1
+
+#: ``--hypothesis-profile fresh``: draw only from ``--hypothesis-seed``,
+#: neither replaying nor saving examples, so a sweep over seeds sees each
+#: seed's own failures. Not the default profile.
+settings.register_profile("fresh", database=None)
 
 
 @pytest.fixture(scope="session")

@@ -13,9 +13,7 @@ from msdro_opf import cli, errors
 from msdro_opf.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, EXIT_SOLVER,
                            main)
 from msdro_opf.data_quality import write_quality_csv, write_samples_csv
-from msdro_opf.dro_core import MultiDataset
 from msdro_opf.evaluation import derive_seed, training_matrix
-from msdro_opf.opf_model import _pin, build_msdro_opf
 
 CASE5 = Path(msdro_opf.__file__).parent / "data" / "case5.json"
 
@@ -162,7 +160,6 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     assert manifest["network"] == "bundled:case5"
     assert manifest["epsilons"] == [0.1, 0.1]
     assert manifest["gamma"] == 0.05
-    assert manifest["tighten"] is True
     assert manifest["version"] == msdro_opf.__version__
     assert sorted(manifest["outputs"]) == sorted(SOLVE_FILES[:-1])
 
@@ -180,46 +177,53 @@ def test_solve_writes_outputs_and_manifest(tmp_path, capsys):
     assert "feature 1:" in out and "feature 2:" in out
 
 
-def test_solve_values_the_lp_behind_solution_csv(tmp_path):
-    """Where the re-run pins generators, ``valuation.csv`` prices the LP
-    behind ``solution.csv``: each marginal value is a central difference
-    of the re-run objective in that budget, the pins held. The manifest
-    names the LP behind each file; ``duals.csv`` keeps the first LP's."""
-    outdir = tmp_path / "run"
-    assert run("solve", "--eps", "0.001", "0.001", "--out", outdir) == EXIT_OK
-    network = msdro_opf.bundled_network()
-    xs = training_matrix(network, 20, derive_seed(1, "train"))
+def test_solve_and_oos_give_the_sweep_rows_of_every_cell(tmp_path):
+    """One LP behind a budget cell in every command: at each cell of the
+    default sweep, ``msdro solve --eps`` writes that cell's ``dispatch.csv``,
+    ``plotdata_*.csv`` and ``objectives.csv`` values, from the first solve,
+    and ``msdro oos --eps`` its ``oos.csv`` row, zero column included.
+    Where the re-run pins generators, only ``objective_tightened`` and
+    ``pinned_generators`` come from it."""
+    sweep, oos_samples = tmp_path / "sweep", "200"
+    assert run("sweep", "--oos-samples", oos_samples, "--out", sweep) == EXIT_OK
 
-    def pinned_objective(eps) -> float:
-        """The objective with generators 1 and 4 pinned, as the re-run
-        pins them at this cell."""
-        built = build_msdro_opf(network, MultiDataset.from_matrix(xs, eps),
-                                0.05)
-        return built.model.without(*_pin(built, [0, 3])).solve().objective
+    def by_cell(name) -> dict:
+        """Each cell's rows of a sweep table, without the budgets."""
+        cells = {}
+        for row in read_rows(sweep / name)[1:]:
+            cells.setdefault(tuple(row[:2]), []).append(row[2:])
+        return cells
 
-    rows = read_rows(outdir / "valuation.csv")
-    for j in range(2):
-        step = np.eye(2)[j] * 1e-9  # 1e-6 of the budget
-        fd = (pinned_objective(0.001 + step)
-              - pinned_objective(0.001 - step)) / 2e-9
-        assert float(rows[1 + j][4]) == pytest.approx(fd, rel=1e-3)
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["lp"] == {"solution.csv": "tightened", "duals.csv": "first",
-                              "valuation.csv": "tightened",
-                              "forecast_value.csv": "tightened"}
+    objectives = by_cell("objectives.csv")
+    tables = [(by_cell("dispatch.csv"), "solution.csv", [0, 2, 3, 4, 5, 6]),
+              (by_cell("plotdata_data_value.csv"), "valuation.csv", None),
+              (by_cell("plotdata_forecast_value.csv"), "forecast_value.csv",
+               None)]
+    manifests = {}
+    for cell, [[objective, tightened, _, status]] in objectives.items():
+        out = tmp_path / "solve"
+        assert status == "optimal"
+        assert run("solve", "--eps", *cell, "--out", out) == EXIT_OK
+        for rows, name, columns in tables:
+            got = [[row[c] for c in columns] if columns else row
+                   for row in read_rows(out / name)[1:]]
+            assert got == rows[cell], (cell, name)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["objective"] == float(objective)
+        assert manifest["objective_tightened"] == float(tightened)
+        manifests[cell] = manifest
+    manifest = manifests["0.001", "0.001"]
     assert manifest["pinned_generators"] == [1, 4]
     assert manifest["objective"] == 12636.01378
     assert manifest["objective_tightened"] == 12597.48965
 
-    plain = tmp_path / "plain"
-    assert run("solve", "--eps", "0.001", "0.001", "--no-tighten",
-               "--out", plain) == EXIT_OK
-    manifest = json.loads((plain / "manifest.json").read_text())
-    assert set(manifest["lp"].values()) == {"first"}
-    assert manifest["pinned_generators"] == []
-    assert manifest["objective_tightened"] == manifest["objective"]
-    assert (plain / "duals.csv").read_bytes() == \
-        (outdir / "duals.csv").read_bytes()
+    violations = by_cell("oos.csv")
+    assert len(violations) == 25  # the 4 x 4 grid and the zero column
+    for cell, rows in violations.items():
+        out = tmp_path / "oos"
+        assert run("oos", "--eps", *cell, "--oos-samples", oos_samples,
+                   "--out", out) == EXIT_OK
+        assert read_rows(out / "oos.csv")[1:] == [list(cell) + rows[0]], cell
 
 
 def test_solve_accepts_quality_csv_budgets(tmp_path):
@@ -302,7 +306,7 @@ def test_solve_matches_training_data_columns_by_name(tmp_path, capsys):
     swapped.write_text(swapped.read_text().replace("xi_1,xi_2", "xi_2,xi_1", 1))
     objectives = []
     for path in (in_order, swapped):
-        assert run("solve", "--data", path, "--eps", "0.1", "0.3", "--no-tighten",
+        assert run("solve", "--data", path, "--eps", "0.1", "0.3",
                    "--out", tmp_path / path.stem) == EXIT_OK
         objectives.append(capsys.readouterr().out.splitlines()[1])
     assert objectives[0].startswith("objective: ")
@@ -630,35 +634,6 @@ def test_sweep_on_a_disconnected_network_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_without_tightening_differs_only_in_objectives(tmp_path,
-                                                             monkeypatch):
-    """``--no-tighten`` never runs the re-run: ``objective_tightened`` is
-    the base objective, and every other table is the tightened sweep's."""
-    from msdro_opf import evaluation
-
-    # On this grid the re-run lowers two cells' objectives.
-    args = ["sweep", "--grid", "0.005", "0.001", "--n-samples", "5",
-            "--oos-samples", "20"]
-    assert run(*args, "--out", tmp_path / "tight") == EXIT_OK
-    reruns = []
-    monkeypatch.setattr(evaluation, "cvar_tightening_rerun",
-                        lambda *args, **kwargs: reruns.append(kwargs))
-    assert run(*args, "--no-tighten", "--out", tmp_path / "loose") == EXIT_OK
-    assert reruns == []
-    tight, loose = tmp_path / "tight", tmp_path / "loose"
-    for path in sorted(tight.glob("*.csv")):
-        if path.name != "objectives.csv":
-            assert (loose / path.name).read_bytes() == path.read_bytes(), \
-                path.name
-    rows = read_rows(loose / "objectives.csv")
-    assert rows[0][2:4] == ["objective", "objective_tightened"]
-    assert len(rows) == 1 + 4
-    assert all(row[2] == row[3] for row in rows[1:])
-    assert read_rows(tight / "objectives.csv")[1:] != rows[1:]
-    manifest = json.loads((loose / "manifest.json").read_text())
-    assert manifest["tighten"] is False
-
-
 # -------------------------------------------------------------------- oos
 
 def test_oos_robust_budget_never_violates(tmp_path, capsys):
@@ -830,7 +805,7 @@ def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
                 path = path.with_name("bom_" + path.name)
                 path.write_bytes(b"\xef\xbb\xbf" + plain[flag].read_bytes())
             args += [f"--{flag}", path]
-        assert run("solve", *args, "--no-tighten",
+        assert run("solve", *args,
                    "--out", tmp_path / f"out{marked:d}") == EXIT_OK
         objectives.append(capsys.readouterr().out.splitlines()[1])
     assert objectives[0].startswith("objective: ")
@@ -893,7 +868,7 @@ def test_solve_duals_csv_row_names_and_order(tmp_path):
     cc_main has one row per (sample, CVaR row), the augmented one included.
     """
     out = tmp_path / "s"
-    assert run("solve", "--train", 3, "--eps", 0.1, 0.0, "--no-tighten",
+    assert run("solve", "--train", 3, "--eps", 0.1, 0.0,
                "--out", out) == EXIT_OK
     net = msdro_opf.bundled_network()
     n_g, n_l, d, n = net.num_generators, net.num_lines, 2, 3

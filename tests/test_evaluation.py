@@ -272,8 +272,6 @@ def test_sweep_config_refuses_a_count_that_is_not_an_integer(field, count):
     ("gamma", None, "gamma must be a number, got None"),
     ("gamma", "0.05", "gamma must be a number"),
     ("error_mean", "x", "unknown error-mean mode 'x'"),
-    ("tighten", "no", "tighten must be True or False, got 'no'"),
-    ("tighten", None, "tighten must be True or False, got None"),
     ("oos_include_zero", 1, "oos_include_zero must be True or False, got 1"),
 ])
 def test_sweep_config_refuses_values_of_the_wrong_type(field, value, message):
@@ -379,13 +377,14 @@ def test_sweep_tables_leave_failed_cell_values_empty(tmp_path):
 
 
 def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
-    """A solver error in one cell's re-run is recorded; the sweep goes on."""
+    """A solver error in one cell's re-run, warm and then cold, is
+    recorded; the sweep goes on."""
     calls = []
     run_highs = lp._run_highs
 
     def flaky(highs, model):
         calls.append(model.num_constraints)
-        if len(calls) == 2:  # the first cell's tightening re-run
+        if len(calls) in (2, 3):  # the first cell's tightening re-run
             raise SolverError("highs failed: injected")
         return run_highs(highs, model)
 

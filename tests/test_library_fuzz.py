@@ -166,7 +166,7 @@ VALUES = st.recursive(
 CONSTRUCTORS = [
     (SweepConfig, {"grid": (1.0, 0.1), "n_samples": 20, "seed": 1,
                    "gamma": 0.05, "oos_samples": 1000, "error_mean": "zero",
-                   "tighten": True, "oos_include_zero": True}),
+                   "oos_include_zero": True}),
     (NoiseModel, {"kind": "laplace", "param": 0.1, "dimension": 1}),
     (NoiseModel.gaussian, {"stddev": 0.1, "dimension": 2}),
     (QualitySignal, {"epsilon": 0.1}),

@@ -523,3 +523,51 @@ def test_resolve_edits_the_solved_lp_and_hands_over_the_solver():
     assert bits(warm.x) == bits(cold.x) and bits(warm.duals) == bits(cold.duals)
     again = first.resolve(drop, ub)  # no solver left: from scratch
     assert again._highs is not None and again.objective == warm.objective
+
+
+def one_free_row():
+    """min y - x, x <= 5 and y >= 1: dropping the row leaves x unbounded."""
+    m = Model("roof")
+    x = m.add_vars(2, obj=[-1.0, 1.0])
+    m.add(family("roof", (), [(x[0], 1.0)], LE, 5.0))
+    m.add(family("floor", (), [(x[1], 1.0)], GE, 1.0))
+    return m, np.array([True, False]), m.ub
+
+
+def fuzz_seed_10():
+    """The LP ``test_random_lps_solve_as_linprog_and_certify`` found at
+    ``--hypothesis-seed 10``: dropping ``f1b[0,2]`` (x2 >= 1) and capping
+    every column at 0 lets x2 and x4 fall together."""
+    m = Model("fuzz")
+    x = m.add_vars(5, lb=[0, 0, -INFINITY, 0, -INFINITY], obj=[0, 0, 1, 0, -1])
+    m.add(family("f0a", 4, [(x[[[2, 4], [4, 4], [4, 2], [0, 0]]],
+                             [[1, 1], [2, 0], [-3, 2], [0, 0]])],
+                 LE, [1, 0, 2, 0]))
+    m.add(family("f1a", (1, 3), [], LE, 0.0),
+          family("f1b", (1, 3), [(x[2], [[0, 0, -1]])], LE, [[0, 0, -1]]))
+    return m, np.arange(10) == 9, np.zeros(5)
+
+
+def fuzz_seed_94():
+    """The LP the same test found at ``--hypothesis-seed 94``: dropping
+    ``f0b[1]`` (x2 <= 1 - x0) frees x2, whose cost is -1."""
+    m = Model("fuzz")
+    x = m.add_vars(4, obj=[0, -1, -1, 0])
+    m.add(family("f0a", 2, [], LE, 0.0),
+          family("f0b", 2, [(x[[[0, 1], [0, 2]]], [[1, -1], [-1, -1]])],
+                 GE, [1, -1]))
+    return m, np.arange(4) == 3, np.array([1, INFINITY, INFINITY, 0])
+
+
+@pytest.mark.parametrize("case", [one_free_row, fuzz_seed_10, fuzz_seed_94])
+def test_resolve_to_an_unbounded_lp_reads_unbounded(case):
+    """A warm restart that stops short of an end (HiGHS ``kUnknown`` on both
+    fuzz LPs) is solved again cold, so ``resolve`` ends as a cold solve of
+    the derived model does."""
+    model, drop, ub = case()
+    first = model.solve()
+    assert first.optimal
+    assert model.without(drop, ub).solve().status == "unbounded"
+    warm = first.resolve(drop, ub)
+    assert warm.status == "unbounded"
+    assert np.isnan(warm.objective) and not warm.x.any()

@@ -5,7 +5,8 @@ with the benchmark's own checks: for ``routes-quality`` the four
 ``dro_core`` routes and ``msdro quality`` (route bounds and closed forms,
 W1 against scipy); for ``sweep-serial`` and ``solve-large`` ``run_sweep``
 and ``msdro solve`` through the benchmark's wrappers of ``lp.linprog``,
-``Model.solve``, ``Model.constraints`` and the tightening re-run.
+``Model.solve``, ``Model.constraints`` and the tightening re-run, and
+once more traced (``--trace 1``), every layer wrapped by name.
 """
 
 import json
@@ -18,10 +19,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def smoke_run(workload):
+def smoke_run(workload, *extra):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--smoke", "--seconds", "1"],
+         "--smoke", "--seconds", "1", *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -37,3 +38,11 @@ def test_routes_workload_smoke_run_is_correct():
 @pytest.mark.parametrize("workload", ["sweep-serial", "solve-large"])
 def test_opf_workload_smoke_run_is_correct(workload):
     smoke_run(workload)
+
+
+@pytest.mark.parametrize("workload", ["sweep-serial", "solve-large"])
+def test_opf_workload_traced_smoke_run_is_correct(workload):
+    """``--trace 1`` wraps each layer by its module attribute
+    (``perfbench/layers.instrument``), ``cli``'s included: the run fails
+    if a wrapped name is gone."""
+    smoke_run(workload, "--trace", "1")
