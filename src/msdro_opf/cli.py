@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n-samples", type=int, default=20)
     w.add_argument("--oos-samples", type=int, default=1000)
     w.add_argument("--jobs", type=_at_least(1), default=1,
-                   help="parallel worker processes for sweep cells")
+                   help="threads solving sweep cells at once")
     w.add_argument("--out", type=_out_dir, default="msdro_out")
 
     o = subs.add_parser("oos", help="out-of-sample violation check")

@@ -14,7 +14,9 @@ the empirical violation rate of the joint constraint set on the cell's
 out-of-sample draws (``out_of_sample``, which ``msdro oos`` calls too).
 Cells of the added zero column get the solve and that check only. A
 failed solve fails its cell; a failed build fails the sweep. Everything
-is seeded; identical configuration gives byte-identical CSV files.
+is seeded; identical configuration gives byte-identical CSV files, also
+when ``jobs`` threads solve the cells at once (HiGHS releases the GIL
+while it runs).
 
 Training data is drawn once per sweep (not per cell) so that objective
 values are comparable across cells; out-of-sample draws are per cell.
@@ -24,10 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,9 @@ def _pattern_models(network: Network, xs: np.ndarray, cells,
     """One built model per zero pattern of the cells' budgets (which
     budgets are positive), built at the first cell with that pattern. The
     patterns share the network, the samples and gamma, so a build error is
-    the sweep's and leaves it."""
+    the sweep's and leaves it. A built model comes with the row layout and
+    column structure its ``with_budgets`` copies share, so cells solved on
+    threads only read the models."""
     models = {}
     for cell in cells:
         pattern = tuple(e > 0.0 for e in cell)
@@ -341,57 +344,33 @@ def _cell_result(base) -> CellResult:
     )
 
 
-def _pooled_result(future, eps) -> CellResult:
-    """A worker's cell, or an ``error`` cell when a worker process died
-    before it finished; such a cell is not solved again here."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return CellResult(tuple(float(e) for e in eps), "error",
-                          message=f"worker process died: {exc}")
-
-
-#: The sweep's per-pattern models in a worker process, set once by
-#: ``_start_worker`` and read by every cell the worker solves.
-_worker_models: dict = {}
-
-
-def _start_worker(models: dict) -> None:
-    """Pool initializer: keep the models for the worker's cells."""
-    global _worker_models
-    _worker_models = models
-
-
-def _solve_pooled(eps, config: SweepConfig) -> CellResult:
-    """``_solve_cell`` on the models the worker was started with."""
-    return _solve_cell(_worker_models, eps, config)
-
-
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Solve every grid cell on one shared training dataset, in up to
-    ``jobs`` worker processes (one per cell at most).
+    """Solve every grid cell on one shared training dataset, on up to
+    ``jobs`` threads (one per cell at most).
 
     One model is built per zero pattern of the budgets, here, and each cell
-    writes its budgets into its pattern's model; workers get the models
-    once, when they start.
+    writes its budgets into a copy of its pattern's model, so threads
+    share the models and never write to them. An exception that leaves a
+    cell, such as ``KeyboardInterrupt``, leaves the sweep, and the cells
+    not yet started never run.
     """
     dim = network.num_resources
     xs = training_matrix(network, config.n_samples,
                          derive_seed(config.seed, "train"),
                          config.error_mean)
-    # Grid cells first, then the zero column: the order the pool starts them.
+    # Grid cells first, then the zero column: the order the threads start them.
     grid_cells = config.cells(dim)
     on_grid = set(grid_cells)
     tasks = grid_cells + [c for c in config.oos_cells(dim) if c not in on_grid]
     models = _pattern_models(network, xs, tasks, config.gamma)
 
     if jobs > 1:
-        # No more workers than cells: the pool may start all of them at once.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 initializer=_start_worker,
-                                 initargs=(models,)) as pool:
-            futures = [pool.submit(_solve_pooled, c, config) for c in tasks]
-            results = [_pooled_result(f, c) for f, c in zip(futures, tasks)]
+        pool = ThreadPoolExecutor(max_workers=min(jobs, len(tasks)))
+        try:
+            results = list(pool.map(_solve_cell, repeat(models), tasks,
+                                    repeat(config)))
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         results = [_solve_cell(models, c, config) for c in tasks]
 

@@ -2,14 +2,15 @@
 
 import filecmp
 import math
-import os
-from concurrent.futures import Future
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
-from msdro_opf import evaluation, lp
+from msdro_opf import evaluation, lp, opf_model
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   derive_seed, empirical_violation,
@@ -21,6 +22,7 @@ from msdro_opf.network import (Generator, Line, Network, Resource,
                                build_joint_support)
 
 from oracles import bits, truncnorm_draws
+from test_readme import run_fresh
 
 RESOURCE = Resource(2, 1.0, 0.0, 2.0, 0.6)
 
@@ -312,41 +314,110 @@ def test_run_sweep_outputs_and_determinism(tmp_path, case5):
 
 
 def test_run_sweep_jobs_parity(tmp_path, case5):
-    cfg = SweepConfig(grid=(1.0, 0.005), oos_samples=60)
-    serial = write_sweep_csvs(run_sweep(case5, cfg, jobs=1), tmp_path / "s")
-    parallel = write_sweep_csvs(run_sweep(case5, cfg, jobs=2), tmp_path / "p")
-    for fa, fb in zip(sorted(serial), sorted(parallel)):
-        assert filecmp.cmp(fa, fb, shallow=False)
+    """Cells solved on 2, 3 or 4 threads give the serial sweep's CSVs, at
+    two seeds and in both error-mean modes."""
+    for seed, error_mean in product((1, 9), evaluation.ERROR_MEANS):
+        cfg = SweepConfig(grid=(1.0, 0.005), oos_samples=60, seed=seed,
+                          error_mean=error_mean)
+        out = tmp_path / f"{seed}-{error_mean}"
+        serial = write_sweep_csvs(run_sweep(case5, cfg), out / "s")
+        for jobs in (2, 3, 4):
+            threaded = write_sweep_csvs(run_sweep(case5, cfg, jobs=jobs),
+                                        out / f"j{jobs}")
+            for fa, fb in zip(sorted(serial), sorted(threaded)):
+                assert filecmp.cmp(fa, fb, shallow=False), (cfg, jobs, fb.name)
+
+
+def test_a_fresh_process_solving_on_threads_first_writes_the_serial_bytes(
+        tmp_path):
+    """HiGHS's first runs in a process are concurrent ones, and the CSVs
+    are still the serial sweep's."""
+    result = run_fresh(f"""
+        import filecmp, json
+        from pathlib import Path
+        from msdro_opf.evaluation import SweepConfig, run_sweep, write_sweep_csvs
+        from msdro_opf.network import bundled_network
+        net, out = bundled_network(), Path({str(tmp_path)!r})
+        cfg = SweepConfig(grid=(1.0, 0.1, 0.005), n_samples=10, oos_samples=50)
+        threaded = write_sweep_csvs(run_sweep(net, cfg, jobs=2), out / "p")
+        serial = write_sweep_csvs(run_sweep(net, cfg), out / "s")
+        print(json.dumps([b.name for a, b in zip(sorted(threaded), sorted(serial))
+                          if not filecmp.cmp(a, b, shallow=False)]))
+    """)
+    assert result == []
+
+
+def test_threads_only_read_the_pattern_models(case5, monkeypatch):
+    """The row layout and column structure each pattern's LP shares with
+    its cells are made before the threads start and never replaced."""
+    made = []
+    pattern_models = evaluation._pattern_models
+
+    def recording(*args):
+        models = pattern_models(*args)
+        made.extend((m.model, dict(m.model._cache)) for m in models.values())
+        return models
+
+    monkeypatch.setattr(evaluation, "_pattern_models", recording)
+    run_sweep(case5, SweepConfig(grid=(1.0, 0.1), n_samples=5,
+                                 oos_samples=20), jobs=2)
+    assert len(made) == 4  # one per zero pattern of two budgets
+    for model, before in made:
+        assert sorted(before) == ["columns", "layout"]
+        assert model._cache.keys() == before.keys()
+        assert all(model._cache[key] is value for key, value in before.items())
 
 
 def test_run_sweep_starts_no_more_workers_than_cells(case5, monkeypatch):
-    """``jobs`` above the cell count asks the pool for one worker per cell.
-    The pool is replaced by one that runs its initializer and each cell in
-    this process and records its size, so no worker process is started."""
+    """``jobs`` above the cell count asks the pool for one worker thread
+    per cell; one job asks for no pool."""
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
     cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=20)
     cells = len(cfg.oos_cells(2))  # the grid's 4 cells and the zero cells
+    run_sweep(case5, cfg)
+    assert sizes == []  # one job solves in the calling thread
     for jobs, want in ((2, 2), (cells, cells), (10**6, cells)):
         run_sweep(case5, cfg, jobs=jobs)
         assert sizes.pop() == want, jobs
+
+
+def test_an_interrupt_in_a_cell_leaves_run_sweep_and_cancels_the_rest(
+        case5, monkeypatch):
+    """A ``KeyboardInterrupt`` in the first cell leaves ``run_sweep`` as
+    raised, and the cells queued behind those already running never start.
+    The other running cells wait until the pool is shut down, so the two
+    threads start at most the first three cells."""
+    shut = threading.Event()
+    started = []
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            shut.set()
+            super().shutdown(wait=wait)
+
+    def cell(models, eps, config):
+        started.append(eps)
+        if eps == (1.0, 1.0):
+            raise KeyboardInterrupt
+        assert shut.wait(timeout=60)
+        return evaluation.CellResult(eps, "optimal")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(evaluation, "_solve_cell", cell)
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(case5, cfg, jobs=2)
+    assert (1.0, 1.0) in started
+    assert set(started) <= set(cfg.cells(2)[:3])
+    assert len(started) == len(set(started))
 
 
 def test_run_sweep_records_per_cell_failures():
@@ -406,8 +477,6 @@ def test_a_build_error_leaves_run_sweep(case5, monkeypatch):
     """Every zero pattern is built from the same network, samples and gamma,
     so a build error is the sweep's: it leaves ``run_sweep`` as raised,
     before any cell is solved."""
-    from msdro_opf import opf_model
-
     build = opf_model.build_msdro_opf
     solved = []
 
@@ -425,16 +494,6 @@ def test_a_build_error_leaves_run_sweep(case5, monkeypatch):
     assert solved == []
 
 
-_solve_cell = evaluation._solve_cell
-
-
-def _die_at_cell(models, eps, config):
-    """``_solve_cell``, except that its process dies at cell (0.1, 0.1)."""
-    if tuple(eps) == (0.1, 0.1):
-        os._exit(9)
-    return _solve_cell(models, eps, config)
-
-
 def cell_values(cell) -> list:
     """A cell's numbers: objectives, phi, out-of-sample rate, dispatch and
     transport multipliers."""
@@ -445,25 +504,30 @@ def cell_values(cell) -> list:
             *([] if value is None else [value.lambda_co, value.lambda_cc])]
 
 
-def test_run_sweep_survives_a_worker_that_dies(case5, monkeypatch):
-    """A worker killed mid-cell fails its cell, and any other the pool had
-    not finished, as ``error``; the cells that finished are the serial
-    sweep's."""
+def test_a_cell_that_raises_on_a_thread_fails_alone(case5, monkeypatch):
+    """A solver error in one cell, found by its budgets since the threads'
+    solves interleave, fails that cell as ``error``; every other cell is
+    the serial sweep's, bit for bit."""
     cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
     serial = {c.epsilons: c for c in run_sweep(case5, cfg).oos}
-    monkeypatch.setattr(evaluation, "_solve_cell", _die_at_cell)
+    solve = opf_model.solve
+
+    def failing(built):
+        if tuple(built.data.epsilons.tolist()) == (0.1, 0.1):
+            raise SolverError("highs failed: injected")
+        return solve(built)
+
+    monkeypatch.setattr(opf_model, "solve", failing)
     res = run_sweep(case5, cfg, jobs=2)
     assert [c.epsilons for c in res.oos] == sorted(serial)
-    killed = next(c for c in res.oos if c.epsilons == (0.1, 0.1))
-    assert killed.status == "error"
-    assert killed.message.startswith("worker process died: ")
-    assert any(c.optimal for c in res.oos)  # the first two cells come first
     for cell in res.oos:
-        if cell.status == "error":
-            assert cell.message == killed.message
+        if cell.epsilons == (0.1, 0.1):
+            assert cell.status == "error"
+            assert cell.message == "SolverError: highs failed: injected"
             continue
         want = cell_values(serial[cell.epsilons])
         got = cell_values(cell)
+        assert cell.status == "optimal"
         assert len(got) == len(want)
         assert all(np.array_equal(a, b, equal_nan=True)
                    for a, b in zip(got, want)), cell.epsilons

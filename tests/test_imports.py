@@ -284,3 +284,29 @@ def test_a_sweep_does_not_load_scipy_stats(tmp_path):
     """)
     assert result == {"code": 0, "stats": False}
     assert (tmp_path / "oos.csv").exists()
+
+
+def test_a_threaded_sweep_loads_no_process_machinery():
+    """A fresh ``import msdro_opf.cli`` and a ``jobs=2`` sweep load neither
+    ``multiprocessing`` nor the process pool, and start no process: an
+    audit hook, set before the import, records every fork, spawn and exec."""
+    result = run_fresh("""
+        import json, sys
+        STARTS = {"os.fork", "os.forkpty", "os.posix_spawn", "os.spawn",
+                  "os.exec", "os.system", "subprocess.Popen"}
+        started = []
+        sys.addaudithook(lambda event, args: event in STARTS
+                         and started.append(event))
+        import msdro_opf.cli
+        from msdro_opf.evaluation import SweepConfig, run_sweep
+        from msdro_opf.network import bundled_network
+        res = run_sweep(bundled_network(), SweepConfig(
+            grid=(1.0, 0.1), n_samples=5, oos_samples=20), jobs=2)
+        print(json.dumps({
+            "optimal": all(c.optimal for c in res.oos),
+            "loaded": [m for m in ("multiprocessing",
+                                   "concurrent.futures.process")
+                       if m in sys.modules],
+            "started": started}))
+    """)
+    assert result == {"optimal": True, "loaded": [], "started": []}
