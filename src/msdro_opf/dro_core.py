@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, real
-from .lp import (GE, INFINITY, Model, SolverError, align_left,
-                 broadcast_term, family)
+from .lp import GE, Model, SolverError, broadcast_term, family
 
 #: Width of the band around the usefulness threshold flagged as degenerate.
 DEGENERACY_BAND = 1e-9
@@ -262,8 +261,7 @@ def sample_worst_case(a, p, q, sample, lower, upper) -> np.ndarray:
 
 
 def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
-                      cols=None, coefs=None, where=None,
-                      obj=(0.0, 0.0)) -> tuple:
+                      cols=None, coefs=None, obj=(0.0, 0.0)) -> tuple:
     """Columns p >= (a - lam)^+ and q >= (-a - lam)^+ for an array of slopes.
 
     Callers put ``sample_worst_case(a, p, q, xhat, l, u)`` into their rows
@@ -273,25 +271,21 @@ def wasserstein_block(model: Model, name: str, shape, lam, const=0.0,
 
     Adds columns p, q (>= 0, objective ``obj``) and the >= families
     ``{name}_up`` (p + lam - a) and ``{name}_lo`` (q + lam + a),
-    interleaved, all of ``shape``; ``lam`` and ``where`` broadcast against
-    it with axes lined up from the left. The slope is
+    interleaved, all of ``shape``; ``lam`` broadcasts against it with axes
+    lined up from the left. The slope is
     ``a = const + sum_t coefs[..., t] * x[cols[..., t]]`` (``cols`` and
-    ``coefs`` with one trailing axis beyond ``shape``). Where ``where`` is
-    false the rows are left out and p = q = 0, leaving the sample term:
-    exact when lam is fixed to zero (the sample average). Returns (p, q).
+    ``coefs`` with one trailing axis beyond ``shape``). Returns (p, q).
     """
     shape = (shape,) if np.isscalar(shape) else tuple(shape)
-    ub = (INFINITY if where is None else
-          np.where(align_left(where, len(shape)), INFINITY, 0.0))
-    p = model.add_vars(shape, ub=ub, obj=obj[0])
-    q = model.add_vars(shape, ub=ub, obj=obj[1])
+    p = model.add_vars(shape, obj=obj[0])
+    q = model.add_vars(shape, obj=obj[1])
     const = np.asarray(const, dtype=float)
 
     def rows(suffix, col, sign):
         terms = [(col, 1.0), (lam, 1.0)]
         if cols is not None:
             terms.append((cols, -sign * np.asarray(coefs, dtype=float)))
-        return family(f"{name}_{suffix}", shape, terms, GE, sign * const, where)
+        return family(f"{name}_{suffix}", shape, terms, GE, sign * const)
 
     model.add(rows("up", p, 1.0), rows("lo", q, -1.0))
     return p, q

@@ -7,13 +7,14 @@ S = S_FRACTION u around 0 (around u with ``forecast-shift``);
 out-of-sample errors are centred at 0 with the spread widened by the
 claimed budget (S_oos = S + S_pert(eps), E|X|_1 = eps for X ~ N(0, S_pert)).
 
-A sweep solves the model on every cell of an epsilon grid with one shared
-training dataset, extracts the valuation reports from that solve, re-runs
-each cell with idle balancers pinned for its objective only, and measures
-the empirical violation rate of the joint constraint set on the cell's
-out-of-sample draws (``out_of_sample``, which ``msdro oos`` calls too).
-Cells of the added zero column get the solve and that check only. A
-failed solve fails its cell; a failed build fails the sweep. Everything
+A sweep builds the model once, on one shared training dataset, solves it
+on every cell of an epsilon grid with the cell's budgets written in,
+extracts the valuation reports from that solve, re-runs each cell with
+idle balancers pinned for its objective only, and measures the empirical
+violation rate of the joint constraint set on the cell's out-of-sample
+draws (``out_of_sample``, which ``msdro oos`` calls too). Cells of the
+added zero column get the solve and that check only. A failed solve
+fails its cell; a failed build fails the sweep. Everything
 is seeded; identical configuration gives byte-identical CSV files, also
 when ``jobs`` threads solve the cells at once (HiGHS releases the GIL
 while it runs).
@@ -284,33 +285,16 @@ class SweepResult:
     oos: list
 
 
-def _pattern_models(network: Network, xs: np.ndarray, cells,
-                    gamma: float) -> dict:
-    """One built model per zero pattern of the cells' budgets (which
-    budgets are positive), built at the first cell with that pattern. The
-    patterns share the network, the samples and gamma, so a build error is
-    the sweep's and leaves it. A built model comes with the row layout and
-    column structure its ``with_budgets`` copies share, so cells solved on
-    threads only read the models."""
-    models = {}
-    for cell in cells:
-        pattern = tuple(e > 0.0 for e in cell)
-        if pattern not in models:
-            models[pattern] = opf_model.build_msdro_opf(
-                network, MultiDataset.from_matrix(xs, list(cell)), gamma)
-    return models
-
-
-def _solve_cell(models: dict, eps, config: SweepConfig) -> CellResult:
+def _solve_cell(built, eps, config: SweepConfig) -> CellResult:
     """One cell: base solve, tighten, valuation, out-of-sample.
 
-    The cell's LP is its pattern's model from ``_pattern_models`` with the
-    cell's budgets written in. A cell with a budget off ``config.grid`` (in
-    the added zero column) skips the re-run and the valuation. Any failure
-    is recorded in the cell's status, so one cell cannot stop the sweep.
+    The cell's LP is the sweep's one model with the cell's budgets written
+    in (``with_budgets``; a zero budget leaves its feature's rows out). A
+    cell with a budget off ``config.grid`` (in the added zero column) skips
+    the re-run and the valuation. Any failure is recorded in the cell's
+    status, so one cell cannot stop the sweep.
     """
     cell = tuple(float(e) for e in eps)
-    built = models[tuple(e > 0.0 for e in cell)]
     try:
         base = opf_model.solve(with_budgets(built, cell))
         if not base.optimal:
@@ -348,11 +332,12 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
     """Solve every grid cell on one shared training dataset, on up to
     ``jobs`` threads (one per cell at most).
 
-    One model is built per zero pattern of the budgets, here, and each cell
-    writes its budgets into a copy of its pattern's model, so threads
-    share the models and never write to them. An exception that leaves a
-    cell, such as ``KeyboardInterrupt``, leaves the sweep, and the cells
-    not yet started never run.
+    One model is built here, at positive budgets so that it has every
+    feature's rows, with the row layout and column structure its cells
+    share; each cell writes its budgets into a copy (``with_budgets``), so
+    threads never write to the model. A build error leaves the sweep, as
+    does an exception that leaves a cell, such as ``KeyboardInterrupt``;
+    the cells not yet started never run.
     """
     dim = network.num_resources
     xs = training_matrix(network, config.n_samples,
@@ -362,17 +347,18 @@ def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResu
     grid_cells = config.cells(dim)
     on_grid = set(grid_cells)
     tasks = grid_cells + [c for c in config.oos_cells(dim) if c not in on_grid]
-    models = _pattern_models(network, xs, tasks, config.gamma)
+    built = opf_model.build_msdro_opf(
+        network, MultiDataset.from_matrix(xs, [1.0] * dim), config.gamma)
 
     if jobs > 1:
         pool = ThreadPoolExecutor(max_workers=min(jobs, len(tasks)))
         try:
-            results = list(pool.map(_solve_cell, repeat(models), tasks,
+            results = list(pool.map(_solve_cell, repeat(built), tasks,
                                     repeat(config)))
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [_solve_cell(models, c, config) for c in tasks]
+        results = [_solve_cell(built, c, config) for c in tasks]
 
     results.sort(key=lambda c: c.epsilons)
     return SweepResult(config, [c for c in results if c.epsilons in on_grid],

@@ -138,10 +138,9 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     """Assemble the complete LP for one data-quality vector.
 
     Requires at least one uncertain resource and standardized data (one
-    sample column per shared index).
-    Features with epsilon_j = 0 bypass their multiplier machinery: lambda_j
-    and the positive parts are fixed to zero, which recovers the plain
-    sample average for that feature.
+    sample column per shared index). The LP is built with every feature's
+    ``co``/``cc`` rows and multiplier columns, and the budgets are then
+    written in by ``with_budgets``.
     """
     gamma = risk_level(gamma)
     if data.dimension != network.num_resources:
@@ -161,7 +160,6 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     n_l = network.num_lines
     d = data.dimension
     n = int(data.counts[0])
-    eps = data.epsilons
     xi_hat = data.matrix()
     # Distances of every sample to its feature's upper and lower end, (d, n).
     up_room, lo_room = transport_room(xi_hat, support.lower[:, None],
@@ -183,11 +181,10 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     rm = m.add_vars(n_g, obj=c_r)
     framp = m.add_vars(n_l)
     framm = m.add_vars(n_l)
-    lam_ub = np.where(eps == 0.0, 0.0, INFINITY)
-    lam_co = m.add_vars(d, ub=lam_ub)  # its costs are the budgets (with_budgets)
+    lam_co = m.add_vars(d)  # its costs are the budgets (with_budgets)
     tau = m.add_var(lb=-INFINITY, ub=0.0)
     nu = m.add_var(lb=-INFINITY)
-    lam_cc = m.add_vars(d, ub=lam_ub)
+    lam_cc = m.add_vars(d)
     s_cc = m.add_vars(n, lb=-INFINITY)
 
     # (pi) energy balance: <1,p> = <1,d> - <1,u>
@@ -211,22 +208,21 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
     # mean distances to the support ends.
     p_co, q_co = wasserstein_block(
         m, "co", d, lam_co, cols=alpha.T, coefs=-c_a[None, :],
-        where=eps > 0.0, obj=(up_room.mean(axis=1), lo_room.mean(axis=1)))
+        obj=(up_room.mean(axis=1), lo_room.mean(axis=1)))
 
     # CVaR scaffolding: tau + nu <= 0 and the budget row carrying (phi),
     # whose lam_cc coefficients are the budgets (with_budgets; a 1 here
-    # marks each positive one).
+    # holds each one's place).
     m.add(family("cvar_pair", (), [(tau, 1.0), (nu, 1.0)], LE, 0.0))
     m.add(family("cvar_budget", (),
-                 [(lam_cc, eps > 0.0), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
+                 [(lam_cc, 1.0), (s_cc, 1.0 / n), (nu, -gamma)], LE, 0.0))
 
     # (rho) positive parts per (feature, row), the augmented one included;
     # row k's coefficients of xi are const[k] + coef[k] @ A.
     coef, const, b_cols = _joint_layout(b_g_map, b_w_map, (rp, rm, framp, framm))
     p_cc, q_cc = wasserstein_block(
         m, "cc", (d, k_aug + 1), lam_cc, const=const.T,
-        cols=alpha.T[:, None, :], coefs=coef[None, :, :],
-        where=(eps > 0.0)[:, None])
+        cols=alpha.T[:, None, :], coefs=coef[None, :, :])
 
     # (eta) s_cc_i >= b'_k + sum_j (a'_kj xi_ji + up_ji p_jk + lo_ji q_jk),
     # with b'_k = b_k - tau for the physical rows and b'_{K+1} = 0 for the
@@ -247,34 +243,48 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
            "lam_cc": lam_cc, "p_cc": p_cc, "q_cc": q_cc}
     return with_budgets(OpfModel(model=m, network=network, data=data,
                                  support=support, b_g=b_g_map, b_w=b_w_map,
-                                 idx=idx), eps)
+                                 idx=idx), data.epsilons)
 
 
 def with_budgets(built: OpfModel, epsilons) -> OpfModel:
     """``built`` with the budgets ``epsilons`` written into its LP.
 
-    A budget enters the LP in two places: the cost of its ``lam_co`` column
-    and the ``lam_cc`` coefficient of the ``cvar_budget`` row. The copy
-    shares everything else with ``built.model`` (``lp.Model.with_values``)
-    and holds its own ``MultiDataset``. Budgets that are zero where
-    ``built``'s are not, or the other way round, are an ``InputError``:
-    they change which rows and columns the LP has.
+    A budget is the cost of its ``lam_co`` column and the ``lam_cc``
+    coefficient of the ``cvar_budget`` row; the copy shares everything else
+    with ``built.model`` (``lp.Model.with_values``). A zero budget shrinks
+    its feature's ball onto the samples, so the feature bypasses its
+    multiplier machinery: its ``co``/``cc`` rows and its ``cvar_budget``
+    coefficient are left out and its lambda and positive-part columns fixed
+    at zero (``_fixed_at_zero``), which recovers the plain sample average.
+    A positive budget where ``built`` left the rows out is an ``InputError``.
     """
     data = built.data.with_epsilons(epsilons)
-    eps, old = data.epsilons, built.data.epsilons
-    if not np.array_equal(eps > 0.0, old > 0.0):
-        raise InputError(f"budgets {eps.tolist()} are zero in other places "
-                         f"than {old.tolist()}, the model's")
-    m, lam_cc = built.model, built.idx["lam_cc"]
+    eps, m, idx = data.epsilons, built.model, built.idx
+    kept = m.families["co_up"].present
+    if np.any((eps > 0.0) & ~kept):
+        raise InputError(f"budgets {eps.tolist()} are positive where the "
+                         f"model's, {built.data.epsilons.tolist()}, are zero")
     obj = m.obj.copy()
-    obj[built.idx["lam_co"]] = eps
+    obj[idx["lam_co"]] = eps
     budget = m.families["cvar_budget"]
     vals = budget.vals.copy()
-    j = budget.cols - lam_cc[0]  # lam_cc's columns are consecutive
-    on = (j >= 0) & (j < len(lam_cc))
+    j = budget.cols - idx["lam_cc"][0]  # lam_cc's columns are consecutive
+    on = (j >= 0) & (j < len(eps))
     vals[on] = eps[j[on]]
-    return replace(built, model=m.with_values(obj, "cvar_budget", vals),
-                   data=data)
+    zero = kept & (eps == 0.0)
+    if zero.any():
+        m = m.without(*_fixed_at_zero(
+            m, [(name, zero) for name in ("co_up", "co_lo", "cc_up", "cc_lo")],
+            [idx[name][zero] for name in ("lam_co", "lam_cc", "p_co", "q_co",
+                                          "p_cc", "q_cc")]))
+        keep = vals != 0.0
+        m.families["cvar_budget"] = replace(
+            m.families["cvar_budget"], rows=budget.rows[keep],
+            cols=budget.cols[keep], vals=vals[keep])
+        m.obj = obj
+    else:
+        m = m.with_values(obj, "cvar_budget", vals)
+    return replace(built, model=m, data=data)
 
 
 def solve(built: OpfModel) -> SolutionWithDuals:
@@ -316,30 +326,37 @@ def idle_balancers(sol: SolutionWithDuals) -> frozenset:
     return frozenset(np.flatnonzero(idle).tolist())
 
 
+def _fixed_at_zero(m, rows, cols) -> tuple:
+    """(drop, ub) for ``Model.without`` and ``LpSolution.resolve``: the rows
+    of ``m`` at ``rows`` (pairs of a family's name and an index into its
+    shape) marked to drop, and upper bounds fixing ``cols`` at zero."""
+    drop = np.zeros(m.num_constraints, dtype=bool)
+    for name, at in rows:
+        fam = m.families[name]
+        at = fam.index.reshape(fam.shape)[at]
+        drop[at[at >= 0]] = True
+    ub = m.ub.copy()
+    for c in cols:
+        ub[c] = 0.0
+    return drop, ub
+
+
 def _pin(built: OpfModel, generators) -> tuple:
     """The edit of ``built.model`` that pins ``generators`` out of the CVaR:
     alpha = r+ = r- = 0 for each of them, and their two reserve rows of the
     joint layout leave the CVaR max: their ``cc_up``, ``cc_lo`` and
-    ``cc_main`` rows are dropped and their p_cc/q_cc columns fixed to zero.
-    Columns and families stay.
-
-    Returns (drop, ub): a boolean per row of ``built.model`` marking the
-    rows to drop, and the column upper bounds.
+    ``cc_main`` rows are dropped and their p_cc/q_cc columns fixed to zero
+    (``_fixed_at_zero``).
     """
     pinned = sorted(generators)
-    n_g, m, idx = built.network.num_generators, built.model, built.idx
+    n_g, idx = built.network.num_generators, built.idx
     gone = np.zeros(idx["p_cc"].shape[1], dtype=bool)
     gone[pinned + [n_g + g for g in pinned]] = True
-    drop = np.zeros(m.num_constraints, dtype=bool)
-    for name in ("cc_up", "cc_lo", "cc_main"):
-        fam = m.families[name]
-        at = fam.index.reshape(fam.shape)[:, gone]
-        drop[at[at >= 0]] = True
-    ub = m.ub.copy()
-    for cols in (idx["alpha"][pinned], idx["rp"][pinned], idx["rm"][pinned],
-                 idx["p_cc"][:, gone], idx["q_cc"][:, gone]):
-        ub[cols] = 0.0
-    return drop, ub
+    return _fixed_at_zero(
+        built.model,
+        [(name, (slice(None), gone)) for name in ("cc_up", "cc_lo", "cc_main")],
+        [idx["alpha"][pinned], idx["rp"][pinned], idx["rm"][pinned],
+         idx["p_cc"][:, gone], idx["q_cc"][:, gone]])
 
 
 def cvar_tightening_rerun(first: SolutionWithDuals) -> SolutionWithDuals:

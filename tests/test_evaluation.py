@@ -347,25 +347,47 @@ def test_a_fresh_process_solving_on_threads_first_writes_the_serial_bytes(
     assert result == []
 
 
-def test_threads_only_read_the_pattern_models(case5, monkeypatch):
-    """The row layout and column structure each pattern's LP shares with
-    its cells are made before the threads start and never replaced."""
+def test_threads_only_read_the_sweep_model(case5, monkeypatch):
+    """The row layout and column structure the sweep's one model shares
+    with its cells are made before the threads start and never replaced;
+    the zero-column cells' edited models make their own."""
     made = []
-    pattern_models = evaluation._pattern_models
+    build = opf_model.build_msdro_opf
 
     def recording(*args):
-        models = pattern_models(*args)
-        made.extend((m.model, dict(m.model._cache)) for m in models.values())
-        return models
+        built = build(*args)
+        made.append((built.model, dict(built.model._cache)))
+        return built
 
-    monkeypatch.setattr(evaluation, "_pattern_models", recording)
+    monkeypatch.setattr(opf_model, "build_msdro_opf", recording)
     run_sweep(case5, SweepConfig(grid=(1.0, 0.1), n_samples=5,
                                  oos_samples=20), jobs=2)
-    assert len(made) == 4  # one per zero pattern of two budgets
-    for model, before in made:
-        assert sorted(before) == ["columns", "layout"]
-        assert model._cache.keys() == before.keys()
-        assert all(model._cache[key] is value for key, value in before.items())
+    [(model, before)] = made
+    assert sorted(before) == ["columns", "layout"]
+    assert model._cache.keys() == before.keys()
+    assert all(model._cache[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_sweep_builds_one_model(case5, monkeypatch, jobs):
+    """The default grid with its zero column is one build and one flow-map
+    computation; each zero budget is an edit of that model."""
+    calls = {"build": 0, "flow_maps": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(opf_model, "build_msdro_opf",
+                        counting("build", opf_model.build_msdro_opf))
+    monkeypatch.setattr(opf_model, "compute_flow_maps",
+                        counting("flow_maps", opf_model.compute_flow_maps))
+    cfg = SweepConfig(oos_samples=50)
+    res = run_sweep(case5, cfg, jobs=jobs)
+    assert len(res.oos) == 25 and all(c.optimal for c in res.oos)
+    assert calls == {"build": 1, "flow_maps": 1}
 
 
 def test_run_sweep_starts_no_more_workers_than_cells(case5, monkeypatch):
@@ -474,16 +496,13 @@ def test_run_sweep_failing_cell_fails_alone(case5, monkeypatch):
 
 
 def test_a_build_error_leaves_run_sweep(case5, monkeypatch):
-    """Every zero pattern is built from the same network, samples and gamma,
-    so a build error is the sweep's: it leaves ``run_sweep`` as raised,
-    before any cell is solved."""
-    build = opf_model.build_msdro_opf
+    """Every cell edits the sweep's one model, so a build error is the
+    sweep's: it leaves ``run_sweep`` as raised, before any cell is
+    solved."""
     solved = []
 
     def failing(network, data, gamma):
-        if data.epsilons[0] == 0.0 and data.epsilons[1] > 0.0:
-            raise InputError("no model here")
-        return build(network, data, gamma)
+        raise InputError("no model here")
 
     monkeypatch.setattr(opf_model, "build_msdro_opf", failing)
     monkeypatch.setattr(evaluation, "_solve_cell",

@@ -453,18 +453,28 @@ def test_warm_rerun_is_the_pinned_model_solved(case5, train20):
     assert warm >= 25  # 28 of the 46 instances pin some generator
 
 
-@pytest.mark.parametrize("seed", [1, 7])
-def test_with_budgets_is_the_build_bit_for_bit(case5, seed):
-    """On every cell of the default grid and the zero column, the model
-    built at the first cell of the cell's zero pattern, with the cell's
-    budgets written in, is the model built at the cell: the same costs,
-    column bounds, row bounds and column arrays HiGHS receives."""
-    xs = training_matrix(case5, 20, derive_seed(seed, "train"))
-    patterns = {}
-    for cell in itertools.product(DEFAULT_GRID + (0.0,), repeat=2):
-        data = MultiDataset.from_matrix(xs, list(cell))
-        want = build_msdro_opf(case5, data, 0.05)
-        base = patterns.setdefault(tuple(e > 0 for e in cell), want)
+@pytest.mark.parametrize("source", ["1", "7", "ring"])
+def test_with_budgets_is_the_build_bit_for_bit(case5, source):
+    """On every cell of the default grid and the zero column (case5 at
+    seeds 1 and 7), and on all 8 zero patterns of a (0.1, 0.0) grid on a
+    three-resource ring, the one model built at positive budgets with the
+    cell's budgets written in is the model built at the cell: the same
+    costs, column bounds, row bounds and column arrays HiGHS receives.
+    Each zero budget leaves out its feature's 2 + 2(K + 1) rows and its
+    coefficient in ``cvar_budget``, so no stored coefficient is zero, and
+    fixes its multiplier and positive-part columns at zero."""
+    if source == "ring":
+        net, grid, seed = ring_network(3, 6, 2, 3, 3), (0.1, 0.0), 3
+    else:
+        net, grid, seed = case5, DEFAULT_GRID + (0.0,), int(source)
+    d = net.num_resources
+    xs = training_matrix(net, 20, derive_seed(seed, "train"))
+    base = build_msdro_opf(net, MultiDataset.from_matrix(xs, [1.0] * d), 0.05)
+    per_feature = 2 + 2 * base.model.families["cc_up"].shape[1]
+    cells = list(itertools.product(grid, repeat=d))
+    for cell in cells:
+        want = build_msdro_opf(net, MultiDataset.from_matrix(xs, list(cell)),
+                               0.05)
         got = with_budgets(base, cell)
         assert got.data.epsilons.tolist() == list(cell)
         assert got.data.samples is base.data.samples
@@ -474,17 +484,33 @@ def test_with_budgets_is_the_build_bit_for_bit(case5, seed):
         for g, w in zip(got.model._layout() + got.model._csc(),
                         want.model._layout() + want.model._csc()):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), cell
-        assert got.model.num_constraints == want.model.num_constraints
-    assert len(patterns) == 4
+        assert got.model.num_constraints == want.model.num_constraints == \
+            base.model.num_constraints - per_feature * cell.count(0.0)
+        assert all(np.all(f.vals != 0.0)
+                   for f in got.model.families.values()), cell
+        zero = np.array(cell) == 0.0
+        for name in ("lam_co", "lam_cc", "p_co", "q_co", "p_cc", "q_cc"):
+            ub = got.model.ub[base.idx[name]]
+            assert np.all(ub[zero] == 0.0) and np.all(ub[~zero] == np.inf)
+    assert len({tuple(e > 0 for e in cell) for cell in cells}) == 2 ** d
 
 
-def test_with_budgets_refuses_another_zero_pattern(case5, train20):
+def test_with_budgets_refuses_a_budget_the_model_fixed_at_zero(case5, train20):
+    """A zero budget is an edit of the model, also of one with zero budgets
+    already; a positive budget where the model fixed it at zero is
+    refused."""
     built = build_msdro_opf(
         case5, MultiDataset.from_matrix(train20, [0.1, 0.0]), 0.05)
-    for eps in ((0.1, 0.1), (0.0, 0.0), (0.0, 0.1)):
-        with pytest.raises(InputError, match="zero in other places"):
+    for eps in ((0.1, 0.1), (0.0, 0.1)):
+        with pytest.raises(InputError, match="positive where the model's"):
             with_budgets(built, eps)
     with pytest.raises(InputError, match="one epsilon per feature"):
         with_budgets(built, (0.1,))
     assert with_budgets(built, (2.0, 0.0)).data.epsilons.tolist() == [2.0, 0.0]
     assert built.data.epsilons.tolist() == [0.1, 0.0]
+    zero = with_budgets(built, (0.0, 0.0)).model
+    want = build_msdro_opf(
+        case5, MultiDataset.from_matrix(train20, [0.0, 0.0]), 0.05).model
+    for g, w in zip(zero._layout() + zero._csc() + (zero.obj, zero.ub),
+                    want._layout() + want._csc() + (want.obj, want.ub)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
