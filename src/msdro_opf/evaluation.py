@@ -163,6 +163,9 @@ def oos_matrix(network: Network, epsilons, n: int, seed: int) -> np.ndarray:
     """n x D zero-mean out-of-sample errors for a budget vector, inside the
     support, with each spread widened by its budget."""
     epsilons = np.atleast_1d(np.asarray(epsilons, dtype=float))
+    if len(epsilons) != network.num_resources:
+        raise InputError(f"got {len(epsilons)} budgets for "
+                         f"{network.num_resources} uncertain resources")
     cell = tuple(float(e) for e in epsilons)
     support = build_joint_support(network)
     cols = [_draw_between(support.lower[j], support.upper[j], 0.0,
@@ -203,7 +206,8 @@ def empirical_violation(decision: OpfDecision, samples: np.ndarray,
 def out_of_sample(sol: SolutionWithDuals, n: int, seed: int) -> float:
     """Empirical joint violation rate of an optimal solution's decision on
     ``n`` out-of-sample draws (``oos_matrix``) at its budgets, against the
-    flow maps its model was built with."""
+    flow maps its model was built with; ``SolverError`` unless optimal."""
+    sol.require_optimal()
     built = sol.built
     samples = oos_matrix(built.network, built.data.epsilons, n, seed)
     return empirical_violation(sol.decision, samples, built.network,
@@ -330,15 +334,17 @@ def _cell_result(base) -> CellResult:
 
 def run_sweep(network: Network, config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Solve every grid cell on one shared training dataset, on up to
-    ``jobs`` threads (one per cell at most).
+    ``jobs`` threads (an integer >= 1; one per cell at most).
 
     One model is built here, at positive budgets so that it has every
-    feature's rows, with the row layout and column structure its cells
-    share; each cell writes its budgets into a copy (``with_budgets``), so
-    threads never write to the model. A build error leaves the sweep, as
+    feature's rows, with the row layout and column structure the positive
+    cells share; each cell writes its budgets into a copy (``with_budgets``),
+    so threads never write to the model. A build error leaves the sweep, as
     does an exception that leaves a cell, such as ``KeyboardInterrupt``;
     the cells not yet started never run.
     """
+    if not (is_integer(jobs) and jobs >= 1):
+        raise InputError(f"jobs must be an integer >= 1, got {jobs!r}")
     dim = network.num_resources
     xs = training_matrix(network, config.n_samples,
                          derive_seed(config.seed, "train"),

@@ -5,18 +5,18 @@ added, and constraints are *families* (named arrays of rows sharing one
 sense). A model caches structure, never values: its row ``Layout`` and,
 once per sparsity pattern, the matrix's column-wise structure. At each
 load the coefficients are read from the families and summed into that
-structure one way (``np.bincount``), and the arrays are handed to the
-HiGHS object scipy bundles
-(``scipy.optimize._highspy``) with the settings of
-``linprog(method="highs")`` (dual simplex, no output), presolve off
-exactly when every column has lower bound 0 and a nonnegative cost,
-since then the all-slack start is dual feasible (in ``dro_core``'s
-anchored epigraph LPs, the sample average). HiGHS returns primal values
-and one dual per row; duals are read back per family, in the family's
-shape. Row names (``name[i,j]``) are made only when asked for. A solution
-keeps its HiGHS object until ``LpSolution.resolve`` deletes rows and
-changes column bounds in it and restarts from its final basis. The row
-views (``Model.constraints``) are read off the column-wise matrix; without
+structure one way (``np.bincount``); ``family`` and ``Model.with_values``
+(new values by column) never store a zero. The arrays are handed to the
+HiGHS object scipy bundles (``scipy.optimize._highspy``) with the settings
+of ``linprog(method="highs")`` (dual simplex, no output), presolve off
+exactly when every column has lower bound 0 and a nonnegative cost, since
+then the all-slack start is dual feasible (in ``dro_core``'s anchored
+epigraph LPs, the sample average). HiGHS returns primal values and one
+dual per row; duals are read back per family, in the family's shape. Row
+names (``name[i,j]``) are made only when asked for. A solution keeps its
+HiGHS object until ``LpSolution.resolve`` deletes rows and changes column
+bounds in it and restarts from its final basis. The row views
+(``Model.constraints``) are read off the column-wise matrix; without
 scipy's private bindings (scipy >= 1.15) the module does not import. A
 solve is checked as ``linprog`` checks it (``_check``); strong duality and
 the other optimality conditions are certified by the test oracle
@@ -340,28 +340,31 @@ class Model:
         m._num_rows = int(np.count_nonzero(~drop))
         return m
 
-    def with_values(self, obj, name: str, vals) -> "Model":
-        """A copy with objective ``obj`` and ``vals`` for the coefficients
-        family ``name`` stores (same count and order, none zero). The
-        bounds are copied, so a write to either model's ``lb`` or ``ub``
-        leaves the other alone; the families, the row layout and the
-        matrix's column structure are shared, and the values are read at
-        each load."""
-        fam = replace(self.families[name], vals=np.asarray(vals, dtype=float))
-        obj = np.asarray(obj, dtype=float)
-        if fam.vals.shape != fam.cols.shape or obj.shape != self.obj.shape:
-            raise ValueError("with_values needs one value per coefficient "
+    def with_values(self, obj, name: str, cols, vals) -> "Model":
+        """A copy with objective ``obj`` in which each coefficient family
+        ``name`` stores in column ``cols[k]`` is ``vals[k]``, a zero left
+        out as ``family`` leaves it. The bounds are copied; the other
+        families and the row layout are shared, and so is the column
+        structure when no coefficient is left out."""
+        fam, cols = self.families[name], np.asarray(cols, dtype=np.int64)
+        vals, obj = (np.asarray(a, dtype=float) for a in (vals, obj))
+        if vals.shape != cols.shape or obj.shape != self.obj.shape:
+            raise ValueError("with_values needs one value per edited column "
                              "and per column")
-        if not np.all(fam.vals != 0.0):
-            raise ValueError(f"a zero in family {name!r} would change the "
-                             "matrix's sparsity pattern")
-        self._columns()  # built here, with the layout, so every copy shares both
+        at = np.full(self.num_vars, -1)  # each column's place in ``cols``
+        at[cols] = np.arange(len(cols))
+        new, k = fam.vals.copy(), at[fam.cols]
+        new[k >= 0] = vals[k[k >= 0]]
+        keep = new != 0.0
         m = Model(self.name)
         m.lb, m.ub, m.obj = self.lb.copy(), self.ub.copy(), obj
         m.families = dict(self.families)
-        m.families[name] = fam
+        m.families[name] = replace(fam, rows=fam.rows[keep],
+                                   cols=fam.cols[keep], vals=new[keep])
         m._num_rows = self._num_rows
-        m._cache = {key: self._cache[key] for key in ("layout", "columns")}
+        m._cache = {"layout": self._layout()}  # built here, for every copy
+        if keep.all():
+            m._cache["columns"] = self._columns()
         return m
 
     def _values(self) -> np.ndarray:
@@ -390,8 +393,9 @@ class Model:
         (indptr, indices, take, sign, runs). ``take`` orders the
         coefficients of ``_values()`` by column and row, ``sign`` is their
         row's ``flip`` and ``runs`` numbers the position each one adds
-        into. Built once per sparsity pattern; ``with_values`` shares it,
-        and a model ``LpSolution.resolve`` solves never builds it."""
+        into. Built once per sparsity pattern (a ``with_values`` copy that
+        keeps it shares it); a model ``LpSolution.resolve`` solves never
+        builds it."""
         if "columns" not in self._cache:
             layout = self._layout()
             at = np.empty(self._num_rows, np.int64)

@@ -249,14 +249,14 @@ def build_msdro_opf(network: Network, data: MultiDataset, gamma) -> OpfModel:
 def with_budgets(built: OpfModel, epsilons) -> OpfModel:
     """``built`` with the budgets ``epsilons`` written into its LP.
 
-    A budget is the cost of its ``lam_co`` column and the ``lam_cc``
-    coefficient of the ``cvar_budget`` row; the copy shares everything else
-    with ``built.model`` (``lp.Model.with_values``). A zero budget shrinks
-    its feature's ball onto the samples, so the feature bypasses its
-    multiplier machinery: its ``co``/``cc`` rows and its ``cvar_budget``
-    coefficient are left out and its lambda and positive-part columns fixed
-    at zero (``_fixed_at_zero``), which recovers the plain sample average.
-    A positive budget where ``built`` left the rows out is an ``InputError``.
+    A budget is the cost of its ``lam_co`` column and its ``lam_cc``
+    coefficient in ``cvar_budget`` (``lp.Model.with_values``, which leaves a
+    zero out); the copy shares the rest with ``built.model``. A zero budget
+    shrinks its feature's ball onto the samples, so the feature bypasses its
+    multiplier machinery: its ``co``/``cc`` rows are left out and its lambda
+    and positive-part columns fixed at zero (``_fixed_at_zero``), which
+    recovers the plain sample average. A positive budget where ``built``
+    left the rows out is an ``InputError``.
     """
     data = built.data.with_epsilons(epsilons)
     eps, m, idx = data.epsilons, built.model, built.idx
@@ -264,26 +264,15 @@ def with_budgets(built: OpfModel, epsilons) -> OpfModel:
     if np.any((eps > 0.0) & ~kept):
         raise InputError(f"budgets {eps.tolist()} are positive where the "
                          f"model's, {built.data.epsilons.tolist()}, are zero")
-    obj = m.obj.copy()
-    obj[idx["lam_co"]] = eps
-    budget = m.families["cvar_budget"]
-    vals = budget.vals.copy()
-    j = budget.cols - idx["lam_cc"][0]  # lam_cc's columns are consecutive
-    on = (j >= 0) & (j < len(eps))
-    vals[on] = eps[j[on]]
     zero = kept & (eps == 0.0)
     if zero.any():
         m = m.without(*_fixed_at_zero(
             m, [(name, zero) for name in ("co_up", "co_lo", "cc_up", "cc_lo")],
             [idx[name][zero] for name in ("lam_co", "lam_cc", "p_co", "q_co",
                                           "p_cc", "q_cc")]))
-        keep = vals != 0.0
-        m.families["cvar_budget"] = replace(
-            m.families["cvar_budget"], rows=budget.rows[keep],
-            cols=budget.cols[keep], vals=vals[keep])
-        m.obj = obj
-    else:
-        m = m.with_values(obj, "cvar_budget", vals)
+    obj = m.obj.copy()
+    obj[idx["lam_co"]] = eps
+    m = m.with_values(obj, "cvar_budget", idx["lam_cc"], eps)
     return replace(built, model=m, data=data)
 
 

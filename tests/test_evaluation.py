@@ -2,6 +2,7 @@
 
 import filecmp
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
@@ -11,11 +12,12 @@ import pytest
 from scipy.stats import truncnorm
 
 from msdro_opf import evaluation, lp, opf_model
+from msdro_opf.dro_core import MultiDataset
 from msdro_opf.errors import InputError
 from msdro_opf.evaluation import (DEFAULT_GRID, S_FRACTION, SweepConfig,
                                   derive_seed, empirical_violation,
-                                  oos_matrix, run_sweep, s_pert,
-                                  training_matrix, violation_rate,
+                                  oos_matrix, out_of_sample, run_sweep,
+                                  s_pert, training_matrix, violation_rate,
                                   write_sweep_csvs)
 from msdro_opf.lp import SolverError
 from msdro_opf.network import (Generator, Line, Network, Resource,
@@ -197,6 +199,25 @@ def test_oos_samples_widen_with_budget():
     narrow = one_resource_draws(20_000, seed=17, epsilon=0.0)
     wide = one_resource_draws(20_000, seed=17, epsilon=0.2)
     assert wide.std() > narrow.std()
+
+
+@pytest.mark.parametrize("epsilons", [[0.1], [0.1, 0.1, 0.5]])
+def test_oos_matrix_needs_one_budget_per_resource(case5, epsilons):
+    """Too few budgets used to raise ``IndexError``; an extra one used to
+    enter the seeds and change every draw."""
+    with pytest.raises(InputError, match=f"^got {len(epsilons)} budgets for "
+                       "2 uncertain resources$"):
+        oos_matrix(case5, epsilons, 10, 1)
+
+
+def test_out_of_sample_refuses_a_solution_that_is_not_optimal():
+    """An infeasible solve has no decision to check."""
+    net = undersized_network()
+    data = MultiDataset.from_matrix(training_matrix(net, 20, 1), [1.0])
+    sol = opf_model.solve_msdro_opf(net, data, 0.05)
+    assert sol.status == "infeasible"
+    with pytest.raises(SolverError, match="^solution status is infeasible$"):
+        out_of_sample(sol, 10, 1)
 
 
 def test_violation_rate_against_truncated_normal_tail():
@@ -408,6 +429,26 @@ def test_run_sweep_starts_no_more_workers_than_cells(case5, monkeypatch):
     for jobs, want in ((2, 2), (cells, cells), (10**6, cells)):
         run_sweep(case5, cfg, jobs=jobs)
         assert sizes.pop() == want, jobs
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2", None])
+def test_run_sweep_refuses_a_job_count_that_is_not_a_positive_integer(
+        case5, monkeypatch, jobs):
+    """``0``, ``-3`` and ``True`` used to run the sweep serially, ``2.5``
+    was taken and ``"2"`` and ``None`` raised ``TypeError``. The count is
+    refused before any draw, build or thread."""
+    made = []
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: made.append("pool"))
+    monkeypatch.setattr(evaluation, "training_matrix",
+                        lambda *args, **kwargs: made.append("draw"))
+    monkeypatch.setattr(opf_model, "build_msdro_opf",
+                        lambda *args, **kwargs: made.append("build"))
+    cfg = SweepConfig(grid=(1.0, 0.1), n_samples=5, oos_samples=10)
+    with pytest.raises(InputError, match=r"^jobs must be an integer >= 1, "
+                       rf"got {re.escape(repr(jobs))}$"):
+        run_sweep(case5, cfg, jobs=jobs)
+    assert made == []
 
 
 def test_an_interrupt_in_a_cell_leaves_run_sweep_and_cancels_the_rest(

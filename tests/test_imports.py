@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every public
 name the package defines has a reader, one module reads and writes the
-CSV tables, no module imports ``scipy.stats`` or ``scipy.sparse``, and
-HiGHS is reached one way.
+CSV tables, no module imports ``scipy.stats`` or ``scipy.sparse``, only
+``lp`` reads a family's coefficients, and HiGHS is reached one way.
 
 Stdlib ``ast`` checks: an imported name counts as used when it is read
 anywhere in the module or listed in its ``__all__``. A public name of the
@@ -246,6 +246,35 @@ def test_name_reads_finds_each_read_and_its_function():
     source = ("x = None\nprint(x)\nclass A:\n    def f(self):\n"
               "        return x() if x is not None else x\n")
     assert name_reads(source, "x") == ["", "A", "A", "A"]
+
+
+def attribute_reads(source: str, names) -> list:
+    """(owner, attribute) for each read or write of an attribute in
+    ``names`` in ``source``, in order; the owner is the top-level function
+    or class around it, "" outside any."""
+    return [(getattr(top, "name", ""), node.attr)
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_attribute_reads_finds_each_access_and_its_function():
+    source = ("fam.rows = []\ndef f(fam, vals):\n"
+              "    return fam.vals[fam.cols], vals, rows\n"
+              "class A:\n    def g(self):\n        self.cols[0] = 1\n")
+    assert attribute_reads(source, ("rows", "cols", "vals")) == [
+        ("", "rows"), ("f", "vals"), ("f", "cols"), ("A", "cols")]
+
+
+def test_only_lp_reads_a_familys_coefficients():
+    """A family's coefficient table (``rows``, ``cols``, ``vals``) is read
+    and written in ``lp`` alone, which keeps the one rule for a zero
+    coefficient; other modules edit coefficients through
+    ``Model.with_values``."""
+    found = {path.name: reads for path in sorted(SRC.glob("*.py"))
+             if path.name != "lp.py"
+             and (reads := attribute_reads(path.read_text(encoding="utf-8"),
+                                           ("rows", "cols", "vals")))}
+    assert found == {}
 
 
 def test_no_module_calls_linprog():

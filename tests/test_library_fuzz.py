@@ -133,22 +133,29 @@ def test_random_lps_solve_as_linprog_and_certify(case, data):
         assert resolved.objective == pytest.approx(solved.objective, rel=1e-9,
                                                    abs=1e-9)
 
-    # New values for one family's coefficients: the column arrays HiGHS
-    # gets are those of the model built with them, and scipy's, repeated
-    # columns in a row summed.
+    # New values in some of one family's columns, zeros among them: the
+    # column arrays HiGHS gets are those of the model built with them,
+    # zeros left out, and scipy's, repeated columns in a row summed.
     named = [f for group in groups for f in group if len(f.vals)]
     if not named:
         return
     edit = data.draw(st.sampled_from(named))
-    vals = arrays(data.draw, (len(edit.vals),),
-                  st.sampled_from([-2.5, -1.0, 0.5, 3.0]))
+    cols = np.unique(edit.cols)
+    cols = cols[arrays(data.draw, cols.shape, st.booleans()).astype(bool)]
+    vals = arrays(data.draw, cols.shape,
+                  st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0]))
     obj = arrays(data.draw, (model.num_vars,), SMALL)
-    edited = model.with_values(obj, edit.name, vals)
+    edited = model.with_values(obj, edit.name, cols, vals)
+    new = edit.vals.copy()
+    for col, val in zip(cols, vals):
+        new[edit.cols == col] = val
+    keep = new != 0.0
     rebuilt = Model("fuzz")
     rebuilt.add_vars(model.num_vars, lb=model.lb, ub=model.ub, obj=obj)
     for group in groups:
-        rebuilt.add(*(replace(f, vals=vals if f is edit else f.vals, index=None)
-                      for f in group))
+        rebuilt.add(*(replace(f, index=None) if f is not edit else
+                      replace(f, rows=f.rows[keep], cols=f.cols[keep],
+                              vals=new[keep], index=None) for f in group))
     ref = scipy_csc(rebuilt)
     for got, want, by_scipy in zip(edited._csc(), rebuilt._csc(),
                                    (ref.indptr, ref.indices, ref.data)):

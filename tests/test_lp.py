@@ -323,11 +323,12 @@ def test_column_arrays_are_scipys_bit_for_bit():
 
 
 def test_with_values_shares_the_structure_and_solves_as_built():
-    """A copy with other objective and family values shares row layout and
-    column structure, and solves as the model built with those values; the
-    original is unchanged, also when the copy's bounds are fixed."""
+    """A copy with another objective and other values in some of a
+    family's columns shares row layout and column structure, and solves as
+    the model built with those values; the original is unchanged, also
+    when the copy's bounds are fixed."""
     base = cover_with_extra()
-    edited = base.with_values([2.5, 3.0, 0.5], "cover", [1.0, 2.0, 0.5])
+    edited = base.with_values([2.5, 3.0, 0.5], "cover", [2, 1], [0.5, 2.0])
     built = Model("cover")
     xx = built.add_var(obj=2.5)
     yy = built.add_var(obj=3.0)
@@ -348,19 +349,46 @@ def test_with_values_shares_the_structure_and_solves_as_built():
     lb, ub = base.lb.copy(), base.ub.copy()
     edited.lb[0] = edited.ub[0] = 1.0
     assert bits(base.lb) == bits(lb) and bits(base.ub) == bits(ub)
-    with pytest.raises(ValueError, match="sparsity"):
-        base.with_values(base.obj, "cover", [1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="one value per"):
-        base.with_values(base.obj, "cover", [1.0, 1.0])
+        base.with_values(base.obj, "cover", [0, 1], [1.0])
+    with pytest.raises(ValueError, match="one value per"):
+        base.with_values(base.obj[:2], "cover", [0], [1.0])
+
+
+def test_with_values_leaves_a_zero_out_as_family_does():
+    """A zero value gives, bit for bit, the model ``family`` builds with
+    that coefficient zero, which leaves it out: the copy shares the row
+    layout but builds its own column structure."""
+    base = cover_with_extra()
+    base._columns()  # built, so that the copy could share it
+    edited = base.with_values(base.obj, "cover", [2, 0], [0.0, 4.0])
+    assert edited._cache.keys() == {"layout"}
+    built = Model("cover")
+    built.add_vars(3, obj=base.obj)
+    for name, cols, vals, sense, b in (
+            ("cover", [0, 1, 2], [4.0, 1.0, 0.0], GE, 4.0),
+            ("floor", [1], [1.0], GE, 0.5), ("zcap", [2], [1.0], LE, 1.0),
+            ("cap", [0], [1.0], LE, 10.0)):
+        built.add(family(name, (), [(np.array(cols), np.array(vals))], sense, b))
+    assert built.families["cover"].cols.tolist() == [0, 1]
+    for got, want in zip(edited._layout() + edited._csc()
+                         + (edited.obj, edited.lb, edited.ub),
+                         built._layout() + built._csc()
+                         + (built.obj, built.lb, built.ub)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert edited._layout() is base._layout()
+    assert edited._columns() is not base._columns()
+    assert base.families["cover"].cols.tolist() == [0, 1, 2]
 
 
 def test_models_cache_structure_and_read_values_at_each_load():
-    """A ``with_values`` copy shares its base's row layout and column
-    structure and caches nothing else; a ``without`` model, which HiGHS
-    solves by editing the loaded LP, builds its row layout and never the
-    column structure; and a changed coefficient reaches the next load."""
+    """A ``with_values`` copy that leaves no coefficient out shares its
+    base's row layout and column structure and caches nothing else; a
+    ``without`` model, which HiGHS solves by editing the loaded LP, builds
+    its row layout and never the column structure; and a changed
+    coefficient reaches the next load."""
     base = cover_with_extra()
-    edited = base.with_values(base.obj, "cover", [1.0, 2.0, 0.5])
+    edited = base.with_values(base.obj, "cover", [1, 2], [2.0, 0.5])
     assert edited._cache.keys() == {"layout", "columns"}
     assert edited._layout() is base._layout()
     assert edited._columns() is base._columns()
